@@ -18,7 +18,6 @@ from .baselines import (
     crp_run,
     eg_step,
     sample_simplex,
-    universal_run,
     universal_tracks,
 )
 from .core import (
@@ -47,7 +46,6 @@ from .market_data import (
     EmptyFile,
     NonPositivePrice,
     ParseError,
-    RawSeriesFile,
     TooFewRows,
     load_csv,
     prices_to_relatives,
@@ -68,7 +66,6 @@ from .regimes import (
     enumerate_regimes,
     fixed_gamma_penalty,
     kt_neg_log2_sequence,
-    kt_product,
     log_mixture_wealth,
     log_regime_wealth,
     mixture_oracle,

@@ -21,8 +21,6 @@ Both series are attached whenever a cost model is active.
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,25 +246,11 @@ class ComparisonRow:
     hindsight_only: bool
 
 
-def compare(
-    specs: list[AlgoSpec],
-    X: PriceRelativeMatrix,
-    max_workers: int = 0,
-) -> list[ComparisonRow]:
-    """Backtest several strategies over the same matrix, one row per spec.
-
-    Rows come back in spec order regardless of execution interleaving;
-    max_workers = 0 picks a worker count automatically, 1 forces sequential.
-    """
+def compare(specs: list[AlgoSpec], X: PriceRelativeMatrix) -> list[ComparisonRow]:
+    """Backtest several strategies over the same matrix, one row per spec, in spec order."""
     if not specs:
         raise PortfolioError("compare needs at least one algorithm spec")
-    if max_workers == 0:
-        max_workers = min(len(specs), os.cpu_count() or 1)
-    if max_workers == 1 or len(specs) == 1:
-        reports = [run(s, X) for s in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            reports = list(pool.map(lambda s: run(s, X), specs))
+    reports = [run(s, X) for s in specs]
     rows = []
     for spec, report in zip(specs, reports):
         params = spec.label[len(spec.kind) :].strip()

@@ -189,12 +189,6 @@ def universal_tracks(
     return wealth, track
 
 
-def universal_run(X: PriceRelativeMatrix, config: UniversalConfig) -> np.ndarray:
-    """Wealth series (length T+1, starts at 1) of the sampled universal portfolio."""
-    wealth, _ = universal_tracks(X, config)
-    return wealth
-
-
 def best_stock(X: PriceRelativeMatrix) -> tuple[int, float]:
     """Index and final wealth of the single best asset; ties go to the lowest index."""
     if X.days < 1:

@@ -9,17 +9,15 @@ Subcommands:
 * ``bounds``    per-regime competitiveness accounting as TSV
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error (with
-line/column diagnostics for CSV problems). All randomness flows from
-``--seed``; identical invocations produce byte-identical output. The
-environment variable REGIME_SWITCH_THREADS caps internal parallelism
-(0 or unset = automatic).
+line/column diagnostics for CSV problems, and for malformed numbers in
+algorithm parameters). All randomness flows from ``--seed``; identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import backtest as bt
@@ -95,6 +93,15 @@ def _add_common(p: _Parser):
     p.add_argument("--out", help="write output here instead of stdout")
 
 
+def _parse_number(key: str, value: str, kind=float):
+    """One numeric algorithm parameter; a malformed value is a data error naming it."""
+    try:
+        return kind(value)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise PortfolioError(f"algorithm parameter {key} must be {expected}, got {value!r}") from None
+
+
 def _parse_algo_string(text: str, args) -> bt.AlgoSpec:
     """Parse 'kind' or 'kind:key=value,key=value' into an AlgoSpec."""
     kind, _, param_text = text.partition(":")
@@ -113,30 +120,15 @@ def _parse_algo_string(text: str, args) -> bt.AlgoSpec:
             raise PortfolioError(f"malformed algorithm parameter {chunk!r} in {text!r}")
         key = key.strip()
         value = value.strip()
-        if key == "gamma":
-            fields["gamma"] = float(value)
-        elif key == "eta":
-            fields["eta"] = float(value)
-        elif key == "samples":
-            fields["samples"] = int(value)
-        elif key == "seed":
-            fields["seed"] = int(value)
+        if key in ("gamma", "eta"):
+            fields[key] = _parse_number(key, value)
+        elif key in ("samples", "seed"):
+            fields[key] = _parse_number(key, value, int)
         elif key == "weights":
-            fields["weights"] = tuple(float(v) for v in value.split("|"))
+            fields["weights"] = tuple(_parse_number(key, v) for v in value.split("|"))
         else:
             raise PortfolioError(f"unknown algorithm parameter {key!r} in {text!r}")
     return bt.AlgoSpec(kind=kind, **fields)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("REGIME_SWITCH_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise PortfolioError(f"REGIME_SWITCH_THREADS must be an integer, got {raw!r}") from None
-    if cap < 0:
-        raise PortfolioError(f"REGIME_SWITCH_THREADS must be >= 0, got {cap}")
-    return cap
 
 
 def _emit(text: str, out_path: str | None):
@@ -174,7 +166,7 @@ def _cmd_backtest(args, parser: _Parser) -> int:
         parser.error("--algo eg requires --eta")
     X = load_csv(args.data, args.mode)
     is_universal = args.algo == bt.KIND_UNIVERSAL
-    weights = tuple(float(v) for v in args.weights.split(",")) if args.weights else None
+    weights = tuple(_parse_number("weights", v) for v in args.weights.split(",")) if args.weights else None
     spec = bt.AlgoSpec(
         kind=args.algo,
         gamma=args.gamma if args.algo == bt.KIND_SWITCHING_FIXED else None,
@@ -196,7 +188,7 @@ def _cmd_backtest(args, parser: _Parser) -> int:
 def _cmd_compare(args) -> int:
     X = load_csv(args.data, args.mode)
     specs = [_parse_algo_string(text, args) for text in args.algo]
-    rows = bt.compare(specs, X, max_workers=_thread_cap())
+    rows = bt.compare(specs, X)
     _emit(bt.comparison_tsv(rows), args.out)
     return 0
 

@@ -19,7 +19,6 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,18 +49,6 @@ class NonPositivePrice(PortfolioError):
     """Opening prices must be strictly positive."""
 
 
-@dataclass(frozen=True)
-class RawSeriesFile:
-    """A CSV source plus how to interpret it."""
-
-    path: str
-    mode: str = MODE_RELATIVES
-
-    def __post_init__(self):
-        if self.mode not in (MODE_RELATIVES, MODE_PRICES):
-            raise PortfolioError(f"mode must be '{MODE_RELATIVES}' or '{MODE_PRICES}', got {self.mode!r}")
-
-
 def _parse_rows(numbered_rows: list[tuple[int, list[str]]], has_dates: bool):
     dates: list[str] = []
     values: list[list[float]] = []
@@ -84,14 +71,10 @@ def _parse_rows(numbered_rows: list[tuple[int, list[str]]], has_dates: bool):
     return values, (dates if has_dates else None)
 
 
-def load_csv(source: RawSeriesFile | str, mode: str | None = None) -> PriceRelativeMatrix:
+def load_csv(path: str, mode: str = MODE_RELATIVES) -> PriceRelativeMatrix:
     """Read a CSV of relatives or prices into a validated PriceRelativeMatrix."""
-    if isinstance(source, RawSeriesFile):
-        path, file_mode = source.path, source.mode
-    else:
-        path, file_mode = source, mode or MODE_RELATIVES
-    if file_mode not in (MODE_RELATIVES, MODE_PRICES):
-        raise PortfolioError(f"mode must be '{MODE_RELATIVES}' or '{MODE_PRICES}', got {file_mode!r}")
+    if mode not in (MODE_RELATIVES, MODE_PRICES):
+        raise PortfolioError(f"mode must be '{MODE_RELATIVES}' or '{MODE_PRICES}', got {mode!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [[c.strip() for c in row] for row in reader if row]
@@ -108,7 +91,7 @@ def load_csv(source: RawSeriesFile | str, mode: str | None = None) -> PriceRelat
         if len(row) != width:
             raise ParseError(line_no, len(row) + 1, f"expected {width} cells, got {len(row)}")
     values, dates = _parse_rows(numbered, has_dates)
-    if file_mode == MODE_PRICES:
+    if mode == MODE_PRICES:
         return prices_to_relatives(values, names, dates)
     return validate_relatives(values, names, dates)
 

@@ -82,61 +82,50 @@ def _segment_bounds(regime: RegimeSpec, T: int) -> list[tuple[int, int, int]]:
     return [(a, s + 1, e) for a, s, e in zip(regime.strategies, starts, ends)]
 
 
-def log2_prior_fixed(regime: RegimeSpec, T: int, N: int, gamma: float) -> float:
-    """Base-2 log of the fixed-gamma prior 1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1)."""
-    _check_regime(regime, T, N, for_prior=True)
-    if not 0.0 < gamma < 1.0:
-        raise PortfolioError(f"gamma must be in (0,1), got {gamma!r}")
-    l = regime.switches
-    return (
-        -math.log2(N)
-        - l * math.log2(N - 1)
-        + l * math.log2(gamma)
-        + (T - l - 1) * math.log2(1.0 - gamma)
-    )
+def _stay_cumlog2(T: int) -> np.ndarray:
+    """cum[d] = log2 of prod_{j=1..d} (j - 1/2)/j, for d = 0..T (T >= 1)."""
+    return np.concatenate(([0.0], -kt_neg_log2_sequence(T)))
+
+
+def _log_prior(segments, T: int, N: int, gamma: float | None, stay_cum) -> float:
+    """Natural log of a regime's prior, given its segments (see :func:`_segment_bounds`).
+
+    ``gamma`` selects the fixed-gamma prior 1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1);
+    ``None`` selects the adaptive prior, which reads ``stay_cum = _stay_cumlog2(T)``.
+    Under the adaptive prior a segment of length d that ends in a switch
+    contributes d-1 stay factors (1 - (1/2)/j) for j = 1..d-1 and then the
+    switch probability (1/2)/d, split uniformly over the N-1 target assets;
+    the last segment has no terminating switch. The first asset is picked
+    uniformly under both priors.
+    """
+    l = len(segments) - 1
+    if gamma is not None:
+        return (
+            -math.log(N)
+            - l * math.log(N - 1)
+            + l * math.log(gamma)
+            + (T - l - 1) * math.log1p(-gamma)
+        )
+    lp = -math.log(N) - l * math.log(N - 1)
+    for _, start, end in segments[:-1]:
+        d = end - start + 1
+        lp += (stay_cum[d - 1] + math.log2(0.5 / d)) * LOG2
+    _, start, end = segments[-1]
+    return lp + stay_cum[end - start] * LOG2
 
 
 def prior_fixed(regime: RegimeSpec, T: int, N: int, gamma: float) -> float:
-    return 2.0 ** log2_prior_fixed(regime, T, N, gamma)
-
-
-def _stay_cumlog2(T: int) -> np.ndarray:
-    """cum[d] = log2 of prod_{j=1..d} (j - 1/2)/j, for d = 0..T."""
-    j = np.arange(1, T + 1, dtype=float)
-    out = np.zeros(T + 1)
-    if T:
-        out[1:] = np.cumsum(np.log2((j - 0.5) / j))
-    return out
-
-
-def log2_prior_adaptive(regime: RegimeSpec, T: int, N: int) -> float:
-    """Base-2 log of the adaptive prior.
-
-    A segment of length d that ends in a switch contributes d-1 stay factors
-    (1 - (1/2)/(j)) for j = 1..d-1 and then the switch probability (1/2)/d,
-    split uniformly over the N-1 target assets; the last segment has no
-    terminating switch. The first asset is picked uniformly.
-    """
+    """Fixed-gamma prior probability of a regime."""
     _check_regime(regime, T, N, for_prior=True)
-    cum = _stay_cumlog2(T)
-    total = -math.log2(N)
-    segments = _segment_bounds(regime, T)
-    for _, start, end in segments[:-1]:
-        d = end - start + 1
-        total += cum[d - 1] + math.log2(0.5 / d) - math.log2(N - 1)
-    _, start, end = segments[-1]
-    total += cum[end - start]
-    return total
+    if not 0.0 < gamma < 1.0:
+        raise PortfolioError(f"gamma must be in (0,1), got {gamma!r}")
+    return math.exp(_log_prior(_segment_bounds(regime, T), T, N, gamma, None))
 
 
 def prior_adaptive(regime: RegimeSpec, T: int, N: int) -> float:
-    return 2.0 ** log2_prior_adaptive(regime, T, N)
-
-
-def log2_prior(regime: RegimeSpec, T: int, N: int, prior: Prior) -> float:
-    if isinstance(prior, FixedGammaPrior):
-        return log2_prior_fixed(regime, T, N, prior.gamma)
-    return log2_prior_adaptive(regime, T, N)
+    """Adaptive prior probability of a regime."""
+    _check_regime(regime, T, N, for_prior=True)
+    return math.exp(_log_prior(_segment_bounds(regime, T), T, N, None, _stay_cumlog2(T)))
 
 
 def log_regime_wealth(
@@ -230,23 +219,12 @@ def log_mixture_wealth(
     extra_charge = 0 if convention == CHARGE_SWITCHES_ONLY else 1
 
     acc = -math.inf
-    ln_n = math.log(N)
-    ln_n1 = math.log(N - 1) if N > 1 else 0.0
     for regime in enumerate_regimes(T, N):
-        l = regime.switches
         segments = _segment_bounds(regime, T)
-        lw = (l + extra_charge) * log_sf
+        lw = (regime.switches + extra_charge) * log_sf
         for asset, start, end in segments:
             lw += cumlog[end, asset] - cumlog[start - 1, asset]
-        if gamma is not None:
-            lp = -ln_n - l * ln_n1 + l * math.log(gamma) + (T - l - 1) * math.log1p(-gamma)
-        else:
-            lp = -ln_n - l * ln_n1
-            for _, start, end in segments[:-1]:
-                d = end - start + 1
-                lp += (stay_cum[d - 1] + math.log2(0.5 / d)) * LOG2
-            _, start, end = segments[-1]
-            lp += stay_cum[end - start] * LOG2
+        lp = _log_prior(segments, T, N, gamma, stay_cum)
         acc = np.logaddexp(acc, lp + lw)
     return float(acc)
 
@@ -261,21 +239,12 @@ def mixture_oracle(
     return math.exp(log_mixture_wealth(X, prior, cost, convention))
 
 
-def kt_product(n: int) -> tuple[float, float]:
-    """The n-factor product prod_{i=0..n-1} (i + 1/2)/(i + 1) and its -log2.
+def kt_neg_log2_sequence(n_max: int) -> np.ndarray:
+    """-log2 of the stay-run product prod_{i=0..n-1} (i + 1/2)/(i + 1), for every n in 1..n_max.
 
-    This is the sequential half-integer estimator's probability of an
+    The product is the sequential half-integer estimator's probability of an
     all-stays run; it falls like 1/sqrt(n), never faster than 2^-(log2(n)/2 + 1).
     """
-    if n < 1:
-        raise PortfolioError(f"need n >= 1, got {n}")
-    i = np.arange(n, dtype=float)
-    neg_log2 = -float(np.log2((i + 0.5) / (i + 1.0)).sum())
-    return 2.0**-neg_log2, neg_log2
-
-
-def kt_neg_log2_sequence(n_max: int) -> np.ndarray:
-    """-log2 of the stay-run product for every n in 1..n_max (one vector pass)."""
     if n_max < 1:
         raise PortfolioError(f"need n_max >= 1, got {n_max}")
     i = np.arange(n_max, dtype=float)

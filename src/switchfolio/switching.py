@@ -80,16 +80,13 @@ class AdaptiveState:
     trading day k+1; after day t exactly N*t buckets exist.
     """
 
-    __slots__ = ("day", "buckets", "log_wealth", "prune_threshold", "_capacity")
+    __slots__ = ("day", "buckets", "log_wealth", "_capacity")
 
-    def __init__(self, n: int, prune_threshold: float | None = None):
+    def __init__(self, n: int):
         self.day = 0
         self._capacity = 16
         self.buckets = np.zeros((n, self._capacity))
         self.log_wealth = 0.0
-        # Buckets below prune_threshold (as a fraction of total) are zeroed to
-        # save work; off by default because equivalence checks need exactness.
-        self.prune_threshold = prune_threshold
 
     @property
     def assets(self) -> int:
@@ -123,11 +120,11 @@ def fixed_init(n: int, gamma: float) -> FixedGammaState:
     return FixedGammaState(gamma, np.full(n, 1.0 / n))
 
 
-def adaptive_init(n: int, prune_threshold: float | None = None) -> AdaptiveState:
+def adaptive_init(n: int) -> AdaptiveState:
     """Empty adaptive state; the first step seeds one bucket per asset at 1/n."""
     if n < 2:
         raise TooFewAssets(f"need at least 2 assets to switch between, got {n}")
-    return AdaptiveState(n, prune_threshold)
+    return AdaptiveState(n)
 
 
 def _check_row(n: int, x) -> np.ndarray:
@@ -197,8 +194,6 @@ def adaptive_step(state: AdaptiveState, x, cost: CostModel | None = None) -> Ada
     active = state.buckets[:, : t + 1]
     total = float(active.sum())
     active /= total
-    if state.prune_threshold is not None:
-        active[active < state.prune_threshold] = 0.0
     state.log_wealth += math.log(total)
     state.day = t + 1
     return state

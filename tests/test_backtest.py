@@ -179,14 +179,6 @@ class TestCompare:
         b = comparison_tsv(compare(specs, X))
         assert a == b
 
-    def test_parallel_equals_sequential(self):
-        rng = np.random.default_rng(79)
-        X = random_matrix(rng, 10, 2)
-        specs = [AlgoSpec("switching-fixed", gamma=0.2), AlgoSpec("eg", eta=0.05)]
-        seq = comparison_tsv(compare(specs, X, max_workers=1))
-        par = comparison_tsv(compare(specs, X, max_workers=2))
-        assert seq == par
-
 
 class TestPlotData:
     def test_empty_history_report(self):

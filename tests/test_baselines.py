@@ -11,7 +11,6 @@ from switchfolio.baselines import (
     crp_run,
     eg_step,
     sample_simplex,
-    universal_run,
     universal_tracks,
 )
 from switchfolio.core import DimensionMismatch, PortfolioVector, validate_relatives
@@ -143,19 +142,19 @@ class TestEgStep:
 class TestUniversal:
     def test_single_asset_is_buy_and_hold(self):
         X = validate_relatives([[1.2], [0.9], [1.4]], ["a"])
-        series = universal_run(X, UniversalConfig(samples=7, rng_seed=1))
+        series = universal_tracks(X, UniversalConfig(samples=7, rng_seed=1))[0]
         assert math.isclose(series[-1], 1.2 * 0.9 * 1.4, rel_tol=1e-12)
 
     def test_empty_history(self):
         X = validate_relatives([], ["a", "b"])
-        assert universal_run(X, UniversalConfig(samples=10, rng_seed=0)).tolist() == [1.0]
+        assert universal_tracks(X, UniversalConfig(samples=10, rng_seed=0))[0].tolist() == [1.0]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(57)
         X = random_matrix(rng, 10, 3)
         cfg = UniversalConfig(samples=500, rng_seed=99)
-        a = universal_run(X, cfg)
-        b = universal_run(X, cfg)
+        a = universal_tracks(X, cfg)[0]
+        b = universal_tracks(X, cfg)[0]
         assert np.array_equal(a, b)
 
     def test_final_wealth_between_sampled_extremes(self):
@@ -164,14 +163,14 @@ class TestUniversal:
         cfg = UniversalConfig(samples=200, rng_seed=5)
         W = sample_simplex(200, 2, 5)
         finals = np.prod(W @ X.values.T, axis=1)
-        u = universal_run(X, cfg)[-1]
+        u = universal_tracks(X, cfg)[0][-1]
         assert finals.min() - 1e-12 <= u <= finals.max() + 1e-12
 
     def test_never_beats_bcrp(self):
         rng = np.random.default_rng(59)
         for _ in range(5):
             X = random_matrix(rng, 12, 2)
-            u = universal_run(X, UniversalConfig(samples=2000, rng_seed=3))[-1]
+            u = universal_tracks(X, UniversalConfig(samples=2000, rng_seed=3))[0][-1]
             _, lw = bcrp_solve(X)
             assert math.log(u) <= lw + 1e-9
 
@@ -182,7 +181,7 @@ class TestUniversal:
         for _ in range(3):
             X = random_matrix(rng, int(rng.integers(1, 11)), 2)
             exact = float(np.trapezoid(np.prod(W @ X.values.T, axis=1), grid))
-            mc = universal_run(X, UniversalConfig(samples=100_000, rng_seed=7))[-1]
+            mc = universal_tracks(X, UniversalConfig(samples=100_000, rng_seed=7))[0][-1]
             assert abs(mc - exact) / exact <= 0.01
 
     def test_weights_track_is_wealth_weighted_mean(self):

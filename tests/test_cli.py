@@ -83,6 +83,15 @@ class TestDataErrors:
         )
         assert code == 2
 
+    def test_malformed_weights_exits_two(self, capsys, tmp_path):
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(data))
+        code, _, err = invoke(
+            capsys, "backtest", "--data", str(data), "--algo", "crp", "--weights", "0.5,x"
+        )
+        assert code == 2
+        assert err == "switchfolio: algorithm parameter weights must be a number, got 'x'\n"
+
 
 class TestOracle:
     def test_adaptive_gap_tiny(self, capsys, tmp_path):
@@ -134,29 +143,17 @@ class TestCompareCommand:
         assert lines[1].startswith("best-stock\t")
         assert lines[3].startswith("switching-fixed\tgamma=0.333333")
 
-    def test_thread_cap_env(self, capsys, tmp_path, monkeypatch):
-        data = tmp_path / "m.csv"
-        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "4", "--out", str(data))
-        monkeypatch.setenv("REGIME_SWITCH_THREADS", "2")
-        code, out_threaded, _ = invoke(
-            capsys, "compare", "--data", str(data),
-            "--algo", "switching-adaptive", "--algo", "eg:eta=0.05",
-        )
-        assert code == 0
-        monkeypatch.setenv("REGIME_SWITCH_THREADS", "1")
-        code, out_serial, _ = invoke(
-            capsys, "compare", "--data", str(data),
-            "--algo", "switching-adaptive", "--algo", "eg:eta=0.05",
-        )
-        assert code == 0
-        assert out_threaded == out_serial
-
-    def test_bad_thread_env_exits_two(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "spec", ["switching-fixed:gamma=abc", "universal:samples=1e3", "crp:weights=0.5|x", "eg:eta="]
+    )
+    def test_malformed_number_exits_two(self, capsys, tmp_path, spec):
         data = tmp_path / "m.csv"
         invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(data))
-        monkeypatch.setenv("REGIME_SWITCH_THREADS", "lots")
-        code, _, err = invoke(capsys, "compare", "--data", str(data), "--algo", "bcrp")
+        code, out, err = invoke(capsys, "compare", "--data", str(data), "--algo", spec)
         assert code == 2
+        assert out == ""
+        key = spec.split(":")[1].split("=")[0]
+        assert err.startswith(f"switchfolio: algorithm parameter {key} must be")
 
 
 class TestDeterminism:

@@ -9,7 +9,6 @@ from switchfolio.market_data import (
     EmptyFile,
     NonPositivePrice,
     ParseError,
-    RawSeriesFile,
     TooFewRows,
     load_csv,
     prices_to_relatives,
@@ -31,7 +30,7 @@ class TestLoadCsv:
     def test_prices_mode(self, tmp_path):
         p = tmp_path / "p.csv"
         p.write_text("S\n100\n110\n99\n")
-        X = load_csv(RawSeriesFile(str(p), mode="prices"))
+        X = load_csv(str(p), "prices")
         assert np.allclose(X.values[:, 0], [1.1, 0.9])
 
     def test_non_numeric_cell(self, tmp_path):

@@ -17,7 +17,6 @@ from switchfolio.regimes import (
     enumerate_regimes,
     fixed_gamma_penalty,
     kt_neg_log2_sequence,
-    kt_product,
     log_mixture_wealth,
     log_regime_wealth,
     mixture_oracle,
@@ -157,18 +156,11 @@ class TestMixtureOracle:
 
 class TestKTProduct:
     def test_small_values(self):
-        v, nl = kt_product(1)
-        assert v == 0.5 and nl == 1.0
-        v, _ = kt_product(2)
-        assert math.isclose(v, 0.375, rel_tol=1e-15)
-        v, nl = kt_product(4)
-        assert math.isclose(v, 105 / 384, rel_tol=1e-14)
-        assert nl <= 0.5 * math.log2(4) + 1
-
-    def test_sequence_matches_scalar(self):
-        seq = kt_neg_log2_sequence(50)
-        for n in (1, 2, 17, 50):
-            assert math.isclose(seq[n - 1], kt_product(n)[1], rel_tol=1e-13)
+        neg = kt_neg_log2_sequence(4)
+        assert neg[0] == 1.0 and 2.0 ** -neg[0] == 0.5
+        assert math.isclose(2.0 ** -neg[1], 0.375, rel_tol=1e-15)
+        assert math.isclose(2.0 ** -neg[3], 105 / 384, rel_tol=1e-14)
+        assert neg[3] <= 0.5 * math.log2(4) + 1
 
     def test_stay_run_bound_and_monotone_normalization(self):
         # -log2 kt(n) <= log2(n)/2 + 1, i.e. sqrt(n)*kt(n) >= 1/2 and increasing.

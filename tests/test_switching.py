@@ -289,15 +289,3 @@ class TestScalingInvariance:
                 step(b, Y.day_row(t))
                 assert np.allclose(weights_of(a).weights, weights_of(b).weights, atol=1e-12)
             assert math.isclose(total_wealth(b), k * total_wealth(a), rel_tol=1e-12)
-
-
-class TestPruning:
-    def test_pruned_run_stays_close(self):
-        rng = np.random.default_rng(16)
-        X = random_matrix(rng, 40, 2)
-        exact = adaptive_init(2)
-        pruned = adaptive_init(2, prune_threshold=1e-300)
-        for t in range(1, 41):
-            adaptive_step(exact, X.day_row(t))
-            adaptive_step(pruned, X.day_row(t))
-        assert math.isclose(total_wealth(exact), total_wealth(pruned), rel_tol=1e-250)
