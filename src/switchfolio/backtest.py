@@ -115,7 +115,12 @@ class AlgoSpec:
 
 @dataclass(frozen=True)
 class BacktestReport:
-    """Day-indexed wealth, weights, and largest-asset track for one strategy."""
+    """Day-indexed wealth, weights, and largest-asset track for one strategy.
+
+    ``log_wealth`` is the switching state's own natural-log wealth
+    accumulator after each day, the exact log of the bucket-accounting
+    wealth; it is None for the other kinds.
+    """
 
     spec: AlgoSpec
     wealth: np.ndarray
@@ -124,6 +129,7 @@ class BacktestReport:
     hindsight_only: bool = False
     wealth_bucket: np.ndarray | None = None
     wealth_realized: np.ndarray | None = None
+    log_wealth: np.ndarray | None = None
     dates: tuple[str, ...] | None = None
 
     @property
@@ -148,9 +154,8 @@ def max_drawdown(wealth: np.ndarray) -> float:
 def _largest_track(weights: np.ndarray, X: PriceRelativeMatrix) -> np.ndarray:
     """argmax of post-day wealth mass; mass on day k is weights[k-1] * x^k."""
     largest = np.empty(X.days + 1, dtype=int)
-    largest[0] = int(np.argmax(weights[0]))
-    for k in range(1, X.days + 1):
-        largest[k] = int(np.argmax(weights[k - 1] * X.values[k - 1]))
+    largest[0] = np.argmax(weights[0])
+    largest[1:] = np.argmax(weights[:-1] * X.values, axis=1)
     return largest
 
 
@@ -166,12 +171,14 @@ def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
         step = adaptive_step
     weights = np.empty((X.days + 1, n))
     wealth = np.ones(X.days + 1)
+    log_wealth = np.zeros(X.days + 1)
     weights[0] = 1.0 / n  # the uncharged initial purchase is uniform
     for t in range(1, X.days + 1):
         step(state, X.values[t - 1], spec.cost)
+        log_wealth[t] = state.log_wealth
         wealth[t] = total_wealth(state)
         weights[t] = weights_of(state, spec.cost).weights
-    return wealth, weights
+    return wealth, weights, log_wealth
 
 
 def _weight_driven_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
@@ -207,8 +214,9 @@ def run(spec: AlgoSpec, X: PriceRelativeMatrix) -> BacktestReport:
     """Backtest one strategy over a relatives matrix."""
     wealth_bucket = None
     wealth_realized = None
+    log_wealth = None
     if spec.kind in (KIND_SWITCHING_FIXED, KIND_SWITCHING_ADAPTIVE):
-        wealth, weights = _switching_tracks(spec, X)
+        wealth, weights, log_wealth = _switching_tracks(spec, X)
         if spec.cost is not None:
             wealth_bucket = wealth
             wealth_realized = realized_wealth_track(weights[: X.days], X, spec.cost)
@@ -233,6 +241,7 @@ def run(spec: AlgoSpec, X: PriceRelativeMatrix) -> BacktestReport:
         hindsight_only=spec.kind in (KIND_BCRP, KIND_BEST_STOCK),
         wealth_bucket=wealth_bucket,
         wealth_realized=wealth_realized,
+        log_wealth=log_wealth,
         dates=X.dates,
     )
 

@@ -114,6 +114,10 @@ def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
         stalled = 0
         for _ in range(_BCRP_MAX_ITER):
             grad = (V / (V @ w)[:, None]).sum(axis=0)
+            # The projection ignores a shift along (1, ..., 1); dropping the
+            # gradient's mean keeps the entries it rounds O(1) however far the
+            # step has grown, so the weight sum stays within SIMPLEX_TOL.
+            grad -= grad.mean()
             improved = False
             while step > 1e-18:
                 cand = _project_to_simplex(w + step * grad / X.days)

@@ -17,7 +17,6 @@ invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import backtest as bt
@@ -34,22 +33,15 @@ from .market_data import (
 from .regimes import (
     CHARGE_ALL_SEGMENTS,
     CHARGE_SWITCHES_ONLY,
+    LOG2,
     AdaptivePrior,
     FixedGammaPrior,
     bound_check,
     enumerate_regimes,
     mixture_oracle,
 )
-from .switching import (
-    adaptive_init,
-    adaptive_step,
-    fixed_init,
-    fixed_step,
-    log_total_wealth,
-    total_wealth,
-)
-
-LOG2 = math.log(2.0)
+# Unused here: bench/trace_child.py wraps the switching steps under these names.
+from .switching import adaptive_step, fixed_step  # noqa: F401
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,18 +131,6 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _run_switching_log2(X, prior, cost) -> tuple[float, float]:
-    if isinstance(prior, FixedGammaPrior):
-        state = fixed_init(X.assets, prior.gamma)
-        for t in range(X.days):
-            fixed_step(state, X.values[t], cost)
-    else:
-        state = adaptive_init(X.assets)
-        for t in range(X.days):
-            adaptive_step(state, X.values[t], cost)
-    return log_total_wealth(state) / LOG2, total_wealth(state)
-
-
 def _cmd_synth(args) -> int:
     X = synth_volatility_pair(args.n) if args.kind == "volatility-pair" else synth_regime_pair(args.n)
     _emit(to_csv_text(X), args.out)
@@ -193,14 +173,25 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_oracle(args, parser: _Parser) -> int:
+def _switching_setup(args, parser: _Parser):
+    """Market, prior and matching switching spec (with its cost model) for oracle and bounds."""
     if args.prior == "fixed" and args.gamma is None:
         parser.error("--prior fixed requires --gamma")
     X = load_csv(args.data, args.mode)
-    prior = FixedGammaPrior(args.gamma) if args.prior == "fixed" else AdaptivePrior()
-    cost = _cost_from_args(args)
-    oracle = mixture_oracle(X, prior, cost, args.convention)
-    _, algorithm = _run_switching_log2(X, prior, cost)
+    fixed = args.prior == "fixed"
+    prior = FixedGammaPrior(args.gamma) if fixed else AdaptivePrior()
+    spec = bt.AlgoSpec(
+        kind=bt.KIND_SWITCHING_FIXED if fixed else bt.KIND_SWITCHING_ADAPTIVE,
+        gamma=args.gamma if fixed else None,
+        cost=_cost_from_args(args),
+    )
+    return X, prior, spec
+
+
+def _cmd_oracle(args, parser: _Parser) -> int:
+    X, prior, spec = _switching_setup(args, parser)
+    oracle = mixture_oracle(X, prior, spec.cost, args.convention)
+    algorithm = bt.run(spec, X).final_wealth
     gap = abs(algorithm - oracle) / oracle if oracle else 0.0
     text = (
         f"oracle_wealth\t{oracle:.17g}\n"
@@ -212,18 +203,14 @@ def _cmd_oracle(args, parser: _Parser) -> int:
 
 
 def _cmd_bounds(args, parser: _Parser) -> int:
-    if args.prior == "fixed" and args.gamma is None:
-        parser.error("--prior fixed requires --gamma")
-    X = load_csv(args.data, args.mode)
-    prior = FixedGammaPrior(args.gamma) if args.prior == "fixed" else AdaptivePrior()
-    cost = _cost_from_args(args)
-    alg_log2, _ = _run_switching_log2(X, prior, cost)
+    X, prior, spec = _switching_setup(args, parser)
+    alg_log2 = float(bt.run(spec, X).log_wealth[-1]) / LOG2
     lines = [
         "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
         "algorithm_log2_wealth\tslack_bits"
     ]
     for regime in enumerate_regimes(X.days, X.assets):
-        rep = bound_check(X, prior, alg_log2, regime, cost, args.convention)
+        rep = bound_check(X, prior, alg_log2, regime, spec.cost, args.convention)
         times = ",".join(map(str, regime.switch_times)) or "-"
         strats = ",".join(map(str, regime.strategies))
         lines.append(
@@ -275,29 +262,21 @@ def build_parser() -> _Parser:
     )
     _add_common(p_cmp)
 
-    p_or = sub.add_parser("oracle", help="brute-force mixture wealth vs the algorithm")
-    _add_data_flags(p_or)
-    p_or.add_argument("--prior", choices=["fixed", "adaptive"], required=True)
-    p_or.add_argument("--gamma", type=float, help="switching probability for --prior fixed")
-    _add_cost_flags(p_or)
-    p_or.add_argument(
-        "--convention",
-        choices=[CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS],
-        default=CHARGE_SWITCHES_ONLY,
-    )
-    _add_common(p_or)
-
-    p_bd = sub.add_parser("bounds", help="per-regime competitiveness accounting")
-    _add_data_flags(p_bd)
-    p_bd.add_argument("--prior", choices=["fixed", "adaptive"], required=True)
-    p_bd.add_argument("--gamma", type=float, help="switching probability for --prior fixed")
-    _add_cost_flags(p_bd)
-    p_bd.add_argument(
-        "--convention",
-        choices=[CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS],
-        default=CHARGE_SWITCHES_ONLY,
-    )
-    _add_common(p_bd)
+    for name, help_text in (
+        ("oracle", "brute-force mixture wealth vs the algorithm"),
+        ("bounds", "per-regime competitiveness accounting"),
+    ):
+        p_sw = sub.add_parser(name, help=help_text)
+        _add_data_flags(p_sw)
+        p_sw.add_argument("--prior", choices=["fixed", "adaptive"], required=True)
+        p_sw.add_argument("--gamma", type=float, help="switching probability for --prior fixed")
+        _add_cost_flags(p_sw)
+        p_sw.add_argument(
+            "--convention",
+            choices=[CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS],
+            default=CHARGE_SWITCHES_ONLY,
+        )
+        _add_common(p_sw)
 
     return parser
 
@@ -315,11 +294,12 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args, parser)
         return _cmd_bounds(args, parser)
-    except PortfolioError as exc:
+    except (PortfolioError, OSError) as exc:
         print(f"switchfolio: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"switchfolio: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        # e.g. OverflowError when linear wealth leaves the double range
+        print(f"switchfolio: arithmetic failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
 
 

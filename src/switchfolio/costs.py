@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, PortfolioError, PortfolioVector
+from .core import DimensionMismatch, PortfolioError
 
 PER_TRADE = "per-trade"
 PARALLEL = "parallel"
@@ -98,8 +98,8 @@ def realized_wealth_track(
 ) -> np.ndarray:
     """Wealth series from literally holding a day-by-day weight schedule.
 
-    ``weights`` is a T x N array (or sequence of PortfolioVector) whose row t
-    is the allocation held during trading day t+1; X supplies the relatives.
+    ``weights`` is a T x N array whose row t is the allocation held during
+    trading day t+1; X supplies the relatives.
     Day t's returns are applied, then the holdings are reshaped to the next
     day's target and the netted commission deducted. The deduction keeps the
     target proportions: the post-cost total is (old total - c * sum |delta|),
@@ -110,9 +110,8 @@ def realized_wealth_track(
 
     Returns T+1 wealth values starting at 1.
     """
-    rows = [w.weights if isinstance(w, PortfolioVector) else np.asarray(w, float) for w in weights]
-    W = np.array(rows, dtype=float) if rows else np.zeros((0, X.assets))
-    if W.shape[0] != X.days or (X.days and W.shape[1] != X.assets):
+    W = np.asarray(weights, dtype=float)
+    if W.shape != (X.days, X.assets):
         raise DimensionMismatch(
             f"weight schedule {W.shape} does not match {X.days} days x {X.assets} assets"
         )

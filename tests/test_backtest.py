@@ -18,6 +18,7 @@ from switchfolio.core import PortfolioError, daily_return, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import synth_regime_pair, synth_volatility_pair
 from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, bound_check
+from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 from switchfolio.core import RegimeSpec
 
 LOG2 = math.log(2.0)
@@ -132,6 +133,22 @@ class TestRun:
                 Xt = validate_relatives(X.values[:t], X.asset_names)
                 part = run(spec, Xt)
                 assert np.allclose(part.weights, full.weights[: t + 1], atol=1e-12)
+
+    def test_switching_log_wealth_is_the_state_accumulator(self):
+        rng = np.random.default_rng(79)
+        X = random_matrix(rng, 7, 3)
+        for cost in (None, CostModel.per_trade(0.02)):
+            for spec, state, step in (
+                (AlgoSpec("switching-fixed", gamma=0.2, cost=cost), fixed_init(3, 0.2), fixed_step),
+                (AlgoSpec("switching-adaptive", cost=cost), adaptive_init(3), adaptive_step),
+            ):
+                report = run(spec, X)
+                expected = [0.0]
+                for row in X.values:
+                    expected.append(step(state, row, cost).log_wealth)
+                assert report.log_wealth.tolist() == expected
+                assert report.wealth.tolist() == [math.exp(v) for v in expected]
+        assert run(AlgoSpec("best-stock"), X).log_wealth is None
 
     def test_largest_track_is_argmax_of_mass(self):
         rng = np.random.default_rng(76)

@@ -102,6 +102,26 @@ class TestBcrpSolve:
             w /= w.sum()
             assert lw >= float(np.log(X.values @ w).sum()) - 1e-9
 
+    @pytest.mark.parametrize("seed", [1, 9, 10])
+    def test_grown_step_stays_on_simplex(self, seed):
+        # Markets on which the doubled step once carried the projection to
+        # entries in the thousands and the weight sum drifted past SIMPLEX_TOL.
+        rng = np.random.default_rng(seed)
+        X = validate_relatives(np.exp(rng.normal(0.0, 0.02, size=(500, 3))), ["a", "b", "c"])
+        w, lw = bcrp_solve(X)
+        assert math.isclose(float(np.log(X.values @ w.weights).sum()), lw, rel_tol=1e-12)
+        assert lw >= math.log(best_stock(X)[1]) - 1e-12
+        assert lw >= float(np.log(X.values @ np.full(3, 1 / 3)).sum()) - 1e-12
+
+    def test_acceptance_market_solves(self):
+        rng = np.random.default_rng(909)
+        X = validate_relatives(
+            np.exp(rng.uniform(np.log(0.97), np.log(1.03), size=(5651, 3))), ["a", "b", "c"]
+        )
+        w, lw = bcrp_solve(X)
+        assert abs(w.weights.sum() - 1.0) <= 1e-14
+        assert lw >= math.log(best_stock(X)[1])
+
 
 class TestEgStep:
     def test_zero_eta_is_identity(self):

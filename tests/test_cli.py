@@ -1,9 +1,15 @@
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from switchfolio.cli import main
+from switchfolio.core import validate_relatives
+from switchfolio.costs import CostModel
+from switchfolio.market_data import write_csv
+from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step, total_wealth
 
 
 def invoke(capsys, *argv):
@@ -91,6 +97,53 @@ class TestDataErrors:
         )
         assert code == 2
         assert err == "switchfolio: algorithm parameter weights must be a number, got 'x'\n"
+
+    def test_wealth_overflow_exits_two(self, capsys, tmp_path):
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data))
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "switching-adaptive")
+        assert code == 2
+        assert out == ""
+        assert err == "switchfolio: arithmetic failure (OverflowError: math range error)\n"
+
+
+class TestSwitchingExactness:
+    """oracle and bounds report the switching state's own wealth, unrounded by the CLI."""
+
+    @pytest.fixture
+    def market(self, tmp_path):
+        rng = np.random.default_rng(81)
+        X = validate_relatives(np.exp(rng.normal(0.0, 0.1, size=(6, 3))), ["a", "b", "c"])
+        path = tmp_path / "m.csv"
+        write_csv(X, str(path))
+        return X, str(path)
+
+    @staticmethod
+    def hand_stepped(X, prior, cost):
+        state = fixed_init(X.assets, 0.3333333333) if prior == "fixed" else adaptive_init(X.assets)
+        step = fixed_step if prior == "fixed" else adaptive_step
+        for row in X.values:
+            step(state, row, cost)
+        return state
+
+    @pytest.mark.parametrize("prior", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("cost", [None, CostModel.per_trade(0.02)])
+    def test_matches_hand_stepped_state(self, capsys, market, prior, cost):
+        X, path = market
+        flags = ["--prior", prior] + (["--gamma", "0.3333333333"] if prior == "fixed" else [])
+        if cost is not None:
+            flags += ["--cost-model", cost.kind, "--cost-rate", repr(cost.rate)]
+        state = self.hand_stepped(X, prior, cost)
+        code, out, _ = invoke(capsys, "oracle", "--data", path, *flags)
+        assert code == 0
+        fields = dict(line.split("\t") for line in out.strip().split("\n"))
+        assert float(fields["algorithm_wealth"]) == total_wealth(state)
+        code, out, _ = invoke(capsys, "bounds", "--data", path, *flags)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3**6
+        expected = f"{state.log_wealth / math.log(2.0):.12g}"
+        assert {row.split("\t")[5] for row in rows} == {expected}
 
 
 class TestOracle:

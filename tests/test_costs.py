@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from switchfolio.core import PortfolioError, RegimeSpec, validate_relatives
+from switchfolio.core import DimensionMismatch, PortfolioError, RegimeSpec, validate_relatives
 from switchfolio.costs import (
     CostModel,
     NegativeAllocation,
@@ -134,6 +134,12 @@ class TestRealizedWealthTrack:
             netted = float(np.abs(post_trade - shares).sum())
             gross = 2.0 * g  # every asset sheds gamma, same mass is re-bought
             assert netted <= gross + 1e-15
+
+    def test_schedule_shape_must_match_market(self):
+        X = validate_relatives([[1.1, 0.9], [1.0, 1.2]], ["a", "b"])
+        for shape in ((1, 2), (2, 3), (4,)):
+            with pytest.raises(DimensionMismatch):
+                realized_wealth_track(np.full(shape, 0.5), X, None)
 
     def test_empty_history(self):
         X = validate_relatives([], ["a", "b"])
