@@ -141,6 +141,16 @@ class BacktestReport:
         return self.wealth.size - 1
 
 
+class NonFiniteResult(PortfolioError):
+    """A wealth or drawdown to be reported is infinite or NaN."""
+
+
+def _require_finite(spec: AlgoSpec, figures: dict[str, float]) -> None:
+    bad = [name for name, value in figures.items() if not np.isfinite(value)]
+    if bad:
+        raise NonFiniteResult(f"{spec.label}: non-finite {', '.join(bad)}")
+
+
 def max_drawdown(wealth: np.ndarray) -> float:
     """Largest peak-to-trough fraction lost along a wealth series.
 
@@ -262,14 +272,15 @@ def compare(specs: list[AlgoSpec], X: PriceRelativeMatrix) -> list[ComparisonRow
     reports = [run(s, X) for s in specs]
     rows = []
     for spec, report in zip(specs, reports):
+        figures = {"final_wealth": report.final_wealth, "max_drawdown": max_drawdown(report.wealth)}
+        _require_finite(spec, figures)
         params = spec.label[len(spec.kind) :].strip()
         rows.append(
             ComparisonRow(
                 name=spec.kind,
                 parameters=params or "-",
-                final_wealth=report.final_wealth,
-                max_drawdown=max_drawdown(report.wealth),
                 hindsight_only=report.hindsight_only,
+                **figures,
             )
         )
     return rows
@@ -286,21 +297,29 @@ def comparison_tsv(rows: list[ComparisonRow]) -> str:
 
 
 def report_tsv(report: BacktestReport) -> str:
-    """Key-value TSV summary of one backtest."""
+    """Key-value TSV summary of one backtest; a non-finite figure raises NonFiniteResult.
+
+    A finite drawdown also implies a finite wealth series, hence finite plot data.
+    """
+    figures = {"final_wealth": report.final_wealth, "max_drawdown": max_drawdown(report.wealth)}
+    if report.spec.cost is not None:
+        figures["final_wealth_bucket"] = float(report.wealth_bucket[-1])
+        figures["final_wealth_realized"] = float(report.wealth_realized[-1])
+    _require_finite(report.spec, figures)
     lines = [
         f"algorithm\t{report.spec.kind}",
         f"parameters\t{report.spec.label[len(report.spec.kind):].strip() or '-'}",
         f"days\t{report.days}",
-        f"final_wealth\t{report.final_wealth:.12g}",
-        f"max_drawdown\t{max_drawdown(report.wealth):.12g}",
+        f"final_wealth\t{figures['final_wealth']:.12g}",
+        f"max_drawdown\t{figures['max_drawdown']:.12g}",
         f"hindsight_only\t{'yes' if report.hindsight_only else 'no'}",
     ]
     if report.spec.cost is not None:
         lines.append(f"cost_model\t{report.spec.cost.kind}")
         lines.append(f"cost_rate\t{report.spec.cost.rate:.12g}")
         lines.append(f"cost_accounting\t{report.spec.cost_accounting}")
-        lines.append(f"final_wealth_bucket\t{float(report.wealth_bucket[-1]):.12g}")
-        lines.append(f"final_wealth_realized\t{float(report.wealth_realized[-1]):.12g}")
+        lines.append(f"final_wealth_bucket\t{figures['final_wealth_bucket']:.12g}")
+        lines.append(f"final_wealth_realized\t{figures['final_wealth_realized']:.12g}")
     return "\n".join(lines) + "\n"
 
 

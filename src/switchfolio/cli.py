@@ -39,6 +39,7 @@ from .regimes import (
     bound_check,
     enumerate_regimes,
     mixture_oracle,
+    require_enumerable,
 )
 # Unused here: bench/trace_child.py wraps the switching steps under these names.
 from .switching import adaptive_step, fixed_step  # noqa: F401
@@ -174,7 +175,11 @@ def _cmd_compare(args) -> int:
 
 
 def _switching_setup(args, parser: _Parser):
-    """Market, prior and matching switching spec (with its cost model) for oracle and bounds."""
+    """Market, prior and matching switching spec (with its cost model) for oracle and bounds.
+
+    A market with too many regimes to enumerate is refused here, before the
+    algorithm runs.
+    """
     if args.prior == "fixed" and args.gamma is None:
         parser.error("--prior fixed requires --gamma")
     X = load_csv(args.data, args.mode)
@@ -185,6 +190,7 @@ def _switching_setup(args, parser: _Parser):
         gamma=args.gamma if fixed else None,
         cost=_cost_from_args(args),
     )
+    require_enumerable(X.days, X.assets)
     return X, prior, spec
 
 

@@ -115,14 +115,15 @@ def realized_wealth_track(
         raise DimensionMismatch(
             f"weight schedule {W.shape} does not match {X.days} days x {X.assets} assets"
         )
+    if X.days >= 2 and np.any(W < 0):  # a schedule of one day never trades
+        raise NegativeAllocation("wealth allocations must be nonnegative")
+    # Day t multiplies wealth by g_t = W[t-1] . x_t, less c * sum |W[t-1] * x_t - W[t] * g_t|
+    # for the reshape into day t+1's target.
+    held = W * X.values
+    factor = held.sum(axis=1)
+    if model is not None:
+        moved = np.abs(held[:-1] - W[1:] * factor[:-1, None]).sum(axis=1)
+        factor[:-1] -= model.rate * moved
     wealth = np.ones(X.days + 1)
-    holdings = W[0].copy() if X.days else None  # unit initial investment, uncharged
-    for t in range(1, X.days + 1):
-        post = holdings * X.values[t - 1]
-        total = float(post.sum())
-        if t < X.days:
-            target = W[t] * total
-            total -= rebalance_cost(model, post, target)
-            holdings = W[t] * total
-        wealth[t] = total
+    np.cumprod(factor, out=wealth[1:])
     return wealth

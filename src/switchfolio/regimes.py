@@ -167,6 +167,12 @@ def count_regimes(T: int, N: int) -> int:
     return N**T
 
 
+def require_enumerable(T: int, N: int) -> None:
+    """Raise :class:`InstanceTooLarge` if T days over N assets exceed ENUMERATION_GUARD regimes."""
+    if count_regimes(T, N) > ENUMERATION_GUARD:
+        raise InstanceTooLarge(f"{N}^{T} regimes for T={T}, N={N} exceeds guard {ENUMERATION_GUARD}")
+
+
 def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
     """Yield every switching regime for T days and N assets exactly once.
 
@@ -177,10 +183,7 @@ def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
         raise InvalidRegime(f"need at least one asset, got N={N}")
     if T < 1:
         return
-    if count_regimes(T, N) > ENUMERATION_GUARD:
-        raise InstanceTooLarge(
-            f"{count_regimes(T, N)} regimes for T={T}, N={N} exceeds guard {ENUMERATION_GUARD}"
-        )
+    require_enumerable(T, N)
     others = [[j for j in range(N) if j != i] for i in range(N)]
     for l in range(T):
         for times in itertools.combinations(range(1, T), l):

@@ -10,7 +10,10 @@ trading day a slice of every asset's wealth is redistributed to the others:
 * adaptive switching probability: wealth is bucketed by (asset, start day);
   a bucket held for dt days keeps fraction (dt + 1/2)/(dt + 1) and leaks
   1/(2(dt + 1)), split evenly over the other assets, so long-held positions
-  become progressively stickier (O(t) work on day t).
+  become progressively stickier (O(t) work on day t). Each bucket is stored
+  once, at birth, relative to its asset's running growth against the
+  mixture, so a day is one read-only pass over the buckets (see
+  :class:`AdaptiveState`).
 
 Transaction costs shrink only the redistributed (switched-in) mass by the
 cost model's lump-move factor; the stay term and the initial purchase are
@@ -19,8 +22,8 @@ never charged.
 States store simplex shares plus a log-wealth accumulator rather than raw
 linear wealth: over thousands of days raw products leave double range, while
 shares stay O(1) and the log tracks total growth exactly. ``asset_wealth``
-and bucket views reconstruct linear values on demand. States are mutable,
-single-writer: one step call at a time per state.
+and ``bucket_view()`` reconstruct shares and linear values on demand, as new
+arrays. States are mutable, single-writer: one step call at a time per state.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 
 from .core import DimensionMismatch, PortfolioError, PortfolioVector
 from .costs import CostModel, switch_factor
+from .regimes import kt_neg_log2_sequence
 
 
 class GammaOutOfRange(PortfolioError):
@@ -76,33 +80,54 @@ class FixedGammaState:
 class AdaptiveState:
     """Wealth bucketed by (asset, start day) under the adaptive switching rule.
 
-    ``buckets[i, k]`` holds the share of total wealth sitting in asset i since
-    trading day k+1; after day t exactly N*t buckets exist.
+    Bucket (i, k) holds the wealth sitting in asset i since trading day k+1;
+    after day t exactly N*t buckets exist. After its birth day a bucket's
+    share of total wealth changes only by two factors: the stay product
+    P(a) = prod_{j=1..a} (j - 1/2)/j of its age a, and asset i's return
+    relative to the whole mixture. So each bucket is stored once, at birth,
+    as ``coef[i, k]`` = its share on day k+1 divided by ``scale[i]``, the
+    running product of asset i's relative over the mixture's daily growth.
+    After day t its share is ``coef[i, k] * P(t-1-k) * scale[i]``, and a day
+    reads ``coef[:, :t]`` once against two reversed age kernels, stay P(a)
+    and leak P(a-1)/(2a), without writing any bucket. A scale that leaves
+    [1e-150, 1e150] is folded into its row of ``coef`` and reset to 1, so
+    extreme markets stay finite. The day's (stay, leaked) sums are cached
+    under ``day``: a weights call and the next step share one pass.
     """
 
-    __slots__ = ("day", "buckets", "log_wealth", "_capacity")
+    __slots__ = ("day", "log_wealth", "_coef", "_scale", "_kernel", "_sums")
 
     def __init__(self, n: int):
         self.day = 0
-        self._capacity = 16
-        self.buckets = np.zeros((n, self._capacity))
         self.log_wealth = 0.0
+        self._coef = np.zeros((n, 0))
+        self._scale = np.ones(n)
+        self._kernel = np.zeros((2, 0))
+        self._sums = (-1, None)
+        self._grow(16)
 
     @property
     def assets(self) -> int:
-        return self.buckets.shape[0]
+        return self._scale.size
 
     def _grow(self, needed: int):
-        if needed > self._capacity:
-            new_cap = max(needed, 2 * self._capacity)
-            grown = np.zeros((self.assets, new_cap))
-            grown[:, : self._capacity] = self.buckets
-            self.buckets = grown
-            self._capacity = new_cap
+        capacity = self._kernel.shape[1]
+        if needed > capacity:
+            capacity = max(needed, 2 * capacity)
+            grown = np.zeros((self.assets, capacity))
+            grown[:, : self.day] = self._coef[:, : self.day]
+            self._coef = grown
+            # Column j serves age a = capacity - j, so day t reads the last t columns.
+            age = np.arange(1.0, capacity + 1)
+            stay = np.exp2(-kt_neg_log2_sequence(capacity))
+            leak = np.concatenate(([1.0], stay[:-1])) / (2.0 * age)
+            self._kernel = np.ascontiguousarray(np.stack((stay, leak))[:, ::-1])
 
     def bucket_view(self) -> np.ndarray:
-        """Shares by (asset, start day): shape (N, day), fractions of total (read-only)."""
-        view = self.buckets[:, : self.day]
+        """Shares by (asset, start day): a new read-only (N, day) array of fractions of total."""
+        t = self.day
+        held = np.append(self._kernel[0, self._kernel.shape[1] - t + 1 :], 1.0)[:t]  # P(t-1-k)
+        view = self._coef[:, :t] * held * self._scale[:, None]
         view.setflags(write=False)
         return view
 
@@ -168,12 +193,12 @@ def fixed_weights(state: FixedGammaState, cost: CostModel | None = None) -> Port
 
 
 def _adaptive_pre_return_mass(state: AdaptiveState, cost: CostModel | None):
-    """(stay buckets, new bucket per asset) as shares of wealth, before returns."""
+    """(stay mass, new bucket) per asset as shares of wealth, before returns; day >= 1."""
     t, n = state.day, state.assets
-    active = state.buckets[:, :t]
-    leak_per_bucket = 0.5 / np.arange(t, 0, -1, dtype=float)  # gamma_hat(t - t0)
-    stay = active * (1.0 - leak_per_bucket)
-    leaked = active @ leak_per_bucket  # per source asset
+    if state._sums[0] != t:
+        kernel = state._kernel[:, state._kernel.shape[1] - t :]
+        state._sums = (t, (state._coef[:, :t] @ kernel.T) * state._scale[:, None])
+    stay, leaked = state._sums[1].T
     # Leaked mass is split evenly over the other N-1 assets.
     new_bucket = switch_factor(cost) * (leaked.sum() - leaked) / (n - 1)
     return stay, new_bucket
@@ -183,17 +208,21 @@ def adaptive_step(state: AdaptiveState, x, cost: CostModel | None = None) -> Ada
     """Advance one trading day in place; bucket count grows by one per asset."""
     row = _check_row(state.assets, x)
     t = state.day
-    state._grow(t + 1)
     if t == 0:
-        mass = np.full(state.assets, 1.0 / state.assets) * row
-        state.buckets[:, 0] = mass
+        stay, new_bucket = 0.0, np.full(state.assets, 1.0 / state.assets)  # uncharged purchase
     else:
         stay, new_bucket = _adaptive_pre_return_mass(state, cost)
-        state.buckets[:, :t] = stay * row[:, None]
-        state.buckets[:, t] = new_bucket * row
-    active = state.buckets[:, : t + 1]
-    total = float(active.sum())
-    active /= total
+    state._grow(t + 1)
+    # Stored against the pre-return scale, which today's row / total turns into its share.
+    state._coef[:, t] = new_bucket / state._scale
+    mass = (stay + new_bucket) * row
+    total = float(mass.sum())
+    state._scale *= row / total
+    # Fold a scale outside [1e-150, 1e150] into its row before it leaves double range.
+    out = (state._scale < 1e-150) | (state._scale > 1e150)
+    if out.any():
+        state._coef[out, : t + 1] *= state._scale[out, None]
+        state._scale[out] = 1.0
     state.log_wealth += math.log(total)
     state.day = t + 1
     return state
@@ -204,7 +233,7 @@ def adaptive_weights(state: AdaptiveState, cost: CostModel | None = None) -> Por
     if state.day < 1:
         raise PortfolioError("adaptive weights are defined only after the first trading day")
     stay, new_bucket = _adaptive_pre_return_mass(state, cost)
-    mass = stay.sum(axis=1) + new_bucket
+    mass = stay + new_bucket
     return PortfolioVector(mass / mass.sum())
 
 

@@ -106,6 +106,38 @@ class TestDataErrors:
         assert out == ""
         assert err == "switchfolio: arithmetic failure (OverflowError: math range error)\n"
 
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["compare", "--algo", "best-stock", "--algo", "eg:eta=0.05"], "eg eta=0.05"),
+            (["compare", "--algo", "universal:samples=50"], "universal samples=50 seed=0"),
+            (["backtest", "--algo", "eg", "--eta", "0.05"], "eg eta=0.05"),
+        ],
+    )
+    def test_non_finite_wealth_exits_two(self, capsys, tmp_path, argv, label):
+        # 4000 days alternating 1.5x and 0.25x: the baselines' linear wealth overflows.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data))
+        with np.errstate(all="ignore"):
+            code, out, err = invoke(capsys, argv[0], "--data", str(data), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"switchfolio: {label}: non-finite final_wealth, max_drawdown\n"
+
+    @pytest.mark.parametrize("command", ["oracle", "bounds"])
+    def test_too_many_regimes_refused_before_the_algorithm(self, capsys, tmp_path, monkeypatch, command):
+        data = tmp_path / "m.csv"
+        write_csv(validate_relatives(np.full((500, 3), 1.01), ["a", "b", "c"]), str(data))
+
+        def no_run(*_args):
+            raise AssertionError("the algorithm ran before the regime guard")
+
+        monkeypatch.setattr("switchfolio.backtest.run", no_run)
+        code, out, err = invoke(capsys, command, "--data", str(data), "--prior", "adaptive")
+        assert code == 2
+        assert out == ""
+        assert err == "switchfolio: 3^500 regimes for T=500, N=3 exceeds guard 10000000\n"
+
 
 class TestSwitchingExactness:
     """oracle and bounds report the switching state's own wealth, unrounded by the CLI."""

@@ -74,7 +74,37 @@ class TestRebalanceCost:
         assert rebalance_cost(CostModel.parallel(0.1), a, b) > 0
 
 
+def looped_wealth_track(W, X, model):
+    """Reference: hold, apply the day's returns, reshape and charge, one day at a time."""
+    wealth = np.ones(X.days + 1)
+    holdings = W[0].copy() if X.days else None
+    for t in range(1, X.days + 1):
+        post = holdings * X.values[t - 1]
+        total = float(post.sum())
+        if t < X.days:
+            total -= rebalance_cost(model, post, W[t] * total)
+            holdings = W[t] * total
+        wealth[t] = total
+    return wealth
+
+
 class TestRealizedWealthTrack:
+    @pytest.mark.parametrize("model", [None, CostModel.per_trade(0.01), CostModel.parallel(0.3)])
+    @pytest.mark.parametrize("T", [0, 1, 2, 500])
+    def test_matches_day_by_day_loop(self, T, model):
+        rng = np.random.default_rng(31 + T)
+        X = random_matrix(rng, T, 4)
+        schedule = rng.random((T, 4)) ** 3
+        schedule /= schedule.sum(axis=1, keepdims=True)
+        expected = looped_wealth_track(schedule, X, model)
+        np.testing.assert_allclose(realized_wealth_track(schedule, X, model), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", [None, CostModel.parallel(0.1)])
+    def test_negative_schedule_rejected(self, model):
+        X = validate_relatives([[1.1, 0.9], [1.0, 1.2]], ["a", "b"])
+        with pytest.raises(NegativeAllocation):
+            realized_wealth_track(np.array([[0.5, 0.5], [1.5, -0.5]]), X, model)
+
     def test_pure_strategy_carries_no_cost(self):
         rng = np.random.default_rng(32)
         X = random_matrix(rng, 10, 3)

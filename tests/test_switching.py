@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
+from switchfolio.backtest import AlgoSpec, run
 from switchfolio.core import DimensionMismatch, validate_relatives
-from switchfolio.costs import CostModel
+from switchfolio.costs import CostModel, switch_factor
 from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, log_mixture_wealth
 from switchfolio.switching import (
     FixedGammaState,
@@ -289,3 +292,89 @@ class TestScalingInvariance:
                 step(b, Y.day_row(t))
                 assert np.allclose(weights_of(a).weights, weights_of(b).weights, atol=1e-12)
             assert math.isclose(total_wealth(b), k * total_wealth(a), rel_tol=1e-12)
+
+
+def eager_adaptive(X, cost):
+    """Reference: the adaptive recursion rewriting every (asset, start day) bucket daily.
+
+    Returns the log-wealth after each day, the weights for each next day and
+    the final bucket shares.
+    """
+    n = X.shape[1]
+    buckets = np.zeros((n, 0))
+    log_wealth, logs, weights = 0.0, [], []
+
+    def pre_return_mass(b):
+        leak = 0.5 / np.arange(b.shape[1], 0, -1, dtype=float)
+        leaked = b @ leak
+        return b * (1.0 - leak), switch_factor(cost) * (leaked.sum() - leaked) / (n - 1)
+
+    for t, x in enumerate(X):
+        if t == 0:
+            buckets = (np.full(n, 1.0 / n) * x)[:, None]
+        else:
+            stay, new = pre_return_mass(buckets)
+            buckets = np.column_stack((stay * x[:, None], new * x))
+        total = buckets.sum()
+        buckets = buckets / total
+        log_wealth += math.log(total)
+        logs.append(log_wealth)
+        stay, new = pre_return_mass(buckets)
+        mass = stay.sum(axis=1) + new
+        weights.append(mass / mass.sum())
+    return np.array(logs), np.array(weights), buckets
+
+
+def stepped_adaptive(X, cost):
+    """The same three outputs from the adaptive state machine."""
+    state = adaptive_init(X.shape[1])
+    logs, weights = [], []
+    for x in X:
+        adaptive_step(state, x, cost)
+        logs.append(state.log_wealth)
+        weights.append(adaptive_weights(state, cost).weights)
+    return np.array(logs), np.array(weights), state.bucket_view()
+
+
+class TestAdaptiveAgainstEagerRecursion:
+    """Buckets stored once at birth must reproduce the daily-rewrite recursion."""
+
+    @pytest.mark.parametrize("cost", [None, CostModel.per_trade(0.01), CostModel.parallel(0.02)])
+    @pytest.mark.parametrize("T,N", [(3000, 2), (1500, 3), (800, 5)])
+    def test_random_market(self, T, N, cost):
+        rng = np.random.default_rng(T + N)
+        X = random_matrix(rng, T, N).values
+        ref_logs, ref_weights, ref_buckets = eager_adaptive(X, cost)
+        logs, weights, buckets = stepped_adaptive(X, cost)
+        np.testing.assert_allclose(logs, ref_logs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(buckets, ref_buckets, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("cost", [None, CostModel.per_trade(0.49)])
+    def test_extreme_market_folds_scales_and_stays_finite(self, cost):
+        # Asset 0 falls 4x a day against a rising asset 1: their scales leave
+        # [1e-150, 1e150] within a few hundred days and must be folded.
+        X = np.tile([0.25, 1.5], (3000, 1))
+        ref_logs, ref_weights, ref_buckets = eager_adaptive(X, cost)
+        logs, weights, buckets = stepped_adaptive(X, cost)
+        for out in (logs, weights, buckets):
+            assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(logs, ref_logs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(buckets, ref_buckets, rtol=0, atol=1e-13)
+        assert np.count_nonzero(buckets) == np.count_nonzero(ref_buckets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st_.integers(1, 7),
+        N=st_.integers(2, 3),
+        seed=st_.integers(0, 2**32 - 1),
+        kind=st_.sampled_from([None, "per-trade", "parallel"]),
+        rate=st_.floats(0.0, 0.49),
+    )
+    def test_run_equals_mixture_oracle(self, T, N, seed, kind, rate):
+        X = random_matrix(np.random.default_rng(seed), T, N)
+        cost = None if kind is None else CostModel(kind, rate)
+        report = run(AlgoSpec("switching-adaptive", cost=cost), X)
+        oracle = log_mixture_wealth(X, AdaptivePrior(), cost)
+        assert math.isclose(report.log_wealth[-1], oracle, rel_tol=1e-12, abs_tol=1e-12)
