@@ -60,6 +60,7 @@ from .regimes import (
     FixedGammaPrior,
     InstanceTooLarge,
     InvalidRegime,
+    RegimeBlock,
     adaptive_penalty,
     bound_check,
     count_regimes,
@@ -71,6 +72,7 @@ from .regimes import (
     mixture_oracle,
     prior_adaptive,
     prior_fixed,
+    regime_blocks,
     regime_wealth,
 )
 from .switching import (

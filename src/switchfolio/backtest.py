@@ -37,17 +37,20 @@ from .core import (
     PortfolioError,
     PortfolioVector,
     PriceRelativeMatrix,
+    check_simplex_rows,
 )
 from .costs import CostModel, realized_wealth_track
 from .switching import (
+    _adaptive_next,
+    _fixed_next,
     adaptive_init,
     adaptive_step,
-    adaptive_weights,
     fixed_init,
     fixed_step,
-    fixed_weights,
     total_wealth,
 )
+# Unused here: bench/trace_child.py wraps the weights calls under these names.
+from .switching import adaptive_weights, fixed_weights  # noqa: F401
 
 KIND_SWITCHING_FIXED = "switching-fixed"
 KIND_SWITCHING_ADAPTIVE = "switching-adaptive"
@@ -170,14 +173,15 @@ def _largest_track(weights: np.ndarray, X: PriceRelativeMatrix) -> np.ndarray:
 
 
 def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
+    """Day series of a switching kind; the weight rows are checked once, after the last day."""
     n = X.assets
     if spec.kind == KIND_SWITCHING_FIXED:
         state = fixed_init(n, spec.gamma)
-        weights_of = fixed_weights
+        next_weights = _fixed_next
         step = fixed_step
     else:
         state = adaptive_init(n)
-        weights_of = adaptive_weights
+        next_weights = _adaptive_next
         step = adaptive_step
     weights = np.empty((X.days + 1, n))
     wealth = np.ones(X.days + 1)
@@ -187,7 +191,8 @@ def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
         step(state, X.values[t - 1], spec.cost)
         log_wealth[t] = state.log_wealth
         wealth[t] = total_wealth(state)
-        weights[t] = weights_of(state, spec.cost).weights
+        weights[t] = next_weights(state, spec.cost)
+    check_simplex_rows(weights[1:])
     return wealth, weights, log_wealth
 
 
@@ -266,12 +271,16 @@ class ComparisonRow:
 
 
 def compare(specs: list[AlgoSpec], X: PriceRelativeMatrix) -> list[ComparisonRow]:
-    """Backtest several strategies over the same matrix, one row per spec, in spec order."""
+    """Backtest several strategies over the same matrix, one row per spec, in spec order.
+
+    A spec with a non-finite wealth or drawdown raises NonFiniteResult; the specs after it
+    do not run.
+    """
     if not specs:
         raise PortfolioError("compare needs at least one algorithm spec")
-    reports = [run(s, X) for s in specs]
     rows = []
-    for spec, report in zip(specs, reports):
+    for spec in specs:
+        report = run(spec, X)
         figures = {"final_wealth": report.final_wealth, "max_drawdown": max_drawdown(report.wealth)}
         _require_finite(spec, figures)
         params = spec.label[len(spec.kind) :].strip()

@@ -103,6 +103,17 @@ class PortfolioVector:
         return iter(self.weights)
 
 
+def check_simplex_rows(rows: np.ndarray) -> None:
+    """Raise as :class:`PortfolioVector` would for the first row of a 2-D array off the simplex.
+
+    One whole-array pass finds the candidate rows; each is then put through
+    the constructor, so the rules, exception types and messages are its own.
+    """
+    off = (rows < 0).any(axis=1) | (np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_TOL)
+    for i in np.flatnonzero(off):
+        PortfolioVector(rows[i])
+
+
 @dataclass(frozen=True)
 class PriceRelativeMatrix:
     """T x N grid of strictly positive daily price relatives.
@@ -156,6 +167,18 @@ class PriceRelativeMatrix:
         return self.values[t - 1]
 
 
+def check_switch_times(times: tuple[int, ...], strategies: int) -> None:
+    """Raise unless ``times`` strictly increase from 1 and ``strategies`` is one more than them."""
+    if strategies != len(times) + 1:
+        raise PortfolioError(
+            f"{strategies} strategies for {len(times)} switch times; need one more strategy"
+        )
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise PortfolioError(f"switch times not strictly increasing: {times}")
+    if times and times[0] < 1:
+        raise PortfolioError(f"switch times must be >= 1: {times}")
+
+
 @dataclass(frozen=True)
 class RegimeSpec:
     """A switching schedule: when to move all wealth, and between which assets.
@@ -174,14 +197,7 @@ class RegimeSpec:
     def __post_init__(self):
         times = tuple(int(t) for t in self.switch_times)
         strats = tuple(int(i) for i in self.strategies)
-        if len(strats) != len(times) + 1:
-            raise PortfolioError(
-                f"{len(strats)} strategies for {len(times)} switch times; need one more strategy"
-            )
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise PortfolioError(f"switch times not strictly increasing: {times}")
-        if times and times[0] < 1:
-            raise PortfolioError(f"switch times must be >= 1: {times}")
+        check_switch_times(times, len(strats))
         if any(a == b for a, b in zip(strats, strats[1:])):
             raise PortfolioError(f"adjacent strategies equal in {strats}: switches must change asset")
         if any(i < 0 for i in strats):

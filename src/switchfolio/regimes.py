@@ -11,7 +11,19 @@ A switching regime is scored two ways:
 
 ``mixture_oracle`` sums prior * wealth over every regime by brute force.
 That is exponential in T on purpose: it is the independent ground truth the
-fast recursive algorithms are checked against.
+fast recursive algorithms are checked against, and it shares no code with
+them but the KT stay product. Scoring regimes in blocks (below) keeps it a
+brute-force enumeration.
+
+The unit of work is a :class:`RegimeBlock`: every regime with one switch-time
+tuple. Those share their segments, so their prior and penalty, and differ
+only in their N (N-1)^l strategy rows; :func:`regime_blocks` yields the
+2^(T-1) blocks, and the oracle and :func:`bound_check` score a block's rows
+as whole arrays. Each row still gets the bits a regime-by-regime loop gives:
+every elementwise operation is the scalar loop's, in its order (segments
+added left to right, a segment's log wealth summed by numpy exactly as for
+one regime), and the mixture is one sequential ``np.logaddexp.reduce`` over
+the terms in enumeration order.
 
 All bound arithmetic is in base-2 logarithms and reported in bits. Products
 are accumulated in log domain; only final results are exponentiated.
@@ -26,7 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import PortfolioError, PriceRelativeMatrix, RegimeSpec
+from .core import PortfolioError, PriceRelativeMatrix, RegimeSpec, check_switch_times
 from .costs import CostModel, switch_factor
 
 LOG2 = math.log(2.0)
@@ -64,22 +76,61 @@ class AdaptivePrior:
 Prior = FixedGammaPrior | AdaptivePrior
 
 
-def _check_regime(regime: RegimeSpec, T: int, N: int, for_prior: bool = False) -> None:
+@dataclass(frozen=True)
+class RegimeBlock:
+    """Every regime that shares one switch-time tuple: one row of ``strategies`` each.
+
+    ``strategies`` is a read-only (K, len(switch_times) + 1) int array. The
+    checks are :class:`RegimeSpec`'s, run on all rows at once; an error names
+    the first row that fails. A read-only input array is kept, not copied,
+    so blocks can share one.
+    """
+
+    switch_times: tuple[int, ...]
+    strategies: np.ndarray
+
+    def __post_init__(self):
+        times = tuple(int(t) for t in self.switch_times)
+        strats = np.asarray(self.strategies, dtype=int)
+        if strats.ndim != 2:
+            raise PortfolioError(f"block strategies must be a 2-D array, got shape {strats.shape}")
+        check_switch_times(times, strats.shape[1])
+        adjacent = (strats[:, 1:] == strats[:, :-1]).any(axis=1)
+        if adjacent.any():
+            row = tuple(strats[adjacent.argmax()].tolist())
+            raise PortfolioError(f"adjacent strategies equal in {row}: switches must change asset")
+        negative = (strats < 0).any(axis=1)
+        if negative.any():
+            row = tuple(strats[negative.argmax()].tolist())
+            raise PortfolioError(f"negative strategy index in {row}")
+        if strats.flags.writeable:
+            strats = strats.copy()
+            strats.setflags(write=False)
+        object.__setattr__(self, "switch_times", times)
+        object.__setattr__(self, "strategies", strats)
+
+    @property
+    def switches(self) -> int:
+        return len(self.switch_times)
+
+
+def _check_regime(regime: RegimeSpec | RegimeBlock, T: int, N: int, for_prior=False) -> None:
     if T < 1:
         raise InvalidRegime(f"regimes need at least one trading day, got T={T}")
     if for_prior and N < 2:
         raise InvalidRegime("switching priors need at least two assets")
     if regime.switch_times and regime.switch_times[-1] > T - 1:
         raise InvalidRegime(f"switch time {regime.switch_times[-1]} outside 1..{T - 1}")
-    if any(i >= N for i in regime.strategies):
-        raise InvalidRegime(f"strategy index out of range for N={N}: {regime.strategies}")
+    rows = np.asarray(regime.strategies).reshape(-1, regime.switches + 1)
+    out = (rows >= N).any(axis=1)
+    if out.any():
+        row = tuple(rows[out.argmax()].tolist())
+        raise InvalidRegime(f"strategy index out of range for N={N}: {row}")
 
 
-def _segment_bounds(regime: RegimeSpec, T: int) -> list[tuple[int, int, int]]:
-    """(asset, first day, last day) per segment, days 1-based inclusive."""
-    starts = (0,) + regime.switch_times
-    ends = regime.switch_times + (T,)
-    return [(a, s + 1, e) for a, s, e in zip(regime.strategies, starts, ends)]
+def _segment_days(switch_times: tuple[int, ...], T: int) -> list[tuple[int, int]]:
+    """(first day, last day) per segment, days 1-based inclusive."""
+    return list(zip((1,) + tuple(t + 1 for t in switch_times), switch_times + (T,)))
 
 
 def _stay_cumlog2(T: int) -> np.ndarray:
@@ -88,7 +139,7 @@ def _stay_cumlog2(T: int) -> np.ndarray:
 
 
 def _log_prior(segments, T: int, N: int, gamma: float | None, stay_cum) -> float:
-    """Natural log of a regime's prior, given its segments (see :func:`_segment_bounds`).
+    """Natural log of a regime's prior, given its segments (see :func:`_segment_days`).
 
     ``gamma`` selects the fixed-gamma prior 1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1);
     ``None`` selects the adaptive prior, which reads ``stay_cum = _stay_cumlog2(T)``.
@@ -107,10 +158,10 @@ def _log_prior(segments, T: int, N: int, gamma: float | None, stay_cum) -> float
             + (T - l - 1) * math.log1p(-gamma)
         )
     lp = -math.log(N) - l * math.log(N - 1)
-    for _, start, end in segments[:-1]:
+    for start, end in segments[:-1]:
         d = end - start + 1
         lp += (stay_cum[d - 1] + math.log2(0.5 / d)) * LOG2
-    _, start, end = segments[-1]
+    start, end = segments[-1]
     return lp + stay_cum[end - start] * LOG2
 
 
@@ -119,13 +170,39 @@ def prior_fixed(regime: RegimeSpec, T: int, N: int, gamma: float) -> float:
     _check_regime(regime, T, N, for_prior=True)
     if not 0.0 < gamma < 1.0:
         raise PortfolioError(f"gamma must be in (0,1), got {gamma!r}")
-    return math.exp(_log_prior(_segment_bounds(regime, T), T, N, gamma, None))
+    return math.exp(_log_prior(_segment_days(regime.switch_times, T), T, N, gamma, None))
 
 
 def prior_adaptive(regime: RegimeSpec, T: int, N: int) -> float:
     """Adaptive prior probability of a regime."""
     _check_regime(regime, T, N, for_prior=True)
-    return math.exp(_log_prior(_segment_bounds(regime, T), T, N, None, _stay_cumlog2(T)))
+    return math.exp(_log_prior(_segment_days(regime.switch_times, T), T, N, None, _stay_cumlog2(T)))
+
+
+def _log_block_wealth(
+    block: RegimeBlock,
+    X: PriceRelativeMatrix,
+    cost: CostModel | None,
+    convention: str,
+) -> np.ndarray:
+    """Natural log of each of the block's regime wealths over X, with commission factors.
+
+    A segment's log wealth is ``float(logs[first - 1 : last, asset].sum())``,
+    numpy's order for one column (pairwise from 8 days on), and the segments
+    add left to right from 0.0: every row is bitwise the one-regime value.
+    """
+    _check_regime(block, X.days, X.assets)
+    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
+        raise PortfolioError(f"unknown cost convention {convention!r}")
+    logs = np.log(X.values)
+    total = np.zeros(block.strategies.shape[0])
+    segments = _segment_days(block.switch_times, X.days)
+    for assets, (start, end) in zip(block.strategies.T, segments):
+        segment = np.array([float(logs[start - 1 : end, a].sum()) for a in range(X.assets)])
+        total += segment[assets]
+    l = block.switches
+    charges = l if convention == CHARGE_SWITCHES_ONLY else l + 1
+    return total + charges * math.log(switch_factor(cost))
 
 
 def log_regime_wealth(
@@ -139,16 +216,8 @@ def log_regime_wealth(
     ``switches-only`` charges the lump-move factor once per executed switch
     (l times); ``all-segments`` also charges the initial purchase (l+1 times).
     """
-    _check_regime(regime, X.days, X.assets)
-    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
-        raise PortfolioError(f"unknown cost convention {convention!r}")
-    logs = np.log(X.values)
-    total = 0.0
-    for asset, start, end in _segment_bounds(regime, X.days):
-        total += float(logs[start - 1 : end, asset].sum())
-    l = regime.switches
-    charges = l if convention == CHARGE_SWITCHES_ONLY else l + 1
-    return total + charges * math.log(switch_factor(cost))
+    block = RegimeBlock(regime.switch_times, (regime.strategies,))
+    return float(_log_block_wealth(block, X, cost, convention)[0])
 
 
 def regime_wealth(
@@ -173,26 +242,39 @@ def require_enumerable(T: int, N: int) -> None:
         raise InstanceTooLarge(f"{N}^{T} regimes for T={T}, N={N} exceeds guard {ENUMERATION_GUARD}")
 
 
-def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
-    """Yield every switching regime for T days and N assets exactly once.
+def regime_blocks(T: int, N: int) -> Iterator[RegimeBlock]:
+    """Yield every switching regime for T days and N assets once, one block per switch-time tuple.
 
-    Deliberately exponential (this is the oracle's price); guarded at
-    ENUMERATION_GUARD regimes.
+    Blocks come by switch count l, then by time tuple in lexicographic
+    order; a block's rows by first asset, then by each hop to one of the
+    other N-1 assets (in index order), the last hop fastest. The rows for l
+    switches are built once and shared by that l's blocks. Deliberately
+    exponential (this is the oracle's price); guarded at ENUMERATION_GUARD
+    regimes.
     """
     if N < 1:
         raise InvalidRegime(f"need at least one asset, got N={N}")
     if T < 1:
         return
     require_enumerable(T, N)
-    others = [[j for j in range(N) if j != i] for i in range(N)]
+    # others[i, h]: the h-th asset other than i
+    others = np.array([[j for j in range(N) if j != i] for i in range(N)], dtype=int)
+    others = others.reshape(N, N - 1)
+    strategies = np.arange(N).reshape(N, 1)
     for l in range(T):
+        if l:
+            hops = others[strategies[:, -1]].reshape(-1)
+            strategies = np.column_stack((np.repeat(strategies, N - 1, axis=0), hops))
+        strategies.setflags(write=False)
         for times in itertools.combinations(range(1, T), l):
-            for first in range(N):
-                for hops in itertools.product(range(N - 1), repeat=l):
-                    strategies = [first]
-                    for hop in hops:
-                        strategies.append(others[strategies[-1]][hop])
-                    yield RegimeSpec(times, tuple(strategies))
+            yield RegimeBlock(times, strategies)
+
+
+def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
+    """Yield every switching regime for T days and N assets once, in :func:`regime_blocks` order."""
+    for block in regime_blocks(T, N):
+        for strategies in block.strategies.tolist():
+            yield RegimeSpec(block.switch_times, tuple(strategies))
 
 
 def log_mixture_wealth(
@@ -205,6 +287,8 @@ def log_mixture_wealth(
 
     Brute-force ground truth for the recursive algorithms; log-sum-exp
     accumulation keeps the sum stable however small the individual terms.
+    Each block's terms are formed as whole arrays; the final reduction runs
+    through all terms in enumeration order, one at a time.
     """
     T, N = X.days, X.assets
     if N < 2:
@@ -221,15 +305,14 @@ def log_mixture_wealth(
     log_sf = math.log(switch_factor(cost))
     extra_charge = 0 if convention == CHARGE_SWITCHES_ONLY else 1
 
-    acc = -math.inf
-    for regime in enumerate_regimes(T, N):
-        segments = _segment_bounds(regime, T)
-        lw = (regime.switches + extra_charge) * log_sf
-        for asset, start, end in segments:
-            lw += cumlog[end, asset] - cumlog[start - 1, asset]
-        lp = _log_prior(segments, T, N, gamma, stay_cum)
-        acc = np.logaddexp(acc, lp + lw)
-    return float(acc)
+    terms = [np.array([-math.inf])]
+    for block in regime_blocks(T, N):
+        segments = _segment_days(block.switch_times, T)
+        lw = np.full(block.strategies.shape[0], (block.switches + extra_charge) * log_sf)
+        for assets, (start, end) in zip(block.strategies.T, segments):
+            lw += cumlog[end, assets] - cumlog[start - 1, assets]
+        terms.append(_log_prior(segments, T, N, gamma, stay_cum) + lw)
+    return float(np.logaddexp.reduce(np.concatenate(terms)))
 
 
 def mixture_oracle(
@@ -284,18 +367,21 @@ def fixed_gamma_penalty(T: int, N: int, l: int, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Competitiveness accounting for one regime, everything in bits.
+    """Competitiveness accounting for one regime, or one block of them, everything in bits.
 
     slack = algorithm_log_wealth - (regime_log_wealth - penalty); the
-    guarantee is slack >= 0 whenever the algorithm matches the prior.
+    guarantee is slack >= 0 whenever the algorithm matches the prior. For a
+    :class:`RegimeBlock`, ``regime_log_wealth`` and ``slack`` are (K,)
+    arrays, one entry per row; the penalty depends only on the switch count,
+    so the block shares it.
     """
 
-    regime_log_wealth: float
+    regime_log_wealth: float | np.ndarray
     penalty: float
     algorithm_log_wealth: float
 
     @property
-    def slack(self) -> float:
+    def slack(self) -> float | np.ndarray:
         return self.algorithm_log_wealth - self.regime_log_wealth + self.penalty
 
 
@@ -303,16 +389,19 @@ def bound_check(
     X: PriceRelativeMatrix,
     prior: Prior,
     algorithm_log2_wealth: float,
-    regime: RegimeSpec,
+    regime: RegimeSpec | RegimeBlock,
     cost: CostModel | None = None,
     convention: str = CHARGE_SWITCHES_ONLY,
 ) -> BoundReport:
-    """Compare achieved algorithm log2-wealth against one hindsight regime.
+    """Compare achieved algorithm log2-wealth against one hindsight regime or a block of them.
 
     ``algorithm_log2_wealth`` must come from the algorithm matching ``prior``
     run on the same X, cost model, and convention.
     """
-    lw = log_regime_wealth(regime, X, cost, convention) / LOG2
+    if isinstance(regime, RegimeBlock):
+        lw = _log_block_wealth(regime, X, cost, convention) / LOG2
+    else:
+        lw = log_regime_wealth(regime, X, cost, convention) / LOG2
     if isinstance(prior, FixedGammaPrior):
         penalty = fixed_gamma_penalty(X.days, X.assets, regime.switches, prior.gamma)
     else:

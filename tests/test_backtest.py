@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from switchfolio import backtest
 from switchfolio.backtest import (
     AlgoSpec,
+    NonFiniteResult,
     compare,
     comparison_tsv,
     emit_plot_data,
@@ -187,6 +189,21 @@ class TestCompare:
         X = synth_volatility_pair(1)
         with pytest.raises(PortfolioError):
             compare([], X)
+
+    def test_specs_after_a_non_finite_one_do_not_run(self, monkeypatch):
+        X = synth_regime_pair(2000)  # eg's wealth overflows here
+        ran = []
+        real_run = backtest.run
+
+        def recording_run(spec, X):
+            ran.append(spec.kind)
+            return real_run(spec, X)
+
+        monkeypatch.setattr(backtest, "run", recording_run)
+        specs = [AlgoSpec("best-stock"), AlgoSpec("eg", eta=0.05), AlgoSpec("crp", weights=(1, 0))]
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteResult, match="eg eta=0.05"):
+            compare(specs, X)
+        assert ran == ["best-stock", "eg"]
 
     def test_deterministic_with_seeded_universal(self):
         rng = np.random.default_rng(78)

@@ -1,16 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from switchfolio.core import RegimeSpec, validate_relatives
-from switchfolio.costs import CostModel
+from switchfolio.core import PortfolioError, RegimeSpec, validate_relatives
+from switchfolio.costs import CostModel, switch_factor
 from switchfolio.regimes import (
     AdaptivePrior,
     BoundReport,
     FixedGammaPrior,
     InstanceTooLarge,
     InvalidRegime,
+    RegimeBlock,
+    _log_prior,
+    _stay_cumlog2,
     adaptive_penalty,
     bound_check,
     count_regimes,
@@ -22,6 +28,7 @@ from switchfolio.regimes import (
     mixture_oracle,
     prior_adaptive,
     prior_fixed,
+    regime_blocks,
     regime_wealth,
 )
 from switchfolio.switching import (
@@ -113,6 +120,8 @@ class TestEnumerateRegimes:
     def test_guard(self):
         with pytest.raises(InstanceTooLarge):
             next(enumerate_regimes(30, 2))
+        with pytest.raises(InstanceTooLarge):
+            next(regime_blocks(30, 2))
 
 
 class TestMixtureOracle:
@@ -240,3 +249,163 @@ class TestBoundCheck:
     def test_report_fields(self):
         rep = BoundReport(regime_log_wealth=3.0, penalty=5.0, algorithm_log_wealth=1.0)
         assert rep.slack == 3.0
+
+
+# Regime-by-regime references: the enumeration, mixture loop and bound body
+# that the block code replaced. The block code must give their bits.
+def ref_enumerate(T, N):
+    others = [[j for j in range(N) if j != i] for i in range(N)]
+    for l in range(T):
+        for times in itertools.combinations(range(1, T), l):
+            for first in range(N):
+                for hops in itertools.product(range(N - 1), repeat=l):
+                    strategies = [first]
+                    for hop in hops:
+                        strategies.append(others[strategies[-1]][hop])
+                    yield times, tuple(strategies)
+
+
+def ref_segments(times, strategies, T):
+    return [(a, s + 1, e) for a, s, e in zip(strategies, (0,) + times, times + (T,))]
+
+
+def ref_log_mixture_wealth(X, prior, cost, convention):
+    T, N = X.days, X.assets
+    cumlog = np.zeros((T + 1, N))
+    np.cumsum(np.log(X.values), axis=0, out=cumlog[1:])
+    stay_cum = _stay_cumlog2(T)
+    gamma = prior.gamma if isinstance(prior, FixedGammaPrior) else None
+    log_sf = math.log(switch_factor(cost))
+    acc = -math.inf
+    for times, strategies in ref_enumerate(T, N):
+        segments = ref_segments(times, strategies, T)
+        lw = (len(times) + (convention == "all-segments")) * log_sf
+        for asset, start, end in segments:
+            lw += cumlog[end, asset] - cumlog[start - 1, asset]
+        lp = _log_prior([(s, e) for _, s, e in segments], T, N, gamma, stay_cum)
+        acc = np.logaddexp(acc, lp + lw)
+    return float(acc)
+
+
+def ref_bound_row(X, prior, alg, times, strategies, cost, convention):
+    logs = np.log(X.values)
+    total = 0.0
+    for asset, start, end in ref_segments(times, strategies, X.days):
+        total += float(logs[start - 1 : end, asset].sum())
+    charges = len(times) + (convention == "all-segments")
+    lw = (total + charges * math.log(switch_factor(cost))) / LOG2
+    if isinstance(prior, FixedGammaPrior):
+        penalty = fixed_gamma_penalty(X.days, X.assets, len(times), prior.gamma)
+    else:
+        penalty = adaptive_penalty(X.days, X.assets, len(times))
+    return lw, penalty, alg - lw + penalty
+
+
+def assert_blocks_match_references(X, prior, cost, convention, alg=1.5):
+    assert log_mixture_wealth(X, prior, cost, convention) == ref_log_mixture_wealth(
+        X, prior, cost, convention
+    )
+    rows = []
+    for block in regime_blocks(X.days, X.assets):
+        rep = bound_check(X, prior, alg, block, cost, convention)
+        for strategies, lw, slack in zip(
+            block.strategies.tolist(), rep.regime_log_wealth.tolist(), rep.slack.tolist()
+        ):
+            rows.append((block.switch_times, tuple(strategies), lw, rep.penalty, slack))
+    expected = [
+        (times, strategies, *ref_bound_row(X, prior, alg, times, strategies, cost, convention))
+        for times, strategies in ref_enumerate(X.days, X.assets)
+    ]
+    assert rows == expected  # exact float equality, row by row
+
+
+class TestRegimeBlocks:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("T", range(1, 8))
+    def test_order_equals_reference(self, T, N):
+        unpacked = [
+            (block.switch_times, tuple(row))
+            for block in regime_blocks(T, N)
+            for row in block.strategies.tolist()
+        ]
+        expected = list(ref_enumerate(T, N))
+        assert unpacked == expected
+        assert [(q.switch_times, q.strategies) for q in enumerate_regimes(T, N)] == expected
+
+    def test_block_count_and_shared_read_only_rows(self):
+        blocks = list(regime_blocks(10, 3))
+        assert len(blocks) == 2**9
+        assert all(not b.strategies.flags.writeable for b in blocks)
+        two = [b for b in blocks if b.switches == 2]
+        assert all(b.strategies is two[0].strategies for b in two)
+        assert two[0].strategies.shape == (3 * 2**2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st.integers(1, 8),
+        N=st.integers(2, 3),
+        seed=st.integers(0, 2**32 - 1),
+        fixed=st.booleans(),
+        gamma=st.floats(0.001, 0.5),
+        kind=st.sampled_from([None, "per-trade", "parallel"]),
+        rate=st.floats(0.0, 0.49),
+        convention=st.sampled_from(["switches-only", "all-segments"]),
+    )
+    def test_bitwise_equal_to_references(self, T, N, seed, fixed, gamma, kind, rate, convention):
+        X = random_matrix(np.random.default_rng(seed), T, N)
+        prior = FixedGammaPrior(gamma) if fixed else AdaptivePrior()
+        cost = None if kind is None else CostModel(kind, rate)
+        if T < 2 and not fixed:  # the adaptive penalty needs two days
+            with pytest.raises(PortfolioError):
+                assert_blocks_match_references(X, prior, cost, convention)
+            return
+        assert_blocks_match_references(X, prior, cost, convention)
+
+    @pytest.mark.parametrize(
+        "T, N, prior, cost",
+        [
+            (9, 3, AdaptivePrior(), CostModel.per_trade(0.01)),
+            (10, 2, FixedGammaPrior(0.1), None),
+            (10, 2, AdaptivePrior(), CostModel.parallel(0.3)),
+        ],
+    )
+    def test_long_segments_bitwise_equal_to_references(self, T, N, prior, cost):
+        # Segments of 8 or more days take numpy's pairwise summation path.
+        X = random_matrix(np.random.default_rng(T * 10 + N), T, N)
+        assert_blocks_match_references(X, prior, cost, "switches-only", alg=-3.25)
+
+    def test_one_regime_bound_check_keeps_float_fields(self):
+        X = random_matrix(np.random.default_rng(25), 5, 3)
+        rep = bound_check(X, AdaptivePrior(), 2.0, RegimeSpec((2, 4), (1, 0, 2)))
+        assert all(type(v) is float for v in (rep.regime_log_wealth, rep.penalty, rep.slack))
+        assert rep.regime_log_wealth == log_regime_wealth(RegimeSpec((2, 4), (1, 0, 2)), X) / LOG2
+
+    def test_out_of_range_row_named(self):
+        X = random_matrix(np.random.default_rng(26), 4, 2)
+        block = RegimeBlock((2,), [[0, 1], [1, 2], [2, 0]])
+        with pytest.raises(InvalidRegime, match=r"N=2: \(1, 2\)"):
+            bound_check(X, AdaptivePrior(), 0.0, block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        times=st.lists(st.integers(-1, 6), max_size=4).map(tuple),
+        strategies=st.lists(st.integers(-1, 3), min_size=0, max_size=5).map(tuple),
+    )
+    def test_rejects_what_regime_spec_rejects(self, times, strategies):
+        try:
+            RegimeSpec(times, strategies)
+        except PortfolioError as exc:
+            with pytest.raises(PortfolioError) as caught:
+                RegimeBlock(times, np.array([strategies], dtype=int).reshape(1, len(strategies)))
+            assert str(caught.value) == str(exc)
+        else:
+            block = RegimeBlock(times, [strategies])
+            assert block.strategies.tolist() == [list(strategies)]
+
+    def test_rejects_bad_row_among_good_ones(self):
+        with pytest.raises(PortfolioError, match=r"adjacent strategies equal in \(1, 1\)"):
+            RegimeBlock((3,), [[0, 1], [1, 1], [2, 2]])
+        with pytest.raises(PortfolioError, match="negative strategy index"):
+            RegimeBlock((3,), [[0, 1], [1, -1]])
+        with pytest.raises(PortfolioError, match="2-D"):
+            RegimeBlock((3,), [0, 1])

@@ -71,6 +71,7 @@ def write_markets(work: Path) -> None:
     _market(work / "walk3.csv", 6, 500, 3, 0.02)
     _market(work / "drift3.csv", 15, 500, 3, 0.02)  # bcrp's projection once drifted off the simplex here
     _market(work / "one.csv", 7, 4, 1, 0.05)
+    _market(work / "ten3.csv", 8, 10, 3, 0.03)  # oracle-certify's shape; has segments of 8+ days
     (work / "bad.csv").write_text("a,b\n1.0,oops\n")
     (work / "negative.csv").write_text("a,b\n1.0,-2\n")
 
@@ -117,6 +118,12 @@ def corpus() -> list[tuple[str, list[str]]]:
                             [command, "--data", f"{market}.csv", "--prior", prior, *gamma,
                              "--convention", convention, *cost_args],
                         ))
+    for command in ("oracle", "bounds"):
+        for prior in ("fixed", "adaptive"):
+            gamma = ["--gamma", GAMMA] if prior == "fixed" else []
+            for cost in ("none", "per-trade"):
+                cases.append((f"{command}-ten3-{prior}-{cost}",
+                              [command, "--data", "ten3.csv", "--prior", prior, *gamma, *COSTS[cost]]))
     cases.append(("bounds-file", ["bounds", "--data", "small2.csv", "--prior", "adaptive", "--out", "{out}.tsv"]))
     for sub in ("synth", "backtest", "compare", "oracle", "bounds"):
         cases.append((f"help-{sub}", [sub, "--help"]))
