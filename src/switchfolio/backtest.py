@@ -37,20 +37,17 @@ from .core import (
     PortfolioError,
     PortfolioVector,
     PriceRelativeMatrix,
-    check_simplex_rows,
 )
 from .costs import CostModel, realized_wealth_track
 from .switching import (
-    _adaptive_next,
-    _fixed_next,
     adaptive_init,
     adaptive_step,
+    adaptive_weights,
     fixed_init,
     fixed_step,
+    fixed_weights,
     total_wealth,
 )
-# Unused here: bench/trace_child.py wraps the weights calls under these names.
-from .switching import adaptive_weights, fixed_weights  # noqa: F401
 
 KIND_SWITCHING_FIXED = "switching-fixed"
 KIND_SWITCHING_ADAPTIVE = "switching-adaptive"
@@ -173,15 +170,14 @@ def _largest_track(weights: np.ndarray, X: PriceRelativeMatrix) -> np.ndarray:
 
 
 def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
-    """Day series of a switching kind; the weight rows are checked once, after the last day."""
     n = X.assets
     if spec.kind == KIND_SWITCHING_FIXED:
         state = fixed_init(n, spec.gamma)
-        next_weights = _fixed_next
+        weights_of = fixed_weights
         step = fixed_step
     else:
         state = adaptive_init(n)
-        next_weights = _adaptive_next
+        weights_of = adaptive_weights
         step = adaptive_step
     weights = np.empty((X.days + 1, n))
     wealth = np.ones(X.days + 1)
@@ -191,8 +187,7 @@ def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
         step(state, X.values[t - 1], spec.cost)
         log_wealth[t] = state.log_wealth
         wealth[t] = total_wealth(state)
-        weights[t] = next_weights(state, spec.cost)
-    check_simplex_rows(weights[1:])
+        weights[t] = weights_of(state, spec.cost).weights
     return wealth, weights, log_wealth
 
 

@@ -37,8 +37,8 @@ from .regimes import (
     AdaptivePrior,
     FixedGammaPrior,
     bound_check,
+    enumerate_regimes,
     mixture_oracle,
-    regime_blocks,
     require_enumerable,
 )
 # Unused here: bench/trace_child.py wraps the switching steps under these names.
@@ -215,18 +215,14 @@ def _cmd_bounds(args, parser: _Parser) -> int:
         "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
         "algorithm_log2_wealth\tslack_bits"
     ]
-    for block in regime_blocks(X.days, X.assets):
-        rep = bound_check(X, prior, alg_log2, block, spec.cost, args.convention)
-        times = ",".join(map(str, block.switch_times)) or "-"
-        switches = block.switches
-        shared = f"{rep.penalty:.12g}\t{rep.algorithm_log_wealth:.12g}"
-        for strategies, lw, slack in zip(
-            block.strategies.tolist(), rep.regime_log_wealth.tolist(), rep.slack.tolist()
-        ):
-            lines.append(
-                f"{times}\t{','.join(map(str, strategies))}\t{switches}\t{lw:.12g}\t"
-                f"{shared}\t{slack:.12g}"
-            )
+    for regime in enumerate_regimes(X.days, X.assets):
+        rep = bound_check(X, prior, alg_log2, regime, spec.cost, args.convention)
+        times = ",".join(map(str, regime.switch_times)) or "-"
+        strats = ",".join(map(str, regime.strategies))
+        lines.append(
+            f"{times}\t{strats}\t{regime.switches}\t{rep.regime_log_wealth:.12g}\t"
+            f"{rep.penalty:.12g}\t{rep.algorithm_log_wealth:.12g}\t{rep.slack:.12g}"
+        )
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

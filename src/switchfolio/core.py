@@ -18,6 +18,7 @@ threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,17 +104,6 @@ class PortfolioVector:
         return iter(self.weights)
 
 
-def check_simplex_rows(rows: np.ndarray) -> None:
-    """Raise as :class:`PortfolioVector` would for the first row of a 2-D array off the simplex.
-
-    One whole-array pass finds the candidate rows; each is then put through
-    the constructor, so the rules, exception types and messages are its own.
-    """
-    off = (rows < 0).any(axis=1) | (np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_TOL)
-    for i in np.flatnonzero(off):
-        PortfolioVector(rows[i])
-
-
 @dataclass(frozen=True)
 class PriceRelativeMatrix:
     """T x N grid of strictly positive daily price relatives.
@@ -173,7 +163,7 @@ def check_switch_times(times: tuple[int, ...], strategies: int) -> None:
         raise PortfolioError(
             f"{strategies} strategies for {len(times)} switch times; need one more strategy"
         )
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+    if any(map(operator.le, times[1:], times)):
         raise PortfolioError(f"switch times not strictly increasing: {times}")
     if times and times[0] < 1:
         raise PortfolioError(f"switch times must be >= 1: {times}")
@@ -195,15 +185,23 @@ class RegimeSpec:
     strategies: tuple[int, ...]
 
     def __post_init__(self):
-        times = tuple(int(t) for t in self.switch_times)
-        strats = tuple(int(i) for i in self.strategies)
+        times = tuple(map(int, self.switch_times))
+        strats = tuple(map(int, self.strategies))
         check_switch_times(times, len(strats))
-        if any(a == b for a, b in zip(strats, strats[1:])):
+        if any(map(operator.eq, strats, strats[1:])):
             raise PortfolioError(f"adjacent strategies equal in {strats}: switches must change asset")
-        if any(i < 0 for i in strats):
+        if min(strats) < 0:
             raise PortfolioError(f"negative strategy index in {strats}")
         object.__setattr__(self, "switch_times", times)
         object.__setattr__(self, "strategies", strats)
+
+    @classmethod
+    def _checked(cls, switch_times: tuple[int, ...], strategies: tuple[int, ...]) -> "RegimeSpec":
+        """A regime from int tuples that already passed these checks, not checked again."""
+        regime = object.__new__(cls)
+        object.__setattr__(regime, "switch_times", switch_times)
+        object.__setattr__(regime, "strategies", strategies)
+        return regime
 
     @property
     def switches(self) -> int:

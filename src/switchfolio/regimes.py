@@ -23,7 +23,9 @@ as whole arrays. Each row still gets the bits a regime-by-regime loop gives:
 every elementwise operation is the scalar loop's, in its order (segments
 added left to right, a segment's log wealth summed by numpy exactly as for
 one regime), and the mixture is one sequential ``np.logaddexp.reduce`` over
-the terms in enumeration order.
+the terms in enumeration order. Regime and block wealths read those segment
+sums from one table, kept for the latest matrix and filled once per
+switch-time tuple, so a regime scored on its own costs a few lookups.
 
 All bound arithmetic is in base-2 logarithms and reported in bits. Products
 are accumulated in log domain; only final results are exponentiated.
@@ -121,11 +123,13 @@ def _check_regime(regime: RegimeSpec | RegimeBlock, T: int, N: int, for_prior=Fa
         raise InvalidRegime("switching priors need at least two assets")
     if regime.switch_times and regime.switch_times[-1] > T - 1:
         raise InvalidRegime(f"switch time {regime.switch_times[-1]} outside 1..{T - 1}")
-    rows = np.asarray(regime.strategies).reshape(-1, regime.switches + 1)
-    out = (rows >= N).any(axis=1)
-    if out.any():
-        row = tuple(rows[out.argmax()].tolist())
-        raise InvalidRegime(f"strategy index out of range for N={N}: {row}")
+    if isinstance(regime, RegimeBlock):
+        out = (regime.strategies >= N).any(axis=1)
+        if out.any():
+            row = tuple(regime.strategies[out.argmax()].tolist())
+            raise InvalidRegime(f"strategy index out of range for N={N}: {row}")
+    elif max(regime.strategies) >= N:
+        raise InvalidRegime(f"strategy index out of range for N={N}: {regime.strategies}")
 
 
 def _segment_days(switch_times: tuple[int, ...], T: int) -> list[tuple[int, int]]:
@@ -179,6 +183,51 @@ def prior_adaptive(regime: RegimeSpec, T: int, N: int) -> float:
     return math.exp(_log_prior(_segment_days(regime.switch_times, T), T, N, None, _stay_cumlog2(T)))
 
 
+class _SegmentLogWealth:
+    """Per segment of a switch-time tuple, each asset's log wealth over X; each tuple summed once.
+
+    A segment's entry for asset a is ``float(logs[first - 1 : last, a].sum())``,
+    numpy's order for one column (pairwise from 8 days on).
+    """
+
+    def __init__(self, X: PriceRelativeMatrix):
+        self.X = X
+        self._logs = np.log(X.values)
+        self._by_times: dict[tuple[int, ...], list[list[float]]] = {}
+
+    def __call__(self, switch_times: tuple[int, ...]) -> list[list[float]]:
+        segments = self._by_times.get(switch_times)
+        if segments is None:
+            logs = self._logs
+            segments = [
+                [float(logs[first - 1 : last, a].sum()) for a in range(logs.shape[1])]
+                for first, last in _segment_days(switch_times, self.X.days)
+            ]
+            self._by_times[switch_times] = segments
+        return segments
+
+
+_latest_segments: _SegmentLogWealth | None = None
+
+
+def _segment_log_wealth(X: PriceRelativeMatrix) -> _SegmentLogWealth:
+    """The segment table of X, kept for the latest matrix so that every regime
+    scored against one X (a ``bounds`` run) reads one table."""
+    global _latest_segments
+    table = _latest_segments
+    if table is None or table.X is not X:
+        table = _latest_segments = _SegmentLogWealth(X)
+    return table
+
+
+def _log_charges(switches: int, cost: CostModel | None, convention: str) -> float:
+    """Natural log of a regime's commission factors under ``convention``."""
+    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
+        raise PortfolioError(f"unknown cost convention {convention!r}")
+    charges = switches if convention == CHARGE_SWITCHES_ONLY else switches + 1
+    return charges * math.log(switch_factor(cost))
+
+
 def _log_block_wealth(
     block: RegimeBlock,
     X: PriceRelativeMatrix,
@@ -187,22 +236,15 @@ def _log_block_wealth(
 ) -> np.ndarray:
     """Natural log of each of the block's regime wealths over X, with commission factors.
 
-    A segment's log wealth is ``float(logs[first - 1 : last, asset].sum())``,
-    numpy's order for one column (pairwise from 8 days on), and the segments
-    add left to right from 0.0: every row is bitwise the one-regime value.
+    The segments add left to right from 0.0, as in :func:`log_regime_wealth`:
+    every row is bitwise the one-regime value.
     """
     _check_regime(block, X.days, X.assets)
-    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
-        raise PortfolioError(f"unknown cost convention {convention!r}")
-    logs = np.log(X.values)
+    charges = _log_charges(block.switches, cost, convention)
     total = np.zeros(block.strategies.shape[0])
-    segments = _segment_days(block.switch_times, X.days)
-    for assets, (start, end) in zip(block.strategies.T, segments):
-        segment = np.array([float(logs[start - 1 : end, a].sum()) for a in range(X.assets)])
-        total += segment[assets]
-    l = block.switches
-    charges = l if convention == CHARGE_SWITCHES_ONLY else l + 1
-    return total + charges * math.log(switch_factor(cost))
+    for assets, sums in zip(block.strategies.T, _segment_log_wealth(X)(block.switch_times)):
+        total += np.array(sums)[assets]
+    return total + charges
 
 
 def log_regime_wealth(
@@ -216,8 +258,12 @@ def log_regime_wealth(
     ``switches-only`` charges the lump-move factor once per executed switch
     (l times); ``all-segments`` also charges the initial purchase (l+1 times).
     """
-    block = RegimeBlock(regime.switch_times, (regime.strategies,))
-    return float(_log_block_wealth(block, X, cost, convention)[0])
+    _check_regime(regime, X.days, X.assets)
+    charges = _log_charges(regime.switches, cost, convention)
+    total = 0.0
+    for asset, sums in zip(regime.strategies, _segment_log_wealth(X)(regime.switch_times)):
+        total += sums[asset]
+    return total + charges
 
 
 def regime_wealth(
@@ -271,10 +317,14 @@ def regime_blocks(T: int, N: int) -> Iterator[RegimeBlock]:
 
 
 def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
-    """Yield every switching regime for T days and N assets once, in :func:`regime_blocks` order."""
+    """Yield every switching regime for T days and N assets once, in :func:`regime_blocks` order.
+
+    A block has run :class:`RegimeSpec`'s checks on all its rows, so its regimes are not
+    checked again one by one.
+    """
     for block in regime_blocks(T, N):
         for strategies in block.strategies.tolist():
-            yield RegimeSpec(block.switch_times, tuple(strategies))
+            yield RegimeSpec._checked(block.switch_times, tuple(strategies))
 
 
 def log_mixture_wealth(

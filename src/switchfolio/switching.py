@@ -188,13 +188,8 @@ def fixed_weights(state: FixedGammaState, cost: CostModel | None = None) -> Port
     post-return shares. With costs, the switched-in term is shrunk by the
     lump-move factor and the result renormalized.
     """
-    return PortfolioVector(_fixed_next(state, cost))
-
-
-def _fixed_next(state: FixedGammaState, cost: CostModel | None) -> np.ndarray:
-    """Next day's weights as a plain array (see :func:`fixed_weights`)."""
     mass = _fixed_pre_return_mass(state, cost)
-    return mass / mass.sum()
+    return PortfolioVector(mass / mass.sum())
 
 
 def _adaptive_pre_return_mass(state: AdaptiveState, cost: CostModel | None):
@@ -235,16 +230,11 @@ def adaptive_step(state: AdaptiveState, x, cost: CostModel | None = None) -> Ada
 
 def adaptive_weights(state: AdaptiveState, cost: CostModel | None = None) -> PortfolioVector:
     """Portfolio held on the next trading day: stay mass plus switched-in mass per asset."""
-    return PortfolioVector(_adaptive_next(state, cost))
-
-
-def _adaptive_next(state: AdaptiveState, cost: CostModel | None) -> np.ndarray:
-    """Next day's weights as a plain array (see :func:`adaptive_weights`)."""
     if state.day < 1:
         raise PortfolioError("adaptive weights are defined only after the first trading day")
     stay, new_bucket = _adaptive_pre_return_mass(state, cost)
     mass = stay + new_bucket
-    return mass / mass.sum()
+    return PortfolioVector(mass / mass.sum())
 
 
 def log_total_wealth(state: FixedGammaState | AdaptiveState) -> float:

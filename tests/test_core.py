@@ -11,7 +11,6 @@ from switchfolio.core import (
     PortfolioVector,
     RaggedRows,
     RegimeSpec,
-    check_simplex_rows,
     daily_return,
     normalize_to_simplex,
     validate_relatives,
@@ -128,26 +127,6 @@ class TestPortfolioVector:
 
     def test_uniform(self):
         assert np.allclose(PortfolioVector.uniform(4).weights, 0.25)
-
-
-class TestCheckSimplexRows:
-    def test_valid_rows_pass(self):
-        rows = np.random.default_rng(5).random((50, 4))
-        check_simplex_rows(rows / rows.sum(axis=1, keepdims=True))
-
-    @pytest.mark.parametrize(
-        "bad, error",
-        [([0.5, -0.1, 0.6], NegativeEntry), ([0.5, 0.5, 0.1], PortfolioError)],
-    )
-    def test_first_bad_row_raises_as_portfolio_vector(self, bad, error):
-        rows = np.full((5, 3), 1.0 / 3)
-        rows[2] = bad
-        rows[4] = [2.0, -1.0, 0.0]
-        with pytest.raises(error) as caught:
-            check_simplex_rows(rows)
-        with pytest.raises(error) as expected:
-            PortfolioVector(np.array(bad))
-        assert str(caught.value) == str(expected.value)
 
 
 class TestRegimeSpec:

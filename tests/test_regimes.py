@@ -317,6 +317,13 @@ def assert_blocks_match_references(X, prior, cost, convention, alg=1.5):
         for times, strategies in ref_enumerate(X.days, X.assets)
     ]
     assert rows == expected  # exact float equality, row by row
+    one_by_one = []
+    for regime in enumerate_regimes(X.days, X.assets):
+        rep = bound_check(X, prior, alg, regime, cost, convention)
+        one_by_one.append(
+            (regime.switch_times, regime.strategies, rep.regime_log_wealth, rep.penalty, rep.slack)
+        )
+    assert one_by_one == expected
 
 
 class TestRegimeBlocks:
@@ -379,6 +386,15 @@ class TestRegimeBlocks:
         rep = bound_check(X, AdaptivePrior(), 2.0, RegimeSpec((2, 4), (1, 0, 2)))
         assert all(type(v) is float for v in (rep.regime_log_wealth, rep.penalty, rep.slack))
         assert rep.regime_log_wealth == log_regime_wealth(RegimeSpec((2, 4), (1, 0, 2)), X) / LOG2
+
+    def test_segment_sums_follow_the_matrix(self):
+        # Segment sums are kept for the latest matrix; a new one must not read them.
+        rng = np.random.default_rng(27)
+        for X in [random_matrix(rng, 4, 2) for _ in range(3)] * 2:
+            for times, strategies in ref_enumerate(4, 2):
+                lw = log_regime_wealth(RegimeSpec(times, strategies), X) / LOG2
+                prior = FixedGammaPrior(0.1)
+                assert lw == ref_bound_row(X, prior, 0.0, times, strategies, None, "switches-only")[0]
 
     def test_out_of_range_row_named(self):
         X = random_matrix(np.random.default_rng(26), 4, 2)
