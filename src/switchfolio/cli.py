@@ -215,12 +215,16 @@ def _cmd_bounds(args, parser: _Parser) -> int:
         "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
         "algorithm_log2_wealth\tslack_bits"
     ]
+    labels: dict[tuple[int, ...], str] = {}  # time and strategy tuples recur: join each once
     for regime in enumerate_regimes(X.days, X.assets):
         rep = bound_check(X, prior, alg_log2, regime, spec.cost, args.convention)
-        times = ",".join(map(str, regime.switch_times)) or "-"
-        strats = ",".join(map(str, regime.strategies))
+        times, strats = regime.switch_times, regime.strategies
+        if times not in labels:
+            labels[times] = ",".join(map(str, times)) or "-"
+        if strats not in labels:
+            labels[strats] = ",".join(map(str, strats))
         lines.append(
-            f"{times}\t{strats}\t{regime.switches}\t{rep.regime_log_wealth:.12g}\t"
+            f"{labels[times]}\t{labels[strats]}\t{len(times)}\t{rep.regime_log_wealth:.12g}\t"
             f"{rep.penalty:.12g}\t{rep.algorithm_log_wealth:.12g}\t{rep.slack:.12g}"
         )
     _emit("\n".join(lines) + "\n", args.out)

@@ -18,7 +18,6 @@ threads.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,7 +162,7 @@ def check_switch_times(times: tuple[int, ...], strategies: int) -> None:
         raise PortfolioError(
             f"{strategies} strategies for {len(times)} switch times; need one more strategy"
         )
-    if any(map(operator.le, times[1:], times)):
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise PortfolioError(f"switch times not strictly increasing: {times}")
     if times and times[0] < 1:
         raise PortfolioError(f"switch times must be >= 1: {times}")
@@ -185,12 +184,12 @@ class RegimeSpec:
     strategies: tuple[int, ...]
 
     def __post_init__(self):
-        times = tuple(map(int, self.switch_times))
-        strats = tuple(map(int, self.strategies))
+        times = tuple(int(t) for t in self.switch_times)
+        strats = tuple(int(i) for i in self.strategies)
         check_switch_times(times, len(strats))
-        if any(map(operator.eq, strats, strats[1:])):
+        if any(a == b for a, b in zip(strats, strats[1:])):
             raise PortfolioError(f"adjacent strategies equal in {strats}: switches must change asset")
-        if min(strats) < 0:
+        if any(i < 0 for i in strats):
             raise PortfolioError(f"negative strategy index in {strats}")
         object.__setattr__(self, "switch_times", times)
         object.__setattr__(self, "strategies", strats)

@@ -15,17 +15,20 @@ fast recursive algorithms are checked against, and it shares no code with
 them but the KT stay product. Scoring regimes in blocks (below) keeps it a
 brute-force enumeration.
 
-The unit of work is a :class:`RegimeBlock`: every regime with one switch-time
-tuple. Those share their segments, so their prior and penalty, and differ
-only in their N (N-1)^l strategy rows; :func:`regime_blocks` yields the
-2^(T-1) blocks, and the oracle and :func:`bound_check` score a block's rows
-as whole arrays. Each row still gets the bits a regime-by-regime loop gives:
-every elementwise operation is the scalar loop's, in its order (segments
-added left to right, a segment's log wealth summed by numpy exactly as for
-one regime), and the mixture is one sequential ``np.logaddexp.reduce`` over
-the terms in enumeration order. Regime and block wealths read those segment
-sums from one table, kept for the latest matrix and filled once per
-switch-time tuple, so a regime scored on its own costs a few lookups.
+The oracle's unit of work is a :class:`RegimeBlock`: every regime with one
+switch-time tuple. Those share their segments, so their prior and charges,
+and differ only in their N (N-1)^l strategy rows; :func:`regime_blocks`
+yields the 2^(T-1) blocks and :func:`log_mixture_wealth` forms a block's
+terms as whole arrays. Each term still gets the bits a regime-by-regime loop
+gives: every elementwise operation is the scalar loop's, in its order, and
+the blocks' terms are folded into one running ``np.logaddexp`` reduction in
+enumeration order, a sequential left-to-right sum. :func:`enumerate_regimes`
+unpacks the blocks, so the enumeration order has one source.
+
+:func:`bound_check` scores one regime. It reads each segment's per-asset log
+wealth from a table kept for the latest matrix and filled one segment at a
+time (at most T(T+1)/2 segments, each summed as ``logs[start:end, a].sum()``),
+so scoring every regime of a ``bounds`` run costs a few lookups per regime.
 
 All bound arithmetic is in base-2 logarithms and reported in bits. Products
 are accumulated in log domain; only final results are exponentiated.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -116,19 +120,14 @@ class RegimeBlock:
         return len(self.switch_times)
 
 
-def _check_regime(regime: RegimeSpec | RegimeBlock, T: int, N: int, for_prior=False) -> None:
+def _check_regime(regime: RegimeSpec, T: int, N: int, for_prior: bool = False) -> None:
     if T < 1:
         raise InvalidRegime(f"regimes need at least one trading day, got T={T}")
     if for_prior and N < 2:
         raise InvalidRegime("switching priors need at least two assets")
     if regime.switch_times and regime.switch_times[-1] > T - 1:
         raise InvalidRegime(f"switch time {regime.switch_times[-1]} outside 1..{T - 1}")
-    if isinstance(regime, RegimeBlock):
-        out = (regime.strategies >= N).any(axis=1)
-        if out.any():
-            row = tuple(regime.strategies[out.argmax()].tolist())
-            raise InvalidRegime(f"strategy index out of range for N={N}: {row}")
-    elif max(regime.strategies) >= N:
+    if max(regime.strategies) >= N:
         raise InvalidRegime(f"strategy index out of range for N={N}: {regime.strategies}")
 
 
@@ -183,68 +182,42 @@ def prior_adaptive(regime: RegimeSpec, T: int, N: int) -> float:
     return math.exp(_log_prior(_segment_days(regime.switch_times, T), T, N, None, _stay_cumlog2(T)))
 
 
-class _SegmentLogWealth:
-    """Per segment of a switch-time tuple, each asset's log wealth over X; each tuple summed once.
+class _SegmentLogWealth(dict):
+    """(start, end) -> each asset's log wealth over days start+1..end of X, each segment summed once.
 
-    A segment's entry for asset a is ``float(logs[first - 1 : last, a].sum())``,
-    numpy's order for one column (pairwise from 8 days on).
+    Entry a is ``float(logs[start:end, a].sum())``, numpy's order for one
+    column (pairwise from 8 days on). X is held weakly.
     """
 
     def __init__(self, X: PriceRelativeMatrix):
-        self.X = X
+        super().__init__()
+        self.X = weakref.ref(X, _forget_segments)
         self._logs = np.log(X.values)
-        self._by_times: dict[tuple[int, ...], list[list[float]]] = {}
 
-    def __call__(self, switch_times: tuple[int, ...]) -> list[list[float]]:
-        segments = self._by_times.get(switch_times)
-        if segments is None:
-            logs = self._logs
-            segments = [
-                [float(logs[first - 1 : last, a].sum()) for a in range(logs.shape[1])]
-                for first, last in _segment_days(switch_times, self.X.days)
-            ]
-            self._by_times[switch_times] = segments
-        return segments
+    def __missing__(self, segment: tuple[int, int]) -> list[float]:
+        start, end = segment
+        logs = self._logs
+        sums = self[segment] = [float(logs[start:end, a].sum()) for a in range(logs.shape[1])]
+        return sums
 
 
 _latest_segments: _SegmentLogWealth | None = None
 
 
+def _forget_segments(X_ref: weakref.ref) -> None:
+    global _latest_segments
+    if _latest_segments is not None and _latest_segments.X is X_ref:
+        _latest_segments = None
+
+
 def _segment_log_wealth(X: PriceRelativeMatrix) -> _SegmentLogWealth:
-    """The segment table of X, kept for the latest matrix so that every regime
-    scored against one X (a ``bounds`` run) reads one table."""
+    """The segment table of X, kept while X lives and until another matrix is
+    scored, so that every regime scored against one X (a ``bounds`` run) reads one table."""
     global _latest_segments
     table = _latest_segments
-    if table is None or table.X is not X:
+    if table is None or table.X() is not X:
         table = _latest_segments = _SegmentLogWealth(X)
     return table
-
-
-def _log_charges(switches: int, cost: CostModel | None, convention: str) -> float:
-    """Natural log of a regime's commission factors under ``convention``."""
-    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
-        raise PortfolioError(f"unknown cost convention {convention!r}")
-    charges = switches if convention == CHARGE_SWITCHES_ONLY else switches + 1
-    return charges * math.log(switch_factor(cost))
-
-
-def _log_block_wealth(
-    block: RegimeBlock,
-    X: PriceRelativeMatrix,
-    cost: CostModel | None,
-    convention: str,
-) -> np.ndarray:
-    """Natural log of each of the block's regime wealths over X, with commission factors.
-
-    The segments add left to right from 0.0, as in :func:`log_regime_wealth`:
-    every row is bitwise the one-regime value.
-    """
-    _check_regime(block, X.days, X.assets)
-    charges = _log_charges(block.switches, cost, convention)
-    total = np.zeros(block.strategies.shape[0])
-    for assets, sums in zip(block.strategies.T, _segment_log_wealth(X)(block.switch_times)):
-        total += np.array(sums)[assets]
-    return total + charges
 
 
 def log_regime_wealth(
@@ -259,11 +232,16 @@ def log_regime_wealth(
     (l times); ``all-segments`` also charges the initial purchase (l+1 times).
     """
     _check_regime(regime, X.days, X.assets)
-    charges = _log_charges(regime.switches, cost, convention)
+    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
+        raise PortfolioError(f"unknown cost convention {convention!r}")
+    segment_sums = _segment_log_wealth(X)
+    times = regime.switch_times
     total = 0.0
-    for asset, sums in zip(regime.strategies, _segment_log_wealth(X)(regime.switch_times)):
-        total += sums[asset]
-    return total + charges
+    for asset, start, end in zip(regime.strategies, (0,) + times, times + (X.days,)):
+        total += segment_sums[start, end][asset]
+    l = regime.switches
+    charges = l if convention == CHARGE_SWITCHES_ONLY else l + 1
+    return total + charges * math.log(switch_factor(cost))
 
 
 def regime_wealth(
@@ -337,8 +315,8 @@ def log_mixture_wealth(
 
     Brute-force ground truth for the recursive algorithms; log-sum-exp
     accumulation keeps the sum stable however small the individual terms.
-    Each block's terms are formed as whole arrays; the final reduction runs
-    through all terms in enumeration order, one at a time.
+    Each block's terms are formed as whole arrays and folded into the running
+    sum one at a time, in enumeration order.
     """
     T, N = X.days, X.assets
     if N < 2:
@@ -355,14 +333,15 @@ def log_mixture_wealth(
     log_sf = math.log(switch_factor(cost))
     extra_charge = 0 if convention == CHARGE_SWITCHES_ONLY else 1
 
-    terms = [np.array([-math.inf])]
+    acc = np.array([-math.inf])
     for block in regime_blocks(T, N):
         segments = _segment_days(block.switch_times, T)
         lw = np.full(block.strategies.shape[0], (block.switches + extra_charge) * log_sf)
         for assets, (start, end) in zip(block.strategies.T, segments):
             lw += cumlog[end, assets] - cumlog[start - 1, assets]
-        terms.append(_log_prior(segments, T, N, gamma, stay_cum) + lw)
-    return float(np.logaddexp.reduce(np.concatenate(terms)))
+        terms = _log_prior(segments, T, N, gamma, stay_cum) + lw
+        acc = np.logaddexp.reduce(np.concatenate((acc, terms)), keepdims=True)
+    return float(acc[0])
 
 
 def mixture_oracle(
@@ -417,21 +396,18 @@ def fixed_gamma_penalty(T: int, N: int, l: int, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Competitiveness accounting for one regime, or one block of them, everything in bits.
+    """Competitiveness accounting for one regime, everything in bits.
 
     slack = algorithm_log_wealth - (regime_log_wealth - penalty); the
-    guarantee is slack >= 0 whenever the algorithm matches the prior. For a
-    :class:`RegimeBlock`, ``regime_log_wealth`` and ``slack`` are (K,)
-    arrays, one entry per row; the penalty depends only on the switch count,
-    so the block shares it.
+    guarantee is slack >= 0 whenever the algorithm matches the prior.
     """
 
-    regime_log_wealth: float | np.ndarray
+    regime_log_wealth: float
     penalty: float
     algorithm_log_wealth: float
 
     @property
-    def slack(self) -> float | np.ndarray:
+    def slack(self) -> float:
         return self.algorithm_log_wealth - self.regime_log_wealth + self.penalty
 
 
@@ -439,19 +415,16 @@ def bound_check(
     X: PriceRelativeMatrix,
     prior: Prior,
     algorithm_log2_wealth: float,
-    regime: RegimeSpec | RegimeBlock,
+    regime: RegimeSpec,
     cost: CostModel | None = None,
     convention: str = CHARGE_SWITCHES_ONLY,
 ) -> BoundReport:
-    """Compare achieved algorithm log2-wealth against one hindsight regime or a block of them.
+    """Compare achieved algorithm log2-wealth against one hindsight regime.
 
     ``algorithm_log2_wealth`` must come from the algorithm matching ``prior``
     run on the same X, cost model, and convention.
     """
-    if isinstance(regime, RegimeBlock):
-        lw = _log_block_wealth(regime, X, cost, convention) / LOG2
-    else:
-        lw = log_regime_wealth(regime, X, cost, convention) / LOG2
+    lw = log_regime_wealth(regime, X, cost, convention) / LOG2
     if isinstance(prior, FixedGammaPrior):
         penalty = fixed_gamma_penalty(X.days, X.assets, regime.switches, prior.gamma)
     else:

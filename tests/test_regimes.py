@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchfolio import regimes
 from switchfolio.core import PortfolioError, RegimeSpec, validate_relatives
 from switchfolio.costs import CostModel, switch_factor
 from switchfolio.regimes import (
@@ -252,7 +254,8 @@ class TestBoundCheck:
 
 
 # Regime-by-regime references: the enumeration, mixture loop and bound body
-# that the block code replaced. The block code must give their bits.
+# that the block enumeration and the segment table replaced. The code must
+# give their bits.
 def ref_enumerate(T, N):
     others = [[j for j in range(N) if j != i] for i in range(N)]
     for l in range(T):
@@ -301,29 +304,21 @@ def ref_bound_row(X, prior, alg, times, strategies, cost, convention):
     return lw, penalty, alg - lw + penalty
 
 
-def assert_blocks_match_references(X, prior, cost, convention, alg=1.5):
+def assert_matches_references(X, prior, cost, convention, alg=1.5):
     assert log_mixture_wealth(X, prior, cost, convention) == ref_log_mixture_wealth(
         X, prior, cost, convention
     )
     rows = []
-    for block in regime_blocks(X.days, X.assets):
-        rep = bound_check(X, prior, alg, block, cost, convention)
-        for strategies, lw, slack in zip(
-            block.strategies.tolist(), rep.regime_log_wealth.tolist(), rep.slack.tolist()
-        ):
-            rows.append((block.switch_times, tuple(strategies), lw, rep.penalty, slack))
+    for regime in enumerate_regimes(X.days, X.assets):
+        rep = bound_check(X, prior, alg, regime, cost, convention)
+        rows.append(
+            (regime.switch_times, regime.strategies, rep.regime_log_wealth, rep.penalty, rep.slack)
+        )
     expected = [
         (times, strategies, *ref_bound_row(X, prior, alg, times, strategies, cost, convention))
         for times, strategies in ref_enumerate(X.days, X.assets)
     ]
     assert rows == expected  # exact float equality, row by row
-    one_by_one = []
-    for regime in enumerate_regimes(X.days, X.assets):
-        rep = bound_check(X, prior, alg, regime, cost, convention)
-        one_by_one.append(
-            (regime.switch_times, regime.strategies, rep.regime_log_wealth, rep.penalty, rep.slack)
-        )
-    assert one_by_one == expected
 
 
 class TestRegimeBlocks:
@@ -364,9 +359,9 @@ class TestRegimeBlocks:
         cost = None if kind is None else CostModel(kind, rate)
         if T < 2 and not fixed:  # the adaptive penalty needs two days
             with pytest.raises(PortfolioError):
-                assert_blocks_match_references(X, prior, cost, convention)
+                assert_matches_references(X, prior, cost, convention)
             return
-        assert_blocks_match_references(X, prior, cost, convention)
+        assert_matches_references(X, prior, cost, convention)
 
     @pytest.mark.parametrize(
         "T, N, prior, cost",
@@ -379,13 +374,7 @@ class TestRegimeBlocks:
     def test_long_segments_bitwise_equal_to_references(self, T, N, prior, cost):
         # Segments of 8 or more days take numpy's pairwise summation path.
         X = random_matrix(np.random.default_rng(T * 10 + N), T, N)
-        assert_blocks_match_references(X, prior, cost, "switches-only", alg=-3.25)
-
-    def test_one_regime_bound_check_keeps_float_fields(self):
-        X = random_matrix(np.random.default_rng(25), 5, 3)
-        rep = bound_check(X, AdaptivePrior(), 2.0, RegimeSpec((2, 4), (1, 0, 2)))
-        assert all(type(v) is float for v in (rep.regime_log_wealth, rep.penalty, rep.slack))
-        assert rep.regime_log_wealth == log_regime_wealth(RegimeSpec((2, 4), (1, 0, 2)), X) / LOG2
+        assert_matches_references(X, prior, cost, "switches-only", alg=-3.25)
 
     def test_segment_sums_follow_the_matrix(self):
         # Segment sums are kept for the latest matrix; a new one must not read them.
@@ -396,11 +385,13 @@ class TestRegimeBlocks:
                 prior = FixedGammaPrior(0.1)
                 assert lw == ref_bound_row(X, prior, 0.0, times, strategies, None, "switches-only")[0]
 
-    def test_out_of_range_row_named(self):
-        X = random_matrix(np.random.default_rng(26), 4, 2)
-        block = RegimeBlock((2,), [[0, 1], [1, 2], [2, 0]])
-        with pytest.raises(InvalidRegime, match=r"N=2: \(1, 2\)"):
-            bound_check(X, AdaptivePrior(), 0.0, block)
+    def test_segment_sums_do_not_outlive_the_matrix(self):
+        X = random_matrix(np.random.default_rng(28), 5, 2)
+        bound_check(X, AdaptivePrior(), 0.0, RegimeSpec((2,), (1, 0)))
+        assert regimes._latest_segments is not None
+        del X
+        gc.collect()
+        assert regimes._latest_segments is None
 
     @settings(max_examples=200, deadline=None)
     @given(
