@@ -82,22 +82,21 @@ class AdaptivePrior:
 Prior = FixedGammaPrior | AdaptivePrior
 
 
-@dataclass(frozen=True)
 class RegimeBlock:
     """Every regime that shares one switch-time tuple: one row of ``strategies`` each.
 
     ``strategies`` is a read-only (K, len(switch_times) + 1) int array. The
     checks are :class:`RegimeSpec`'s, run on all rows at once; an error names
     the first row that fails. A read-only input array is kept, not copied,
-    so blocks can share one.
+    so blocks can share one. A slotted class rather than a frozen
+    dataclass, whose creation would add over a millisecond to every CLI start.
     """
 
-    switch_times: tuple[int, ...]
-    strategies: np.ndarray
+    __slots__ = ("switch_times", "strategies")
 
-    def __post_init__(self):
-        times = tuple(int(t) for t in self.switch_times)
-        strats = np.asarray(self.strategies, dtype=int)
+    def __init__(self, switch_times: tuple[int, ...], strategies: np.ndarray):
+        times = tuple(int(t) for t in switch_times)
+        strats = np.asarray(strategies, dtype=int)
         if strats.ndim != 2:
             raise PortfolioError(f"block strategies must be a 2-D array, got shape {strats.shape}")
         check_switch_times(times, strats.shape[1])
@@ -112,8 +111,8 @@ class RegimeBlock:
         if strats.flags.writeable:
             strats = strats.copy()
             strats.setflags(write=False)
-        object.__setattr__(self, "switch_times", times)
-        object.__setattr__(self, "strategies", strats)
+        self.switch_times = times
+        self.strategies = strats
 
     @property
     def switches(self) -> int:
