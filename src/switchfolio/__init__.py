@@ -3,7 +3,7 @@
 The central pair of algorithms evolves a mixture over every possible
 switching schedule between pure single-asset strategies, with either a
 constant switching probability or one that decays with holding time. Around
-them: transaction cost models, a brute-force enumeration oracle, bound
+them: transaction cost models, an exact mixture oracle, bound
 calculators, classic baselines (CRP, hindsight-best CRP, multiplicative
 updates, sampled universal portfolio, best stock), CSV ingestion, synthetic
 markets, and a backtesting CLI (``switchfolio``).
@@ -60,7 +60,6 @@ from .regimes import (
     FixedGammaPrior,
     InstanceTooLarge,
     InvalidRegime,
-    RegimeBlock,
     adaptive_penalty,
     bound_check,
     count_regimes,
@@ -72,7 +71,6 @@ from .regimes import (
     mixture_oracle,
     prior_adaptive,
     prior_fixed,
-    regime_blocks,
     regime_wealth,
 )
 from .switching import (

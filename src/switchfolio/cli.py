@@ -5,7 +5,7 @@ Subcommands:
 * ``synth``     generate one of the built-in synthetic two-asset markets as CSV
 * ``backtest``  run one strategy over a CSV and print a TSV report
 * ``compare``   run several strategies over the same CSV, one TSV row each
-* ``oracle``    brute-force mixture wealth vs. the recursive algorithm
+* ``oracle``    exact mixture wealth over all regimes vs. the recursive algorithm
 * ``bounds``    per-regime competitiveness accounting as TSV
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error (with
@@ -175,11 +175,7 @@ def _cmd_compare(args) -> int:
 
 
 def _switching_setup(args, parser: _Parser):
-    """Market, prior and matching switching spec (with its cost model) for oracle and bounds.
-
-    A market with too many regimes to enumerate is refused here, before the
-    algorithm runs.
-    """
+    """Market, prior and matching switching spec (with its cost model) for oracle and bounds."""
     if args.prior == "fixed" and args.gamma is None:
         parser.error("--prior fixed requires --gamma")
     X = load_csv(args.data, args.mode)
@@ -190,7 +186,6 @@ def _switching_setup(args, parser: _Parser):
         gamma=args.gamma if fixed else None,
         cost=_cost_from_args(args),
     )
-    require_enumerable(X.days, X.assets)
     return X, prior, spec
 
 
@@ -210,6 +205,7 @@ def _cmd_oracle(args, parser: _Parser) -> int:
 
 def _cmd_bounds(args, parser: _Parser) -> int:
     X, prior, spec = _switching_setup(args, parser)
+    require_enumerable(X.days, X.assets)  # refuse before the algorithm runs
     alg_log2 = float(bt.run(spec, X).log_wealth[-1]) / LOG2
     lines = [
         "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
@@ -273,7 +269,7 @@ def build_parser() -> _Parser:
     _add_common(p_cmp)
 
     for name, help_text in (
-        ("oracle", "brute-force mixture wealth vs the algorithm"),
+        ("oracle", "exact mixture wealth over all regimes vs the algorithm"),
         ("bounds", "per-regime competitiveness accounting"),
     ):
         p_sw = sub.add_parser(name, help=help_text)

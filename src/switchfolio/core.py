@@ -18,6 +18,7 @@ threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,8 +83,8 @@ class PortfolioVector:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DimensionMismatch("portfolio weights must be a non-empty 1-D vector")
-        if np.any(w < 0):
-            raise NegativeEntry(f"negative portfolio weight: {w[w < 0][0]!r}")
+        if not (w >= 0).all():  # NaN fails this test too
+            raise NegativeEntry(f"negative or NaN portfolio weight: {w[~(w >= 0)][0]!r}")
         total = float(w.sum())
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise PortfolioError(f"portfolio weights sum to {total!r}, not 1 within {SIMPLEX_TOL}")
@@ -156,18 +157,6 @@ class PriceRelativeMatrix:
         return self.values[t - 1]
 
 
-def check_switch_times(times: tuple[int, ...], strategies: int) -> None:
-    """Raise unless ``times`` strictly increase from 1 and ``strategies`` is one more than them."""
-    if strategies != len(times) + 1:
-        raise PortfolioError(
-            f"{strategies} strategies for {len(times)} switch times; need one more strategy"
-        )
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise PortfolioError(f"switch times not strictly increasing: {times}")
-    if times and times[0] < 1:
-        raise PortfolioError(f"switch times must be >= 1: {times}")
-
-
 @dataclass(frozen=True)
 class RegimeSpec:
     """A switching schedule: when to move all wealth, and between which assets.
@@ -184,9 +173,21 @@ class RegimeSpec:
     strategies: tuple[int, ...]
 
     def __post_init__(self):
-        times = tuple(int(t) for t in self.switch_times)
-        strats = tuple(int(i) for i in self.strategies)
-        check_switch_times(times, len(strats))
+        try:  # operator.index takes numpy integers and refuses what only rounds to one
+            times = tuple(map(operator.index, self.switch_times))
+            strats = tuple(map(operator.index, self.strategies))
+        except TypeError:
+            raise PortfolioError(
+                f"switch times {self.switch_times} and strategies {self.strategies} must be integers"
+            ) from None
+        if len(strats) != len(times) + 1:
+            raise PortfolioError(
+                f"{len(strats)} strategies for {len(times)} switch times; need one more strategy"
+            )
+        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+            raise PortfolioError(f"switch times not strictly increasing: {times}")
+        if times and times[0] < 1:
+            raise PortfolioError(f"switch times must be >= 1: {times}")
         if any(a == b for a, b in zip(strats, strats[1:])):
             raise PortfolioError(f"adjacent strategies equal in {strats}: switches must change asset")
         if any(i < 0 for i in strats):

@@ -1,4 +1,4 @@
-"""Regime priors, regime wealths, the exhaustive mixture oracle, and bound checks.
+"""Regime priors, regime wealths, the exact mixture oracle, and bound checks.
 
 A switching regime is scored two ways:
 
@@ -9,21 +9,13 @@ A switching regime is scored two ways:
   optional commission factor per executed switch (or per segment, including
   the initial purchase, under the alternative convention).
 
-``mixture_oracle`` sums prior * wealth over every regime by brute force.
-That is exponential in T on purpose: it is the independent ground truth the
-fast recursive algorithms are checked against, and it shares no code with
-them but the KT stay product. Scoring regimes in blocks (below) keeps it a
-brute-force enumeration.
-
-The oracle's unit of work is a :class:`RegimeBlock`: every regime with one
-switch-time tuple. Those share their segments, so their prior and charges,
-and differ only in their N (N-1)^l strategy rows; :func:`regime_blocks`
-yields the 2^(T-1) blocks and :func:`log_mixture_wealth` forms a block's
-terms as whole arrays. Each term still gets the bits a regime-by-regime loop
-gives: every elementwise operation is the scalar loop's, in its order, and
-the blocks' terms are folded into one running ``np.logaddexp`` reduction in
-enumeration order, a sequential left-to-right sum. :func:`enumerate_regimes`
-unpacks the blocks, so the enumeration order has one source.
+``mixture_oracle`` sums prior * wealth over every regime. Both priors factor
+over segments: a segment's prior term depends only on its length and on
+whether a switch ends it (:func:`_segment_log_priors`). So the N^T-term sum
+splits at each switch and :func:`log_mixture_wealth` computes it exactly by a
+dynamic program over the day a segment starts, in O(T^2 N). It shares no code
+with the recursive algorithms it certifies but the KT stay product: it has
+none of their state scaling, bucket bookkeeping or cost placement.
 
 :func:`bound_check` scores one regime. It reads each segment's per-asset log
 wealth from a table kept for the latest matrix and filled one segment at a
@@ -44,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import PortfolioError, PriceRelativeMatrix, RegimeSpec, check_switch_times
+from .core import PortfolioError, PriceRelativeMatrix, RegimeSpec
 from .costs import CostModel, switch_factor
 
 LOG2 = math.log(2.0)
@@ -82,43 +74,6 @@ class AdaptivePrior:
 Prior = FixedGammaPrior | AdaptivePrior
 
 
-class RegimeBlock:
-    """Every regime that shares one switch-time tuple: one row of ``strategies`` each.
-
-    ``strategies`` is a read-only (K, len(switch_times) + 1) int array. The
-    checks are :class:`RegimeSpec`'s, run on all rows at once; an error names
-    the first row that fails. A read-only input array is kept, not copied,
-    so blocks can share one. A slotted class rather than a frozen
-    dataclass, whose creation would add over a millisecond to every CLI start.
-    """
-
-    __slots__ = ("switch_times", "strategies")
-
-    def __init__(self, switch_times: tuple[int, ...], strategies: np.ndarray):
-        times = tuple(int(t) for t in switch_times)
-        strats = np.asarray(strategies, dtype=int)
-        if strats.ndim != 2:
-            raise PortfolioError(f"block strategies must be a 2-D array, got shape {strats.shape}")
-        check_switch_times(times, strats.shape[1])
-        adjacent = (strats[:, 1:] == strats[:, :-1]).any(axis=1)
-        if adjacent.any():
-            row = tuple(strats[adjacent.argmax()].tolist())
-            raise PortfolioError(f"adjacent strategies equal in {row}: switches must change asset")
-        negative = (strats < 0).any(axis=1)
-        if negative.any():
-            row = tuple(strats[negative.argmax()].tolist())
-            raise PortfolioError(f"negative strategy index in {row}")
-        if strats.flags.writeable:
-            strats = strats.copy()
-            strats.setflags(write=False)
-        self.switch_times = times
-        self.strategies = strats
-
-    @property
-    def switches(self) -> int:
-        return len(self.switch_times)
-
-
 def _check_regime(regime: RegimeSpec, T: int, N: int, for_prior: bool = False) -> None:
     if T < 1:
         raise InvalidRegime(f"regimes need at least one trading day, got T={T}")
@@ -130,41 +85,31 @@ def _check_regime(regime: RegimeSpec, T: int, N: int, for_prior: bool = False) -
         raise InvalidRegime(f"strategy index out of range for N={N}: {regime.strategies}")
 
 
-def _segment_days(switch_times: tuple[int, ...], T: int) -> list[tuple[int, int]]:
-    """(first day, last day) per segment, days 1-based inclusive."""
-    return list(zip((1,) + tuple(t + 1 for t in switch_times), switch_times + (T,)))
+def _segment_log_priors(T: int, gamma: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Natural-log prior terms ``(ending, final)`` of a segment that stays k = 0..T-1
+    days after its first: ``ending[k]`` if a switch ends it, ``final[k]`` if it is the last.
 
-
-def _stay_cumlog2(T: int) -> np.ndarray:
-    """cum[d] = log2 of prod_{j=1..d} (j - 1/2)/j, for d = 0..T (T >= 1)."""
-    return np.concatenate(([0.0], -kt_neg_log2_sequence(T)))
-
-
-def _log_prior(segments, T: int, N: int, gamma: float | None, stay_cum) -> float:
-    """Natural log of a regime's prior, given its segments (see :func:`_segment_days`).
-
-    ``gamma`` selects the fixed-gamma prior 1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1);
-    ``None`` selects the adaptive prior, which reads ``stay_cum = _stay_cumlog2(T)``.
-    Under the adaptive prior a segment of length d that ends in a switch
-    contributes d-1 stay factors (1 - (1/2)/j) for j = 1..d-1 and then the
-    switch probability (1/2)/d, split uniformly over the N-1 target assets;
-    the last segment has no terminating switch. The first asset is picked
-    uniformly under both priors.
+    A regime's prior is 1/N for the first asset, 1/(N-1) for each switch's
+    target, and these terms of its segments. ``gamma`` selects the fixed-gamma
+    prior (each day stays with 1-gamma, switches with gamma); ``None`` selects
+    the adaptive prior, whose j-th stay has probability 1 - (1/2)/j and whose
+    switch after d days has (1/2)/d.
     """
-    l = len(segments) - 1
+    k = np.arange(T, dtype=float)
     if gamma is not None:
-        return (
-            -math.log(N)
-            - l * math.log(N - 1)
-            + l * math.log(gamma)
-            + (T - l - 1) * math.log1p(-gamma)
-        )
-    lp = -math.log(N) - l * math.log(N - 1)
-    for start, end in segments[:-1]:
-        d = end - start + 1
-        lp += (stay_cum[d - 1] + math.log2(0.5 / d)) * LOG2
-    start, end = segments[-1]
-    return lp + stay_cum[end - start] * LOG2
+        final = k * math.log1p(-gamma)
+        return final + math.log(gamma), final
+    final = np.concatenate(([0.0], -kt_neg_log2_sequence(T)))[:T] * LOG2
+    return final + np.log(0.5 / (k + 1.0)), final
+
+
+def _log_prior(switch_times: tuple[int, ...], T: int, N: int, gamma: float | None) -> float:
+    """Natural log of a regime's prior: the fixed-gamma prior
+    1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1), or the adaptive one (``gamma`` None)."""
+    ending, final = _segment_log_priors(T, gamma)
+    stays = np.diff((0,) + switch_times + (T,)) - 1
+    l = len(switch_times)
+    return -math.log(N) - l * math.log(N - 1) + float(ending[stays[:-1]].sum() + final[stays[-1]])
 
 
 def prior_fixed(regime: RegimeSpec, T: int, N: int, gamma: float) -> float:
@@ -172,13 +117,13 @@ def prior_fixed(regime: RegimeSpec, T: int, N: int, gamma: float) -> float:
     _check_regime(regime, T, N, for_prior=True)
     if not 0.0 < gamma < 1.0:
         raise PortfolioError(f"gamma must be in (0,1), got {gamma!r}")
-    return math.exp(_log_prior(_segment_days(regime.switch_times, T), T, N, gamma, None))
+    return math.exp(_log_prior(regime.switch_times, T, N, gamma))
 
 
 def prior_adaptive(regime: RegimeSpec, T: int, N: int) -> float:
     """Adaptive prior probability of a regime."""
     _check_regime(regime, T, N, for_prior=True)
-    return math.exp(_log_prior(_segment_days(regime.switch_times, T), T, N, None, _stay_cumlog2(T)))
+    return math.exp(_log_prior(regime.switch_times, T, N, None))
 
 
 class _SegmentLogWealth(dict):
@@ -265,43 +210,27 @@ def require_enumerable(T: int, N: int) -> None:
         raise InstanceTooLarge(f"{N}^{T} regimes for T={T}, N={N} exceeds guard {ENUMERATION_GUARD}")
 
 
-def regime_blocks(T: int, N: int) -> Iterator[RegimeBlock]:
-    """Yield every switching regime for T days and N assets once, one block per switch-time tuple.
+def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
+    """Yield every switching regime for T days and N assets once.
 
-    Blocks come by switch count l, then by time tuple in lexicographic
-    order; a block's rows by first asset, then by each hop to one of the
-    other N-1 assets (in index order), the last hop fastest. The rows for l
-    switches are built once and shared by that l's blocks. Deliberately
-    exponential (this is the oracle's price); guarded at ENUMERATION_GUARD
-    regimes.
+    Regimes come by switch count l, then by switch-time tuple in lexicographic
+    order, then by first asset and by each hop to one of the other N-1 assets
+    (in index order), the last hop fastest. Deliberately exponential; guarded
+    at ENUMERATION_GUARD regimes.
     """
     if N < 1:
         raise InvalidRegime(f"need at least one asset, got N={N}")
     if T < 1:
         return
     require_enumerable(T, N)
-    # others[i, h]: the h-th asset other than i
-    others = np.array([[j for j in range(N) if j != i] for i in range(N)], dtype=int)
-    others = others.reshape(N, N - 1)
-    strategies = np.arange(N).reshape(N, 1)
+    others = [[j for j in range(N) if j != i] for i in range(N)]
+    rows = [(i,) for i in range(N)]
     for l in range(T):
         if l:
-            hops = others[strategies[:, -1]].reshape(-1)
-            strategies = np.column_stack((np.repeat(strategies, N - 1, axis=0), hops))
-        strategies.setflags(write=False)
+            rows = [row + (j,) for row in rows for j in others[row[-1]]]
         for times in itertools.combinations(range(1, T), l):
-            yield RegimeBlock(times, strategies)
-
-
-def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
-    """Yield every switching regime for T days and N assets once, in :func:`regime_blocks` order.
-
-    A block has run :class:`RegimeSpec`'s checks on all its rows, so its regimes are not
-    checked again one by one.
-    """
-    for block in regime_blocks(T, N):
-        for strategies in block.strategies.tolist():
-            yield RegimeSpec._checked(block.switch_times, tuple(strategies))
+            for row in rows:
+                yield RegimeSpec._checked(times, row)
 
 
 def log_mixture_wealth(
@@ -310,37 +239,38 @@ def log_mixture_wealth(
     cost: CostModel | None = None,
     convention: str = CHARGE_SWITCHES_ONLY,
 ) -> float:
-    """Natural log of sum over all regimes of prior(Q) * wealth(Q).
+    """Natural log of sum over all regimes of prior(Q) * wealth(Q), exactly, in O(T^2 N).
 
-    Brute-force ground truth for the recursive algorithms; log-sum-exp
-    accumulation keeps the sum stable however small the individual terms.
-    Each block's terms are formed as whole arrays and folded into the running
-    sum one at a time, in enumeration order.
+    ``enter[j, s-1]`` is the log mass (prior, wealth and charges) of every
+    regime prefix that enters asset j on day s. On day e, ``leave[j]`` is that
+    of every prefix whose segment on j ends there with a switch, summed over
+    the segment's first day. The mass switching into j sums ``leave`` over the
+    other N-1 assets alone, never as the total minus j's term, which would
+    cancel when j holds nearly all the mass. ``np.logaddexp`` keeps every sum
+    stable however small its terms.
     """
     T, N = X.days, X.assets
     if N < 2:
         raise InvalidRegime("the switching mixture needs at least two assets")
     if T == 0:
         return 0.0
-    # Per-asset cumulative log relatives: segment wealth by two lookups.
-    cumlog = np.zeros((T + 1, N))
-    np.cumsum(np.log(X.values), axis=0, out=cumlog[1:])
+    # cumlog[j, t]: asset j's log wealth over days 1..t, so a segment's by two lookups
+    cumlog = np.zeros((N, T + 1))
+    np.cumsum(np.log(X.values.T), axis=1, out=cumlog[:, 1:])
     if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
         raise PortfolioError(f"unknown cost convention {convention!r}")
-    stay_cum = _stay_cumlog2(T)
-    gamma = prior.gamma if isinstance(prior, FixedGammaPrior) else None
+    ending, final = _segment_log_priors(T, prior.gamma if isinstance(prior, FixedGammaPrior) else None)
     log_sf = math.log(switch_factor(cost))
-    extra_charge = 0 if convention == CHARGE_SWITCHES_ONLY else 1
-
-    acc = np.array([-math.inf])
-    for block in regime_blocks(T, N):
-        segments = _segment_days(block.switch_times, T)
-        lw = np.full(block.strategies.shape[0], (block.switches + extra_charge) * log_sf)
-        for assets, (start, end) in zip(block.strategies.T, segments):
-            lw += cumlog[end, assets] - cumlog[start - 1, assets]
-        terms = _log_prior(segments, T, N, gamma, stay_cum) + lw
-        acc = np.logaddexp.reduce(np.concatenate((acc, terms)), keepdims=True)
-    return float(acc[0])
+    others = np.array([[i for i in range(N) if i != j] for j in range(N)])
+    enter = np.empty((N, T))
+    enter[:, 0] = -math.log(N) + (convention == CHARGE_ALL_SEGMENTS) * log_sf
+    for e in range(1, T):
+        # segments on days s..e for s = 1..e, which stay e-s days and then switch
+        terms = enter[:, :e] + (cumlog[:, e, None] - cumlog[:, :e]) + ending[e - 1 :: -1]
+        leave = np.logaddexp.reduce(terms, axis=1)
+        enter[:, e] = np.logaddexp.reduce(leave[others], axis=1) + (log_sf - math.log(N - 1))
+    terms = enter + (cumlog[:, T, None] - cumlog[:, :T]) + final[::-1]
+    return float(np.logaddexp.reduce(terms, axis=None))
 
 
 def mixture_oracle(

@@ -125,6 +125,11 @@ class TestPortfolioVector:
         with pytest.raises(NegativeEntry):
             PortfolioVector(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [1.0, np.nan], [np.nan, 0.5, 0.5]])
+    def test_rejects_nan(self, weights):
+        with pytest.raises(NegativeEntry, match="nan"):
+            PortfolioVector(np.array(weights))
+
     def test_uniform(self):
         assert np.allclose(PortfolioVector.uniform(4).weights, 0.25)
 
@@ -141,6 +146,18 @@ class TestRegimeSpec:
     def test_times_strictly_increasing(self):
         with pytest.raises(PortfolioError):
             RegimeSpec((2, 2), (0, 1, 0))
+
+    @pytest.mark.parametrize(
+        "times, strategies", [((2.7,), (0.9, 1.2)), ((2.0,), (0, 1)), ((2,), (0, 1.0)), ((2,), (0, "1"))]
+    )
+    def test_non_integer_entries_rejected(self, times, strategies):
+        with pytest.raises(PortfolioError, match="must be integers"):
+            RegimeSpec(times, strategies)
+
+    def test_numpy_integers_accepted(self):
+        q = RegimeSpec((np.int64(2),), tuple(np.array([0, 1], dtype=np.int32)))
+        assert q == RegimeSpec((2,), (0, 1))
+        assert all(type(v) is int for v in q.switch_times + q.strategies)
 
     def test_switch_count(self):
         assert RegimeSpec((1, 4), (0, 1, 0)).switches == 2

@@ -20,7 +20,6 @@ from switchfolio.switching import (
     fixed_step,
     fixed_weights,
     gamma_hat,
-    log_total_wealth,
     total_wealth,
 )
 
@@ -225,35 +224,6 @@ class TestAdaptiveWeights:
             adaptive_weights(st)
 
 
-class TestMixtureEquivalence:
-    """The recursions must equal the brute-force mixture over all regimes."""
-
-    @pytest.mark.parametrize("gamma", [0.1, 1 / 3, 0.45])
-    def test_fixed(self, gamma):
-        rng = np.random.default_rng(12)
-        for _ in range(8):
-            N = int(rng.integers(2, 4))
-            T = int(rng.integers(1, 9))
-            X = random_matrix(rng, T, N)
-            st = fixed_init(N, gamma)
-            for t in range(1, T + 1):
-                fixed_step(st, X.day_row(t))
-            oracle = log_mixture_wealth(X, FixedGammaPrior(gamma))
-            assert abs(log_total_wealth(st) - oracle) <= 1e-10
-
-    def test_adaptive(self):
-        rng = np.random.default_rng(13)
-        for _ in range(8):
-            N = int(rng.integers(2, 4))
-            T = int(rng.integers(1, 9))
-            X = random_matrix(rng, T, N)
-            st = adaptive_init(N)
-            for t in range(1, T + 1):
-                adaptive_step(st, X.day_row(t))
-            oracle = log_mixture_wealth(X, AdaptivePrior())
-            assert abs(log_total_wealth(st) - oracle) <= 1e-10
-
-
 class TestCostMonotonicity:
     def test_wealth_nonincreasing_in_rate(self):
         rng = np.random.default_rng(14)
@@ -366,15 +336,37 @@ class TestAdaptiveAgainstEagerRecursion:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        T=st_.integers(1, 7),
-        N=st_.integers(2, 3),
+        T=st_.integers(1, 300),
+        N=st_.integers(2, 4),
         seed=st_.integers(0, 2**32 - 1),
+        fixed=st_.booleans(),
+        gamma_share=st_.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
         kind=st_.sampled_from([None, "per-trade", "parallel"]),
         rate=st_.floats(0.0, 0.49),
     )
-    def test_run_equals_mixture_oracle(self, T, N, seed, kind, rate):
+    def test_run_equals_mixture_oracle(self, T, N, seed, fixed, gamma_share, kind, rate):
+        # Both switching kinds against the exact mixture over all N^T regimes;
+        # gamma ranges over (0, (N-1)/N], all that fixed_init accepts.
         X = random_matrix(np.random.default_rng(seed), T, N)
         cost = None if kind is None else CostModel(kind, rate)
-        report = run(AlgoSpec("switching-adaptive", cost=cost), X)
-        oracle = log_mixture_wealth(X, AdaptivePrior(), cost)
+        gamma = gamma_share * (N - 1) / N
+        spec = AlgoSpec("switching-fixed", gamma=gamma, cost=cost) if fixed else AlgoSpec(
+            "switching-adaptive", cost=cost
+        )
+        report = run(spec, X)
+        oracle = log_mixture_wealth(X, FixedGammaPrior(gamma) if fixed else AdaptivePrior(), cost)
         assert math.isclose(report.log_wealth[-1], oracle, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("fixed", [True, False])
+@pytest.mark.parametrize("T, N", [(2000, 3), (2000, 30), (5651, 3)])
+def test_long_horizon_equals_mixture_oracle(T, N, fixed):
+    # N(0, 0.02) log-relatives, per-trade cost: every one of the N^T regimes is in the sum.
+    rng = np.random.default_rng(T + N)
+    X = validate_relatives(np.exp(rng.normal(0.0, 0.02, size=(T, N))), [f"a{i}" for i in range(N)])
+    cost = CostModel.per_trade(0.01)
+    if fixed:
+        spec, prior = AlgoSpec("switching-fixed", gamma=0.01, cost=cost), FixedGammaPrior(0.01)
+    else:
+        spec, prior = AlgoSpec("switching-adaptive", cost=cost), AdaptivePrior()
+    assert abs(run(spec, X).log_wealth[-1] - log_mixture_wealth(X, prior, cost)) <= 1e-12

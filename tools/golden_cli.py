@@ -124,6 +124,8 @@ def corpus() -> list[tuple[str, list[str]]]:
             for cost in ("none", "per-trade"):
                 cases.append((f"{command}-ten3-{prior}-{cost}",
                               [command, "--data", "ten3.csv", "--prior", prior, *gamma, *COSTS[cost]]))
+    cases.append(("oracle-walk3-fixed-per-trade", ["oracle", "--data", "walk3.csv", "--prior", "fixed",
+                                                   "--gamma", GAMMA, *COSTS["per-trade"]]))
     cases.append(("bounds-file", ["bounds", "--data", "small2.csv", "--prior", "adaptive", "--out", "{out}.tsv"]))
     for sub in ("synth", "backtest", "compare", "oracle", "bounds"):
         cases.append((f"help-{sub}", [sub, "--help"]))
