@@ -20,6 +20,7 @@ from switchfolio.switching import (
     fixed_step,
     fixed_weights,
     gamma_hat,
+    log_total_wealth,
     total_wealth,
 )
 
@@ -222,6 +223,35 @@ class TestAdaptiveWeights:
         st = adaptive_init(2)
         with pytest.raises(PortfolioError):
             adaptive_weights(st)
+
+
+class TestMixtureEquivalence:
+    """The recursions must equal the exact mixture over all regimes."""
+
+    @pytest.mark.parametrize("gamma", [0.1, 1 / 3, 0.45])
+    def test_fixed(self, gamma):
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            N = int(rng.integers(2, 4))
+            T = int(rng.integers(1, 9))
+            X = random_matrix(rng, T, N)
+            st = fixed_init(N, gamma)
+            for t in range(1, T + 1):
+                fixed_step(st, X.day_row(t))
+            oracle = log_mixture_wealth(X, FixedGammaPrior(gamma))
+            assert abs(log_total_wealth(st) - oracle) <= 1e-10
+
+    def test_adaptive(self):
+        rng = np.random.default_rng(13)
+        for _ in range(8):
+            N = int(rng.integers(2, 4))
+            T = int(rng.integers(1, 9))
+            X = random_matrix(rng, T, N)
+            st = adaptive_init(N)
+            for t in range(1, T + 1):
+                adaptive_step(st, X.day_row(t))
+            oracle = log_mixture_wealth(X, AdaptivePrior())
+            assert abs(log_total_wealth(st) - oracle) <= 1e-10
 
 
 class TestCostMonotonicity:
