@@ -11,6 +11,9 @@ drawn uniformly from the simplex, each run as its own CRP (paying its own
 rebalancing costs when a model is active), with the strategy's wealth the
 plain average of the M wealth tracks. Sampling uses a counter-based generator
 (Philox) so a (seed, M) pair reproduces bit-identically across platforms.
+The M CRPs run in cache-sized tiles of days x samples: samples are drawn a
+chunk at a time from the one stream, so they are the same points, bitwise,
+as one draw of all M, and the full M x N sample matrix is never held.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .costs import CostModel, realized_wealth_track
 
 _BCRP_MAX_ITER = 20_000
 _BCRP_TOL = 1e-12  # relative objective improvement per sweep
+# Universal portfolio tile: days x samples of float64, about 1 MiB, cache-sized
+_TILE_DAYS = 64
+_TILE_SAMPLES = 2048
 
 
 class NoData(PortfolioError):
@@ -47,6 +53,8 @@ class UniversalConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise PortfolioError(f"need at least one sample, got {self.samples}")
+        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+            raise PortfolioError(f"seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 def crp_run(
@@ -154,12 +162,20 @@ def eg_step(w: PortfolioVector, x, eta: float) -> PortfolioVector:
     return PortfolioVector(boosted / boosted.sum())
 
 
-def sample_simplex(m: int, n: int, seed: int) -> np.ndarray:
-    """m points uniform on the n-simplex via normalized exponential spacings."""
-    rng = np.random.Generator(np.random.Philox(seed))
+def _simplex_draws(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """The next m points uniform on the n-simplex from rng, via normalized exponential spacings.
+
+    Each point reads its own n uniforms in stream order, so drawing m1 then
+    m2 points gives the same points, bitwise, as drawing m1 + m2 at once.
+    """
     u = rng.random((m, n))
     e = -np.log1p(-u)  # exponential(1) from uniform [0,1)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def sample_simplex(m: int, n: int, seed: int) -> np.ndarray:
+    """m points uniform on the n-simplex from a Philox stream seeded with seed."""
+    return _simplex_draws(np.random.Generator(np.random.Philox(seed)), m, n)
 
 
 def universal_tracks(
@@ -172,24 +188,46 @@ def universal_tracks(
     strategy's wealth is the plain average of the M tracks, and its implied
     portfolio going into day t+1 is the wealth-weighted mean of the sampled
     vectors. Returns (wealth of length T+1, weights of shape (T+1, N)).
+
+    Each chunk of _TILE_SAMPLES samples is carried through the days in blocks
+    of _TILE_DAYS, adding its CRPs' wealth and wealth-weighted weights into
+    one (T+1, N+1) table.
     """
-    W = sample_simplex(config.samples, X.assets, config.rng_seed)
-    wealth_per_crp = np.ones(config.samples)
-    wealth = np.ones(X.days + 1)
-    track = np.empty((X.days + 1, X.assets))
-    track[0] = wealth_per_crp @ W / wealth_per_crp.sum()
+    T, N = X.days, X.assets
+    rng = np.random.Generator(np.random.Philox(config.rng_seed))
     c = config.cost
-    for t in range(1, X.days + 1):
-        x = X.values[t - 1]
-        r = W @ x
-        wealth_per_crp = wealth_per_crp * r
-        if c is not None and t < X.days:
-            # Post-return allocation drifts to w*x/r; trading back to w costs
-            # rate * |net deltas|, deducted from each CRP's wealth.
-            turnover = np.abs(W * (x / r[:, None]) - W).sum(axis=1)
-            wealth_per_crp = wealth_per_crp * (1.0 - c.rate * turnover)
-        wealth[t] = wealth_per_crp.mean()
-        track[t] = wealth_per_crp @ W / wealth_per_crp.sum()
+    # table[t] = (total wealth, wealth-weighted weights) summed over the CRPs after day t
+    table = np.zeros((T + 1, N + 1))
+    for start in range(0, config.samples, _TILE_SAMPLES):
+        W = _simplex_draws(rng, min(_TILE_SAMPLES, config.samples - start), N)
+        Wt = np.ascontiguousarray(W.T)
+        one_w = np.hstack([np.ones((W.shape[0], 1)), W])
+        table[0] += one_w.sum(axis=0)
+        carry = np.ones(W.shape[0])
+        for t0 in range(0, T, _TILE_DAYS):
+            x = X.values[t0 : t0 + _TILE_DAYS]
+            R = x @ Wt  # R[d, k]: CRP k's return on day t0+d+1, then its wealth after that day
+            if c is not None:
+                # Post-return allocation drifts to w*x/r; trading back to w costs
+                # rate * sum_i |w_i x_i / r - w_i| of the wealth, which times r is
+                # rate * sum_i w_i |x_i - r|. No trade follows the last day.
+                charged = min(x.shape[0], T - 1 - t0)
+                charge = np.zeros((charged, W.shape[0]))
+                term = np.empty_like(charge)
+                for i in range(N):
+                    np.abs(np.subtract(x[:charged, i, None], R[:charged], out=term), out=term)
+                    term *= c.rate * Wt[i]
+                    charge += term
+                R[:charged] -= charge
+            # Running product down the days, one row at a time: a row is contiguous,
+            # and np.multiply.accumulate(axis=0) measured several times slower here.
+            R[0] *= carry
+            for d in range(1, R.shape[0]):
+                R[d] *= R[d - 1]
+            carry = R[-1]
+            table[t0 + 1 : t0 + 1 + R.shape[0]] += R @ one_w
+    wealth = table[:, 0] / config.samples
+    track = table[:, 1:] / table[:, :1]
     return wealth, track
 
 

@@ -233,6 +233,18 @@ def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
                 yield RegimeSpec._checked(times, row)
 
 
+def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """log(sum(exp(a))) along axis, shifted by the largest term so none overflows.
+
+    A slice whose terms are all -inf sums to -inf (shifted by 0, not by -inf).
+    """
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak[peak == -np.inf] = 0.0
+    with np.errstate(divide="ignore"):
+        total = np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True)) + peak
+    return np.squeeze(total, axis=axis)
+
+
 def log_mixture_wealth(
     X: PriceRelativeMatrix,
     prior: Prior,
@@ -246,8 +258,8 @@ def log_mixture_wealth(
     of every prefix whose segment on j ends there with a switch, summed over
     the segment's first day. The mass switching into j sums ``leave`` over the
     other N-1 assets alone, never as the total minus j's term, which would
-    cancel when j holds nearly all the mass. ``np.logaddexp`` keeps every sum
-    stable however small its terms.
+    cancel when j holds nearly all the mass. Each sum is a max-shifted
+    log-sum-exp, stable however small its terms.
     """
     T, N = X.days, X.assets
     if N < 2:
@@ -267,10 +279,10 @@ def log_mixture_wealth(
     for e in range(1, T):
         # segments on days s..e for s = 1..e, which stay e-s days and then switch
         terms = enter[:, :e] + (cumlog[:, e, None] - cumlog[:, :e]) + ending[e - 1 :: -1]
-        leave = np.logaddexp.reduce(terms, axis=1)
-        enter[:, e] = np.logaddexp.reduce(leave[others], axis=1) + (log_sf - math.log(N - 1))
+        leave = _logsumexp(terms, axis=1)
+        enter[:, e] = _logsumexp(leave[others], axis=1) + (log_sf - math.log(N - 1))
     terms = enter + (cumlog[:, T, None] - cumlog[:, :T]) + final[::-1]
-    return float(np.logaddexp.reduce(terms, axis=None))
+    return float(_logsumexp(terms))
 
 
 def mixture_oracle(

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchfolio.baselines import (
+    _TILE_DAYS,
+    _TILE_SAMPLES,
     NoData,
     UniversalConfig,
+    _simplex_draws,
     bcrp_solve,
     best_stock,
     crp_run,
@@ -13,7 +18,7 @@ from switchfolio.baselines import (
     sample_simplex,
     universal_tracks,
 )
-from switchfolio.core import DimensionMismatch, PortfolioVector, validate_relatives
+from switchfolio.core import DimensionMismatch, PortfolioError, PortfolioVector, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import synth_regime_pair, synth_volatility_pair
 
@@ -23,6 +28,40 @@ HALF = PortfolioVector(np.array([0.5, 0.5]))
 def random_matrix(rng, T, N, spread=(0.25, 4.0)):
     vals = np.exp(rng.uniform(np.log(spread[0]), np.log(spread[1]), size=(T, N)))
     return validate_relatives(vals, [f"a{i}" for i in range(N)])
+
+
+def ref_universal_tracks(X, config):
+    """The sampled universal portfolio one day at a time over all M CRPs: the reference for the tiles."""
+    W = sample_simplex(config.samples, X.assets, config.rng_seed)
+    wealth_per_crp = np.ones(config.samples)
+    wealth = np.ones(X.days + 1)
+    track = np.empty((X.days + 1, X.assets))
+    track[0] = wealth_per_crp @ W / wealth_per_crp.sum()
+    c = config.cost
+    for t in range(1, X.days + 1):
+        x = X.values[t - 1]
+        r = W @ x
+        wealth_per_crp = wealth_per_crp * r
+        if c is not None and t < X.days:
+            turnover = np.abs(W * (x / r[:, None]) - W).sum(axis=1)
+            wealth_per_crp = wealth_per_crp * (1.0 - c.rate * turnover)
+        wealth[t] = wealth_per_crp.mean()
+        track[t] = wealth_per_crp @ W / wealth_per_crp.sum()
+    return wealth, track
+
+
+def assert_matches_reference(X, config):
+    wealth, track = universal_tracks(X, config)
+    ref_wealth, ref_track = ref_universal_tracks(X, config)
+    assert wealth.shape == ref_wealth.shape and track.shape == ref_track.shape
+    assert np.all(np.abs(wealth - ref_wealth) <= 1e-12 * ref_wealth)
+    assert np.all(np.abs(track - ref_track) <= 1e-12)
+
+
+# Horizons and sample counts on either side of one and two tiles
+TILE_HORIZONS = [0, 1, 2, _TILE_DAYS - 1, _TILE_DAYS, _TILE_DAYS + 1, 2 * _TILE_DAYS + 2]
+TILE_SAMPLES = [1, 7, _TILE_SAMPLES - 1, _TILE_SAMPLES, _TILE_SAMPLES + 1, 5000]
+COST_MODELS = [None, CostModel.per_trade(0.01), CostModel.parallel(0.02)]
 
 
 class TestCrpRun:
@@ -214,6 +253,46 @@ class TestUniversal:
         expected_last = finals @ W / finals.sum()
         assert np.allclose(track[-1], expected_last, atol=1e-12)
         assert math.isclose(wealth[-1], float(finals.mean()), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("T", TILE_HORIZONS)
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_tiles_match_per_day_reference(self, T, N):
+        X = random_matrix(np.random.default_rng(62 + 10 * T + N), T, N)
+        for M in TILE_SAMPLES:
+            for cost in COST_MODELS:
+                assert_matches_reference(X, UniversalConfig(samples=M, rng_seed=T + M, cost=cost))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.integers(0, 2 * _TILE_DAYS + 2),
+        N=st.integers(1, 5),
+        M=st.integers(1, 5000),
+        cost=st.sampled_from(COST_MODELS),
+        seed=st.integers(0, 2**32),
+        market_seed=st.integers(0, 2**32),
+    )
+    def test_tiles_match_reference_property(self, T, N, M, cost, seed, market_seed):
+        X = random_matrix(np.random.default_rng(market_seed), T, N)
+        assert_matches_reference(X, UniversalConfig(samples=M, rng_seed=seed, cost=cost))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2048, 4096])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_chunked_draws_equal_one_draw(self, chunk, n):
+        rng = np.random.Generator(np.random.Philox(17))
+        m = 5000
+        chunks = [_simplex_draws(rng, min(chunk, m - start), n) for start in range(0, m, chunk)]
+        assert np.array_equal(np.concatenate(chunks), sample_simplex(m, n, 17))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(PortfolioError, match="seed must be a non-negative integer"):
+            UniversalConfig(samples=10, rng_seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        X = validate_relatives([[1.2, 0.9], [0.8, 1.1]], ["a", "b"])
+        a = universal_tracks(X, UniversalConfig(samples=20, rng_seed=np.int64(4)))
+        b = universal_tracks(X, UniversalConfig(samples=20, rng_seed=4))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_sampler_is_uniform_on_simplex(self):
         pts = sample_simplex(20_000, 3, 123)

@@ -98,6 +98,22 @@ class TestDataErrors:
         assert code == 2
         assert err == "switchfolio: algorithm parameter weights must be a number, got 'x'\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--seed", "-1", "--algo", "universal:samples=10"],
+            ["compare", "--algo", "universal:samples=10,seed=-1"],
+            ["backtest", "--algo", "universal", "--samples", "10", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_exits_two(self, capsys, tmp_path, argv):
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(data))
+        code, out, err = invoke(capsys, argv[0], "--data", str(data), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == "switchfolio: seed must be a non-negative integer, got -1\n"
+
     def test_wealth_overflow_exits_two(self, capsys, tmp_path):
         data = tmp_path / "m.csv"
         invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data))

@@ -17,6 +17,7 @@ from switchfolio.regimes import (
     InstanceTooLarge,
     InvalidRegime,
     _log_prior,
+    _logsumexp,
     adaptive_penalty,
     bound_check,
     count_regimes,
@@ -143,6 +144,20 @@ class TestMixtureOracle:
         for t in range(1, 8):
             adaptive_step(st, X.day_row(t))
         assert abs(log_total_wealth(st) - log_mixture_wealth(X, AdaptivePrior())) < 1e-10
+
+    def test_logsumexp_matches_pairwise_logaddexp(self):
+        rng = np.random.default_rng(23)
+        a = rng.normal(0.0, 300.0, size=(4, 50))
+        a[1, :10] = -np.inf
+        a[2] = -np.inf  # every term -inf: the sum is -inf, with no warning
+        with np.errstate(divide="raise", invalid="raise"):
+            rows = _logsumexp(a, axis=1)
+            total = _logsumexp(a)
+        expected = np.logaddexp.reduce(a, axis=1)
+        assert rows[2] == -np.inf
+        finite = np.isfinite(expected)
+        assert np.allclose(rows[finite], expected[finite], rtol=1e-14, atol=0.0)
+        assert math.isclose(float(total), float(np.logaddexp.reduce(a, axis=None)), rel_tol=1e-14)
 
     def test_sum_order_invariance(self):
         rng = np.random.default_rng(22)

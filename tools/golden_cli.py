@@ -72,6 +72,7 @@ def write_markets(work: Path) -> None:
     _market(work / "drift3.csv", 15, 500, 3, 0.02)  # bcrp's projection once drifted off the simplex here
     _market(work / "one.csv", 7, 4, 1, 0.05)
     _market(work / "ten3.csv", 8, 10, 3, 0.03)  # oracle-certify's shape; has segments of 8+ days
+    _market(work / "long2.csv", 16, 150, 2, 0.02)  # more than two universal tiles of days
     (work / "bad.csv").write_text("a,b\n1.0,oops\n")
     (work / "negative.csv").write_text("a,b\n1.0,-2\n")
 
@@ -107,6 +108,13 @@ def corpus() -> list[tuple[str, list[str]]]:
                                                *table, *COSTS["parallel"], "--cost-accounting", "realized"]))
     for market in ("walk3", "drift3"):
         cases.append((f"bcrp-{market}", ["backtest", "--data", f"{market}.csv", "--algo", "bcrp"]))
+    for cost in ("none", "per-trade"):  # 5000 samples: more than two universal tiles of samples
+        cases.append((f"backtest-long2-universal5000-{cost}",
+                      ["backtest", "--data", "long2.csv", "--algo", "universal", "--samples", "5000",
+                       *COSTS[cost], "--seed", "3", "--out", "{out}.tsv", "--plot-data", "{out}.plot.csv"]))
+        cases.append((f"compare-long2-universal5000-{cost}",
+                      ["compare", "--data", "long2.csv", "--algo", "universal:samples=5000",
+                       "--algo", "best-stock", *COSTS[cost]]))
     for command in ("oracle", "bounds"):
         for market in ("small2", "small3"):
             for prior in ("fixed", "adaptive"):
@@ -157,6 +165,7 @@ def corpus() -> list[tuple[str, list[str]]]:
         "wrong-weight-count": ["backtest", "--data", "dated3.csv", "--algo", "crp", "--weights", "0.5,0.5"],
         "malformed-gamma": ["compare", "--data", "plain2.csv", "--algo", "switching-fixed:gamma=abc"],
         "malformed-samples": ["compare", "--data", "plain2.csv", "--algo", "universal:samples=1e3"],
+        "negative-seed": ["compare", "--data", "plain2.csv", "--seed", "-1", "--algo", "universal:samples=10"],
         "unknown-parameter": ["compare", "--data", "plain2.csv", "--algo", "eg:rate=2"],
         "unknown-kind": ["compare", "--data", "plain2.csv", "--algo", "momentum"],
         "parameter-without-value": ["compare", "--data", "plain2.csv", "--algo", "eg:eta"],
