@@ -20,7 +20,6 @@ Both series are attached whenever a cost model is active.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,17 +333,16 @@ def emit_plot_data(report: BacktestReport) -> str:
     column is appended only when the source data carried dates.
     """
     n = report.weights.shape[1]
-    buf = io.StringIO()
     header = "day,wealth,largest_asset," + ",".join(f"w_{i + 1}" for i in range(n))
-    with_dates = report.dates is not None
-    if with_dates:
+    # "%.17g" % v is f"{v:.17g}"; day and largest asset are whole floats here, so %d prints them.
+    template = "%d,%.17g,%d" + ",%.17g" * n
+    days = np.arange(report.days + 1)
+    grid = np.column_stack((days, report.wealth, report.largest, report.weights)).tolist()
+    if report.dates is None:
+        lines = [template % tuple(row) for row in grid]
+    else:
         header += ",date"
-    buf.write(header + "\n")
-    for k in range(report.days + 1):
-        cells = [str(k), f"{report.wealth[k]:.17g}", str(int(report.largest[k]))]
-        cells += [f"{v:.17g}" for v in report.weights[k]]
-        if with_dates:
-            # Day 0 predates the first dated relative.
-            cells.append("" if k == 0 else report.dates[k - 1])
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+        template += ",%s"
+        # Day 0 predates the first dated relative.
+        lines = [template % (*row, date) for row, date in zip(grid, ("", *report.dates))]
+    return "\n".join([header, *lines]) + "\n"

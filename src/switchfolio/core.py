@@ -83,12 +83,13 @@ class PortfolioVector:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DimensionMismatch("portfolio weights must be a non-empty 1-D vector")
-        if not (w >= 0).all():  # NaN fails this test too
+        if not w.min() >= 0:  # a NaN minimum fails this test too
             raise NegativeEntry(f"negative or NaN portfolio weight: {w[~(w >= 0)][0]!r}")
         total = float(w.sum())
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise PortfolioError(f"portfolio weights sum to {total!r}, not 1 within {SIMPLEX_TOL}")
-        object.__setattr__(self, "weights", _readonly(w))
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @property
     def assets(self) -> int:
@@ -216,15 +217,19 @@ def validate_relatives(
 ) -> PriceRelativeMatrix:
     """Validate a raw grid of price relatives into a PriceRelativeMatrix.
 
-    Accepts an empty grid (T=0). Raises RaggedRows, NonPositiveRelative,
-    DuplicateAssetName, or DimensionMismatch on bad input.
+    Accepts an empty grid (T=0). A 2-D array with one column per name is
+    taken as a whole; other input is converted row by row. Raises RaggedRows,
+    NonPositiveRelative, DuplicateAssetName, or DimensionMismatch on bad input.
     """
-    rows = [list(map(float, r)) for r in raw]
     n = len(names)
-    if any(len(r) != n for r in rows):
-        lengths = sorted({len(r) for r in rows})
-        raise RaggedRows(f"rows have lengths {lengths}, expected {n} columns")
-    values = np.array(rows, dtype=float).reshape(len(rows), n)
+    if isinstance(raw, np.ndarray) and raw.ndim == 2 and raw.shape[1] == n:
+        values = np.array(raw, dtype=float)
+    else:
+        rows = [list(map(float, r)) for r in raw]
+        if any(len(r) != n for r in rows):
+            lengths = sorted({len(r) for r in rows})
+            raise RaggedRows(f"rows have lengths {lengths}, expected {n} columns")
+        values = np.array(rows, dtype=float).reshape(len(rows), n)
     return PriceRelativeMatrix(values, tuple(names), None if dates is None else tuple(dates))
 
 

@@ -9,8 +9,12 @@ ignored by all math. Two modes:
 * ``prices``: each data row is an opening-price snapshot; T+1 rows become T
   relatives via row[t+1] / row[t].
 
-Output text is decimal with 17 significant digits, which round-trips doubles
-exactly.
+Files are read and written as UTF-8; a leading byte-order mark, as
+spreadsheet "CSV UTF-8" exports write, is dropped on reading. All number
+cells are converted in one array cast with one finiteness test; only a file
+that fails either is walked cell by cell, to name the first bad cell by line
+and column. Output text is decimal with 17 significant digits, which
+round-trips doubles exactly.
 """
 
 from __future__ import annotations
@@ -75,7 +79,7 @@ def load_csv(path: str, mode: str = MODE_RELATIVES) -> PriceRelativeMatrix:
     """Read a CSV of relatives or prices into a validated PriceRelativeMatrix."""
     if mode not in (MODE_RELATIVES, MODE_PRICES):
         raise PortfolioError(f"mode must be '{MODE_RELATIVES}' or '{MODE_PRICES}', got {mode!r}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = [[c.strip() for c in row] for row in reader if row]
     if not rows:
@@ -90,7 +94,15 @@ def load_csv(path: str, mode: str = MODE_RELATIVES) -> PriceRelativeMatrix:
     for line_no, row in numbered:
         if len(row) != width:
             raise ParseError(line_no, len(row) + 1, f"expected {width} cells, got {len(row)}")
-    values, dates = _parse_rows(numbered, has_dates)
+    dates = [row[0] for row in rows[1:]] if has_dates else None
+    cells = [row[1:] for row in rows[1:]] if has_dates else rows[1:]
+    try:  # numpy's str -> float cast accepts exactly what float() accepts
+        values = np.array(cells, dtype=float).reshape(len(cells), len(names))
+        parsed = bool(np.isfinite(values).all())
+    except ValueError:
+        parsed = False
+    if not parsed:  # cell by cell, to name the first bad one
+        values, dates = _parse_rows(numbered, has_dates)
     if mode == MODE_PRICES:
         return prices_to_relatives(values, names, dates)
     return validate_relatives(values, names, dates)
@@ -120,7 +132,7 @@ def prices_to_relatives(
 def write_csv(X: PriceRelativeMatrix, path_or_buffer) -> None:
     """Write relatives to CSV with 17-significant-digit decimals (exact round-trip)."""
     own = isinstance(path_or_buffer, (str, os.PathLike))
-    fh = open(path_or_buffer, "w", newline="") if own else path_or_buffer
+    fh = open(path_or_buffer, "w", newline="", encoding="utf-8") if own else path_or_buffer
     try:
         writer = csv.writer(fh, lineterminator="\n")
         header = (["date"] if X.dates is not None else []) + list(X.asset_names)

@@ -91,11 +91,13 @@ class AdaptiveState:
     reads ``coef[:, :t]`` once against two reversed age kernels, stay P(a)
     and leak P(a-1)/(2a), without writing any bucket. A scale that leaves
     [1e-150, 1e150] is folded into its row of ``coef`` and reset to 1, so
-    extreme markets stay finite. The day's (stay, leaked) sums are cached
-    under ``day``: a weights call and the next step share one pass.
+    extreme markets stay finite. The day's new bucket and pre-return mass
+    (stay plus new bucket) are cached under ``day`` and the cost's switch
+    factor: whichever of a weights call and the next step comes first
+    computes them, and the other reads them.
     """
 
-    __slots__ = ("day", "log_wealth", "_coef", "_scale", "_kernel", "_sums")
+    __slots__ = ("day", "log_wealth", "_coef", "_scale", "_kernel", "_day_cache")
 
     def __init__(self, n: int):
         self.day = 0
@@ -103,7 +105,7 @@ class AdaptiveState:
         self._coef = np.zeros((n, 0))
         self._scale = np.ones(n)
         self._kernel = np.zeros((2, 0))
-        self._sums = (-1, None)
+        self._day_cache = (-1, None, None, None)  # (day, switch factor, new bucket, pre-return mass)
         self._grow(16)
 
     @property
@@ -111,17 +113,16 @@ class AdaptiveState:
         return self._scale.size
 
     def _grow(self, needed: int):
-        capacity = self._kernel.shape[1]
-        if needed > capacity:
-            capacity = max(needed, 2 * capacity)
-            grown = np.zeros((self.assets, capacity))
-            grown[:, : self.day] = self._coef[:, : self.day]
-            self._coef = grown
-            # Column j serves age a = capacity - j, so day t reads the last t columns.
-            age = np.arange(1.0, capacity + 1)
-            stay = np.exp2(-kt_neg_log2_sequence(capacity))
-            leak = np.concatenate(([1.0], stay[:-1])) / (2.0 * age)
-            self._kernel = np.ascontiguousarray(np.stack((stay, leak))[:, ::-1])
+        """Make room for at least ``needed`` start days (at least double the capacity)."""
+        capacity = max(needed, 2 * self._kernel.shape[1])
+        grown = np.zeros((self.assets, capacity))
+        grown[:, : self.day] = self._coef[:, : self.day]
+        self._coef = grown
+        # Column j serves age a = capacity - j, so day t reads the last t columns.
+        age = np.arange(1.0, capacity + 1)
+        stay = np.exp2(-kt_neg_log2_sequence(capacity))
+        leak = np.concatenate(([1.0], stay[:-1])) / (2.0 * age)
+        self._kernel = np.ascontiguousarray(np.stack((stay, leak))[:, ::-1])
 
     def bucket_view(self) -> np.ndarray:
         """Shares by (asset, start day): a new read-only (N, day) array of fractions of total."""
@@ -193,15 +194,19 @@ def fixed_weights(state: FixedGammaState, cost: CostModel | None = None) -> Port
 
 
 def _adaptive_pre_return_mass(state: AdaptiveState, cost: CostModel | None):
-    """(stay mass, new bucket) per asset as shares of wealth, before returns; day >= 1."""
-    t, n = state.day, state.assets
-    if state._sums[0] != t:
-        kernel = state._kernel[:, state._kernel.shape[1] - t :]
-        state._sums = (t, (state._coef[:, :t] @ kernel.T) * state._scale[:, None])
-    stay, leaked = state._sums[1].T
+    """(new bucket, stay + new bucket) per asset as shares of wealth, before returns; day >= 1."""
+    t = state.day
+    factor = switch_factor(cost)
+    cached_day, cached_factor, new_bucket, mass = state._day_cache
+    if cached_day == t and cached_factor == factor:
+        return new_bucket, mass
+    kernel = state._kernel[:, state._kernel.shape[1] - t :]
+    stay, leaked = ((state._coef[:, :t] @ kernel.T) * state._scale[:, None]).T
     # Leaked mass is split evenly over the other N-1 assets.
-    new_bucket = switch_factor(cost) * (leaked.sum() - leaked) / (n - 1)
-    return stay, new_bucket
+    new_bucket = factor * (leaked.sum() - leaked) / (state.assets - 1)
+    mass = stay + new_bucket
+    state._day_cache = (t, factor, new_bucket, mass)
+    return new_bucket, mass
 
 
 def adaptive_step(state: AdaptiveState, x, cost: CostModel | None = None) -> AdaptiveState:
@@ -209,20 +214,22 @@ def adaptive_step(state: AdaptiveState, x, cost: CostModel | None = None) -> Ada
     row = _check_row(state.assets, x)
     t = state.day
     if t == 0:
-        stay, new_bucket = 0.0, np.full(state.assets, 1.0 / state.assets)  # uncharged purchase
+        new_bucket = mass = np.full(state.assets, 1.0 / state.assets)  # uncharged purchase
     else:
-        stay, new_bucket = _adaptive_pre_return_mass(state, cost)
-    state._grow(t + 1)
+        new_bucket, mass = _adaptive_pre_return_mass(state, cost)
+    if t >= state._kernel.shape[1]:
+        state._grow(t + 1)
+    scale = state._scale
     # Stored against the pre-return scale, which today's row / total turns into its share.
-    state._coef[:, t] = new_bucket / state._scale
-    mass = (stay + new_bucket) * row
+    state._coef[:, t] = new_bucket / scale
+    mass = mass * row
     total = float(mass.sum())
-    state._scale *= row / total
+    scale *= row / total
     # Fold a scale outside [1e-150, 1e150] into its row before it leaves double range.
-    out = (state._scale < 1e-150) | (state._scale > 1e150)
-    if out.any():
-        state._coef[out, : t + 1] *= state._scale[out, None]
-        state._scale[out] = 1.0
+    if scale.min() < 1e-150 or scale.max() > 1e150:
+        out = (scale < 1e-150) | (scale > 1e150)
+        state._coef[out, : t + 1] *= scale[out, None]
+        scale[out] = 1.0
     state.log_wealth += math.log(total)
     state.day = t + 1
     return state
@@ -232,8 +239,7 @@ def adaptive_weights(state: AdaptiveState, cost: CostModel | None = None) -> Por
     """Portfolio held on the next trading day: stay mass plus switched-in mass per asset."""
     if state.day < 1:
         raise PortfolioError("adaptive weights are defined only after the first trading day")
-    stay, new_bucket = _adaptive_pre_return_mass(state, cost)
-    mass = stay + new_bucket
+    _, mass = _adaptive_pre_return_mass(state, cost)
     return PortfolioVector(mass / mass.sum())
 
 

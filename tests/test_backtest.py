@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchfolio import backtest
 from switchfolio.backtest import (
     AlgoSpec,
+    BacktestReport,
     NonFiniteResult,
     compare,
     comparison_tsv,
@@ -251,6 +254,52 @@ class TestPlotData:
         assert lines[0].endswith(",date")
         assert lines[1].endswith(",")  # day 0 precedes the first dated relative
         assert lines[2].endswith(",d1")
+
+
+def ref_emit_plot_data(report: BacktestReport) -> str:
+    """The per-row, per-cell emission the whole-grid one must reproduce byte for byte."""
+    n = report.weights.shape[1]
+    buf = io.StringIO()
+    header = "day,wealth,largest_asset," + ",".join(f"w_{i + 1}" for i in range(n))
+    with_dates = report.dates is not None
+    if with_dates:
+        header += ",date"
+    buf.write(header + "\n")
+    for k in range(report.days + 1):
+        cells = [str(k), f"{report.wealth[k]:.17g}", str(int(report.largest[k]))]
+        cells += [f"{v:.17g}" for v in report.weights[k]]
+        if with_dates:
+            cells.append("" if k == 0 else report.dates[k - 1])
+        buf.write(",".join(cells) + "\n")
+    return buf.getvalue()
+
+
+class TestPlotDataAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), T=st.integers(0, 60), N=st.integers(1, 6), dated=st.booleans())
+    def test_byte_identical(self, data, T, N, dated):
+        number = st.floats(allow_nan=True, allow_infinity=True)
+        wealth = np.array(data.draw(st.lists(number, min_size=T + 1, max_size=T + 1), label="wealth"))
+        weights = np.array(data.draw(st.lists(number, min_size=(T + 1) * N, max_size=(T + 1) * N), label="weights"))
+        largest = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=T + 1, max_size=T + 1)))
+        dates = data.draw(st.lists(st.text(max_size=8), min_size=T, max_size=T), label="dates")
+        report = BacktestReport(
+            spec=AlgoSpec("switching-adaptive"),
+            wealth=wealth,
+            weights=weights.reshape(T + 1, N),
+            largest=largest,
+            dates=tuple(dates) if dated else None,
+        )
+        assert emit_plot_data(report) == ref_emit_plot_data(report)
+
+    @pytest.mark.parametrize("kind", ["switching-adaptive", "best-stock", "universal"])
+    def test_runs_byte_identical(self, kind):
+        rng = np.random.default_rng(81)
+        X = validate_relatives(np.exp(rng.normal(0.0, 0.05, size=(300, 4))), list("abcd"),
+                               dates=[f"2001-{k}" for k in range(300)])
+        spec = AlgoSpec(kind, samples=50 if kind == "universal" else None, cost=CostModel.parallel(0.01))
+        report = run(spec, X)
+        assert emit_plot_data(report) == ref_emit_plot_data(report)
 
 
 class TestReportHelpers:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchfolio.core import (
+    SIMPLEX_TOL,
     AllZero,
     DimensionMismatch,
     DuplicateAssetName,
@@ -48,6 +51,17 @@ class TestValidateRelatives:
         X = validate_relatives([[2.0, 0.5]], ["A", "B"])
         with pytest.raises(ValueError):
             X.values[0, 0] = 3.0
+
+    def test_array_taken_whole_as_a_copy(self):
+        grid = np.array([[2.0, 0.5], [1.5, 0.75]])
+        X = validate_relatives(grid, ["A", "B"])
+        assert X.values.tobytes() == grid.tobytes()
+        grid[0, 0] = 3.0  # the caller's array stays its own, and writable
+        assert X.values[0, 0] == 2.0
+
+    def test_array_with_other_width_named_as_ragged(self):
+        with pytest.raises(RaggedRows, match=r"rows have lengths \[3\], expected 2 columns"):
+            validate_relatives(np.ones((4, 3)), ["A", "B"])
 
 
 class TestDailyReturn:
@@ -132,6 +146,52 @@ class TestPortfolioVector:
 
     def test_uniform(self):
         assert np.allclose(PortfolioVector.uniform(4).weights, 0.25)
+
+    @pytest.mark.parametrize(
+        "weights, error, message",
+        [
+            ([1.2, -0.2], NegativeEntry, "negative or NaN portfolio weight: np.float64(-0.2)"),
+            ([0.5, np.nan, -1.0], NegativeEntry, "negative or NaN portfolio weight: np.float64(nan)"),
+            ([-0.0, 1.0], None, None),
+            ([0.5, 0.6], PortfolioError, "portfolio weights sum to 1.1, not 1 within 1e-12"),
+            ([np.inf, 0.0], PortfolioError, "portfolio weights sum to inf, not 1 within 1e-12"),
+            ([-np.inf, 1.0], NegativeEntry, "negative or NaN portfolio weight: np.float64(-inf)"),
+        ],
+    )
+    def test_messages(self, weights, error, message):
+        if error is None:
+            assert PortfolioVector(np.array(weights)).weights.tolist() == weights
+            return
+        with pytest.raises(error) as exc:
+            PortfolioVector(np.array(weights))
+        assert str(exc.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(
+            st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf])),
+            min_size=1,
+            max_size=6,
+        ),
+        normalize=st.booleans(),
+    )
+    def test_same_verdict_as_elementwise_check(self, weights, normalize):
+        # Reference: the elementwise check, every element compared on its own.
+        w = np.array(weights)
+        if normalize and np.all(np.isfinite(w)) and w.sum() > 0:
+            w = np.abs(w) / np.abs(w).sum()
+        if not all(v >= 0 for v in w.tolist()):
+            expected = f"negative or NaN portfolio weight: {np.float64(next(v for v in w.tolist() if not v >= 0))!r}"
+        elif abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
+            expected = f"portfolio weights sum to {float(w.sum())!r}, not 1 within {SIMPLEX_TOL}"
+        else:
+            expected = None
+        try:
+            pv = PortfolioVector(w)
+        except PortfolioError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None and not pv.weights.flags.writeable
 
 
 class TestRegimeSpec:

@@ -1,9 +1,18 @@
+import csv
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from switchfolio.core import NonPositiveRelative, PortfolioVector
+import switchfolio
+from switchfolio.core import NonPositiveRelative, PortfolioVector, validate_relatives
 from switchfolio.baselines import crp_run
 from switchfolio.market_data import (
     EmptyFile,
@@ -77,6 +86,55 @@ class TestLoadCsv:
         p.write_text("A\nnan\n")
         with pytest.raises(ParseError):
             load_csv(str(p))
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start with a BOM, which must not reach the header.
+        dated = tmp_path / "dated.csv"
+        dated.write_text("\ufeffdate,A,B\n2020-01-02,1.5,0.9\n", encoding="utf-8")
+        X = load_csv(str(dated))
+        assert X.dates == ("2020-01-02",) and X.asset_names == ("A", "B")
+        plain = tmp_path / "plain.csv"
+        plain.write_text("\ufeffA,B\n1.5,0.9\n", encoding="utf-8")
+        assert load_csv(str(plain)).asset_names == ("A", "B")
+
+
+def _reference_cell_error(cell: str) -> str | None:
+    """The per-cell verdict on one number cell: None if it parses to a finite float."""
+    try:
+        v = float(cell)
+    except ValueError:
+        return f"not a number: {cell!r}"
+    return None if math.isfinite(v) else f"not finite: {cell!r}"
+
+
+class TestBadCellDiagnostics:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        T=st.integers(1, 150),
+        N=st.integers(1, 5),
+        dated=st.booleans(),
+        where=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+        bad=st.sampled_from(["abc", "1.0x", "inf", "-Infinity", "nan", "", "1e400", "0x10", "1,5"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_bad_cell_named_at_its_line_and_column(self, tmp_path_factory, T, N, dated, where, bad, seed):
+        rng = np.random.default_rng(seed)
+        t, j = int(where[0] * T), int(where[1] * N)
+        rows = [[f"{v:.17g}" for v in row] for row in np.exp(rng.normal(0.0, 0.1, size=(T, N)))]
+        rows[t][j] = bad
+        header = [f"a{i}" for i in range(N)]
+        if dated:
+            header = ["date", *header]
+            rows = [[f"d{k}", *row] for k, row in enumerate(rows)]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        path = tmp_path_factory.mktemp("bad") / "m.csv"
+        path.write_text(buf.getvalue(), encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_csv(str(path))
+        column = j + (2 if dated else 1)
+        assert (exc.value.line, exc.value.column) == (t + 2, column)
+        assert str(exc.value) == f"line {t + 2}, column {column}: {_reference_cell_error(bad)}"
 
 
 class TestPricesToRelatives:
@@ -155,32 +213,53 @@ class TestSynthRegimePair:
         assert X.days == 20_000
 
 
+_TEXT = "abcXYZ019-/.,;\"'é日"
+
+
 class TestRoundTrip:
-    def test_write_then_load_is_identity(self, tmp_path):
-        rng = np.random.default_rng(42)
-        vals = np.exp(rng.uniform(-1.5, 1.5, size=(17, 3)))
-        from switchfolio.core import validate_relatives
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        T=st.integers(0, 60),
+        N=st.integers(1, 6),
+        dated=st.booleans(),
+    )
+    def test_write_then_load_is_identity(self, tmp_path_factory, data, T, N, dated):
+        # Every double in [1e-300, 1e300] survives the 17-digit text bitwise, with or without dates.
+        values = data.draw(
+            st.lists(st.floats(1e-300, 1e300), min_size=T * N, max_size=T * N), label="values"
+        )
+        names = data.draw(
+            st.lists(st.text(_TEXT, min_size=1, max_size=4), min_size=N, max_size=N, unique=True)
+            .filter(lambda ns: ns[0].lower() != "date"),
+            label="names",
+        )
+        dates = data.draw(st.lists(st.text(_TEXT, max_size=10), min_size=T, max_size=T), label="dates")
+        X = validate_relatives(np.array(values).reshape(T, N), names, dates if dated else None)
+        path = tmp_path_factory.mktemp("rt") / "rt.csv"
+        write_csv(X, str(path))
+        Y = load_csv(str(path))
+        assert Y.values.tobytes() == X.values.tobytes() and Y.values.shape == X.values.shape
+        assert Y.asset_names == X.asset_names
+        assert Y.dates == X.dates
 
-        X = validate_relatives(vals, ["x", "y", "z"])
-        p = tmp_path / "rt.csv"
-        write_csv(X, str(p))
-        Y = load_csv(str(p))
-        assert np.array_equal(X.values, Y.values)
-        assert X.asset_names == Y.asset_names
-
-    def test_round_trip_with_dates(self, tmp_path):
-        from switchfolio.core import validate_relatives
-
-        X = validate_relatives([[1.5, 0.5]], ["a", "b"], dates=["1999-12-31"])
-        p = tmp_path / "d.csv"
-        write_csv(X, str(p))
-        Y = load_csv(str(p))
-        assert Y.dates == ("1999-12-31",)
-        assert np.array_equal(X.values, Y.values)
+    def test_written_as_utf8_whatever_the_locale(self, tmp_path):
+        # Under the C locale without UTF-8 mode, the default file encoding is ASCII.
+        script = (
+            "from switchfolio.core import validate_relatives\n"
+            "from switchfolio.market_data import load_csv, write_csv\n"
+            "X = validate_relatives([[1.5]], ['\\u00e9t\\u00e9'], dates=['2020-01-02'])\n"
+            "write_csv(X, 'u.csv')\n"
+            "assert load_csv('u.csv').asset_names == X.asset_names\n"
+        )
+        src = str(Path(switchfolio.__file__).resolve().parents[1])  # the package under test
+        env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-X", "utf8=0", "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "u.csv").read_bytes() == "date,\u00e9t\u00e9\n2020-01-02,1.5\n".encode("utf-8")
 
     def test_seventeen_digit_text(self):
-        from switchfolio.core import validate_relatives
-
         X = validate_relatives([[1 / 3]], ["a"])
         text = to_csv_text(X)
         assert "0.33333333333333331" in text

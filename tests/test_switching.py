@@ -225,6 +225,63 @@ class TestAdaptiveWeights:
             adaptive_weights(st)
 
 
+class TestDayCache:
+    """Whether or not weights are asked for, the steps must produce the same bits."""
+
+    @staticmethod
+    def _run(X, cost, with_weights, weights_cost=None):
+        state = adaptive_init(X.shape[1])
+        logs = []
+        for x in X:
+            adaptive_step(state, x, cost)
+            logs.append(state.log_wealth)
+            if with_weights:
+                adaptive_weights(state, weights_cost if weights_cost is not None else cost)
+        return np.array(logs), state.bucket_view()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st_.integers(1, 400),
+        N=st_.integers(2, 5),
+        seed=st_.integers(0, 2**32 - 1),
+        kind=st_.sampled_from([None, "per-trade", "parallel"]),
+        rate=st_.floats(0.0, 0.49),
+    )
+    def test_weights_calls_do_not_change_the_run(self, T, N, seed, kind, rate):
+        X = random_matrix(np.random.default_rng(seed), T, N).values
+        cost = None if kind is None else CostModel(kind, rate)
+        logs, buckets = self._run(X, cost, with_weights=True)
+        ref_logs, ref_buckets = self._run(X, cost, with_weights=False)
+        assert logs.tobytes() == ref_logs.tobytes()
+        assert buckets.tobytes() == ref_buckets.tobytes()
+
+    def test_folding_market(self):
+        # Scales leave [1e-150, 1e150] and are folded while weights are read every day.
+        X = np.tile([0.25, 1.5], (2000, 1))
+        cost = CostModel.per_trade(0.01)
+        logs, buckets = self._run(X, cost, with_weights=True)
+        ref_logs, ref_buckets = self._run(X, cost, with_weights=False)
+        assert logs.tobytes() == ref_logs.tobytes()
+        assert buckets.tobytes() == ref_buckets.tobytes()
+
+    def test_weights_under_another_cost_do_not_reach_the_step(self):
+        X = random_matrix(np.random.default_rng(3), 300, 3).values
+        cost = CostModel.parallel(0.02)
+        logs, buckets = self._run(X, cost, with_weights=True, weights_cost=CostModel.per_trade(0.3))
+        ref_logs, ref_buckets = self._run(X, cost, with_weights=False)
+        assert logs.tobytes() == ref_logs.tobytes()
+        assert buckets.tobytes() == ref_buckets.tobytes()
+
+    def test_weights_read_twice_are_equal(self):
+        st = adaptive_init(3)
+        for x in random_matrix(np.random.default_rng(4), 50, 3).values:
+            adaptive_step(st, x)
+        first = adaptive_weights(st, CostModel.per_trade(0.01)).weights
+        other = adaptive_weights(st).weights
+        assert adaptive_weights(st, CostModel.per_trade(0.01)).weights.tobytes() == first.tobytes()
+        assert not np.array_equal(first, other)
+
+
 class TestMixtureEquivalence:
     """The recursions must equal the exact mixture over all regimes."""
 

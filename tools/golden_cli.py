@@ -73,6 +73,11 @@ def write_markets(work: Path) -> None:
     _market(work / "one.csv", 7, 4, 1, 0.05)
     _market(work / "ten3.csv", 8, 10, 3, 0.03)  # oracle-certify's shape; has segments of 8+ days
     _market(work / "long2.csv", 16, 150, 2, 0.02)  # more than two universal tiles of days
+    lines = (work / "long2.csv").read_text().splitlines()
+    lines[119] = lines[119].split(",")[0] + ",0.99.5"  # line 120, column 2: past the whole-grid parse
+    (work / "late-bad.csv").write_text("\n".join(lines) + "\n")
+    # A spreadsheet "CSV UTF-8" export: a byte-order mark ahead of the date header.
+    (work / "bom3.csv").write_text("\ufeff" + (work / "dated3.csv").read_text(), encoding="utf-8")
     (work / "bad.csv").write_text("a,b\n1.0,oops\n")
     (work / "negative.csv").write_text("a,b\n1.0,-2\n")
 
@@ -134,6 +139,9 @@ def corpus() -> list[tuple[str, list[str]]]:
                               [command, "--data", "ten3.csv", "--prior", prior, *gamma, *COSTS[cost]]))
     cases.append(("oracle-walk3-fixed-per-trade", ["oracle", "--data", "walk3.csv", "--prior", "fixed",
                                                    "--gamma", GAMMA, *COSTS["per-trade"]]))
+    cases.append(("oracle-walk3-adaptive", ["oracle", "--data", "walk3.csv", "--prior", "adaptive"]))
+    cases.append(("backtest-bom3-switching-adaptive",
+                  ["backtest", "--data", "bom3.csv", "--algo", "switching-adaptive", "--plot-data", "{out}.plot.csv"]))
     cases.append(("bounds-file", ["bounds", "--data", "small2.csv", "--prior", "adaptive", "--out", "{out}.tsv"]))
     for sub in ("synth", "backtest", "compare", "oracle", "bounds"):
         cases.append((f"help-{sub}", [sub, "--help"]))
@@ -151,7 +159,6 @@ def corpus() -> list[tuple[str, list[str]]]:
         "bounds-gamma-too-large": ["bounds", "--data", "small2.csv", "--prior", "fixed", "--gamma", "0.9"],
         "oracle-one-asset": ["oracle", "--data", "one.csv", "--prior", "adaptive"],
         "bounds-one-asset": ["bounds", "--data", "one.csv", "--prior", "adaptive"],
-        "oracle-too-large": ["oracle", "--data", "walk3.csv", "--prior", "adaptive"],
         "bounds-too-large": ["bounds", "--data", "walk3.csv", "--prior", "fixed", "--gamma", "0.1"],
         "oracle-bad-rate": ["oracle", "--data", "small2.csv", "--prior", "adaptive",
                             "--cost-model", "per-trade", "--cost-rate", "0.6"],
@@ -160,6 +167,7 @@ def corpus() -> list[tuple[str, list[str]]]:
         "missing-file": ["backtest", "--data", "missing.csv", "--algo", "bcrp"],
         "oracle-missing-file": ["oracle", "--data", "missing.csv", "--prior", "adaptive"],
         "parse-error": ["backtest", "--data", "bad.csv", "--algo", "switching-adaptive"],
+        "late-parse-error": ["backtest", "--data", "late-bad.csv", "--algo", "switching-adaptive"],
         "negative-relative": ["bounds", "--data", "negative.csv", "--prior", "adaptive"],
         "malformed-weights": ["backtest", "--data", "plain2.csv", "--algo", "crp", "--weights", "0.5,x"],
         "wrong-weight-count": ["backtest", "--data", "dated3.csv", "--algo", "crp", "--weights", "0.5,0.5"],
