@@ -243,6 +243,14 @@ class TestRoundTrip:
         assert Y.asset_names == X.asset_names
         assert Y.dates == X.dates
 
+    def test_round_trip_with_dates(self, tmp_path):
+        X = validate_relatives([[1.5, 0.5]], ["a", "b"], dates=["1999-12-31"])
+        p = tmp_path / "d.csv"
+        write_csv(X, str(p))
+        Y = load_csv(str(p))
+        assert Y.dates == ("1999-12-31",)
+        assert np.array_equal(X.values, Y.values)
+
     def test_written_as_utf8_whatever_the_locale(self, tmp_path):
         # Under the C locale without UTF-8 mode, the default file encoding is ASCII.
         script = (
