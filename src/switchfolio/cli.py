@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterator
 
 from . import backtest as bt
 from .core import PortfolioError
@@ -124,12 +125,21 @@ def _parse_algo_string(text: str, args) -> bt.AlgoSpec:
     return bt.AlgoSpec(kind=kind, **fields)
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(text: str | Iterator[str], out_path: str | None):
+    """Write text, or a stream of text chunks, to out_path or stdout.
+
+    Nothing is opened or written before the first chunk exists, so a refusal
+    raised while making it leaves no file behind.
+    """
+    chunks = iter((text,) if isinstance(text, str) else text)
+    first = next(chunks, "")
     if out_path:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            fh.write(first)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_synth(args) -> int:
@@ -203,27 +213,51 @@ def _cmd_oracle(args, parser: _Parser) -> int:
     return 0
 
 
+BOUNDS_CHUNK_ROWS = 4096  # rows per write: the table is streamed, never held whole
+
+
+def _bounds_chunks(X, prior, alg_log2: float, cost, convention: str) -> Iterator[str]:
+    """The bounds table, header first, as text chunks of BOUNDS_CHUNK_ROWS rows.
+
+    Regimes come in blocks that share one switch-time tuple (see
+    ``enumerate_regimes``), so a block's label and switch count are made once
+    per block; each switch count's penalty text and each strategy tuple's
+    label once per run.
+    """
+    chunk = [
+        "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
+        "algorithm_log2_wealth\tslack_bits\n"
+    ]
+    alg_text = f"{alg_log2:.12g}"
+    strategy_labels: dict[tuple[int, ...], str] = {}
+    penalty_texts: dict[int, str] = {}
+    times = None
+    for regime in enumerate_regimes(X.days, X.assets):
+        rep = bound_check(X, prior, alg_log2, regime, cost, convention)
+        if regime.switch_times is not times:
+            times = regime.switch_times
+            l = len(times)
+            if l not in penalty_texts:
+                penalty_texts[l] = f"{rep.penalty:.12g}"
+            head = (",".join(map(str, times)) or "-") + "\t"
+            middle = f"\t{l}\t"
+            tail = f"\t{penalty_texts[l]}\t{alg_text}\t"
+        strats = regime.strategies
+        label = strategy_labels.get(strats)
+        if label is None:
+            label = strategy_labels[strats] = ",".join(map(str, strats))
+        chunk.append(f"{head}{label}{middle}{rep.regime_log_wealth:.12g}{tail}{rep.slack:.12g}\n")
+        if len(chunk) >= BOUNDS_CHUNK_ROWS:
+            yield "".join(chunk)
+            chunk = []
+    yield "".join(chunk)
+
+
 def _cmd_bounds(args, parser: _Parser) -> int:
     X, prior, spec = _switching_setup(args, parser)
     require_enumerable(X.days, X.assets)  # refuse before the algorithm runs
     alg_log2 = float(bt.run(spec, X).log_wealth[-1]) / LOG2
-    lines = [
-        "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
-        "algorithm_log2_wealth\tslack_bits"
-    ]
-    labels: dict[tuple[int, ...], str] = {}  # time and strategy tuples recur: join each once
-    for regime in enumerate_regimes(X.days, X.assets):
-        rep = bound_check(X, prior, alg_log2, regime, spec.cost, args.convention)
-        times, strats = regime.switch_times, regime.strategies
-        if times not in labels:
-            labels[times] = ",".join(map(str, times)) or "-"
-        if strats not in labels:
-            labels[strats] = ",".join(map(str, strats))
-        lines.append(
-            f"{labels[times]}\t{labels[strats]}\t{len(times)}\t{rep.regime_log_wealth:.12g}\t"
-            f"{rep.penalty:.12g}\t{rep.algorithm_log_wealth:.12g}\t{rep.slack:.12g}"
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_bounds_chunks(X, prior, alg_log2, spec.cost, args.convention), args.out)
     return 0
 
 

@@ -79,18 +79,24 @@ def load_csv(path: str, mode: str = MODE_RELATIVES) -> PriceRelativeMatrix:
     """Read a CSV of relatives or prices into a validated PriceRelativeMatrix."""
     if mode not in (MODE_RELATIVES, MODE_PRICES):
         raise PortfolioError(f"mode must be '{MODE_RELATIVES}' or '{MODE_PRICES}', got {mode!r}")
+    rows, lines = [], []  # non-blank rows, and the file line each starts on
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        rows = [[c.strip() for c in row] for row in reader if row]
+        line = 1
+        for row in reader:
+            if row:
+                rows.append([c.strip() for c in row])
+                lines.append(line)
+            line = reader.line_num + 1  # a quoted cell may have spanned several lines
     if not rows:
         raise EmptyFile(f"{path}: no header row")
     header = rows[0]
     has_dates = bool(header) and header[0].lower() == "date"
     names = header[1:] if has_dates else header
     if not names:
-        raise ParseError(1, 1, "header has no asset columns")
+        raise ParseError(lines[0], 1, "header has no asset columns")
     width = len(header)
-    numbered = list(enumerate(rows[1:], start=2))
+    numbered = list(zip(lines[1:], rows[1:]))
     for line_no, row in numbered:
         if len(row) != width:
             raise ParseError(line_no, len(row) + 1, f"expected {width} cells, got {len(row)}")

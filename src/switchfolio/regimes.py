@@ -19,8 +19,11 @@ none of their state scaling, bucket bookkeeping or cost placement.
 
 :func:`bound_check` scores one regime. It reads each segment's per-asset log
 wealth from a table kept for the latest matrix and filled one segment at a
-time (at most T(T+1)/2 segments, each summed as ``logs[start:end, a].sum()``),
-so scoring every regime of a ``bounds`` run costs a few lookups per regime.
+time (at most T(T+1)/2 segments, each summed as ``logs[start:end, a].sum()``,
+keyed by one integer per segment). The same table keeps each switch count's
+penalty for the latest prior and the log switch factor of the latest cost
+model, so scoring every regime of a ``bounds`` run costs a few lookups, two
+additions per segment and one small record per regime.
 
 All bound arithmetic is in base-2 logarithms and reported in bits. Products
 are accumulated in log domain; only final results are exponentiated.
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterator
 
 import numpy as np
@@ -55,20 +58,52 @@ class InstanceTooLarge(PortfolioError):
     """Exhaustive enumeration would exceed the regime-count guard."""
 
 
-@dataclass(frozen=True)
-class FixedGammaPrior:
+class _Frozen:
+    """Base of the small immutable records here: the ``__slots__`` are the fields,
+    compared, hashed and shown by value as a frozen dataclass does, and never reassigned."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FixedGammaPrior(_Frozen):
     """Geometric duration model with constant switching probability gamma."""
 
-    gamma: float
+    __slots__ = ("gamma",)
 
-    def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise PortfolioError(f"prior gamma must be in (0,1), got {self.gamma!r}")
+    def __init__(self, gamma: float):
+        if not 0.0 < gamma < 1.0:
+            raise PortfolioError(f"prior gamma must be in (0,1), got {gamma!r}")
+        object.__setattr__(self, "gamma", gamma)
 
 
-@dataclass(frozen=True)
-class AdaptivePrior:
+class AdaptivePrior(_Frozen):
     """Duration model where the switching probability after dt days is (1/2)/(dt+1)."""
+
+    __slots__ = ()
 
 
 Prior = FixedGammaPrior | AdaptivePrior
@@ -127,22 +162,58 @@ def prior_adaptive(regime: RegimeSpec, T: int, N: int) -> float:
 
 
 class _SegmentLogWealth(dict):
-    """(start, end) -> each asset's log wealth over days start+1..end of X, each segment summed once.
+    """start * (T+1) + end -> each asset's log wealth over days start+1..end of X, each segment summed once.
 
     Entry a is ``float(logs[start:end, a].sum())``, numpy's order for one
-    column (pairwise from 8 days on). X is held weakly.
+    column (pairwise from 8 days on). X is held weakly. The table also keeps
+    what every regime scored against X shares: each switch count's penalty
+    under the latest prior, and the log switch factor of the latest cost model.
     """
 
     def __init__(self, X: PriceRelativeMatrix):
         super().__init__()
         self.X = weakref.ref(X, _forget_segments)
+        self.days, self.assets = X.days, X.assets
         self._logs = np.log(X.values)
+        self._prior, self._penalties = None, {}
+        self._cost, self._log_sf = None, 0.0  # no cost model: log(switch_factor(None)) = log(1)
 
-    def __missing__(self, segment: tuple[int, int]) -> list[float]:
-        start, end = segment
+    def __missing__(self, key: int) -> list[float]:
+        start, end = divmod(key, self.days + 1)
         logs = self._logs
-        sums = self[segment] = [float(logs[start:end, a].sum()) for a in range(logs.shape[1])]
+        sums = self[key] = [float(logs[start:end, a].sum()) for a in range(self.assets)]
         return sums
+
+    def log_wealth(self, regime: RegimeSpec, cost: CostModel | None, convention: str) -> float:
+        """See :func:`log_regime_wealth`."""
+        T = self.days
+        _check_regime(regime, T, self.assets)
+        if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
+            raise PortfolioError(f"unknown cost convention {convention!r}")
+        times = regime.switch_times
+        stride = T + 1
+        total = 0.0
+        start = 0
+        for asset, end in zip(regime.strategies, times + (T,)):
+            total += self[start * stride + end][asset]
+            start = end
+        if cost is not self._cost:
+            self._cost, self._log_sf = cost, math.log(switch_factor(cost))
+        charges = len(times) if convention == CHARGE_SWITCHES_ONLY else len(times) + 1
+        return total + charges * self._log_sf
+
+    def penalty(self, prior: Prior, l: int) -> float:
+        """The concession (bits) to a regime with l switches under prior."""
+        if prior is not self._prior:
+            self._prior, self._penalties = prior, {}
+        penalty = self._penalties.get(l)
+        if penalty is None:
+            if isinstance(prior, FixedGammaPrior):
+                penalty = fixed_gamma_penalty(self.days, self.assets, l, prior.gamma)
+            else:
+                penalty = adaptive_penalty(self.days, self.assets, l)
+            self._penalties[l] = penalty
+        return penalty
 
 
 _latest_segments: _SegmentLogWealth | None = None
@@ -175,17 +246,7 @@ def log_regime_wealth(
     ``switches-only`` charges the lump-move factor once per executed switch
     (l times); ``all-segments`` also charges the initial purchase (l+1 times).
     """
-    _check_regime(regime, X.days, X.assets)
-    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
-        raise PortfolioError(f"unknown cost convention {convention!r}")
-    segment_sums = _segment_log_wealth(X)
-    times = regime.switch_times
-    total = 0.0
-    for asset, start, end in zip(regime.strategies, (0,) + times, times + (X.days,)):
-        total += segment_sums[start, end][asset]
-    l = regime.switches
-    charges = l if convention == CHARGE_SWITCHES_ONLY else l + 1
-    return total + charges * math.log(switch_factor(cost))
+    return _segment_log_wealth(X).log_wealth(regime, cost, convention)
 
 
 def regime_wealth(
@@ -311,10 +372,11 @@ def adaptive_penalty(T: int, N: int, l: int) -> float:
     """Worst-case log-wealth concession (bits) to a regime with l switches,
     under the adaptive prior: (3/2) l log2(T/l) + (1/2) log2(T) + (l+1) log2(4N).
 
-    The l log2(T/l) term is 0 at l = 0 (its limit value).
+    The l log2(T/l) term is 0 at l = 0 (its limit value). At T = 1 the only
+    count is l = 0 and the penalty is log2(4N), above the prior's log2(N).
     """
-    if T < 2:
-        raise PortfolioError(f"penalty defined for T >= 2, got T={T}")
+    if T < 1:
+        raise PortfolioError(f"penalty defined for T >= 1, got T={T}")
     if not 0 <= l <= T - 1:
         raise PortfolioError(f"switch count l={l} outside 0..{T - 1}")
     complexity = 1.5 * l * math.log2(T / l) if l > 0 else 0.0
@@ -335,21 +397,29 @@ def fixed_gamma_penalty(T: int, N: int, l: int, gamma: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Frozen):
     """Competitiveness accounting for one regime, everything in bits.
 
     slack = algorithm_log_wealth - (regime_log_wealth - penalty); the
     guarantee is slack >= 0 whenever the algorithm matches the prior.
     """
 
-    regime_log_wealth: float
-    penalty: float
-    algorithm_log_wealth: float
+    __slots__ = ("regime_log_wealth", "penalty", "algorithm_log_wealth")
+
+    def __init__(self, regime_log_wealth: float, penalty: float, algorithm_log_wealth: float):
+        _set_regime_log_wealth(self, regime_log_wealth)
+        _set_penalty(self, penalty)
+        _set_algorithm_log_wealth(self, algorithm_log_wealth)
 
     @property
     def slack(self) -> float:
         return self.algorithm_log_wealth - self.regime_log_wealth + self.penalty
+
+
+# The slots' own setters: one report is made per regime, and these skip the refusing __setattr__.
+_set_regime_log_wealth, _set_penalty, _set_algorithm_log_wealth = (
+    BoundReport.__dict__[name].__set__ for name in BoundReport.__slots__
+)
 
 
 def bound_check(
@@ -365,9 +435,6 @@ def bound_check(
     ``algorithm_log2_wealth`` must come from the algorithm matching ``prior``
     run on the same X, cost model, and convention.
     """
-    lw = log_regime_wealth(regime, X, cost, convention) / LOG2
-    if isinstance(prior, FixedGammaPrior):
-        penalty = fixed_gamma_penalty(X.days, X.assets, regime.switches, prior.gamma)
-    else:
-        penalty = adaptive_penalty(X.days, X.assets, regime.switches)
-    return BoundReport(lw, penalty, algorithm_log2_wealth)
+    table = _segment_log_wealth(X)
+    lw = table.log_wealth(regime, cost, convention) / LOG2
+    return BoundReport(lw, table.penalty(prior, len(regime.switch_times)), algorithm_log2_wealth)

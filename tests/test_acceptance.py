@@ -145,13 +145,12 @@ def test_criterion_4_penalty_bounds(instances):
             sf_log2 = math.log2(
                 1.0 if cost is None else (1 - cost.rate) ** 2 if cost.kind == "per-trade" else 1 - 2 * cost.rate
             )
-            if T >= 2:
-                alg = _run_adaptive_log2(X, cost)
-                for l in range(T):
-                    bound = best_by_l[l] + l * sf_log2 - adaptive_penalty(T, N, l)
-                    checks += 1
-                    if alg < bound - 1e-9:
-                        violations += 1
+            alg = _run_adaptive_log2(X, cost)
+            for l in range(T):
+                bound = best_by_l[l] + l * sf_log2 - adaptive_penalty(T, N, l)
+                checks += 1
+                if alg < bound - 1e-9:
+                    violations += 1
             for gamma in GAMMAS:
                 alg = _run_fixed_log2(X, gamma, cost)
                 for l in range(T):

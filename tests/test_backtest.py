@@ -139,6 +139,27 @@ class TestRun:
                 part = run(spec, Xt)
                 assert np.allclose(part.weights, full.weights[: t + 1], atol=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st.integers(1, 40),
+        N=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        fixed=st.booleans(),
+        kind=st.sampled_from([None, "per-trade", "parallel"]),
+        prefix_share=st.floats(0.0, 1.0),
+    )
+    def test_online_causality_property(self, T, N, seed, fixed, kind, prefix_share):
+        # Each day's weights and wealth depend only on the days before it.
+        X = random_matrix(np.random.default_rng(seed), T, N)
+        cost = None if kind is None else CostModel(kind, 0.01)
+        spec = AlgoSpec("switching-fixed", gamma=0.5 / N, cost=cost) if fixed else AlgoSpec(
+            "switching-adaptive", cost=cost
+        )
+        t = int(prefix_share * T)
+        full, part = run(spec, X), run(spec, validate_relatives(X.values[:t], X.asset_names))
+        np.testing.assert_allclose(part.weights, full.weights[: t + 1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(part.log_wealth, full.log_wealth[: t + 1], rtol=1e-12, atol=1e-12)
+
     def test_switching_log_wealth_is_the_state_accumulator(self):
         rng = np.random.default_rng(79)
         X = random_matrix(rng, 7, 3)

@@ -5,10 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+from switchfolio import cli
+from switchfolio.backtest import AlgoSpec, run
 from switchfolio.cli import main
 from switchfolio.core import validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import write_csv
+from switchfolio.regimes import AdaptivePrior, FixedGammaPrior
 from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step, total_wealth
 
 
@@ -233,6 +236,83 @@ class TestBounds:
         assert len(lines) == 1 + 2**6  # header + every regime for T=6, N=2
         for line in lines[1:]:
             assert float(line.split("\t")[-1]) >= 0
+
+
+class TestStreamedBounds:
+    """bounds writes its table in chunks; the bytes and the refusals stay those of one whole write."""
+
+    @pytest.fixture
+    def nine_day_market(self, tmp_path):
+        # 3^9 = 19 683 rows: more than four chunks.
+        rng = np.random.default_rng(91)
+        X = validate_relatives(np.exp(rng.normal(0.0, 0.05, size=(9, 3))), ["a", "b", "c"])
+        path = tmp_path / "m.csv"
+        write_csv(X, str(path))
+        return X, str(path)
+
+    def test_stdout_and_file_equal_the_reference_rows(self, capsys, tmp_path, nine_day_market):
+        from test_regimes import ref_bound_row, ref_enumerate
+
+        X, path = nine_day_market
+        cost = CostModel.per_trade(0.01)
+        flags = ["--prior", "fixed", "--gamma", "0.2", "--cost-model", "per-trade", "--cost-rate", "0.01"]
+        code, out, err = invoke(capsys, "bounds", "--data", path, *flags)
+        assert (code, err) == (0, "")
+        table = tmp_path / "bounds.tsv"
+        assert invoke(capsys, "bounds", "--data", path, *flags, "--out", str(table)) == (0, "", "")
+        assert table.read_bytes() == out.encode()
+        alg = run(AlgoSpec("switching-fixed", gamma=0.2, cost=cost), X).log_wealth[-1] / math.log(2.0)
+        lines = [
+            "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
+            "algorithm_log2_wealth\tslack_bits"
+        ]
+        for times, strategies in ref_enumerate(9, 3):
+            lw, penalty, slack = ref_bound_row(X, FixedGammaPrior(0.2), alg, times, strategies, cost, "switches-only")
+            lines.append(
+                f"{','.join(map(str, times)) or '-'}\t{','.join(map(str, strategies))}\t{len(times)}\t"
+                f"{lw:.12g}\t{penalty:.12g}\t{alg:.12g}\t{slack:.12g}"
+            )
+        assert out == "\n".join(lines) + "\n"
+
+    def test_rows_come_in_chunks(self, nine_day_market):
+        X, _ = nine_day_market
+        chunks = list(cli._bounds_chunks(X, AdaptivePrior(), 0.0, None, "switches-only"))
+        rows = [chunk.count("\n") for chunk in chunks]
+        assert rows == [cli.BOUNDS_CHUNK_ROWS] * 4 + [3**9 + 1 - 4 * cli.BOUNDS_CHUNK_ROWS]
+
+    @pytest.mark.parametrize(
+        "days, assets, flags, message",
+        [
+            (500, 3, ["--prior", "adaptive"], "3^500 regimes for T=500, N=3 exceeds guard 10000000"),
+            (4, 1, ["--prior", "adaptive"], "need at least 2 assets to switch between, got 1"),
+            (4, 2, ["--prior", "fixed", "--gamma", "0"], "prior gamma must be in (0,1), got 0.0"),
+            (4, 2, ["--prior", "fixed", "--gamma", "0.9"], "gamma must be in (0, 0.5] for N=2, got 0.9"),
+            (None, 2, ["--prior", "adaptive"], "line 3, column 2: not a number: 'x'"),
+        ],
+        ids=["too-large", "one-asset", "gamma-outside-prior", "gamma-too-large", "bad-market"],
+    )
+    def test_refused_run_leaves_no_file(self, capsys, tmp_path, days, assets, flags, message):
+        data = tmp_path / "m.csv"
+        if days is None:
+            data.write_text("a,b\n1.0,1.0\n1.0,x\n")
+        else:
+            names = [f"s{i}" for i in range(assets)]
+            write_csv(validate_relatives(np.full((days, assets), 1.01), names), str(data))
+        table = tmp_path / "bounds.tsv"
+        code, out, err = invoke(capsys, "bounds", "--data", str(data), *flags, "--out", str(table))
+        assert (code, out, err) == (2, "", f"switchfolio: {message}\n")
+        assert not table.exists()
+
+    @pytest.mark.parametrize("assets", [2, 3])
+    def test_adaptive_bounds_on_one_day(self, capsys, tmp_path, assets):
+        data = tmp_path / "m.csv"
+        names = [f"s{i}" for i in range(assets)]
+        write_csv(validate_relatives([[1.5, 0.5, 0.9][:assets]], names), str(data))
+        code, out, err = invoke(capsys, "bounds", "--data", str(data), "--prior", "adaptive")
+        assert (code, err) == (0, "")
+        rows = out.strip().split("\n")[1:]
+        assert [row.split("\t")[:3] for row in rows] == [["-", str(a), "0"] for a in range(assets)]
+        assert all(float(row.split("\t")[-1]) >= 0 for row in rows)
 
 
 class TestCompareCommand:

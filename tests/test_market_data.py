@@ -97,6 +97,24 @@ class TestLoadCsv:
         plain.write_text("\ufeffA,B\n1.5,0.9\n", encoding="utf-8")
         assert load_csv(str(plain)).asset_names == ("A", "B")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1.0,2.0\n\n1.0,abc\n", "line 4, column 2: not a number: 'abc'"),
+            ('date,a,b\n"2001\n01",1.0,2.0\n2002,1.0,abc\n', "line 4, column 3: not a number: 'abc'"),
+            ("a,b\n1.0,2.0\n\n1.0\n", "line 4, column 2: expected 2 cells, got 1"),
+            ("\n\ndate\n1\n", "line 3, column 1: header has no asset columns"),
+        ],
+        ids=["after-blank-line", "after-multiline-cell", "ragged-after-blank-line", "late-header"],
+    )
+    def test_errors_name_the_file_line_a_row_starts_on(self, tmp_path, text, message):
+        # Blank lines are skipped and a quoted cell may span lines; neither may shift the count.
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_csv(str(p))
+        assert str(exc.value) == message
+
 
 def _reference_cell_error(cell: str) -> str | None:
     """The per-cell verdict on one number cell: None if it parses to a finite float."""

@@ -1,6 +1,9 @@
+import copy
 import gc
 import itertools
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -209,11 +212,16 @@ class TestPenalties:
 
     def test_adaptive_penalty_dominates_exact_prior(self):
         for N in (2, 3):
-            for T in range(2, 9):
+            for T in range(1, 9):
                 for q in enumerate_regimes(T, N):
                     assert -math.log2(prior_adaptive(q, T, N)) <= adaptive_penalty(
                         T, N, q.switches
                     ) + 1e-12
+
+    def test_adaptive_penalty_needs_a_trading_day(self):
+        assert adaptive_penalty(1, 3, 0) == math.log2(12)
+        with pytest.raises(PortfolioError, match="T >= 1, got T=0"):
+            adaptive_penalty(0, 3, 0)
 
     def test_fixed_penalty_exceeds_exact_prior(self):
         for N in (2, 3):
@@ -261,6 +269,36 @@ class TestBoundCheck:
     def test_report_fields(self):
         rep = BoundReport(regime_log_wealth=3.0, penalty=5.0, algorithm_log_wealth=1.0)
         assert rep.slack == 3.0
+
+
+class TestRecords:
+    """The priors and the bound report are immutable values, as frozen dataclasses were."""
+
+    RECORDS = [
+        (BoundReport(1.5, 2.0, -0.5), BoundReport(1.5, 2.0, -0.25), (1.5, 2.0, -0.5),
+         "BoundReport(regime_log_wealth=1.5, penalty=2.0, algorithm_log_wealth=-0.5)"),
+        (FixedGammaPrior(0.25), FixedGammaPrior(0.5), (0.25,), "FixedGammaPrior(gamma=0.25)"),
+        (AdaptivePrior(), FixedGammaPrior(0.25), (), "AdaptivePrior()"),
+    ]
+
+    @pytest.mark.parametrize("record, other, fields, text", RECORDS)
+    def test_equality_hash_and_repr(self, record, other, fields, text):
+        twin = type(record)(*fields)
+        assert record == twin and hash(record) == hash(twin) == hash(fields)
+        assert record != other and record != fields
+        assert repr(record) == text
+        assert len({record, twin, other}) == 2
+        assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+
+    @pytest.mark.parametrize("record, other, fields, text", RECORDS)
+    def test_fields_cannot_be_set_or_deleted(self, record, other, fields, text):
+        for name in (*record.__slots__, "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, 1.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, name)
+        assert tuple(getattr(record, name) for name in record.__slots__) == fields
+        assert not hasattr(record, "__dict__")
 
 
 # Regime-by-regime references: the enumeration, the brute-force mixture over
@@ -354,10 +392,6 @@ class TestRegimeBlocks:
         X = random_matrix(np.random.default_rng(seed), T, N)
         prior = FixedGammaPrior(gamma) if fixed else AdaptivePrior()
         cost = None if kind is None else CostModel(kind, rate)
-        if T < 2 and not fixed:  # the adaptive penalty needs two days
-            with pytest.raises(PortfolioError):
-                assert_matches_references(X, prior, cost, convention)
-            return
         assert_matches_references(X, prior, cost, convention)
 
     @pytest.mark.parametrize(
@@ -381,6 +415,18 @@ class TestRegimeBlocks:
                 lw = log_regime_wealth(RegimeSpec(times, strategies), X) / LOG2
                 prior = FixedGammaPrior(0.1)
                 assert lw == ref_bound_row(X, prior, 0.0, times, strategies, None, "switches-only")[0]
+
+    def test_penalties_and_charges_follow_the_prior_and_cost(self):
+        # One matrix's table keeps the latest prior's penalties and cost's factor; a new one must not read them.
+        X = random_matrix(np.random.default_rng(29), 4, 3)
+        settings = [(FixedGammaPrior(0.1), None), (AdaptivePrior(), CostModel.per_trade(0.05)),
+                    (FixedGammaPrior(0.3), CostModel.parallel(0.2)), (FixedGammaPrior(0.1), None)]
+        for prior, cost in settings * 2:
+            for convention in ("switches-only", "all-segments"):
+                for times, strategies in ref_enumerate(4, 3):
+                    rep = bound_check(X, prior, 0.5, RegimeSpec(times, strategies), cost, convention)
+                    expected = ref_bound_row(X, prior, 0.5, times, strategies, cost, convention)
+                    assert (rep.regime_log_wealth, rep.penalty, rep.slack) == expected
 
     def test_segment_sums_do_not_outlive_the_matrix(self):
         X = random_matrix(np.random.default_rng(28), 5, 2)

@@ -330,7 +330,59 @@ class TestCostMonotonicity:
                 assert all(a >= b - 1e-15 for a, b in zip(finals, finals[1:]))
 
 
+def switching_spec(N, fixed, gamma_share, cost=None):
+    """Either switching kind; gamma ranges over (0, (N-1)/N], all that fixed_init accepts."""
+    if fixed:
+        return AlgoSpec("switching-fixed", gamma=gamma_share * (N - 1) / N, cost=cost)
+    return AlgoSpec("switching-adaptive", cost=cost)
+
+
+SWITCHING_MARKETS = dict(
+    T=st_.integers(1, 60),
+    N=st_.integers(2, 5),
+    seed=st_.integers(0, 2**32 - 1),
+    fixed=st_.booleans(),
+    gamma_share=st_.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+)
+
+
+class TestAssetPermutation:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        **SWITCHING_MARKETS,
+        kind=st_.sampled_from([None, "per-trade", "parallel"]),
+        rate=st_.floats(0.0, 0.49),
+        data=st_.data(),
+    )
+    def test_permuted_columns_permute_weights(self, T, N, seed, fixed, gamma_share, kind, rate, data):
+        perm = data.draw(st_.permutations(range(N)))
+        X = random_matrix(np.random.default_rng(seed), T, N)
+        Y = validate_relatives(X.values[:, perm], [X.asset_names[i] for i in perm])
+        spec = switching_spec(N, fixed, gamma_share, None if kind is None else CostModel(kind, rate))
+        a, b = run(spec, X), run(spec, Y)
+        np.testing.assert_allclose(b.weights, a.weights[:, perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.log_wealth, a.log_wealth, rtol=1e-12, atol=1e-12)
+
+
 class TestScalingInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        **SWITCHING_MARKETS,
+        day_share=st_.floats(0.0, 1.0, exclude_max=True),
+        log_k=st_.floats(-7.0, 7.0),
+    )
+    def test_rescaled_day_keeps_weights_and_scales_wealth(self, T, N, seed, fixed, gamma_share, day_share, log_k):
+        # Cost-free: a day on which every asset gains the factor k moves no mass between assets.
+        X = random_matrix(np.random.default_rng(seed), T, N)
+        t, k = int(day_share * T), math.exp(log_k)
+        scaled = X.values.copy()
+        scaled[t] *= k
+        spec = switching_spec(N, fixed, gamma_share)
+        a, b = run(spec, X), run(spec, validate_relatives(scaled, X.asset_names))
+        np.testing.assert_allclose(b.weights, a.weights, rtol=0, atol=1e-12)
+        shift = np.where(np.arange(T + 1) > t, math.log(k), 0.0)
+        np.testing.assert_allclose(b.log_wealth, a.log_wealth + shift, rtol=1e-12, atol=1e-12)
+
     def test_one_day_rescale(self):
         rng = np.random.default_rng(15)
         X = random_matrix(rng, 6, 2)

@@ -78,7 +78,11 @@ def write_markets(work: Path) -> None:
     (work / "late-bad.csv").write_text("\n".join(lines) + "\n")
     # A spreadsheet "CSV UTF-8" export: a byte-order mark ahead of the date header.
     (work / "bom3.csv").write_text("\ufeff" + (work / "dated3.csv").read_text(), encoding="utf-8")
+    _market(work / "day1.csv", 17, 1, 3, 0.05)  # one trading day: a single switch count, l = 0
     (work / "bad.csv").write_text("a,b\n1.0,oops\n")
+    # Bad cells on file line 4, after a blank line and after a date cell that spans two lines.
+    (work / "blank-bad.csv").write_text("a,b\n1.0,2.0\n\n1.0,abc\n")
+    (work / "multiline-bad.csv").write_text('date,a,b\n"2001\n01",1.0,2.0\n2002,1.0,abc\n')
     (work / "negative.csv").write_text("a,b\n1.0,-2\n")
 
 
@@ -143,6 +147,10 @@ def corpus() -> list[tuple[str, list[str]]]:
     cases.append(("backtest-bom3-switching-adaptive",
                   ["backtest", "--data", "bom3.csv", "--algo", "switching-adaptive", "--plot-data", "{out}.plot.csv"]))
     cases.append(("bounds-file", ["bounds", "--data", "small2.csv", "--prior", "adaptive", "--out", "{out}.tsv"]))
+    for command in ("oracle", "bounds"):
+        for prior in ("fixed", "adaptive"):
+            gamma = ["--gamma", GAMMA] if prior == "fixed" else []
+            cases.append((f"{command}-day1-{prior}", [command, "--data", "day1.csv", "--prior", prior, *gamma]))
     for sub in ("synth", "backtest", "compare", "oracle", "bounds"):
         cases.append((f"help-{sub}", [sub, "--help"]))
     errors = {
@@ -160,6 +168,8 @@ def corpus() -> list[tuple[str, list[str]]]:
         "oracle-one-asset": ["oracle", "--data", "one.csv", "--prior", "adaptive"],
         "bounds-one-asset": ["bounds", "--data", "one.csv", "--prior", "adaptive"],
         "bounds-too-large": ["bounds", "--data", "walk3.csv", "--prior", "fixed", "--gamma", "0.1"],
+        # A refused run with --out: the capture's file list shows that nothing was written.
+        "bounds-too-large-file": ["bounds", "--data", "walk3.csv", "--prior", "adaptive", "--out", "{out}.tsv"],
         "oracle-bad-rate": ["oracle", "--data", "small2.csv", "--prior", "adaptive",
                             "--cost-model", "per-trade", "--cost-rate", "0.6"],
         "backtest-bad-rate": ["backtest", "--data", "plain2.csv", "--algo", "switching-adaptive",
@@ -168,6 +178,8 @@ def corpus() -> list[tuple[str, list[str]]]:
         "oracle-missing-file": ["oracle", "--data", "missing.csv", "--prior", "adaptive"],
         "parse-error": ["backtest", "--data", "bad.csv", "--algo", "switching-adaptive"],
         "late-parse-error": ["backtest", "--data", "late-bad.csv", "--algo", "switching-adaptive"],
+        "parse-error-after-blank-line": ["backtest", "--data", "blank-bad.csv", "--algo", "bcrp"],
+        "parse-error-after-multiline-cell": ["backtest", "--data", "multiline-bad.csv", "--algo", "bcrp"],
         "negative-relative": ["bounds", "--data", "negative.csv", "--prior", "adaptive"],
         "malformed-weights": ["backtest", "--data", "plain2.csv", "--algo", "crp", "--weights", "0.5,x"],
         "wrong-weight-count": ["backtest", "--data", "dated3.csv", "--algo", "crp", "--weights", "0.5,0.5"],
