@@ -150,6 +150,7 @@ def _require_finite(spec: AlgoSpec, figures: dict[str, float]) -> None:
         raise NonFiniteResult(f"{spec.label}: non-finite {', '.join(bad)}")
 
 
+@np.errstate(invalid="ignore")  # inf / inf is nan, which the caller's finiteness check refuses
 def max_drawdown(wealth: np.ndarray) -> float:
     """Largest peak-to-trough fraction lost along a wealth series.
 

@@ -11,9 +11,11 @@ drawn uniformly from the simplex, each run as its own CRP (paying its own
 rebalancing costs when a model is active), with the strategy's wealth the
 plain average of the M wealth tracks. Sampling uses a counter-based generator
 (Philox) so a (seed, M) pair reproduces bit-identically across platforms.
-The M CRPs run in cache-sized tiles of days x samples: samples are drawn a
-chunk at a time from the one stream, so they are the same points, bitwise,
-as one draw of all M, and the full M x N sample matrix is never held.
+The M CRPs run in tiles of days x samples, 512 KiB each, that reuse one
+buffer allocated per call: no tile allocates or faults in fresh pages.
+Samples are drawn a chunk at a time from the one stream, so they are the same
+points, bitwise, as one draw of all M, and the full M x N sample matrix is
+never held.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .costs import CostModel, realized_wealth_track
 
 _BCRP_MAX_ITER = 20_000
 _BCRP_TOL = 1e-12  # relative objective improvement per sweep
-# Universal portfolio tile: days x samples of float64, about 1 MiB, cache-sized
-_TILE_DAYS = 64
-_TILE_SAMPLES = 2048
+# Universal portfolio tile: days x samples of float64, 512 KiB, picked by timing
+_TILE_DAYS = 8
+_TILE_SAMPLES = 8192
 
 
 class NoData(PortfolioError):
@@ -51,10 +53,17 @@ class UniversalConfig:
     cost: CostModel | None = None
 
     def __post_init__(self):
+        if not _is_integer(self.samples):
+            raise PortfolioError(f"sample count must be an integer, got {self.samples!r}")
         if self.samples < 1:
             raise PortfolioError(f"need at least one sample, got {self.samples}")
-        if not isinstance(self.rng_seed, (int, np.integer)) or self.rng_seed < 0:
+        if not _is_integer(self.rng_seed) or self.rng_seed < 0:
             raise PortfolioError(f"seed must be a non-negative integer, got {self.rng_seed!r}")
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is refused, though Python counts it as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def crp_run(
@@ -178,6 +187,7 @@ def sample_simplex(m: int, n: int, seed: int) -> np.ndarray:
     return _simplex_draws(np.random.Generator(np.random.Philox(seed)), m, n)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's finiteness check
 def universal_tracks(
     X: PriceRelativeMatrix, config: UniversalConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -191,41 +201,52 @@ def universal_tracks(
 
     Each chunk of _TILE_SAMPLES samples is carried through the days in blocks
     of _TILE_DAYS, adding its CRPs' wealth and wealth-weighted weights into
-    one (T+1, N+1) table.
+    one (T+1, N+1) table. Every tile is worked in the same buffers, allocated
+    once per call, so no tile allocates memory or faults in fresh pages.
     """
     T, N = X.days, X.assets
     rng = np.random.Generator(np.random.Philox(config.rng_seed))
     c = config.cost
     # table[t] = (total wealth, wealth-weighted weights) summed over the CRPs after day t
     table = np.zeros((T + 1, N + 1))
+    part = np.empty((_TILE_DAYS, N + 1))
+    tiles = np.empty((3, _TILE_DAYS * _TILE_SAMPLES))  # returns then wealth; commission; one asset's term
     for start in range(0, config.samples, _TILE_SAMPLES):
         W = _simplex_draws(rng, min(_TILE_SAMPLES, config.samples - start), N)
+        m = W.shape[0]
         Wt = np.ascontiguousarray(W.T)
-        one_w = np.hstack([np.ones((W.shape[0], 1)), W])
+        rate_w = None if c is None else c.rate * Wt
+        one_w = np.hstack([np.ones((m, 1)), W])
         table[0] += one_w.sum(axis=0)
-        carry = np.ones(W.shape[0])
+        # Contiguous (days, m) views, also for a short last chunk
+        tile, charge, term = (a[: _TILE_DAYS * m].reshape(_TILE_DAYS, m) for a in tiles)
+        rows = list(tile)
+        carry = np.ones(m)
         for t0 in range(0, T, _TILE_DAYS):
             x = X.values[t0 : t0 + _TILE_DAYS]
-            R = x @ Wt  # R[d, k]: CRP k's return on day t0+d+1, then its wealth after that day
+            days = x.shape[0]
+            R = tile[:days]  # R[d, k]: CRP k's return on day t0+d+1, then its wealth after that day
+            np.matmul(x, Wt, out=R)
             if c is not None:
                 # Post-return allocation drifts to w*x/r; trading back to w costs
                 # rate * sum_i |w_i x_i / r - w_i| of the wealth, which times r is
                 # rate * sum_i w_i |x_i - r|. No trade follows the last day.
-                charged = min(x.shape[0], T - 1 - t0)
-                charge = np.zeros((charged, W.shape[0]))
-                term = np.empty_like(charge)
+                charged = min(days, T - 1 - t0)
+                ch, tm = charge[:charged], term[:charged]
+                ch.fill(0.0)
                 for i in range(N):
-                    np.abs(np.subtract(x[:charged, i, None], R[:charged], out=term), out=term)
-                    term *= c.rate * Wt[i]
-                    charge += term
-                R[:charged] -= charge
+                    np.abs(np.subtract(x[:charged, i, None], R[:charged], out=tm), out=tm)
+                    tm *= rate_w[i]
+                    ch += tm
+                R[:charged] -= ch
             # Running product down the days, one row at a time: a row is contiguous,
             # and np.multiply.accumulate(axis=0) measured several times slower here.
-            R[0] *= carry
-            for d in range(1, R.shape[0]):
-                R[d] *= R[d - 1]
-            carry = R[-1]
-            table[t0 + 1 : t0 + 1 + R.shape[0]] += R @ one_w
+            np.multiply(rows[0], carry, out=rows[0])
+            for d in range(1, days):
+                np.multiply(rows[d], rows[d - 1], out=rows[d])
+            carry[:] = rows[days - 1]  # the next tile's product overwrites the buffer
+            np.matmul(R, one_w, out=part[:days])
+            table[t0 + 1 : t0 + 1 + days] += part[:days]
     wealth = table[:, 0] / config.samples
     track = table[:, 1:] / table[:, :1]
     return wealth, track

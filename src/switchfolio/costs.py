@@ -91,6 +91,7 @@ def rebalance_cost(
     return model.rate * float(np.abs(cur - tgt).sum())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's finiteness check
 def realized_wealth_track(
     weights: np.ndarray,
     X,

@@ -57,15 +57,21 @@ def gamma_hat(dt: int | float) -> float:
 
 
 class FixedGammaState:
-    """Per-asset wealth evolved with a constant switching probability."""
+    """Per-asset wealth evolved with a constant switching probability.
 
-    __slots__ = ("gamma", "day", "shares", "log_wealth")
+    The day's pre-return mass is cached under ``day`` and the cost's switch
+    factor: whichever of a weights call and the next step comes first
+    computes it, and the other reads it.
+    """
+
+    __slots__ = ("gamma", "day", "shares", "log_wealth", "_day_cache")
 
     def __init__(self, gamma: float, shares: np.ndarray, day: int = 0, log_wealth: float = 0.0):
         self.gamma = float(gamma)
         self.shares = np.asarray(shares, dtype=float)
         self.day = int(day)
         self.log_wealth = float(log_wealth)
+        self._day_cache = (-1, None, None)  # (day, switch factor, pre-return mass)
 
     @property
     def assets(self) -> int:
@@ -162,12 +168,19 @@ def _check_row(n: int, x) -> np.ndarray:
 
 def _fixed_pre_return_mass(state: FixedGammaState, cost: CostModel | None) -> np.ndarray:
     """Post-trade mass per asset before the next day's returns, as shares of wealth."""
-    g, n = state.gamma, state.assets
-    if state.day == 0:
-        return state.shares.copy()  # initial purchase: nothing to trade yet
-    stay = (1.0 - g) * state.shares
-    switched_in = (g / (n - 1)) * (1.0 - state.shares)
-    return stay + switch_factor(cost) * switched_in
+    g, n, t = state.gamma, state.assets, state.day
+    factor = switch_factor(cost)
+    cached_day, cached_factor, mass = state._day_cache
+    if cached_day == t and cached_factor == factor:
+        return mass
+    if t == 0:
+        mass = state.shares.copy()  # initial purchase: nothing to trade yet
+    else:
+        stay = (1.0 - g) * state.shares
+        switched_in = (g / (n - 1)) * (1.0 - state.shares)
+        mass = stay + factor * switched_in
+    state._day_cache = (t, factor, mass)
+    return mass
 
 
 def fixed_step(state: FixedGammaState, x, cost: CostModel | None = None) -> FixedGammaState:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,9 +59,11 @@ def assert_matches_reference(X, config):
     assert np.all(np.abs(track - ref_track) <= 1e-12)
 
 
-# Horizons and sample counts on either side of one and two tiles
-TILE_HORIZONS = [0, 1, 2, _TILE_DAYS - 1, _TILE_DAYS, _TILE_DAYS + 1, 2 * _TILE_DAYS + 2]
-TILE_SAMPLES = [1, 7, _TILE_SAMPLES - 1, _TILE_SAMPLES, _TILE_SAMPLES + 1, 5000]
+# Horizons and sample counts on either side of one and two tiles. For any power-of-two
+# tile of up to 64 days, 63, 64, 65 and 130 end a day short of, on, a day past and two days
+# past a tile boundary after one or many tiles.
+TILE_HORIZONS = [0, 1, 2, _TILE_DAYS - 1, _TILE_DAYS, _TILE_DAYS + 1, 2 * _TILE_DAYS + 2, 63, 64, 65, 130]
+TILE_SAMPLES = [1, 7, _TILE_SAMPLES - 1, _TILE_SAMPLES, _TILE_SAMPLES + 1, 2 * _TILE_SAMPLES + 1]
 COST_MODELS = [None, CostModel.per_trade(0.01), CostModel.parallel(0.02)]
 
 
@@ -266,7 +269,7 @@ class TestUniversal:
     @given(
         T=st.integers(0, 2 * _TILE_DAYS + 2),
         N=st.integers(1, 5),
-        M=st.integers(1, 5000),
+        M=st.integers(1, 2 * _TILE_SAMPLES + 1),
         cost=st.sampled_from(COST_MODELS),
         seed=st.integers(0, 2**32),
         market_seed=st.integers(0, 2**32),
@@ -275,22 +278,48 @@ class TestUniversal:
         X = random_matrix(np.random.default_rng(market_seed), T, N)
         assert_matches_reference(X, UniversalConfig(samples=M, rng_seed=seed, cost=cost))
 
-    @pytest.mark.parametrize("chunk", [1, 7, 2048, 4096])
+    @pytest.mark.parametrize("chunk", [1, 7, 2048, 4096, _TILE_SAMPLES])
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_chunked_draws_equal_one_draw(self, chunk, n):
         rng = np.random.Generator(np.random.Philox(17))
-        m = 5000
+        m = 2 * _TILE_SAMPLES + 1
         chunks = [_simplex_draws(rng, min(chunk, m - start), n) for start in range(0, m, chunk)]
         assert np.array_equal(np.concatenate(chunks), sample_simplex(m, n, 17))
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("cost", COST_MODELS)
+    def test_results_survive_a_later_call(self, cost):
+        # The tile buffer is per call: a second call of another shape leaves the first's arrays alone.
+        X = random_matrix(np.random.default_rng(5), 2 * _TILE_DAYS + 3, 3)
+        wealth, track = universal_tracks(X, UniversalConfig(samples=_TILE_SAMPLES + 5, rng_seed=1, cost=cost))
+        kept = wealth.copy(), track.copy()
+        Y = random_matrix(np.random.default_rng(6), _TILE_DAYS + 1, 3)
+        universal_tracks(Y, UniversalConfig(samples=_TILE_SAMPLES - 3, rng_seed=2, cost=cost))
+        assert np.array_equal(wealth, kept[0]) and np.array_equal(track, kept[1])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         with pytest.raises(PortfolioError, match="seed must be a non-negative integer"):
             UniversalConfig(samples=10, rng_seed=seed)
 
+    @pytest.mark.parametrize("samples", [2.5, 5.0, "5", None, True, False, np.True_, np.float64(3)])
+    def test_sample_count_must_be_an_integer(self, samples):
+        with pytest.raises(PortfolioError, match=re.escape(f"sample count must be an integer, got {samples!r}")):
+            UniversalConfig(samples=samples)
+
+    @pytest.mark.parametrize("samples", [0, -3, np.int64(0)])
+    def test_sample_count_must_be_positive(self, samples):
+        with pytest.raises(PortfolioError, match="need at least one sample"):
+            UniversalConfig(samples=samples)
+
     def test_numpy_integer_seed_accepted(self):
         X = validate_relatives([[1.2, 0.9], [0.8, 1.1]], ["a", "b"])
         a = universal_tracks(X, UniversalConfig(samples=20, rng_seed=np.int64(4)))
+        b = universal_tracks(X, UniversalConfig(samples=20, rng_seed=4))
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_numpy_integer_sample_count_accepted(self):
+        X = validate_relatives([[1.2, 0.9], [0.8, 1.1]], ["a", "b"])
+        a = universal_tracks(X, UniversalConfig(samples=np.int32(20), rng_seed=4))
         b = universal_tracks(X, UniversalConfig(samples=20, rng_seed=4))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 

@@ -143,6 +143,27 @@ class TestDataErrors:
         assert out == ""
         assert err == f"switchfolio: {label}: non-finite final_wealth, max_drawdown\n"
 
+    @pytest.mark.parametrize(
+        "argv, label",
+        [
+            (["compare", "--algo", "universal:samples=100"], "universal samples=100 seed=0"),
+            (["backtest", "--algo", "universal"], "universal samples=10000 seed=0"),
+            (["compare", "--algo", "best-stock", "--algo", "eg:eta=0.05",
+              "--algo", "universal:samples=100"], "eg eta=0.05"),
+        ],
+    )
+    def test_non_finite_refusal_prints_no_numpy_warning(self, tmp_path, argv, label):
+        # A fresh process with warnings shown: the refusal must be the whole of stderr.
+        data = tmp_path / "m.csv"
+        cli_argv = [sys.executable, "-W", "default", "-m", "switchfolio.cli"]
+        subprocess.run(cli_argv + ["synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data)],
+                       check=True)
+        done = subprocess.run(cli_argv + [argv[0], "--data", str(data), *argv[1:]],
+                              capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"switchfolio: {label}: non-finite final_wealth, max_drawdown\n"
+
     @pytest.mark.parametrize("command", ["oracle", "bounds"])
     def test_too_many_regimes_refused_before_the_algorithm(self, capsys, tmp_path, monkeypatch, command):
         # Only bounds enumerates regimes; oracle sums the same 3^500 of them by its O(T^2 N) DP.

@@ -225,6 +225,42 @@ class TestAdaptiveWeights:
             adaptive_weights(st)
 
 
+class TestFixedDayCache:
+    """Whether or not weights are asked for, fixed-gamma steps must produce the same bits."""
+
+    @staticmethod
+    def _run(X, gamma, cost, weights_cost=False):
+        state = fixed_init(X.shape[1], gamma)
+        logs = []
+        for x in X:
+            if weights_cost is not False:
+                fixed_weights(state, weights_cost)
+            fixed_step(state, x, cost)
+            logs.append(state.log_wealth)
+        return np.array(logs), state.shares
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        T=st_.integers(1, 400),
+        N=st_.integers(2, 5),
+        seed=st_.integers(0, 2**32 - 1),
+        gamma_share=st_.floats(0.001, 1.0),
+        kind=st_.sampled_from([None, "per-trade", "parallel"]),
+        weights_kind=st_.sampled_from([None, "per-trade", "parallel"]),
+        rate=st_.floats(0.0, 0.49),
+    )
+    def test_weights_calls_do_not_change_the_run(self, T, N, seed, gamma_share, kind, weights_kind, rate):
+        # Weights under the run's own cost are read every day, and under another cost too.
+        X = random_matrix(np.random.default_rng(seed), T, N).values
+        gamma = gamma_share * (N - 1) / N
+        cost, other = (None if k is None else CostModel(k, rate) for k in (kind, weights_kind))
+        ref_logs, ref_shares = self._run(X, gamma, cost)
+        for weights_cost in (cost, other):
+            logs, shares = self._run(X, gamma, cost, weights_cost)
+            assert logs.tobytes() == ref_logs.tobytes()
+            assert shares.tobytes() == ref_shares.tobytes()
+
+
 class TestDayCache:
     """Whether or not weights are asked for, the steps must produce the same bits."""
 

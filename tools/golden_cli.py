@@ -117,12 +117,12 @@ def corpus() -> list[tuple[str, list[str]]]:
                                                *table, *COSTS["parallel"], "--cost-accounting", "realized"]))
     for market in ("walk3", "drift3"):
         cases.append((f"bcrp-{market}", ["backtest", "--data", f"{market}.csv", "--algo", "bcrp"]))
-    for cost in ("none", "per-trade"):  # 5000 samples: more than two universal tiles of samples
-        cases.append((f"backtest-long2-universal5000-{cost}",
-                      ["backtest", "--data", "long2.csv", "--algo", "universal", "--samples", "5000",
+    for cost in ("none", "per-trade"):  # 20000 samples: more than two universal tiles of samples
+        cases.append((f"backtest-long2-universal20000-{cost}",
+                      ["backtest", "--data", "long2.csv", "--algo", "universal", "--samples", "20000",
                        *COSTS[cost], "--seed", "3", "--out", "{out}.tsv", "--plot-data", "{out}.plot.csv"]))
-        cases.append((f"compare-long2-universal5000-{cost}",
-                      ["compare", "--data", "long2.csv", "--algo", "universal:samples=5000",
+        cases.append((f"compare-long2-universal20000-{cost}",
+                      ["compare", "--data", "long2.csv", "--algo", "universal:samples=20000",
                        "--algo", "best-stock", *COSTS[cost]]))
     for command in ("oracle", "bounds"):
         for market in ("small2", "small3"):
