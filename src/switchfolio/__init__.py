@@ -15,13 +15,11 @@ from .baselines import (
     UniversalConfig,
     bcrp_solve,
     best_stock,
-    crp_run,
     eg_step,
     sample_simplex,
     universal_tracks,
 )
 from .core import (
-    AllZero,
     DimensionMismatch,
     DuplicateAssetName,
     NegativeEntry,
@@ -31,8 +29,6 @@ from .core import (
     PriceRelativeMatrix,
     RaggedRows,
     RegimeSpec,
-    daily_return,
-    normalize_to_simplex,
     validate_relatives,
 )
 from .costs import (
@@ -62,16 +58,13 @@ from .regimes import (
     InvalidRegime,
     adaptive_penalty,
     bound_check,
-    count_regimes,
     enumerate_regimes,
     fixed_gamma_penalty,
     kt_neg_log2_sequence,
     log_mixture_wealth,
+    log_prior,
     log_regime_wealth,
     mixture_oracle,
-    prior_adaptive,
-    prior_fixed,
-    regime_wealth,
 )
 from .switching import (
     AdaptiveState,
@@ -84,9 +77,6 @@ from .switching import (
     fixed_init,
     fixed_step,
     fixed_weights,
-    gamma_hat,
-    log_total_wealth,
-    total_wealth,
 )
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ Both series are attached whenever a cost model is active.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,6 @@ from .switching import (
     fixed_init,
     fixed_step,
     fixed_weights,
-    total_wealth,
 )
 
 KIND_SWITCHING_FIXED = "switching-fixed"
@@ -56,15 +56,18 @@ KIND_EG = "eg"
 KIND_UNIVERSAL = "universal"
 KIND_BEST_STOCK = "best-stock"
 
-ALGO_KINDS = (
-    KIND_SWITCHING_FIXED,
-    KIND_SWITCHING_ADAPTIVE,
-    KIND_CRP,
-    KIND_BCRP,
-    KIND_EG,
-    KIND_UNIVERSAL,
-    KIND_BEST_STOCK,
-)
+# The parameters each kind takes. A kind needs each of its own and refuses the others;
+# ``seed`` and the cost settings are accepted by every kind (only universal samples).
+KIND_PARAMETERS = {
+    KIND_SWITCHING_FIXED: ("gamma",),
+    KIND_SWITCHING_ADAPTIVE: (),
+    KIND_CRP: ("weights",),
+    KIND_BCRP: (),
+    KIND_EG: ("eta",),
+    KIND_UNIVERSAL: ("samples",),
+    KIND_BEST_STOCK: (),
+}
+ALGO_KINDS = tuple(KIND_PARAMETERS)
 
 ACCOUNTING_BUCKET = "bucket"
 ACCOUNTING_REALIZED = "realized"
@@ -88,14 +91,15 @@ class AlgoSpec:
             raise PortfolioError(f"unknown algorithm kind {self.kind!r}; choose from {ALGO_KINDS}")
         if self.cost_accounting not in (ACCOUNTING_BUCKET, ACCOUNTING_REALIZED):
             raise PortfolioError(f"cost_accounting must be bucket or realized, got {self.cost_accounting!r}")
-        if self.kind == KIND_SWITCHING_FIXED and self.gamma is None:
-            raise PortfolioError("switching-fixed needs gamma")
-        if self.kind == KIND_CRP and self.weights is None:
-            raise PortfolioError("crp needs weights")
-        if self.kind == KIND_EG and self.eta is None:
-            raise PortfolioError("eg needs eta")
-        if self.kind == KIND_UNIVERSAL and self.samples is None:
-            raise PortfolioError("universal needs a sample count")
+        takes = KIND_PARAMETERS[self.kind]
+        for name in ("gamma", "weights", "eta", "samples"):
+            given = getattr(self, name) is not None
+            if name in takes and not given:
+                raise PortfolioError(f"{self.kind} needs {name}")
+            if given and name not in takes:
+                raise PortfolioError(f"{self.kind} takes no parameter {name}")
+        if self.eta is not None and not (math.isfinite(self.eta) and self.eta >= 0):
+            raise PortfolioError(f"eta must be a finite number >= 0, got {self.eta!r}")
 
     @property
     def label(self) -> str:
@@ -110,6 +114,11 @@ class AlgoSpec:
             parts.append(f"samples={self.samples}")
             parts.append(f"seed={self.seed}")
         return " ".join(parts)
+
+    @property
+    def parameters(self) -> str:
+        """The label without the kind, as reports print it; ``-`` for a kind without parameters."""
+        return self.label.partition(" ")[2] or "-"
 
 
 @dataclass(frozen=True)
@@ -186,7 +195,7 @@ def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
     for t in range(1, X.days + 1):
         step(state, X.values[t - 1], spec.cost)
         log_wealth[t] = state.log_wealth
-        wealth[t] = total_wealth(state)
+        wealth[t] = math.exp(state.log_wealth)  # OverflowError where it leaves double range
         weights[t] = weights_of(state, spec.cost).weights
     return wealth, weights, log_wealth
 
@@ -278,11 +287,10 @@ def compare(specs: list[AlgoSpec], X: PriceRelativeMatrix) -> list[ComparisonRow
         report = run(spec, X)
         figures = {"final_wealth": report.final_wealth, "max_drawdown": max_drawdown(report.wealth)}
         _require_finite(spec, figures)
-        params = spec.label[len(spec.kind) :].strip()
         rows.append(
             ComparisonRow(
                 name=spec.kind,
-                parameters=params or "-",
+                parameters=spec.parameters,
                 hindsight_only=report.hindsight_only,
                 **figures,
             )
@@ -312,7 +320,7 @@ def report_tsv(report: BacktestReport) -> str:
     _require_finite(report.spec, figures)
     lines = [
         f"algorithm\t{report.spec.kind}",
-        f"parameters\t{report.spec.label[len(report.spec.kind):].strip() or '-'}",
+        f"parameters\t{report.spec.parameters}",
         f"days\t{report.days}",
         f"final_wealth\t{figures['final_wealth']:.12g}",
         f"max_drawdown\t{figures['max_drawdown']:.12g}",

@@ -4,7 +4,7 @@ sampled universal portfolio, and the best single stock.
 A constant rebalanced portfolio (CRP) restores the same weight vector every
 day, which costs real money under commissions: with a cost model, each day's
 drifted allocation is traded back to the target and the netted commission
-deducted (see costs.realized_wealth_track).
+deducted: ``backtest.run`` runs one through costs.realized_wealth_track.
 
 The universal portfolio is approximated by Monte Carlo: M weight vectors
 drawn uniformly from the simplex, each run as its own CRP (paying its own
@@ -31,7 +31,7 @@ from .core import (
     PortfolioVector,
     PriceRelativeMatrix,
 )
-from .costs import CostModel, realized_wealth_track
+from .costs import CostModel
 
 _BCRP_MAX_ITER = 20_000
 _BCRP_TOL = 1e-12  # relative objective improvement per sweep
@@ -64,28 +64,6 @@ class UniversalConfig:
 def _is_integer(value) -> bool:
     """A Python or numpy integer; a bool is refused, though Python counts it as one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def crp_run(
-    w: PortfolioVector,
-    X: PriceRelativeMatrix,
-    cost: CostModel | None = None,
-) -> np.ndarray:
-    """Wealth series (length T+1, starts at 1) of a daily-rebalanced portfolio.
-
-    Cost-free, day t multiplies wealth by w . x^t. With a cost model, each
-    day's post-return allocation is traded back to w and charged the netted
-    commission; a corner portfolio therefore never pays anything.
-    """
-    weights = w.weights
-    if weights.size != X.assets:
-        raise DimensionMismatch(f"{weights.size} weights for {X.assets} assets")
-    if cost is None:
-        wealth = np.ones(X.days + 1)
-        wealth[1:] = np.cumprod(X.values @ weights)
-        return wealth
-    schedule = np.broadcast_to(weights, (X.days, X.assets))
-    return realized_wealth_track(schedule, X, cost)
 
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -253,9 +231,9 @@ def universal_tracks(
 
 
 def best_stock(X: PriceRelativeMatrix) -> tuple[int, float]:
-    """Index and final wealth of the single best asset; ties go to the lowest index."""
+    """Index and log-wealth (natural log) of the single best asset; ties go to the lowest index."""
     if X.days < 1:
         raise NoData("best stock needs at least one trading day")
     log_wealth = np.log(X.values).sum(axis=0)
     idx = int(np.argmax(log_wealth))
-    return idx, float(math.exp(log_wealth[idx]))
+    return idx, float(log_wealth[idx])

@@ -149,21 +149,17 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_backtest(args, parser: _Parser) -> int:
-    if args.algo == bt.KIND_SWITCHING_FIXED and args.gamma is None:
-        parser.error("--algo switching-fixed requires --gamma")
-    if args.algo == bt.KIND_CRP and args.weights is None:
-        parser.error("--algo crp requires --weights")
-    if args.algo == bt.KIND_EG and args.eta is None:
-        parser.error("--algo eg requires --eta")
+    takes = bt.KIND_PARAMETERS[args.algo]  # the flags of other kinds are ignored
+    for name in takes:
+        if getattr(args, name) is None:
+            parser.error(f"--algo {args.algo} requires --{name}")
     X = load_csv(args.data, args.mode)
-    is_universal = args.algo == bt.KIND_UNIVERSAL
-    weights = tuple(_parse_number("weights", v) for v in args.weights.split(",")) if args.weights else None
+    fields = {name: getattr(args, name) for name in takes}
+    if "weights" in fields:
+        fields["weights"] = tuple(_parse_number("weights", v) for v in args.weights.split(","))
     spec = bt.AlgoSpec(
         kind=args.algo,
-        gamma=args.gamma if args.algo == bt.KIND_SWITCHING_FIXED else None,
-        weights=weights if args.algo == bt.KIND_CRP else None,
-        eta=args.eta if args.algo == bt.KIND_EG else None,
-        samples=args.samples if is_universal else None,
+        **fields,
         seed=args.seed,
         cost=_cost_from_args(args),
         cost_accounting=args.cost_accounting,

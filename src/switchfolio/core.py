@@ -7,10 +7,11 @@ Conventions used throughout the package:
   sits at day 0.
 * A price relative is the ratio of an asset's next opening price to its
   current opening price, so it is a strictly positive multiplicative return.
-* Wealth bookkeeping is linear double precision by default. Long-horizon
-  accumulations (algorithm states, regime products) keep a separate log-wealth
-  accumulator instead of raw products, because (9/8)^n style growth and
-  (7/8)^T style decay leave the representable range after a few thousand days.
+* Wealth that accumulates over days (algorithm states, regime products, the
+  mixture oracle) is kept as a natural-log accumulator, not a raw product,
+  because (9/8)^n style growth and (7/8)^T style decay leave the
+  representable range after a few thousand days. Linear wealth is formed
+  only for reports.
 
 All types here are immutable after construction and safe to share across
 threads.
@@ -54,10 +55,6 @@ class DimensionMismatch(PortfolioError):
     """Vector/row lengths do not agree with the number of assets."""
 
 
-class AllZero(PortfolioError):
-    """Cannot normalize a vector whose entries sum to zero."""
-
-
 class NegativeEntry(PortfolioError):
     """A vector that must be nonnegative had a negative entry."""
 
@@ -68,13 +65,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PortfolioVector:
     """Nonnegative weights summing to one: the fraction of wealth per asset.
 
     Construction rejects vectors farther than SIMPLEX_TOL from the simplex
-    rather than silently renormalizing; use :func:`normalize_to_simplex` for
-    explicit normalization.
+    rather than silently renormalizing. Equality and hashing are by identity.
     """
 
     weights: np.ndarray
@@ -84,7 +80,7 @@ class PortfolioVector:
         if w.ndim != 1 or w.size == 0:
             raise DimensionMismatch("portfolio weights must be a non-empty 1-D vector")
         if not w.min() >= 0:  # a NaN minimum fails this test too
-            raise NegativeEntry(f"negative or NaN portfolio weight: {w[~(w >= 0)][0]!r}")
+            raise NegativeEntry(f"negative or NaN portfolio weight: {float(w[~(w >= 0)][0])!r}")
         total = float(w.sum())
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise PortfolioError(f"portfolio weights sum to {total!r}, not 1 within {SIMPLEX_TOL}")
@@ -105,13 +101,14 @@ class PortfolioVector:
         return iter(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceRelativeMatrix:
     """T x N grid of strictly positive daily price relatives.
 
     ``values[t-1, i]`` is the day-t relative of asset i. ``dates`` optionally
     carries one label per day, preserved verbatim from input files; it plays
-    no role in any computation.
+    no role in any computation. Equality and hashing are by identity, so a
+    matrix can key a cache of what is computed from it.
     """
 
     values: np.ndarray
@@ -231,27 +228,3 @@ def validate_relatives(
             raise RaggedRows(f"rows have lengths {lengths}, expected {n} columns")
         values = np.array(rows, dtype=float).reshape(len(rows), n)
     return PriceRelativeMatrix(values, tuple(names), None if dates is None else tuple(dates))
-
-
-def daily_return(w: PortfolioVector | np.ndarray, x: np.ndarray) -> float:
-    """One-day growth factor of portfolio w under relatives x: sum_i w_i * x_i."""
-    weights = w.weights if isinstance(w, PortfolioVector) else np.asarray(w, dtype=float)
-    row = np.asarray(x, dtype=float)
-    if weights.shape != row.shape:
-        raise DimensionMismatch(f"portfolio has {weights.shape} weights, row has {row.shape}")
-    return float(weights @ row)
-
-
-def normalize_to_simplex(v: Sequence[float] | np.ndarray) -> PortfolioVector:
-    """Scale a nonnegative vector to sum to one.
-
-    Raises NegativeEntry for negative components and AllZero when nothing can
-    be scaled. Idempotent, and invariant under uniform positive scaling.
-    """
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr < 0):
-        raise NegativeEntry(f"cannot normalize vector with negative entry {arr[arr < 0][0]!r}")
-    total = float(arr.sum())
-    if total <= 0:
-        raise AllZero("cannot normalize a vector summing to zero")
-    return PortfolioVector(arr / total)

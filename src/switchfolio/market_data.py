@@ -130,7 +130,7 @@ def prices_to_relatives(
     bad = ~(grid > 0) | ~np.isfinite(grid)
     if bad.any():
         r, c = map(int, np.argwhere(bad)[0])
-        raise NonPositivePrice(f"price row {r}, column {c} is {grid[r, c]!r}; prices must be > 0")
+        raise NonPositivePrice(f"price row {r}, column {c} is {float(grid[r, c])!r}; prices must be > 0")
     rel = grid[1:] / grid[:-1]
     return validate_relatives(rel, names, None if dates is None else list(dates)[1:])
 

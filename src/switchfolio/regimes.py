@@ -9,7 +9,7 @@ A switching regime is scored two ways:
   optional commission factor per executed switch (or per segment, including
   the initial purchase, under the alternative convention).
 
-``mixture_oracle`` sums prior * wealth over every regime. Both priors factor
+:func:`log_mixture_wealth` sums prior * wealth over every regime. Both priors factor
 over segments: a segment's prior term depends only on its length and on
 whether a switch ends it (:func:`_segment_log_priors`). So the N^T-term sum
 splits at each switch and :func:`log_mixture_wealth` computes it exactly by a
@@ -18,12 +18,13 @@ with the recursive algorithms it certifies but the KT stay product: it has
 none of their state scaling, bucket bookkeeping or cost placement.
 
 :func:`bound_check` scores one regime. It reads each segment's per-asset log
-wealth from a table kept for the latest matrix and filled one segment at a
-time (at most T(T+1)/2 segments, each summed as ``logs[start:end, a].sum()``,
-keyed by one integer per segment). The same table keeps each switch count's
-penalty for the latest prior and the log switch factor of the latest cost
-model, so scoring every regime of a ``bounds`` run costs a few lookups, two
-additions per segment and one small record per regime.
+wealth from a table kept for the matrix while the matrix lives and filled one
+segment at a time (at most T(T+1)/2 segments, each summed as
+``logs[start:end, a].sum()``, keyed by one integer per segment). The same
+table keeps each switch count's penalty for the latest prior and the log
+switch factor of the latest cost model, so scoring every regime of a
+``bounds`` run costs a few lookups, two additions per segment and one small
+record per regime.
 
 All bound arithmetic is in base-2 logarithms and reported in bits. Products
 are accumulated in log domain; only final results are exponentiated.
@@ -120,59 +121,47 @@ def _check_regime(regime: RegimeSpec, T: int, N: int, for_prior: bool = False) -
         raise InvalidRegime(f"strategy index out of range for N={N}: {regime.strategies}")
 
 
-def _segment_log_priors(T: int, gamma: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _segment_log_priors(T: int, prior: Prior) -> tuple[np.ndarray, np.ndarray]:
     """Natural-log prior terms ``(ending, final)`` of a segment that stays k = 0..T-1
     days after its first: ``ending[k]`` if a switch ends it, ``final[k]`` if it is the last.
 
     A regime's prior is 1/N for the first asset, 1/(N-1) for each switch's
-    target, and these terms of its segments. ``gamma`` selects the fixed-gamma
-    prior (each day stays with 1-gamma, switches with gamma); ``None`` selects
-    the adaptive prior, whose j-th stay has probability 1 - (1/2)/j and whose
-    switch after d days has (1/2)/d.
+    target, and these terms of its segments. Under the fixed-gamma prior each
+    day stays with 1-gamma and switches with gamma; under the adaptive prior
+    the j-th stay has probability 1 - (1/2)/j and a switch after d days (1/2)/d.
     """
     k = np.arange(T, dtype=float)
-    if gamma is not None:
-        final = k * math.log1p(-gamma)
-        return final + math.log(gamma), final
+    if isinstance(prior, FixedGammaPrior):
+        final = k * math.log1p(-prior.gamma)
+        return final + math.log(prior.gamma), final
     final = np.concatenate(([0.0], -kt_neg_log2_sequence(T)))[:T] * LOG2
     return final + np.log(0.5 / (k + 1.0)), final
 
 
-def _log_prior(switch_times: tuple[int, ...], T: int, N: int, gamma: float | None) -> float:
-    """Natural log of a regime's prior: the fixed-gamma prior
-    1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1), or the adaptive one (``gamma`` None)."""
-    ending, final = _segment_log_priors(T, gamma)
-    stays = np.diff((0,) + switch_times + (T,)) - 1
-    l = len(switch_times)
+def log_prior(regime: RegimeSpec, T: int, N: int, prior: Prior) -> float:
+    """Natural log of a regime's prior probability over T days and N assets.
+
+    Under the fixed-gamma prior it is log of 1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1)
+    for a regime with l switches; see :func:`_segment_log_priors` for both priors.
+    """
+    _check_regime(regime, T, N, for_prior=True)
+    ending, final = _segment_log_priors(T, prior)
+    stays = np.diff((0,) + regime.switch_times + (T,)) - 1
+    l = regime.switches
     return -math.log(N) - l * math.log(N - 1) + float(ending[stays[:-1]].sum() + final[stays[-1]])
-
-
-def prior_fixed(regime: RegimeSpec, T: int, N: int, gamma: float) -> float:
-    """Fixed-gamma prior probability of a regime."""
-    _check_regime(regime, T, N, for_prior=True)
-    if not 0.0 < gamma < 1.0:
-        raise PortfolioError(f"gamma must be in (0,1), got {gamma!r}")
-    return math.exp(_log_prior(regime.switch_times, T, N, gamma))
-
-
-def prior_adaptive(regime: RegimeSpec, T: int, N: int) -> float:
-    """Adaptive prior probability of a regime."""
-    _check_regime(regime, T, N, for_prior=True)
-    return math.exp(_log_prior(regime.switch_times, T, N, None))
 
 
 class _SegmentLogWealth(dict):
     """start * (T+1) + end -> each asset's log wealth over days start+1..end of X, each segment summed once.
 
     Entry a is ``float(logs[start:end, a].sum())``, numpy's order for one
-    column (pairwise from 8 days on). X is held weakly. The table also keeps
+    column (pairwise from 8 days on). The table does not hold X. It also keeps
     what every regime scored against X shares: each switch count's penalty
     under the latest prior, and the log switch factor of the latest cost model.
     """
 
     def __init__(self, X: PriceRelativeMatrix):
         super().__init__()
-        self.X = weakref.ref(X, _forget_segments)
         self.days, self.assets = X.days, X.assets
         self._logs = np.log(X.values)
         self._prior, self._penalties = None, {}
@@ -216,22 +205,18 @@ class _SegmentLogWealth(dict):
         return penalty
 
 
-_latest_segments: _SegmentLogWealth | None = None
-
-
-def _forget_segments(X_ref: weakref.ref) -> None:
-    global _latest_segments
-    if _latest_segments is not None and _latest_segments.X is X_ref:
-        _latest_segments = None
+# Each live matrix's segment table, by the matrix's id. A finalizer drops the entry with
+# the matrix, so no id is reused while it is here. (``bounds`` looks a table up once per
+# regime, and a WeakKeyDictionary lookup measured about twice as long as this one.)
+_segment_tables: dict[int, _SegmentLogWealth] = {}
 
 
 def _segment_log_wealth(X: PriceRelativeMatrix) -> _SegmentLogWealth:
-    """The segment table of X, kept while X lives and until another matrix is
-    scored, so that every regime scored against one X (a ``bounds`` run) reads one table."""
-    global _latest_segments
-    table = _latest_segments
-    if table is None or table.X() is not X:
-        table = _latest_segments = _SegmentLogWealth(X)
+    """The segment table of X, so that every regime scored against one X (a ``bounds`` run) reads one table."""
+    table = _segment_tables.get(id(X))
+    if table is None:
+        table = _segment_tables[id(X)] = _SegmentLogWealth(X)
+        weakref.finalize(X, _segment_tables.pop, id(X), None)
     return table
 
 
@@ -249,25 +234,13 @@ def log_regime_wealth(
     return _segment_log_wealth(X).log_wealth(regime, cost, convention)
 
 
-def regime_wealth(
-    regime: RegimeSpec,
-    X: PriceRelativeMatrix,
-    cost: CostModel | None = None,
-    convention: str = CHARGE_SWITCHES_ONLY,
-) -> float:
-    return math.exp(log_regime_wealth(regime, X, cost, convention))
-
-
-def count_regimes(T: int, N: int) -> int:
-    """Number of distinct switching regimes over T days: N * N^(T-1)."""
-    if T < 1:
-        return 0
-    return N**T
-
-
 def require_enumerable(T: int, N: int) -> None:
-    """Raise :class:`InstanceTooLarge` if T days over N assets exceed ENUMERATION_GUARD regimes."""
-    if count_regimes(T, N) > ENUMERATION_GUARD:
+    """Raise :class:`InstanceTooLarge` if T days over N assets exceed ENUMERATION_GUARD regimes.
+
+    There are N^T regimes: N first assets, then after each of the first T-1 days
+    N choices (stay, or switch to one of the N-1 others).
+    """
+    if T >= 1 and N**T > ENUMERATION_GUARD:
         raise InstanceTooLarge(f"{N}^{T} regimes for T={T}, N={N} exceeds guard {ENUMERATION_GUARD}")
 
 
@@ -332,7 +305,7 @@ def log_mixture_wealth(
     np.cumsum(np.log(X.values.T), axis=1, out=cumlog[:, 1:])
     if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
         raise PortfolioError(f"unknown cost convention {convention!r}")
-    ending, final = _segment_log_priors(T, prior.gamma if isinstance(prior, FixedGammaPrior) else None)
+    ending, final = _segment_log_priors(T, prior)
     log_sf = math.log(switch_factor(cost))
     others = np.array([[i for i in range(N) if i != j] for j in range(N)])
     enter = np.empty((N, T))
@@ -352,7 +325,7 @@ def mixture_oracle(
     cost: CostModel | None = None,
     convention: str = CHARGE_SWITCHES_ONLY,
 ) -> float:
-    """Total mixture wealth over all regimes (see :func:`log_mixture_wealth`)."""
+    """Total mixture wealth over all regimes (see :func:`log_mixture_wealth`), which ``oracle`` prints."""
     return math.exp(log_mixture_wealth(X, prior, cost, convention))
 
 

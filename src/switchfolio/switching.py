@@ -45,17 +45,6 @@ class TooFewAssets(PortfolioError):
     """Switching needs at least two assets: redistribution must have a target."""
 
 
-def gamma_hat(dt: int | float) -> float:
-    """Switching probability after holding the same asset for dt full days.
-
-    Defined as (1/2)/(dt + 1): one half at dt=0, decaying so that positions
-    become stickier the longer they are held.
-    """
-    if dt < 0:
-        raise PortfolioError(f"holding duration must be nonnegative, got {dt}")
-    return 0.5 / (dt + 1.0)
-
-
 class FixedGammaState:
     """Per-asset wealth evolved with a constant switching probability.
 
@@ -255,12 +244,3 @@ def adaptive_weights(state: AdaptiveState, cost: CostModel | None = None) -> Por
     _, mass = _adaptive_pre_return_mass(state, cost)
     return PortfolioVector(mass / mass.sum())
 
-
-def log_total_wealth(state: FixedGammaState | AdaptiveState) -> float:
-    """Natural log of total wealth (unit initial investment)."""
-    return state.log_wealth
-
-
-def total_wealth(state: FixedGammaState | AdaptiveState) -> float:
-    """Total wealth: the prior-weighted mixture over all switching schedules."""
-    return math.exp(state.log_wealth)

@@ -17,7 +17,7 @@ import pytest
 
 from switchfolio.backtest import AlgoSpec, compare, emit_plot_data, run
 from switchfolio.baselines import UniversalConfig, bcrp_solve, universal_tracks
-from switchfolio.core import PortfolioVector, RegimeSpec, validate_relatives
+from switchfolio.core import RegimeSpec, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import load_csv, synth_regime_pair, synth_volatility_pair
 from switchfolio.regimes import (
@@ -28,19 +28,10 @@ from switchfolio.regimes import (
     fixed_gamma_penalty,
     kt_neg_log2_sequence,
     log_mixture_wealth,
+    log_prior,
     log_regime_wealth,
-    prior_adaptive,
-    prior_fixed,
 )
-from switchfolio.baselines import crp_run
-from switchfolio.regimes import regime_wealth
-from switchfolio.switching import (
-    adaptive_init,
-    adaptive_step,
-    fixed_init,
-    fixed_step,
-    log_total_wealth,
-)
+from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 
 LOG2 = math.log(2.0)
 GAMMAS = (0.1, 1 / 3, 0.45)
@@ -55,14 +46,14 @@ def _run_fixed_log2(X, gamma, cost):
     st = fixed_init(X.assets, gamma)
     for t in range(1, X.days + 1):
         fixed_step(st, X.values[t - 1], cost)
-    return log_total_wealth(st) / LOG2
+    return st.log_wealth / LOG2
 
 
 def _run_adaptive_log2(X, cost):
     st = adaptive_init(X.assets)
     for t in range(1, X.days + 1):
         adaptive_step(st, X.values[t - 1], cost)
-    return log_total_wealth(st) / LOG2
+    return st.log_wealth / LOG2
 
 
 @pytest.fixture(scope="module")
@@ -108,9 +99,9 @@ def test_criterion_2_prior_normalization():
         for T in range(1, 9):
             regimes = list(enumerate_regimes(T, N))
             for gamma in GAMMAS:
-                total = sum(prior_fixed(q, T, N, gamma) for q in regimes)
+                total = sum(math.exp(log_prior(q, T, N, FixedGammaPrior(gamma))) for q in regimes)
                 assert abs(total - 1.0) <= 1e-12, (N, T, gamma, total)
-            total = sum(prior_adaptive(q, T, N) for q in regimes)
+            total = sum(math.exp(log_prior(q, T, N, AdaptivePrior())) for q in regimes)
             assert abs(total - 1.0) <= 1e-12, (N, T, total)
     _passed(2, "both priors sum to 1 +- 1e-12 for N in {2,3}, T in 1..8")
 
@@ -163,14 +154,14 @@ def test_criterion_4_penalty_bounds(instances):
 
 
 def test_criterion_5_closed_form_regressions():
-    half = PortfolioVector(np.array([0.5, 0.5]))
+    half = AlgoSpec("crp", weights=(0.5, 0.5))
     for n in range(1, 21):
-        vol = crp_run(half, synth_volatility_pair(n))[-1]
+        vol = run(half, synth_volatility_pair(n)).final_wealth
         assert math.isclose(vol, (9 / 8) ** n, rel_tol=1e-12), n
-        reg = crp_run(half, synth_regime_pair(n))[-1]
+        reg = run(half, synth_regime_pair(n)).final_wealth
         assert math.isclose(reg, (7 / 8) ** (2 * n), rel_tol=1e-12), n
-        prescient = regime_wealth(RegimeSpec((n,), (0, 1)), synth_regime_pair(n))
-        assert math.isclose(prescient, 1.5 ** (2 * n), rel_tol=1e-12), n
+        prescient = log_regime_wealth(RegimeSpec((n,), (0, 1)), synth_regime_pair(n))
+        assert math.isclose(prescient, 2 * n * math.log(1.5), abs_tol=1e-12), n
     _passed(5, "(9/8)^n, (7/8)^(2n), (3/2)^(2n) closed forms for n <= 20")
 
 

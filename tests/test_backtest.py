@@ -19,7 +19,7 @@ from switchfolio.backtest import (
     report_tsv,
     run,
 )
-from switchfolio.core import PortfolioError, daily_return, validate_relatives
+from switchfolio.core import PortfolioError, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import synth_regime_pair, synth_volatility_pair
 from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, bound_check
@@ -96,7 +96,7 @@ class TestRun:
             report = run(spec, X)
             rebuilt = 1.0
             for t in range(1, 9):
-                rebuilt *= daily_return(report.weights[t - 1], X.values[t - 1])
+                rebuilt *= float(report.weights[t - 1] @ X.values[t - 1])
             assert abs(math.log(rebuilt) - math.log(report.final_wealth)) <= 1e-10
 
     def test_wealth_consistency_bucket_costs(self):
@@ -110,7 +110,7 @@ class TestRun:
         retention = (1 - g) + g * (1 - c) ** 2  # constant for the fixed rule
         rebuilt = 1.0
         for t in range(1, 8):
-            rebuilt *= daily_return(report.weights[t - 1], X.values[t - 1])
+            rebuilt *= float(report.weights[t - 1] @ X.values[t - 1])
             if t > 1:
                 rebuilt *= retention
         # the retention applies at each junction (T-1 of them), order-independent
@@ -196,6 +196,35 @@ class TestRun:
             AlgoSpec("eg")  # no eta
         with pytest.raises(PortfolioError):
             AlgoSpec("universal")  # no samples
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind="eg", eta=0.05, samples=5), "eg takes no parameter samples"),
+            (dict(kind="eg", eta=0.05, gamma=0.2), "eg takes no parameter gamma"),
+            (dict(kind="switching-adaptive", gamma=0.2), "switching-adaptive takes no parameter gamma"),
+            (dict(kind="bcrp", weights=(0.5, 0.5)), "bcrp takes no parameter weights"),
+            (dict(kind="crp", weights=(0.5, 0.5), eta=0.1), "crp takes no parameter eta"),
+            (dict(kind="universal"), "universal needs samples"),
+        ],
+    )
+    def test_parameters_follow_the_kind(self, fields, message):
+        with pytest.raises(PortfolioError) as exc:
+            AlgoSpec(**fields)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("eta", [-1.0, -1e-300, math.nan, math.inf])
+    def test_negative_or_non_finite_eta_rejected(self, eta):
+        with pytest.raises(PortfolioError) as exc:
+            AlgoSpec("eg", eta=eta)
+        assert str(exc.value) == f"eta must be a finite number >= 0, got {eta!r}"
+
+    def test_parameters_text(self):
+        assert AlgoSpec("bcrp").parameters == "-"
+        assert AlgoSpec("eg", eta=0.05).parameters == "eta=0.05"
+        assert AlgoSpec("crp", weights=(0.25, 0.75)).parameters == "w=0.25|0.75"
+        assert AlgoSpec("universal", samples=300, seed=9).parameters == "samples=300 seed=9"
+        assert AlgoSpec("switching-fixed", gamma=0.3, seed=4).label == "switching-fixed gamma=0.3"
 
 
 class TestCompare:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchfolio.backtest import AlgoSpec, run
 from switchfolio.baselines import (
     _TILE_DAYS,
     _TILE_SAMPLES,
@@ -14,7 +15,6 @@ from switchfolio.baselines import (
     _simplex_draws,
     bcrp_solve,
     best_stock,
-    crp_run,
     eg_step,
     sample_simplex,
     universal_tracks,
@@ -24,6 +24,11 @@ from switchfolio.costs import CostModel
 from switchfolio.market_data import synth_regime_pair, synth_volatility_pair
 
 HALF = PortfolioVector(np.array([0.5, 0.5]))
+
+
+def crp_wealth(w, X, cost=None):
+    """Wealth series of the constant rebalanced portfolio w over X."""
+    return run(AlgoSpec("crp", weights=tuple(w.weights), cost=cost), X).wealth
 
 
 def random_matrix(rng, T, N, spread=(0.25, 4.0)):
@@ -70,7 +75,7 @@ COST_MODELS = [None, CostModel.per_trade(0.01), CostModel.parallel(0.02)]
 class TestCrpRun:
     def test_volatility_pair_growth(self):
         for n in (1, 6, 20):
-            series = crp_run(HALF, synth_volatility_pair(n))
+            series = crp_wealth(HALF, synth_volatility_pair(n))
             assert series[0] == 1.0 and len(series) == 2 * n + 1
             assert math.isclose(series[-1], (9 / 8) ** n, rel_tol=1e-12)
 
@@ -80,23 +85,23 @@ class TestCrpRun:
         w = PortfolioVector(np.array([1.0, 0.0]))
         expected = float(np.prod(X.values[:, 0]))
         for model in (None, CostModel.per_trade(0.05), CostModel.parallel(0.05)):
-            assert math.isclose(crp_run(w, X, model)[-1], expected, rel_tol=1e-12)
+            assert math.isclose(crp_wealth(w, X, model)[-1], expected, rel_tol=1e-12)
 
     def test_regime_pair_decay(self):
         for n in (1, 5):
-            series = crp_run(HALF, synth_regime_pair(n))
+            series = crp_wealth(HALF, synth_regime_pair(n))
             assert math.isclose(series[-1], (7 / 8) ** (2 * n), rel_tol=1e-12)
 
     def test_dimension_mismatch(self):
         X = validate_relatives([[1.0, 1.0, 1.0]], ["a", "b", "c"])
         with pytest.raises(DimensionMismatch):
-            crp_run(HALF, X)
+            crp_wealth(HALF, X)
 
     def test_costs_reduce_wealth(self):
         rng = np.random.default_rng(52)
         X = random_matrix(rng, 20, 2)
-        free = crp_run(HALF, X)[-1]
-        charged = crp_run(HALF, X, CostModel.parallel(0.02))[-1]
+        free = crp_wealth(HALF, X)[-1]
+        charged = crp_wealth(HALF, X, CostModel.parallel(0.02))[-1]
         assert charged < free
 
 
@@ -138,7 +143,7 @@ class TestBcrpSolve:
         X = random_matrix(rng, 30, 3)
         _, lw = bcrp_solve(X)
         _, best_single = best_stock(X)
-        assert lw >= math.log(best_single) - 1e-9
+        assert lw >= best_single - 1e-9
         for _ in range(20):
             w = rng.random(3) + 1e-9
             w /= w.sum()
@@ -152,7 +157,7 @@ class TestBcrpSolve:
         X = validate_relatives(np.exp(rng.normal(0.0, 0.02, size=(500, 3))), ["a", "b", "c"])
         w, lw = bcrp_solve(X)
         assert math.isclose(float(np.log(X.values @ w.weights).sum()), lw, rel_tol=1e-12)
-        assert lw >= math.log(best_stock(X)[1]) - 1e-12
+        assert lw >= best_stock(X)[1] - 1e-12
         assert lw >= float(np.log(X.values @ np.full(3, 1 / 3)).sum()) - 1e-12
 
     def test_acceptance_market_solves(self):
@@ -162,7 +167,7 @@ class TestBcrpSolve:
         )
         w, lw = bcrp_solve(X)
         assert abs(w.weights.sum() - 1.0) <= 1e-14
-        assert lw >= math.log(best_stock(X)[1])
+        assert lw >= best_stock(X)[1]
 
 
 class TestEgStep:
@@ -333,19 +338,19 @@ class TestUniversal:
 
 class TestBestStock:
     def test_volatility_pair_ties_to_first(self):
-        idx, final = best_stock(synth_volatility_pair(6))
+        idx, log_final = best_stock(synth_volatility_pair(6))
         assert idx == 0
-        assert math.isclose(final, 1.0, rel_tol=1e-12)
+        assert math.isclose(log_final, 0.0, abs_tol=1e-12)
 
     def test_dominant_asset(self):
         X = validate_relatives([[1.0, 2.0], [1.0, 1.5]], ["a", "b"])
-        idx, final = best_stock(X)
-        assert idx == 1 and math.isclose(final, 3.0, rel_tol=1e-12)
+        idx, log_final = best_stock(X)
+        assert idx == 1 and math.isclose(log_final, math.log(3.0), abs_tol=1e-12)
 
     def test_mirror_tie_takes_lowest_index(self):
         X = validate_relatives([[2.0, 0.5], [0.5, 2.0]], ["a", "b"])
-        idx, final = best_stock(X)
-        assert idx == 0 and math.isclose(final, 1.0, rel_tol=1e-12)
+        idx, log_final = best_stock(X)
+        assert idx == 0 and math.isclose(log_final, 0.0, abs_tol=1e-12)
 
     def test_no_data(self):
         with pytest.raises(NoData):

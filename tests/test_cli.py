@@ -12,7 +12,7 @@ from switchfolio.core import validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import write_csv
 from switchfolio.regimes import AdaptivePrior, FixedGammaPrior
-from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step, total_wealth
+from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 
 
 def invoke(capsys, *argv):
@@ -100,6 +100,20 @@ class TestDataErrors:
         )
         assert code == 2
         assert err == "switchfolio: algorithm parameter weights must be a number, got 'x'\n"
+
+    def test_negative_weight_printed_as_a_float(self, capsys, tmp_path):
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(data))
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "crp", "--weights=-0.5,1.5")
+        assert (code, out) == (2, "")
+        assert err == "switchfolio: negative or NaN portfolio weight: -0.5\n"
+
+    def test_negative_price_printed_as_a_float(self, capsys, tmp_path):
+        data = tmp_path / "p.csv"
+        data.write_text("a,b\n1.0,2.0\n-1.0,2.0\n")
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--mode", "prices", "--algo", "bcrp")
+        assert (code, out) == (2, "")
+        assert err == "switchfolio: price row 1, column 0 is -1.0; prices must be > 0\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -216,7 +230,7 @@ class TestSwitchingExactness:
         code, out, _ = invoke(capsys, "oracle", "--data", path, *flags)
         assert code == 0
         fields = dict(line.split("\t") for line in out.strip().split("\n"))
-        assert float(fields["algorithm_wealth"]) == total_wealth(state)
+        assert float(fields["algorithm_wealth"]) == math.exp(state.log_wealth)
         code, out, _ = invoke(capsys, "bounds", "--data", path, *flags)
         assert code == 0
         rows = out.strip().split("\n")[1:]
@@ -363,6 +377,25 @@ class TestCompareCommand:
         assert out == ""
         key = spec.split(":")[1].split("=")[0]
         assert err.startswith(f"switchfolio: algorithm parameter {key} must be")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("eg:eta=0.05,samples=5,gamma=0.2", "eg takes no parameter gamma"),
+            ("switching-adaptive:gamma=0.3", "switching-adaptive takes no parameter gamma"),
+            ("best-stock:weights=0.5|0.5", "best-stock takes no parameter weights"),
+            ("eg:eta=-1", "eta must be a finite number >= 0, got -1.0"),
+            ("eg:eta=nan", "eta must be a finite number >= 0, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("rows", ["", "1.0,2.0\n"], ids=["no-day", "one-day"])
+    def test_parameter_the_kind_refuses_exits_two(self, capsys, tmp_path, spec, message, rows):
+        # The refusal does not depend on the market: one with no trading day gives it too.
+        data = tmp_path / "m.csv"
+        data.write_text("a,b\n" + rows)
+        code, out, err = invoke(capsys, "compare", "--data", str(data), "--algo", spec)
+        assert (code, out) == (2, "")
+        assert err == f"switchfolio: {message}\n"
 
 
 class TestDeterminism:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchfolio.backtest import AlgoSpec, run
 from switchfolio.core import (
     SIMPLEX_TOL,
-    AllZero,
     DimensionMismatch,
     DuplicateAssetName,
     NegativeEntry,
@@ -14,8 +14,6 @@ from switchfolio.core import (
     PortfolioVector,
     RaggedRows,
     RegimeSpec,
-    daily_return,
-    normalize_to_simplex,
     validate_relatives,
 )
 
@@ -64,70 +62,34 @@ class TestValidateRelatives:
             validate_relatives(np.ones((4, 3)), ["A", "B"])
 
 
+def one_day_growth(w, x):
+    """One day's growth factor w . x of a portfolio: the final wealth of a one-day CRP run."""
+    X = validate_relatives([x], [f"a{i}" for i in range(len(x))])
+    return run(AlgoSpec("crp", weights=tuple(w)), X).final_wealth
+
+
 class TestDailyReturn:
     def test_half_half_loss_day(self):
-        w = PortfolioVector(np.array([0.5, 0.5]))
-        assert daily_return(w, np.array([1.0, 0.5])) == 0.75
+        assert one_day_growth([0.5, 0.5], [1.0, 0.5]) == 0.75
 
     def test_pure_strategy_passes_through(self):
-        w = PortfolioVector(np.array([1.0, 0.0]))
-        assert daily_return(w, np.array([1.375, 9.0])) == 1.375
+        assert one_day_growth([1.0, 0.0], [1.375, 9.0]) == 1.375
 
     def test_half_half_gain_day(self):
-        w = PortfolioVector(np.array([0.5, 0.5]))
-        assert daily_return(w, np.array([1.0, 2.0])) == 1.5
+        assert one_day_growth([0.5, 0.5], [1.0, 2.0]) == 1.5
 
     def test_dimension_mismatch(self):
-        w = PortfolioVector(np.array([0.5, 0.5]))
         with pytest.raises(DimensionMismatch):
-            daily_return(w, np.array([1.0, 2.0, 3.0]))
+            one_day_growth([0.5, 0.5], [1.0, 2.0, 3.0])
 
     def test_bounded_by_row_extremes(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = rng.integers(1, 6)
-            w = normalize_to_simplex(rng.random(n) + 1e-9)
+            w = rng.random(n) + 1e-9
             x = np.exp(rng.uniform(-1.5, 1.5, n))
-            r = daily_return(w, x)
+            r = one_day_growth(w / w.sum(), x)
             assert x.min() - 1e-12 <= r <= x.max() + 1e-12
-
-
-class TestNormalize:
-    def test_symmetry(self):
-        assert np.allclose(normalize_to_simplex([2.0, 2.0]).weights, [0.5, 0.5])
-
-    def test_already_normalized(self):
-        assert np.array_equal(normalize_to_simplex([1.0, 0.0, 0.0]).weights, [1.0, 0.0, 0.0])
-
-    def test_divide_by_sum(self):
-        assert np.allclose(normalize_to_simplex([1.0, 3.0]).weights, [0.25, 0.75])
-
-    def test_all_zero(self):
-        with pytest.raises(AllZero):
-            normalize_to_simplex([0.0, 0.0])
-
-    def test_negative_entry(self):
-        with pytest.raises(NegativeEntry):
-            normalize_to_simplex([1.0, -0.1])
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            v = rng.random(4) + 1e-9
-            once = normalize_to_simplex(v).weights
-            twice = normalize_to_simplex(once).weights
-            assert np.allclose(once, twice, rtol=0, atol=1e-15)
-
-    def test_scale_invariant(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            v = rng.random(3) + 1e-9
-            k = float(np.exp(rng.uniform(-5, 5)))
-            assert np.allclose(
-                normalize_to_simplex(v).weights,
-                normalize_to_simplex(k * v).weights,
-                atol=1e-15,
-            )
 
 
 class TestPortfolioVector:
@@ -150,12 +112,12 @@ class TestPortfolioVector:
     @pytest.mark.parametrize(
         "weights, error, message",
         [
-            ([1.2, -0.2], NegativeEntry, "negative or NaN portfolio weight: np.float64(-0.2)"),
-            ([0.5, np.nan, -1.0], NegativeEntry, "negative or NaN portfolio weight: np.float64(nan)"),
+            ([1.2, -0.2], NegativeEntry, "negative or NaN portfolio weight: -0.2"),
+            ([0.5, np.nan, -1.0], NegativeEntry, "negative or NaN portfolio weight: nan"),
             ([-0.0, 1.0], None, None),
             ([0.5, 0.6], PortfolioError, "portfolio weights sum to 1.1, not 1 within 1e-12"),
             ([np.inf, 0.0], PortfolioError, "portfolio weights sum to inf, not 1 within 1e-12"),
-            ([-np.inf, 1.0], NegativeEntry, "negative or NaN portfolio weight: np.float64(-inf)"),
+            ([-np.inf, 1.0], NegativeEntry, "negative or NaN portfolio weight: -inf"),
         ],
     )
     def test_messages(self, weights, error, message):
@@ -181,7 +143,7 @@ class TestPortfolioVector:
         if normalize and np.all(np.isfinite(w)) and w.sum() > 0:
             w = np.abs(w) / np.abs(w).sum()
         if not all(v >= 0 for v in w.tolist()):
-            expected = f"negative or NaN portfolio weight: {np.float64(next(v for v in w.tolist() if not v >= 0))!r}"
+            expected = f"negative or NaN portfolio weight: {next(v for v in w.tolist() if not v >= 0)!r}"
         elif abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:
             expected = f"portfolio weights sum to {float(w.sum())!r}, not 1 within {SIMPLEX_TOL}"
         else:
@@ -192,6 +154,22 @@ class TestPortfolioVector:
             assert str(exc) == expected
         else:
             assert expected is None and not pv.weights.flags.writeable
+
+
+class TestIdentityEquality:
+    """Matrices and vectors compare and hash by identity; comparing the arrays they hold raised."""
+
+    def test_matrix(self):
+        X = validate_relatives([[2.0, 0.5], [1.5, 0.75]], ["A", "B"])
+        Y = validate_relatives(X.values, X.asset_names)
+        assert X == X and X != Y and not (X == Y)
+        assert len({X, Y, X}) == 2
+
+    def test_vector(self):
+        w = PortfolioVector(np.array([0.25, 0.75]))
+        v = PortfolioVector(np.array([0.25, 0.75]))
+        assert w == w and w != v
+        assert len({w, v, w}) == 2
 
 
 class TestRegimeSpec:

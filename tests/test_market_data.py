@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchfolio
+from switchfolio.backtest import AlgoSpec, run
 from switchfolio.core import NonPositiveRelative, PortfolioVector, validate_relatives
-from switchfolio.baselines import crp_run
 from switchfolio.market_data import (
     EmptyFile,
     NonPositivePrice,
@@ -169,8 +169,9 @@ class TestPricesToRelatives:
             prices_to_relatives([[100.0]], ["A"])
 
     def test_non_positive_price(self):
-        with pytest.raises(NonPositivePrice):
+        with pytest.raises(NonPositivePrice) as exc:
             prices_to_relatives([[100.0], [0.0]], ["A"])
+        assert str(exc.value) == "price row 1, column 0 is 0.0; prices must be > 0"
 
     def test_row_count_drops_by_one(self):
         rng = np.random.default_rng(41)
@@ -191,9 +192,9 @@ class TestSynthVolatilityPair:
         assert X.values.tolist() == [[1.0, 0.5], [1.0, 2.0]]
 
     def test_even_split_compounds_nine_eighths(self):
-        w = PortfolioVector(np.array([0.5, 0.5]))
+        half = AlgoSpec("crp", weights=(0.5, 0.5))
         for n in (1, 3, 12):
-            final = crp_run(w, synth_volatility_pair(n))[-1]
+            final = run(half, synth_volatility_pair(n)).final_wealth
             assert math.isclose(final, (9 / 8) ** n, rel_tol=1e-12)
 
     def test_each_asset_alone_goes_nowhere(self):
@@ -219,12 +220,12 @@ class TestSynthRegimePair:
 
     def test_prescient_switch_compounds(self):
         from switchfolio.core import RegimeSpec
-        from switchfolio.regimes import regime_wealth
+        from switchfolio.regimes import log_regime_wealth
 
         for n in (1, 4, 10):
             X = synth_regime_pair(n)
-            w = regime_wealth(RegimeSpec((n,), (0, 1)), X)
-            assert math.isclose(w, 1.5 ** (2 * n), rel_tol=1e-12)
+            lw = log_regime_wealth(RegimeSpec((n,), (0, 1)), X)
+            assert math.isclose(lw, 2 * n * math.log(1.5), abs_tol=1e-12)
 
     def test_large_n_validates(self):
         X = synth_regime_pair(10_000)

@@ -19,28 +19,18 @@ from switchfolio.regimes import (
     FixedGammaPrior,
     InstanceTooLarge,
     InvalidRegime,
-    _log_prior,
     _logsumexp,
     adaptive_penalty,
     bound_check,
-    count_regimes,
     enumerate_regimes,
     fixed_gamma_penalty,
     kt_neg_log2_sequence,
     log_mixture_wealth,
+    log_prior,
     log_regime_wealth,
     mixture_oracle,
-    prior_adaptive,
-    prior_fixed,
-    regime_wealth,
 )
-from switchfolio.switching import (
-    adaptive_init,
-    adaptive_step,
-    fixed_init,
-    fixed_step,
-    log_total_wealth,
-)
+from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 
 LOG2 = math.log(2.0)
 
@@ -50,39 +40,44 @@ def random_matrix(rng, T, N):
     return validate_relatives(vals, [f"a{i}" for i in range(N)])
 
 
+# Log-domain values are checked with an absolute tolerance equal to the relative one a
+# linear value would get: |log a - log b| is |a - b| / b to first order.
 class TestPriorFixed:
     def test_no_switch_value(self):
         q = RegimeSpec((), (0,))
-        assert math.isclose(prior_fixed(q, 3, 2, 1 / 3), 2 / 9, rel_tol=1e-14)
+        assert math.isclose(log_prior(q, 3, 2, FixedGammaPrior(1 / 3)), math.log(2 / 9), abs_tol=1e-14)
 
     def test_one_switch_value(self):
         q = RegimeSpec((1,), (0, 1))
-        assert math.isclose(prior_fixed(q, 3, 2, 1 / 3), 1 / 9, rel_tol=1e-14)
+        assert math.isclose(log_prior(q, 3, 2, FixedGammaPrior(1 / 3)), math.log(1 / 9), abs_tol=1e-14)
         q2 = RegimeSpec((2,), (1, 0))
-        assert math.isclose(prior_fixed(q2, 3, 2, 1 / 3), 1 / 9, rel_tol=1e-14)
+        assert math.isclose(log_prior(q2, 3, 2, FixedGammaPrior(1 / 3)), math.log(1 / 9), abs_tol=1e-14)
 
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("T", range(1, 9))
     def test_normalizes(self, N, T):
-        total = sum(prior_fixed(q, T, N, 1 / 3) for q in enumerate_regimes(T, N))
+        prior = FixedGammaPrior(1 / 3)
+        total = sum(math.exp(log_prior(q, T, N, prior)) for q in enumerate_regimes(T, N))
         assert abs(total - 1.0) <= 1e-12
 
     def test_switch_time_out_of_range(self):
         with pytest.raises(InvalidRegime):
-            prior_fixed(RegimeSpec((3,), (0, 1)), 3, 2, 0.5)
+            log_prior(RegimeSpec((3,), (0, 1)), 3, 2, FixedGammaPrior(0.5))
 
 
 class TestPriorAdaptive:
     def test_stay_regime(self):
-        assert math.isclose(prior_adaptive(RegimeSpec((), (0,)), 2, 2), 0.25, rel_tol=1e-14)
+        lp = log_prior(RegimeSpec((), (0,)), 2, 2, AdaptivePrior())
+        assert math.isclose(lp, math.log(0.25), abs_tol=1e-14)
 
     def test_switch_regime(self):
-        assert math.isclose(prior_adaptive(RegimeSpec((1,), (0, 1)), 2, 2), 0.25, rel_tol=1e-14)
+        lp = log_prior(RegimeSpec((1,), (0, 1)), 2, 2, AdaptivePrior())
+        assert math.isclose(lp, math.log(0.25), abs_tol=1e-14)
 
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("T", range(1, 9))
     def test_normalizes(self, N, T):
-        total = sum(prior_adaptive(q, T, N) for q in enumerate_regimes(T, N))
+        total = sum(math.exp(log_prior(q, T, N, AdaptivePrior())) for q in enumerate_regimes(T, N))
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -90,22 +85,22 @@ class TestRegimeWealth:
     X = validate_relatives([[2.0, 0.5], [0.5, 2.0]], ["a", "b"])
 
     def test_stay_product(self):
-        assert math.isclose(regime_wealth(RegimeSpec((), (0,)), self.X), 1.0, rel_tol=1e-14)
+        assert math.isclose(log_regime_wealth(RegimeSpec((), (0,)), self.X), 0.0, abs_tol=1e-14)
 
     def test_switch_product(self):
-        assert math.isclose(regime_wealth(RegimeSpec((1,), (0, 1)), self.X), 4.0, rel_tol=1e-14)
+        assert math.isclose(log_regime_wealth(RegimeSpec((1,), (0, 1)), self.X), math.log(4.0), abs_tol=1e-14)
 
     def test_all_segments_cost_convention(self):
-        w = regime_wealth(
+        lw = log_regime_wealth(
             RegimeSpec((1,), (0, 1)), self.X, CostModel.per_trade(0.01), "all-segments"
         )
-        assert math.isclose(w, 4.0 * 0.9801**2, rel_tol=1e-13)
+        assert math.isclose(lw, math.log(4.0 * 0.9801**2), abs_tol=1e-13)
 
     def test_switches_only_cost_convention(self):
-        w = regime_wealth(
+        lw = log_regime_wealth(
             RegimeSpec((1,), (0, 1)), self.X, CostModel.per_trade(0.01), "switches-only"
         )
-        assert math.isclose(w, 4.0 * 0.9801, rel_tol=1e-13)
+        assert math.isclose(lw, math.log(4.0 * 0.9801), abs_tol=1e-13)
 
 
 class TestEnumerateRegimes:
@@ -117,7 +112,7 @@ class TestEnumerateRegimes:
     @pytest.mark.parametrize("T,N", [(1, 2), (3, 2), (4, 3), (6, 2)])
     def test_count_formula_and_uniqueness(self, T, N):
         regimes = list(enumerate_regimes(T, N))
-        assert len(regimes) == count_regimes(T, N) == N**T
+        assert len(regimes) == N**T
         assert len(set(regimes)) == len(regimes)
 
     def test_guard(self):
@@ -142,11 +137,11 @@ class TestMixtureOracle:
         st = fixed_init(2, 0.3)
         for t in range(1, 8):
             fixed_step(st, X.day_row(t))
-        assert abs(log_total_wealth(st) - log_mixture_wealth(X, FixedGammaPrior(0.3))) < 1e-10
+        assert abs(st.log_wealth - log_mixture_wealth(X, FixedGammaPrior(0.3))) < 1e-10
         st = adaptive_init(2)
         for t in range(1, 8):
             adaptive_step(st, X.day_row(t))
-        assert abs(log_total_wealth(st) - log_mixture_wealth(X, AdaptivePrior())) < 1e-10
+        assert abs(st.log_wealth - log_mixture_wealth(X, AdaptivePrior())) < 1e-10
 
     def test_logsumexp_matches_pairwise_logaddexp(self):
         rng = np.random.default_rng(23)
@@ -166,7 +161,7 @@ class TestMixtureOracle:
         rng = np.random.default_rng(22)
         X = random_matrix(rng, 6, 3)
         terms = [
-            math.log(prior_adaptive(q, 6, 3)) + log_regime_wealth(q, X)
+            log_prior(q, 6, 3, AdaptivePrior()) + log_regime_wealth(q, X)
             for q in enumerate_regimes(6, 3)
         ]
         reference = log_mixture_wealth(X, AdaptivePrior())
@@ -214,7 +209,7 @@ class TestPenalties:
         for N in (2, 3):
             for T in range(1, 9):
                 for q in enumerate_regimes(T, N):
-                    assert -math.log2(prior_adaptive(q, T, N)) <= adaptive_penalty(
+                    assert -log_prior(q, T, N, AdaptivePrior()) / LOG2 <= adaptive_penalty(
                         T, N, q.switches
                     ) + 1e-12
 
@@ -228,7 +223,7 @@ class TestPenalties:
             for T in range(1, 9):
                 for gamma in (0.1, 1 / 3, 0.45):
                     for q in enumerate_regimes(T, N):
-                        assert -math.log2(prior_fixed(q, T, N, gamma)) < fixed_gamma_penalty(
+                        assert -log_prior(q, T, N, FixedGammaPrior(gamma)) / LOG2 < fixed_gamma_penalty(
                             T, N, q.switches, gamma
                         )
 
@@ -238,7 +233,7 @@ class TestBoundCheck:
         st = adaptive_init(X.assets)
         for t in range(1, X.days + 1):
             adaptive_step(st, X.day_row(t))
-        return log_total_wealth(st) / LOG2
+        return st.log_wealth / LOG2
 
     def test_slack_nonnegative_across_regimes(self):
         rng = np.random.default_rng(23)
@@ -255,7 +250,7 @@ class TestBoundCheck:
         st = fixed_init(2, 1 / 3)
         for t in range(1, 7):
             fixed_step(st, X.day_row(t))
-        alg = log_total_wealth(st) / LOG2
+        alg = st.log_wealth / LOG2
         for q in enumerate_regimes(6, 2):
             rep = bound_check(X, FixedGammaPrior(1 / 3), alg, q)
             assert rep.slack >= 0
@@ -325,7 +320,6 @@ def ref_log_mixture_wealth(X, prior, cost, convention):
     T, N = X.days, X.assets
     cumlog = np.zeros((T + 1, N))
     np.cumsum(np.log(X.values), axis=0, out=cumlog[1:])
-    gamma = prior.gamma if isinstance(prior, FixedGammaPrior) else None
     log_sf = math.log(switch_factor(cost))
     acc = -math.inf
     for times, strategies in ref_enumerate(T, N):
@@ -333,7 +327,7 @@ def ref_log_mixture_wealth(X, prior, cost, convention):
         lw = (len(times) + (convention == "all-segments")) * log_sf
         for asset, start, end in segments:
             lw += cumlog[end, asset] - cumlog[start - 1, asset]
-        acc = np.logaddexp(acc, _log_prior(times, T, N, gamma) + lw)
+        acc = np.logaddexp(acc, log_prior(RegimeSpec(times, strategies), T, N, prior) + lw)
     return float(acc)
 
 
@@ -408,7 +402,7 @@ class TestRegimeBlocks:
         assert_matches_references(X, prior, cost, "switches-only", alg=-3.25)
 
     def test_segment_sums_follow_the_matrix(self):
-        # Segment sums are kept for the latest matrix; a new one must not read them.
+        # Segment sums are kept per matrix; another matrix must not read them.
         rng = np.random.default_rng(27)
         for X in [random_matrix(rng, 4, 2) for _ in range(3)] * 2:
             for times, strategies in ref_enumerate(4, 2):
@@ -431,7 +425,8 @@ class TestRegimeBlocks:
     def test_segment_sums_do_not_outlive_the_matrix(self):
         X = random_matrix(np.random.default_rng(28), 5, 2)
         bound_check(X, AdaptivePrior(), 0.0, RegimeSpec((2,), (1, 0)))
-        assert regimes._latest_segments is not None
+        key = id(X)
+        assert key in regimes._segment_tables
         del X
         gc.collect()
-        assert regimes._latest_segments is None
+        assert key not in regimes._segment_tables

@@ -19,9 +19,6 @@ from switchfolio.switching import (
     fixed_init,
     fixed_step,
     fixed_weights,
-    gamma_hat,
-    log_total_wealth,
-    total_wealth,
 )
 
 
@@ -30,23 +27,11 @@ def random_matrix(rng, T, N):
     return validate_relatives(vals, [f"a{i}" for i in range(N)])
 
 
-class TestGammaHat:
-    def test_values(self):
-        assert gamma_hat(0) == 0.5
-        assert gamma_hat(1) == 0.25
-        assert gamma_hat(9) == 0.05
-
-    def test_decreasing_and_bounded(self):
-        vals = [gamma_hat(dt) for dt in range(200)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert all(0 < v <= 0.5 for v in vals)
-
-
 class TestFixedInit:
     def test_uniform_split(self):
         st = fixed_init(2, 1 / 3)
         assert np.allclose(st.asset_wealth, [0.5, 0.5])
-        assert st.day == 0 and total_wealth(st) == 1.0
+        assert st.day == 0 and st.log_wealth == 0.0
 
     def test_four_assets(self):
         st = fixed_init(4, 0.1)
@@ -70,7 +55,7 @@ class TestFixedStep:
         st = fixed_init(2, 1 / 3)
         fixed_step(st, np.array([2.0, 1.0]))
         assert np.allclose(st.asset_wealth, [1.0, 0.5], rtol=1e-15)
-        assert math.isclose(total_wealth(st), 1.5, rel_tol=1e-15)
+        assert math.isclose(st.log_wealth, math.log(1.5), abs_tol=1e-15)
         assert st.day == 1
 
     def test_no_switch_limit_is_buy_and_hold(self):
@@ -89,13 +74,13 @@ class TestFixedStep:
         fixed_step(st, np.array([1.0, 1.0]), CostModel.per_trade(0.01))
         per_asset = (1 - g) * 0.5 + 0.9801 * g * 0.5
         assert np.allclose(st.asset_wealth, per_asset, rtol=1e-15)
-        assert math.isclose(total_wealth(st), (1 - g) + 0.9801 * g, rel_tol=1e-15)
+        assert math.isclose(st.log_wealth, math.log((1 - g) + 0.9801 * g), abs_tol=1e-15)
 
     def test_first_day_purchase_never_charged(self):
         for cost in (CostModel.per_trade(0.05), CostModel.parallel(0.1)):
             st = fixed_init(2, 1 / 3)
             fixed_step(st, np.array([2.0, 1.0]), cost)
-            assert math.isclose(total_wealth(st), 1.5, rel_tol=1e-15)
+            assert math.isclose(st.log_wealth, math.log(1.5), abs_tol=1e-15)
 
     def test_dimension_mismatch(self):
         st = fixed_init(2, 1 / 3)
@@ -148,7 +133,7 @@ class TestAdaptiveInit:
 
     def test_fresh_state_has_unit_wealth(self):
         st = adaptive_init(3)
-        assert total_wealth(st) == 1.0 and st.day == 0
+        assert st.log_wealth == 0.0 and st.day == 0
 
     def test_too_few_assets(self):
         with pytest.raises(TooFewAssets):
@@ -170,7 +155,7 @@ class TestAdaptiveStep:
         adaptive_step(st, np.array([1.0, 1.0]))
         B = st.bucket_wealth()
         assert np.allclose(B, [[0.5, 0.25], [0.25, 0.5]], rtol=1e-14)
-        assert math.isclose(total_wealth(st), 1.5, rel_tol=1e-14)
+        assert math.isclose(st.log_wealth, math.log(1.5), abs_tol=1e-14)
 
     def test_parallel_cost_scales_new_buckets(self):
         st = adaptive_init(2)
@@ -332,7 +317,7 @@ class TestMixtureEquivalence:
             for t in range(1, T + 1):
                 fixed_step(st, X.day_row(t))
             oracle = log_mixture_wealth(X, FixedGammaPrior(gamma))
-            assert abs(log_total_wealth(st) - oracle) <= 1e-10
+            assert abs(st.log_wealth - oracle) <= 1e-10
 
     def test_adaptive(self):
         rng = np.random.default_rng(13)
@@ -344,7 +329,7 @@ class TestMixtureEquivalence:
             for t in range(1, T + 1):
                 adaptive_step(st, X.day_row(t))
             oracle = log_mixture_wealth(X, AdaptivePrior())
-            assert abs(log_total_wealth(st) - oracle) <= 1e-10
+            assert abs(st.log_wealth - oracle) <= 1e-10
 
 
 class TestCostMonotonicity:
@@ -362,7 +347,7 @@ class TestCostMonotonicity:
                     st = init()
                     for t in range(1, X.days + 1):
                         step(st, X.day_row(t), build(c) if c else None)
-                    finals.append(total_wealth(st))
+                    finals.append(st.log_wealth)
                 assert all(a >= b - 1e-15 for a, b in zip(finals, finals[1:]))
 
 
@@ -436,7 +421,7 @@ class TestScalingInvariance:
                 step(a, X.day_row(t))
                 step(b, Y.day_row(t))
                 assert np.allclose(weights_of(a).weights, weights_of(b).weights, atol=1e-12)
-            assert math.isclose(total_wealth(b), k * total_wealth(a), rel_tol=1e-12)
+            assert math.isclose(b.log_wealth, math.log(k) + a.log_wealth, abs_tol=1e-12)
 
 
 def eager_adaptive(X, cost):

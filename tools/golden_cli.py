@@ -84,6 +84,8 @@ def write_markets(work: Path) -> None:
     (work / "blank-bad.csv").write_text("a,b\n1.0,2.0\n\n1.0,abc\n")
     (work / "multiline-bad.csv").write_text('date,a,b\n"2001\n01",1.0,2.0\n2002,1.0,abc\n')
     (work / "negative.csv").write_text("a,b\n1.0,-2\n")
+    (work / "negative-price.csv").write_text("a,b\n1.0,2.0\n-1.0,2.0\n")
+    (work / "empty2.csv").write_text("a,b\n")  # a header and no trading day
 
 
 def corpus() -> list[tuple[str, list[str]]]:
@@ -187,6 +189,10 @@ def corpus() -> list[tuple[str, list[str]]]:
         "malformed-samples": ["compare", "--data", "plain2.csv", "--algo", "universal:samples=1e3"],
         "negative-seed": ["compare", "--data", "plain2.csv", "--seed", "-1", "--algo", "universal:samples=10"],
         "unknown-parameter": ["compare", "--data", "plain2.csv", "--algo", "eg:rate=2"],
+        "irrelevant-parameter": ["compare", "--data", "plain2.csv", "--algo", "eg:eta=0.05,samples=5,gamma=0.2"],
+        "negative-eta-empty-market": ["compare", "--data", "empty2.csv", "--algo", "eg:eta=-1"],
+        "negative-weight": ["backtest", "--data", "plain2.csv", "--algo", "crp", "--weights=-0.5,1.5"],
+        "negative-price": ["backtest", "--data", "negative-price.csv", "--mode", "prices", "--algo", "bcrp"],
         "unknown-kind": ["compare", "--data", "plain2.csv", "--algo", "momentum"],
         "parameter-without-value": ["compare", "--data", "plain2.csv", "--algo", "eg:eta"],
         "adaptive-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-adaptive"],
