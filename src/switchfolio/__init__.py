@@ -5,7 +5,7 @@ switching schedule between pure single-asset strategies, with either a
 constant switching probability or one that decays with holding time. Around
 them: transaction cost models, an exact mixture oracle, bound
 calculators, classic baselines (CRP, hindsight-best CRP, multiplicative
-updates, sampled universal portfolio, best stock), CSV ingestion, synthetic
+updates, universal portfolio, best stock), CSV ingestion, synthetic
 markets, and a backtesting CLI (``switchfolio``).
 """
 

@@ -1,21 +1,28 @@
 """Comparison strategies: CRP, hindsight-best CRP, multiplicative-update (EG),
-sampled universal portfolio, and the best single stock.
+the universal portfolio, and the best single stock.
 
 A constant rebalanced portfolio (CRP) restores the same weight vector every
 day, which costs real money under commissions: with a cost model, each day's
 drifted allocation is traded back to the target and the netted commission
 deducted: ``backtest.run`` runs one through costs.realized_wealth_track.
 
-The universal portfolio is approximated by Monte Carlo: M weight vectors
-drawn uniformly from the simplex, each run as its own CRP (paying its own
-rebalancing costs when a model is active), with the strategy's wealth the
-plain average of the M wealth tracks. Sampling uses a counter-based generator
-(Philox) so a (seed, M) pair reproduces bit-identically across platforms.
-The M CRPs run in tiles of days x samples, 512 KiB each, that reuse one
-buffer allocated per call: no tile allocates or faults in fresh pages.
-Samples are drawn a chunk at a time from the one stream, so they are the same
-points, bitwise, as one draw of all M, and the full M x N sample matrix is
-never held.
+The universal portfolio mixes every CRP under the uniform prior. For two
+assets without costs it is computed exactly: a CRP's wealth is a polynomial
+in its weight with non-negative coefficients, so the mixture is a sum of
+Beta integrals, carried from day to day as shares that sum to 1 and a
+natural-log wealth, in one O(t) pass on day t. The sample count and seed
+change nothing there.
+
+Otherwise (three or more assets, or a cost model) it is approximated by
+Monte Carlo: M weight vectors drawn uniformly from the simplex, each run as
+its own CRP (paying its own rebalancing costs when a model is active), with
+the strategy's wealth the plain average of the M wealth tracks. Sampling
+uses a counter-based generator (Philox) so a (seed, M) pair reproduces
+bit-identically across platforms. The M CRPs run in tiles of days x samples,
+512 KiB each, that reuse one buffer allocated per call: no tile allocates or
+faults in fresh pages. Samples are drawn a chunk at a time from the one
+stream, so they are the same points, bitwise, as one draw of all M, and the
+full M x N sample matrix is never held.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ class NoData(PortfolioError):
 
 @dataclass(frozen=True)
 class UniversalConfig:
-    """Monte Carlo settings for the sampled universal portfolio."""
+    """Universal portfolio settings; the exact two-asset path reads only ``cost``."""
 
     samples: int
     rng_seed: int = 0
@@ -165,8 +172,73 @@ def sample_simplex(m: int, n: int, seed: int) -> np.ndarray:
     return _simplex_draws(np.random.Generator(np.random.Philox(seed)), m, n)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's finiteness check
 def universal_tracks(
+    X: PriceRelativeMatrix, config: UniversalConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wealth series and implied weight track of the uniform-prior universal portfolio.
+
+    Returns (wealth of length T+1, weights of shape (T+1, N)); weights[t] is
+    the portfolio going into day t+1. Two assets without costs take the
+    exact form; every other input, the Monte Carlo mixture of config.samples
+    CRPs.
+    """
+    if X.assets == 2 and config.cost is None:
+        return _exact_pair_tracks(X)
+    return _sampled_tracks(X, config)
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf and nan are refused by the caller
+def _exact_pair_tracks(X: PriceRelativeMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The two-asset universal portfolio under the uniform prior, exactly.
+
+    After t days a CRP holding b of asset 1 has wealth sum_k e_k b^k (1-b)^(t-k)
+    with every e_k >= 0, so the mixture's wealth is sum_k e_k B(k+1, t-k+1).
+    The shares f_k = e_k B(k+1, t-k+1) / wealth sum to 1, the weight on asset 1
+    is sum_k f_k (k+1)/(t+2) (on asset 2, sum_k f_k (t+1-k)/(t+2)), and a day
+    with relatives (x1, x2) maps the shares to
+
+        f'_k = (x1 k f_{k-1} + x2 (t+1-k) f_k) / ((t+2) s),  k = 0..t+1,
+
+    where s = x1 w1 + x2 w2 is the day's growth, added to the log wealth as
+    log s. Every term is positive, so nothing cancels. Both weights and the
+    growth are computed so that swapping the two columns gives the same
+    wealth and mirrored weights, bit for bit.
+    """
+    T = X.days
+    ks = np.arange(1.0, T + 2)
+    shares, spare = np.zeros(T + 2), np.zeros(T + 2)
+    shares[0] = 1.0
+    up, down = np.empty(T + 1), np.empty(T + 1)
+    log_wealth = np.zeros(T + 1)
+    weights = np.empty((T + 1, 2))
+    for t in range(T + 1):
+        n = t + 1
+        k = ks[:n]
+        u, d = up[:n], down[:n]
+        # u[j] = f_j (j+1) moves up to share j+1 with asset 1's relative; d[j] = f_{t-j} (j+1) stays
+        # at share t-j with asset 2's. Swapping the columns reverses the shares, which swaps u and d
+        # exactly, and with them the two weights.
+        np.multiply(shares[:n], k, out=u)
+        np.multiply(shares[n - 1 :: -1], k, out=d)
+        w1, w2 = u.sum() / (t + 2), d.sum() / (t + 2)
+        weights[t] = w1, w2
+        if t == T:
+            break
+        x1, x2 = X.values[t]
+        s = x1 * w1 + x2 * w2  # the new shares' sum before scaling
+        log_wealth[t + 1] = log_wealth[t] + np.log(s)
+        scale = 1.0 / ((t + 2) * s)
+        np.multiply(u, x1 * scale, out=spare[1 : n + 1])
+        spare[0] = 0.0
+        d *= x2 * scale
+        stays = spare[n - 1 :: -1]
+        np.add(stays, d, out=stays)
+        shares, spare = spare, shares
+    return np.exp(log_wealth), weights
+
+
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's finiteness check
+def _sampled_tracks(
     X: PriceRelativeMatrix, config: UniversalConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Wealth series and implied weight track of the sampled universal portfolio.

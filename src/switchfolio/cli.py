@@ -272,7 +272,8 @@ def build_parser() -> _Parser:
     p_bt.add_argument("--gamma", type=float, help="switching probability for switching-fixed")
     p_bt.add_argument("--weights", help="comma-separated CRP weights, e.g. 0.5,0.5")
     p_bt.add_argument("--eta", type=float, help="learning rate for eg")
-    p_bt.add_argument("--samples", type=int, default=10_000, help="sample count for universal")
+    p_bt.add_argument("--samples", type=int, default=10_000,
+                      help="sample count for universal (unused for two assets without costs)")
     _add_cost_flags(p_bt)
     p_bt.add_argument(
         "--cost-accounting",

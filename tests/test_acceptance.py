@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from switchfolio.backtest import AlgoSpec, compare, emit_plot_data, run
-from switchfolio.baselines import UniversalConfig, bcrp_solve, universal_tracks
+from switchfolio.baselines import UniversalConfig, _sampled_tracks, bcrp_solve
 from switchfolio.core import RegimeSpec, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import load_csv, synth_regime_pair, synth_volatility_pair
@@ -192,7 +192,7 @@ def test_criterion_7_universal_vs_quadrature():
         vals = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(T, 2)))
         X = validate_relatives(vals, ["a", "b"])
         exact = float(np.trapezoid(np.prod(W @ X.values.T, axis=1), grid))
-        mc = universal_tracks(X, UniversalConfig(samples=100_000, rng_seed=2026))[0][-1]
+        mc = _sampled_tracks(X, UniversalConfig(samples=100_000, rng_seed=2026))[0][-1]
         rel = abs(mc - exact) / exact
         worst = max(worst, rel)
         assert rel <= 0.01, (T, rel)
@@ -201,7 +201,8 @@ def test_criterion_7_universal_vs_quadrature():
 
 # Expected final wealths for the classic NYSE pairs (22 years from 1963-01).
 # Columns: best stock, hindsight-best CRP, fixed switching at gamma=1/3,
-# and the sampled universal portfolio (tolerance +-15%, sampling unspecified).
+# and the universal portfolio (tolerance +-15%: the reference's sampling is unspecified;
+# ours is exact for a pair).
 _NYSE_PAIRS = {
     ("iroquois", "kin_ark"): (8.92, 73.70, 52.55, 39.97),
     ("comm_metals", "kin_ark"): (52.02, 144.00, 89.67, 80.54),
@@ -230,7 +231,7 @@ def test_criterion_8_nyse_reproduction():
         )
         for row, ref, tol in zip(rows, (best_ref, bcrp_ref, switch_ref, universal_ref), (0.02, 0.02, 0.02, 0.15)):
             assert abs(row.final_wealth - ref) / ref <= tol, (a, b, row.name, row.final_wealth, ref)
-    _passed(8, "deterministic NYSE pair columns within 2%, sampled universal within 15%")
+    _passed(8, "deterministic NYSE pair columns within 2%, universal within 15%")
 
 
 def test_criterion_9_adaptive_performance():

@@ -1,17 +1,20 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchfolio.backtest import AlgoSpec, run
+from switchfolio.backtest import AlgoSpec, compare, comparison_tsv, run
 from switchfolio.baselines import (
     _TILE_DAYS,
     _TILE_SAMPLES,
     NoData,
     UniversalConfig,
+    _exact_pair_tracks,
+    _sampled_tracks,
     _simplex_draws,
     bcrp_solve,
     best_stock,
@@ -57,7 +60,7 @@ def ref_universal_tracks(X, config):
 
 
 def assert_matches_reference(X, config):
-    wealth, track = universal_tracks(X, config)
+    wealth, track = _sampled_tracks(X, config)
     ref_wealth, ref_track = ref_universal_tracks(X, config)
     assert wealth.shape == ref_wealth.shape and track.shape == ref_track.shape
     assert np.all(np.abs(wealth - ref_wealth) <= 1e-12 * ref_wealth)
@@ -230,7 +233,7 @@ class TestUniversal:
         cfg = UniversalConfig(samples=200, rng_seed=5)
         W = sample_simplex(200, 2, 5)
         finals = np.prod(W @ X.values.T, axis=1)
-        u = universal_tracks(X, cfg)[0][-1]
+        u = _sampled_tracks(X, cfg)[0][-1]
         assert finals.min() - 1e-12 <= u <= finals.max() + 1e-12
 
     def test_never_beats_bcrp(self):
@@ -248,14 +251,14 @@ class TestUniversal:
         for _ in range(3):
             X = random_matrix(rng, int(rng.integers(1, 11)), 2)
             exact = float(np.trapezoid(np.prod(W @ X.values.T, axis=1), grid))
-            mc = universal_tracks(X, UniversalConfig(samples=100_000, rng_seed=7))[0][-1]
+            mc = _sampled_tracks(X, UniversalConfig(samples=100_000, rng_seed=7))[0][-1]
             assert abs(mc - exact) / exact <= 0.01
 
     def test_weights_track_is_wealth_weighted_mean(self):
         rng = np.random.default_rng(61)
         X = random_matrix(rng, 6, 2)
         cfg = UniversalConfig(samples=50, rng_seed=11)
-        wealth, track = universal_tracks(X, cfg)
+        wealth, track = _sampled_tracks(X, cfg)
         W = sample_simplex(50, 2, 11)
         finals = np.prod(W @ X.values.T, axis=1)
         expected_last = finals @ W / finals.sum()
@@ -318,14 +321,14 @@ class TestUniversal:
 
     def test_numpy_integer_seed_accepted(self):
         X = validate_relatives([[1.2, 0.9], [0.8, 1.1]], ["a", "b"])
-        a = universal_tracks(X, UniversalConfig(samples=20, rng_seed=np.int64(4)))
-        b = universal_tracks(X, UniversalConfig(samples=20, rng_seed=4))
+        a = _sampled_tracks(X, UniversalConfig(samples=20, rng_seed=np.int64(4)))
+        b = _sampled_tracks(X, UniversalConfig(samples=20, rng_seed=4))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_numpy_integer_sample_count_accepted(self):
         X = validate_relatives([[1.2, 0.9], [0.8, 1.1]], ["a", "b"])
-        a = universal_tracks(X, UniversalConfig(samples=np.int32(20), rng_seed=4))
-        b = universal_tracks(X, UniversalConfig(samples=20, rng_seed=4))
+        a = _sampled_tracks(X, UniversalConfig(samples=np.int32(20), rng_seed=4))
+        b = _sampled_tracks(X, UniversalConfig(samples=20, rng_seed=4))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_sampler_is_uniform_on_simplex(self):
@@ -334,6 +337,105 @@ class TestUniversal:
         assert np.all(pts >= 0)
         # Uniform Dirichlet(1,1,1) has mean 1/3 per coordinate.
         assert np.allclose(pts.mean(axis=0), 1 / 3, atol=0.01)
+
+
+def fraction_universal(X):
+    """Wealth and asset-1 weight of the two-asset uniform-prior universal portfolio after each day, as rationals.
+
+    Float relatives are exact rationals. A CRP holding b of asset 1 earns sum_k e_k b^k (1-b)^(t-k)
+    after t days, and the uniform prior integrates b^k (1-b)^(t-k) to k! (t-k)! / (t+1)!.
+    """
+
+    def beta(i, j):
+        return Fraction(math.factorial(i) * math.factorial(j), math.factorial(i + j + 1))
+
+    coef = [Fraction(1)]
+    wealth, first = [], []
+    for t in range(X.days + 1):
+        if t:
+            x1, x2 = map(Fraction, X.values[t - 1].tolist())
+            coef = [x1 * lower + x2 * same for lower, same in zip([0, *coef], [*coef, 0])]
+        w = sum(c * beta(k, t - k) for k, c in enumerate(coef))
+        wealth.append(w)
+        first.append(sum(c * beta(k + 1, t - k) for k, c in enumerate(coef)) / w)
+    return wealth, first
+
+
+def pair_market(T, flat):
+    return validate_relatives(np.array(flat, dtype=float).reshape(T, 2), ["a", "b"])
+
+
+@st.composite
+def pair_markets(draw, max_days):
+    T = draw(st.integers(0, max_days))
+    flat = draw(st.lists(st.floats(0.25, 4.0), min_size=2 * T, max_size=2 * T))
+    return pair_market(T, flat)
+
+
+class TestExactPair:
+    @settings(max_examples=60, deadline=None)
+    @given(X=pair_markets(8))
+    def test_matches_rational_arithmetic(self, X):
+        wealth, track = _exact_pair_tracks(X)
+        ref_wealth, ref_first = fraction_universal(X)
+        assert wealth.shape == (X.days + 1,) and track.shape == (X.days + 1, 2)
+        for got, want in [*zip(wealth, ref_wealth), *zip(track[:, 0], ref_first),
+                          *zip(track[:, 1], (1 - f for f in ref_first))]:
+            assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**13) * want
+
+    def test_no_trading_day(self):
+        wealth, track = _exact_pair_tracks(validate_relatives([], ["a", "b"]))
+        assert wealth.tolist() == [1.0] and track.tolist() == [[0.5, 0.5]]
+
+    def test_one_trading_day(self):
+        wealth, track = _exact_pair_tracks(pair_market(1, [3.0, 0.5]))
+        assert wealth[0] == 1.0 and math.isclose(wealth[1], 1.75, rel_tol=1e-15)
+        assert track[0].tolist() == [0.5, 0.5]
+        # Posterior mean of b, with density proportional to 3b + 0.5(1 - b): (0.5 + 2 * 3) / (3 * 3.5)
+        assert math.isclose(track[1, 0], 6.5 / 10.5, rel_tol=1e-15)
+        assert math.isclose(track[1, 1], 4.0 / 10.5, rel_tol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=pair_markets(60))
+    def test_swapped_columns_mirror_bitwise(self, X):
+        wealth, track = _exact_pair_tracks(X)
+        swapped = validate_relatives(X.values[:, ::-1], ["b", "a"])
+        wealth_s, track_s = _exact_pair_tracks(swapped)
+        assert np.array_equal(wealth, wealth_s)
+        assert np.array_equal(track, track_s[:, ::-1])
+
+    def test_universal_dispatch(self):
+        X = random_matrix(np.random.default_rng(64), 40, 2)
+        exact = _exact_pair_tracks(X)
+        for samples, seed in [(1, 0), (500, 3), (20_000, 11)]:
+            got = universal_tracks(X, UniversalConfig(samples=samples, rng_seed=seed))
+            assert np.array_equal(got[0], exact[0]) and np.array_equal(got[1], exact[1])
+        cfg = UniversalConfig(samples=500, rng_seed=3, cost=CostModel.per_trade(0.01))
+        costed, sampled = universal_tracks(X, cfg), _sampled_tracks(X, cfg)
+        assert np.array_equal(costed[0], sampled[0]) and np.array_equal(costed[1], sampled[1])
+
+    def test_compare_ignores_samples_and_seed(self):
+        X = random_matrix(np.random.default_rng(65), 300, 2)
+
+        def figures(samples, seed):
+            rows = comparison_tsv(compare([AlgoSpec("universal", samples=samples, seed=seed)], X))
+            return [line.split("\t")[::2] for line in rows.splitlines()]
+
+        assert figures(10, 0) == figures(100_000, 0) == figures(1000, 7)
+
+    def test_sampled_error_shrinks_like_inverse_root_samples(self):
+        # Each sampled estimate lies within four standard errors of the exact form, so
+        # its error falls like 1/sqrt(M); across fixed seeds, 100x the samples cut it well over 3x.
+        X = random_matrix(np.random.default_rng(63), 8, 2)
+        exact = _exact_pair_tracks(X)[0][-1]
+        errors = {1000: [], 100_000: []}
+        for seed in range(5):
+            for M, errs in errors.items():
+                mc = _sampled_tracks(X, UniversalConfig(samples=M, rng_seed=seed))[0][-1]
+                finals = np.prod(sample_simplex(M, 2, seed) @ X.values.T, axis=1)
+                assert abs(mc - exact) <= 4 * finals.std() / math.sqrt(M)
+                errs.append(abs(mc - exact))
+        assert np.mean(errors[100_000]) * 3 <= np.mean(errors[1000])
 
 
 class TestBestStock:

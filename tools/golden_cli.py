@@ -73,6 +73,7 @@ def write_markets(work: Path) -> None:
     _market(work / "one.csv", 7, 4, 1, 0.05)
     _market(work / "ten3.csv", 8, 10, 3, 0.03)  # oracle-certify's shape; has segments of 8+ days
     _market(work / "long2.csv", 16, 150, 2, 0.02)  # more than two universal tiles of days
+    _market(work / "long3.csv", 18, 150, 3, 0.02)  # the same at N=3, where universal samples without a cost
     lines = (work / "long2.csv").read_text().splitlines()
     lines[119] = lines[119].split(",")[0] + ",0.99.5"  # line 120, column 2: past the whole-grid parse
     (work / "late-bad.csv").write_text("\n".join(lines) + "\n")
@@ -126,6 +127,8 @@ def corpus() -> list[tuple[str, list[str]]]:
         cases.append((f"compare-long2-universal20000-{cost}",
                       ["compare", "--data", "long2.csv", "--algo", "universal:samples=20000",
                        "--algo", "best-stock", *COSTS[cost]]))
+    cases.append(("compare-long3-universal20000-none",
+                  ["compare", "--data", "long3.csv", "--algo", "universal:samples=20000", "--algo", "best-stock"]))
     for command in ("oracle", "bounds"):
         for market in ("small2", "small3"):
             for prior in ("fixed", "adaptive"):
