@@ -150,13 +150,17 @@ class BacktestReport:
 
 
 class NonFiniteResult(PortfolioError):
-    """A wealth or drawdown to be reported is infinite or NaN."""
+    """A wealth or drawdown to be reported is infinite or NaN, or a wealth underflowed to 0."""
 
 
 def _require_finite(spec: AlgoSpec, figures: dict[str, float]) -> None:
     bad = [name for name, value in figures.items() if not np.isfinite(value)]
     if bad:
         raise NonFiniteResult(f"{spec.label}: non-finite {', '.join(bad)}")
+    # Relatives are positive and a cost never takes all, so a wealth of 0 can only be an underflow.
+    lost = [name for name, value in figures.items() if value == 0 and name != "max_drawdown"]
+    if lost:
+        raise NonFiniteResult(f"{spec.label}: {', '.join(lost)} underflowed to 0")
 
 
 @np.errstate(invalid="ignore")  # inf / inf is nan, which the caller's finiteness check refuses
@@ -192,11 +196,12 @@ def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
     wealth = np.ones(X.days + 1)
     log_wealth = np.zeros(X.days + 1)
     weights[0] = 1.0 / n  # the uncharged initial purchase is uniform
-    for t in range(1, X.days + 1):
-        step(state, X.values[t - 1], spec.cost)
+    cost = spec.cost
+    for t, x in enumerate(X.values, 1):
+        step(state, x, cost)
         log_wealth[t] = state.log_wealth
         wealth[t] = math.exp(state.log_wealth)  # OverflowError where it leaves double range
-        weights[t] = weights_of(state, spec.cost).weights
+        weights[t] = weights_of(state, cost).weights
     return wealth, weights, log_wealth
 
 
@@ -277,8 +282,8 @@ class ComparisonRow:
 def compare(specs: list[AlgoSpec], X: PriceRelativeMatrix) -> list[ComparisonRow]:
     """Backtest several strategies over the same matrix, one row per spec, in spec order.
 
-    A spec with a non-finite wealth or drawdown raises NonFiniteResult; the specs after it
-    do not run.
+    A spec with a non-finite wealth or drawdown, or a final wealth that underflowed to 0,
+    raises NonFiniteResult; the specs after it do not run.
     """
     if not specs:
         raise PortfolioError("compare needs at least one algorithm spec")
@@ -309,7 +314,8 @@ def comparison_tsv(rows: list[ComparisonRow]) -> str:
 
 
 def report_tsv(report: BacktestReport) -> str:
-    """Key-value TSV summary of one backtest; a non-finite figure raises NonFiniteResult.
+    """Key-value TSV summary of one backtest; a non-finite figure or a final wealth of 0
+    raises NonFiniteResult.
 
     A finite drawdown also implies a finite wealth series, hence finite plot data.
     """

@@ -20,7 +20,7 @@ threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,27 +65,39 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class PortfolioVector:
     """Nonnegative weights summing to one: the fraction of wealth per asset.
 
     Construction rejects vectors farther than SIMPLEX_TOL from the simplex
-    rather than silently renormalizing. Equality and hashing are by identity.
+    rather than silently renormalizing. The weights array is read-only and
+    the attribute cannot be reassigned. Equality and hashing are by identity.
     """
 
-    weights: np.ndarray
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, weights: np.ndarray):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DimensionMismatch("portfolio weights must be a non-empty 1-D vector")
-        if not w.min() >= 0:  # a NaN minimum fails this test too
+        if not np.minimum.reduce(w) >= 0:  # a NaN minimum fails this test too
             raise NegativeEntry(f"negative or NaN portfolio weight: {float(w[~(w >= 0)][0])!r}")
-        total = float(w.sum())
+        total = float(np.add.reduce(w))
         if abs(total - 1.0) > SIMPLEX_TOL:
             raise PortfolioError(f"portfolio weights sum to {total!r}, not 1 within {SIMPLEX_TOL}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"PortfolioVector(weights={self.weights!r})"
+
+    def __reduce__(self):
+        return type(self), (self.weights,)
 
     @property
     def assets(self) -> int:

@@ -10,10 +10,13 @@ trading day a slice of every asset's wealth is redistributed to the others:
 * adaptive switching probability: wealth is bucketed by (asset, start day);
   a bucket held for dt days keeps fraction (dt + 1/2)/(dt + 1) and leaks
   1/(2(dt + 1)), split evenly over the other assets, so long-held positions
-  become progressively stickier (O(t) work on day t). Each bucket is stored
-  once, at birth, relative to its asset's running growth against the
-  mixture, so a day is one read-only pass over the buckets (see
-  :class:`AdaptiveState`).
+  become progressively stickier. Each bucket is stored once, at birth,
+  relative to its asset's running growth against the mixture, so a day's
+  stay and leak masses are a causal convolution of the stored buckets with
+  two fixed age kernels. Ages below 64 are summed directly; older ages are
+  read from pending sums that FFT block products added ahead of time
+  (relaxed multiplication), so the first T days cost O(N T log² T) in all,
+  not O(N T²) (see :class:`AdaptiveState`).
 
 Transaction costs shrink only the redistributed (switched-in) mass by the
 cost model's lump-move factor; the stay term and the initial purchase are
@@ -35,6 +38,10 @@ import numpy as np
 from .core import DimensionMismatch, PortfolioError, PortfolioVector
 from .costs import CostModel, switch_factor
 from .regimes import kt_neg_log2_sequence
+
+SHORT_AGES = 63  # ages a day sums directly; level L = 64, 128, ... holds ages [L, 2L)
+FIRST_LEVEL = SHORT_AGES + 1
+FOLD_LO, FOLD_HI = 1e-150, 1e150  # an adaptive scale outside this range is folded
 
 
 class GammaOutOfRange(PortfolioError):
@@ -60,7 +67,7 @@ class FixedGammaState:
         self.shares = np.asarray(shares, dtype=float)
         self.day = int(day)
         self.log_wealth = float(log_wealth)
-        self._day_cache = (-1, None, None)  # (day, switch factor, pre-return mass)
+        self._day_cache = (-1, None, 1.0, None)  # (day, cost, its switch factor, pre-return mass)
 
     @property
     def assets(self) -> int:
@@ -70,6 +77,14 @@ class FixedGammaState:
     def asset_wealth(self) -> np.ndarray:
         """Linear per-asset wealth S_t^i (unit initial investment)."""
         return self.shares * math.exp(self.log_wealth)
+
+
+def _age_kernels(a_max: int) -> np.ndarray:
+    """Stay P(a) = prod_{j=1..a} (j - 1/2)/j and leak P(a-1)/(2a) for ages 1..a_max, shape (2, a_max)."""
+    age = np.arange(1.0, a_max + 1)
+    stay = np.exp2(-kt_neg_log2_sequence(a_max))
+    leak = np.concatenate(([1.0], stay[:-1])) / (2.0 * age)
+    return np.stack((stay, leak))
 
 
 class AdaptiveState:
@@ -82,47 +97,73 @@ class AdaptiveState:
     relative to the whole mixture. So each bucket is stored once, at birth,
     as ``coef[i, k]`` = its share on day k+1 divided by ``scale[i]``, the
     running product of asset i's relative over the mixture's daily growth.
-    After day t its share is ``coef[i, k] * P(t-1-k) * scale[i]``, and a day
-    reads ``coef[:, :t]`` once against two reversed age kernels, stay P(a)
-    and leak P(a-1)/(2a), without writing any bucket. A scale that leaves
-    [1e-150, 1e150] is folded into its row of ``coef`` and reset to 1, so
-    extreme markets stay finite. The day's new bucket and pre-return mass
-    (stay plus new bucket) are cached under ``day`` and the cost's switch
-    factor: whichever of a weights call and the next step comes first
-    computes them, and the other reads them.
+    After day t its share is ``coef[i, k] * P(t-1-k) * scale[i]``.
+
+    On day t asset i's stay and leaked masses are ``scale[i]`` times
+    sum_k coef[i, k] K(t-k), with the kernel K either stay P(a) or leak
+    P(a-1)/(2a). The day sums ages 1..63 directly over its last 63
+    coefficients. Every older age a lies in one level [L, 2L), L = 64, 128,
+    ..., and is read from ``pending[t]``, where the ages of level L were
+    added ahead of time (relaxed multiplication, after van der Hoeven 2002):
+    on each day t that L divides, one batched FFT product of the
+    coefficients of days t-2L..t-1 with the level's two kernel segments
+    adds the ages [L, 2L) of days t..t+L-1, over all assets at once. The
+    kernel spectra are kept per level. A day's work is O(N) plus O(N log L)
+    amortized per level, and runs shorter than 64 days never reach a level.
+
+    A scale that leaves [1e-150, 1e150] is folded into its row of ``coef``
+    and of the pending sums, and reset to 1, so extreme markets stay finite.
+    The day's new bucket and pre-return mass (stay plus new bucket) are
+    cached under ``day`` and the cost's switch factor: whichever of a
+    weights call and the next step comes first computes them, and the other
+    reads them.
     """
 
-    __slots__ = ("day", "log_wealth", "_coef", "_scale", "_kernel", "_day_cache")
+    __slots__ = (
+        "day", "log_wealth", "_coef", "_pending", "_scale", "_short", "_spectra", "_others", "_sum", "_day_cache"
+    )
 
     def __init__(self, n: int):
         self.day = 0
         self.log_wealth = 0.0
-        self._coef = np.zeros((n, 0))
+        self._coef = np.zeros((n, FIRST_LEVEL))
+        self._pending = np.zeros((FIRST_LEVEL, n, 2))  # [day, asset, stay or leak], like coef
         self._scale = np.ones(n)
-        self._kernel = np.zeros((2, 0))
-        self._day_cache = (-1, None, None, None)  # (day, switch factor, new bucket, pre-return mass)
-        self._grow(16)
+        # Row j serves age 63 - j, so day t reads the last min(t, 63) rows.
+        self._short = _age_kernels(SHORT_AGES)[:, ::-1].copy().T
+        self._spectra = {}  # level -> the rfft of its two kernel segments
+        # 0-d arrays, not scalars, meet the day's vectors: numpy combines them faster, to the same bits.
+        self._others = np.array(n - 1.0)  # the assets a leak is split over
+        self._sum = np.empty(())  # receives each of the day's sums in turn
+        self._day_cache = (-1, None, 1.0, None, None)  # (day, cost, its switch factor, new bucket, pre-return mass)
 
     @property
     def assets(self) -> int:
         return self._scale.size
 
     def _grow(self, needed: int):
-        """Make room for at least ``needed`` start days (at least double the capacity)."""
-        capacity = max(needed, 2 * self._kernel.shape[1])
-        grown = np.zeros((self.assets, capacity))
-        grown[:, : self.day] = self._coef[:, : self.day]
-        self._coef = grown
-        # Column j serves age a = capacity - j, so day t reads the last t columns.
-        age = np.arange(1.0, capacity + 1)
-        stay = np.exp2(-kt_neg_log2_sequence(capacity))
-        leak = np.concatenate(([1.0], stay[:-1])) / (2.0 * age)
-        self._kernel = np.ascontiguousarray(np.stack((stay, leak))[:, ::-1])
+        """Make room for at least ``needed`` days (at least double the capacity)."""
+        t, n = self.day, self.assets
+        capacity = max(needed, 2 * self._coef.shape[1])
+        coef = np.zeros((n, capacity))
+        coef[:, :t] = self._coef[:, :t]
+        pending = np.zeros((capacity, n, 2))
+        pending[t : self._pending.shape[0]] = self._pending[t:]  # days before t are read
+        self._coef, self._pending = coef, pending
+
+    def _spectrum(self, level: int) -> np.ndarray:
+        """rfft of length 2L of the stay and leak kernels over ages [L, 2L), shape (2, L+1)."""
+        spectrum = self._spectra.get(level)
+        if spectrum is None:
+            spectrum = self._spectra[level] = np.fft.rfft(_age_kernels(2 * level - 1)[:, level - 1 :], 2 * level)
+        return spectrum
 
     def bucket_view(self) -> np.ndarray:
         """Shares by (asset, start day): a new read-only (N, day) array of fractions of total."""
         t = self.day
-        held = np.append(self._kernel[0, self._kernel.shape[1] - t + 1 :], 1.0)[:t]  # P(t-1-k)
+        held = np.ones(t)  # P(t-1-k); the bucket born on day t has held for no day yet
+        if t > 1:
+            held[:-1] = np.exp2(-kt_neg_log2_sequence(t - 1))[::-1]
         view = self._coef[:, :t] * held * self._scale[:, None]
         view.setflags(write=False)
         return view
@@ -157,26 +198,29 @@ def _check_row(n: int, x) -> np.ndarray:
 
 def _fixed_pre_return_mass(state: FixedGammaState, cost: CostModel | None) -> np.ndarray:
     """Post-trade mass per asset before the next day's returns, as shares of wealth."""
-    g, n, t = state.gamma, state.assets, state.day
-    factor = switch_factor(cost)
-    cached_day, cached_factor, mass = state._day_cache
-    if cached_day == t and cached_factor == factor:
+    day, cached_cost, cached_factor, mass = state._day_cache
+    factor = cached_factor if cost is cached_cost else switch_factor(cost)
+    t = state.day
+    if day == t and factor == cached_factor:
         return mass
+    shares = state.shares
     if t == 0:
-        mass = state.shares.copy()  # initial purchase: nothing to trade yet
+        mass = shares.copy()  # initial purchase: nothing to trade yet
     else:
-        stay = (1.0 - g) * state.shares
-        switched_in = (g / (n - 1)) * (1.0 - state.shares)
-        mass = stay + factor * switched_in
-    state._day_cache = (t, factor, mass)
+        g = state.gamma
+        switched_in = (g / (shares.size - 1)) * (1.0 - shares)
+        if factor != 1.0:  # multiplying by 1 would change no bit
+            switched_in = factor * switched_in
+        mass = (1.0 - g) * shares + switched_in
+    state._day_cache = (t, cost, factor, mass)
     return mass
 
 
 def fixed_step(state: FixedGammaState, x, cost: CostModel | None = None) -> FixedGammaState:
     """Advance one trading day in place: redistribute, charge cost, apply returns."""
-    row = _check_row(state.assets, x)
+    row = _check_row(state.shares.size, x)
     mass = _fixed_pre_return_mass(state, cost) * row
-    total = float(mass.sum())
+    total = float(np.add.reduce(mass))
     state.shares = mass / total
     state.log_wealth += math.log(total)
     state.day += 1
@@ -192,48 +236,77 @@ def fixed_weights(state: FixedGammaState, cost: CostModel | None = None) -> Port
     lump-move factor and the result renormalized.
     """
     mass = _fixed_pre_return_mass(state, cost)
-    return PortfolioVector(mass / mass.sum())
+    return PortfolioVector(mass / np.add.reduce(mass))
 
 
 def _adaptive_pre_return_mass(state: AdaptiveState, cost: CostModel | None):
     """(new bucket, stay + new bucket) per asset as shares of wealth, before returns; day >= 1."""
+    day, cached_cost, cached_factor, new_bucket, mass = state._day_cache
+    factor = cached_factor if cost is cached_cost else switch_factor(cost)
     t = state.day
-    factor = switch_factor(cost)
-    cached_day, cached_factor, new_bucket, mass = state._day_cache
-    if cached_day == t and cached_factor == factor:
+    if day == t and factor == cached_factor:
         return new_bucket, mass
-    kernel = state._kernel[:, state._kernel.shape[1] - t :]
-    stay, leaked = ((state._coef[:, :t] @ kernel.T) * state._scale[:, None]).T
+    # (N, 2) sums of coef times the stay and leak kernels: ages up to 63 here, older ones pending.
+    if t <= SHORT_AGES:
+        sums = state._coef[:, :t] @ state._short[SHORT_AGES - t :]
+    else:
+        sums = state._coef[:, t - SHORT_AGES : t] @ state._short
+        sums += state._pending[t]
+    scale = state._scale
+    leaked = sums[:, 1] * scale
     # Leaked mass is split evenly over the other N-1 assets.
-    new_bucket = factor * (leaked.sum() - leaked) / (state.assets - 1)
-    mass = stay + new_bucket
-    state._day_cache = (t, factor, new_bucket, mass)
+    new_bucket = factor * (np.add.reduce(leaked, out=state._sum) - leaked) / state._others
+    mass = sums[:, 0] * scale + new_bucket
+    state._day_cache = (t, cost, factor, new_bucket, mass)
     return new_bucket, mass
+
+
+def _relax(state: AdaptiveState) -> None:
+    """Add the ages [L, 2L) of days t..t+L-1 to the pending sums, for each level L that divides day t."""
+    t = state.day
+    top = t & -t  # the largest power of two that divides t
+    if t + top > state._pending.shape[0]:
+        state._grow(t + top)
+    level = FIRST_LEVEL
+    while level <= top:
+        # Coefficients of days t-2L..t-1 (fewer when t = L) against ages [L, 2L): a circular
+        # convolution of length 2L is exact on the L outputs that land on days t..t+L-1.
+        lo = max(t - 2 * level, 0)
+        first = t - level - lo
+        spectrum = np.fft.rfft(state._coef[:, lo:t], 2 * level)
+        for kernel, kernel_spectrum in enumerate(state._spectrum(level)):  # one at a time: fewer temporaries
+            sums = np.fft.irfft(spectrum * kernel_spectrum, 2 * level)[:, first : first + level]
+            state._pending[t : t + level, :, kernel] += sums.T
+        level *= 2
 
 
 def adaptive_step(state: AdaptiveState, x, cost: CostModel | None = None) -> AdaptiveState:
     """Advance one trading day in place; bucket count grows by one per asset."""
-    row = _check_row(state.assets, x)
+    row = _check_row(state._scale.size, x)
     t = state.day
     if t == 0:
-        new_bucket = mass = np.full(state.assets, 1.0 / state.assets)  # uncharged purchase
+        new_bucket = mass = np.full(row.size, 1.0 / row.size)  # uncharged purchase
     else:
         new_bucket, mass = _adaptive_pre_return_mass(state, cost)
-    if t >= state._kernel.shape[1]:
+    if t >= state._coef.shape[1]:
         state._grow(t + 1)
     scale = state._scale
     # Stored against the pre-return scale, which today's row / total turns into its share.
-    state._coef[:, t] = new_bucket / scale
+    np.divide(new_bucket, scale, out=state._coef[:, t])
     mass = mass * row
-    total = float(mass.sum())
+    total = np.add.reduce(mass, out=state._sum)
     scale *= row / total
-    # Fold a scale outside [1e-150, 1e150] into its row before it leaves double range.
-    if scale.min() < 1e-150 or scale.max() > 1e150:
-        out = (scale < 1e-150) | (scale > 1e150)
+    # Fold a scale outside [1e-150, 1e150] into its rows before it leaves double range.
+    scales = scale.tolist()
+    if min(scales) < FOLD_LO or max(scales) > FOLD_HI:
+        out = (scale < FOLD_LO) | (scale > FOLD_HI)
         state._coef[out, : t + 1] *= scale[out, None]
+        state._pending[t + 1 : 2 * t, out] *= scale[out, None]  # relaxed days t' wrote below 2t'
         scale[out] = 1.0
     state.log_wealth += math.log(total)
-    state.day = t + 1
+    state.day = t = t + 1
+    if t % FIRST_LEVEL == 0:
+        _relax(state)
     return state
 
 
@@ -242,5 +315,4 @@ def adaptive_weights(state: AdaptiveState, cost: CostModel | None = None) -> Por
     if state.day < 1:
         raise PortfolioError("adaptive weights are defined only after the first trading day")
     _, mass = _adaptive_pre_return_mass(state, cost)
-    return PortfolioVector(mass / mass.sum())
-
+    return PortfolioVector(mass / np.add.reduce(mass, out=state._sum))

@@ -253,10 +253,18 @@ class TestCompare:
             return real_run(spec, X)
 
         monkeypatch.setattr(backtest, "run", recording_run)
-        specs = [AlgoSpec("best-stock"), AlgoSpec("eg", eta=0.05), AlgoSpec("crp", weights=(1, 0))]
+        specs = [AlgoSpec("crp", weights=(0.5, 0.5)), AlgoSpec("eg", eta=0.05), AlgoSpec("crp", weights=(1, 0))]
         with np.errstate(all="ignore"), pytest.raises(NonFiniteResult, match="eg eta=0.05"):
             compare(specs, X)
-        assert ran == ["best-stock", "eg"]
+        assert ran == ["crp", "eg"]
+
+    def test_wealth_underflow_refused(self):
+        X = synth_regime_pair(2000)  # the best single asset's wealth underflows to 0 here
+        with pytest.raises(NonFiniteResult, match="^best-stock: final_wealth underflowed to 0$"):
+            compare([AlgoSpec("best-stock")], X)
+        with pytest.raises(NonFiniteResult, match="^best-stock: final_wealth underflowed to 0$"):
+            report_tsv(run(AlgoSpec("best-stock"), X))
+        assert compare([AlgoSpec("bcrp")], X)[0].final_wealth > 0  # tiny, but representable
 
     def test_deterministic_with_seeded_universal(self):
         rng = np.random.default_rng(78)

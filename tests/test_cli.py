@@ -152,7 +152,7 @@ class TestDataErrors:
     @pytest.mark.parametrize(
         "argv, label",
         [
-            (["compare", "--algo", "best-stock", "--algo", "eg:eta=0.05"], "eg eta=0.05"),
+            (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=0.05"], "eg eta=0.05"),
             (["compare", "--algo", "universal:samples=50"], "universal samples=50 seed=0"),
             (["backtest", "--algo", "eg", "--eta", "0.05"], "eg eta=0.05"),
         ],
@@ -168,11 +168,29 @@ class TestDataErrors:
         assert err == f"switchfolio: {label}: non-finite {refused_figures(argv, label)}\n"
 
     @pytest.mark.parametrize(
+        "argv, refused",
+        [
+            (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "best-stock"], "final_wealth"),
+            (["backtest", "--algo", "best-stock"], "final_wealth"),
+            (["backtest", "--algo", "best-stock", "--cost-model", "parallel", "--cost-rate", "0.01"],
+             "final_wealth, final_wealth_bucket, final_wealth_realized"),
+        ],
+    )
+    def test_wealth_underflow_exits_two(self, capsys, tmp_path, argv, refused):
+        # 4000 days of the regime pair: the best asset falls 4x a day for 2000 days, so its
+        # linear wealth underflows to 0, a value no run can reach.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data))
+        code, out, err = invoke(capsys, argv[0], "--data", str(data), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err == f"switchfolio: best-stock: {refused} underflowed to 0\n"
+
+    @pytest.mark.parametrize(
         "argv, label",
         [
             (["compare", "--algo", "universal:samples=100"], "universal samples=100 seed=0"),
             (["backtest", "--algo", "universal"], "universal samples=10000 seed=0"),
-            (["compare", "--algo", "best-stock", "--algo", "eg:eta=0.05",
+            (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=0.05",
               "--algo", "universal:samples=100"], "eg eta=0.05"),
             (["compare", "--algo", "universal:samples=100", "--cost-model", "per-trade", "--cost-rate", "0.01"],
              "universal samples=100 seed=0"),
@@ -427,3 +445,28 @@ class TestDeterminism:
         b = subprocess.run(argv, capture_output=True)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+
+class TestFftLoadsLazily:
+    """numpy.fft serves only the adaptive mixture's pending sums, from day 64 on: the benchmark's
+    compare, oracle and bounds workloads never load it."""
+
+    SCRIPT = "import sys, switchfolio.cli as cli; print(cli.main(sys.argv[1:]), 'numpy.fft' in sys.modules)"
+
+    @pytest.mark.parametrize(
+        "days, argv, loaded",
+        [
+            (200, ["compare", "--algo", "best-stock", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=0.05",
+                   "--algo", "universal:samples=100", "--algo", "switching-fixed:gamma=0.3"], False),
+            (6, ["oracle", "--prior", "adaptive", "--cost-model", "per-trade", "--cost-rate", "0.01"], False),
+            (6, ["bounds", "--prior", "fixed", "--gamma", "0.3"], False),
+            (64, ["backtest", "--algo", "switching-adaptive"], True),
+        ],
+    )
+    def test_loaded_only_by_an_adaptive_run_of_64_days(self, tmp_path, days, argv, loaded):
+        data, out = tmp_path / "m.csv", tmp_path / "out.txt"
+        values = np.exp(np.random.default_rng(days).uniform(-0.03, 0.03, (days, 3 if days < 10 else 2)))
+        write_csv(validate_relatives(values, [f"a{i}" for i in range(values.shape[1])]), str(data))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, argv[0], "--data", str(data), *argv[1:],
+                               "--out", str(out)], capture_output=True, text=True, check=True)
+        assert done.stdout == f"0 {loaded}\n"

@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +174,26 @@ class TestIdentityEquality:
         v = PortfolioVector(np.array([0.25, 0.75]))
         assert w == w and w != v
         assert len({w, v, w}) == 2
+
+
+class TestPortfolioVectorRecord:
+    """A slotted class that behaves as the frozen dataclass it replaced."""
+
+    def test_attribute_cannot_be_set_or_deleted(self):
+        pv = PortfolioVector(np.array([0.25, 0.75]))
+        for name in ("weights", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pv, name, np.array([0.5, 0.5]))
+            with pytest.raises(FrozenInstanceError):
+                delattr(pv, name)
+        assert pv.weights.tolist() == [0.25, 0.75]
+        assert not hasattr(pv, "__dict__")
+
+    def test_repr_copy_and_pickle(self):
+        pv = PortfolioVector(np.array([0.25, 0.75]))
+        assert repr(pv) == "PortfolioVector(weights=array([0.25, 0.75]))"
+        for twin in (copy.copy(pv), copy.deepcopy(pv), pickle.loads(pickle.dumps(pv))):
+            assert twin.weights.tolist() == [0.25, 0.75] and not twin.weights.flags.writeable
 
 
 class TestRegimeSpec:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st_
 from switchfolio.backtest import AlgoSpec, run
 from switchfolio.core import DimensionMismatch, validate_relatives
 from switchfolio.costs import CostModel, switch_factor
-from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, log_mixture_wealth
+from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, kt_neg_log2_sequence, log_mixture_wealth
 from switchfolio.switching import (
     FixedGammaState,
     GammaOutOfRange,
@@ -516,6 +518,101 @@ class TestAdaptiveAgainstEagerRecursion:
         report = run(spec, X)
         oracle = log_mixture_wealth(X, FixedGammaPrior(gamma) if fixed else AdaptivePrior(), cost)
         assert math.isclose(report.log_wealth[-1], oracle, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def quadratic_adaptive(X, cost):
+    """Reference: the O(t) adaptive day, every stored bucket against both age kernels daily.
+
+    This is the day the state machine ran before its long ages moved to pending
+    sums, in the same array operations, which the relaxed day still runs before
+    day 64. Returns the log-wealth after each day, the weights for each next
+    day and the final bucket shares, as ``stepped_adaptive`` does.
+    """
+    T, n = X.shape
+    stay = np.exp2(-kt_neg_log2_sequence(max(T, 1)))
+    leak = np.concatenate(([1.0], stay[:-1])) / (2.0 * np.arange(1.0, stay.size + 1))
+    kernel = np.ascontiguousarray(np.stack((stay, leak))[:, ::-1])  # column j serves age T - j
+    coef, scale, log_wealth = np.zeros((n, T)), np.ones(n), 0.0
+    logs, weights = [], []
+    new_bucket = mass = np.full(n, 1.0 / n)
+    for t, row in enumerate(X):
+        coef[:, t] = new_bucket / scale
+        mass = mass * row
+        total = float(mass.sum())
+        scale *= row / total
+        if scale.min() < 1e-150 or scale.max() > 1e150:
+            out = (scale < 1e-150) | (scale > 1e150)
+            coef[out, : t + 1] *= scale[out, None]
+            scale[out] = 1.0
+        log_wealth += math.log(total)
+        logs.append(log_wealth)
+        stayed, leaked = ((coef[:, : t + 1] @ kernel[:, T - t - 1 :].T) * scale[:, None]).T
+        new_bucket = switch_factor(cost) * (leaked.sum() - leaked) / (n - 1)
+        mass = stayed + new_bucket
+        weights.append(mass / mass.sum())
+    age_held = np.append(kernel[0, 1:], 1.0)  # P(T-1-k) for start day k
+    return np.array(logs), np.array(weights), coef * age_held * scale[:, None]
+
+
+COST_KINDS = dict(
+    seed=st_.integers(0, 2**32 - 1),
+    kind=st_.sampled_from([None, "per-trade", "parallel"]),
+    rate=st_.floats(0.0, 0.49),
+)
+
+
+class TestRelaxedAgainstQuadraticDay:
+    """Long ages read from FFT-built pending sums must reproduce the O(t) day."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st_.integers(1, 63), N=st_.integers(2, 6), **COST_KINDS)
+    def test_runs_shorter_than_a_block_are_byte_identical(self, T, N, seed, kind, rate):
+        X = random_matrix(np.random.default_rng(seed), T, N).values
+        cost = None if kind is None else CostModel(kind, rate)
+        for got, ref in zip(stepped_adaptive(X, cost), quadratic_adaptive(X, cost)):
+            assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st_.integers(64, 300), N=st_.integers(2, 5), **COST_KINDS)
+    def test_every_cost_kind_through_the_first_blocks(self, T, N, seed, kind, rate):
+        # Days 64 and 128 complete the first blocks of levels 64 and 128, day 192 a second one.
+        X = random_matrix(np.random.default_rng(seed), T, N).values
+        cost = None if kind is None else CostModel(kind, rate)
+        logs, weights, buckets = stepped_adaptive(X, cost)
+        ref_logs, ref_weights, ref_buckets = quadratic_adaptive(X, cost)
+        # A day's log-wealth may cross 0, where no relative bound holds; an absolute 1e-13 on
+        # the log is 1e-13 relative on the wealth itself.
+        np.testing.assert_allclose(logs, ref_logs, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(buckets, ref_buckets, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("cost", [None, CostModel.per_trade(0.49), CostModel.parallel(0.02)])
+    def test_fold_market(self, cost):
+        # Asset 0 falls 4x a day against a rising asset 1: both scales are folded every
+        # few hundred days, into the stored buckets and into the pending sums alike.
+        X = np.tile([0.25, 1.5], (4000, 1))
+        logs, weights, buckets = stepped_adaptive(X, cost)
+        ref_logs, ref_weights, ref_buckets = quadratic_adaptive(X, cost)
+        for out in (logs, weights, buckets):
+            assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(logs, ref_logs, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(buckets, ref_buckets, rtol=0, atol=1e-13)
+        assert np.count_nonzero(buckets) == np.count_nonzero(ref_buckets)
+
+    def test_fft_loads_only_when_a_run_reaches_day_64(self):
+        # A fresh interpreter: importing the CLI and a 63-day run leave numpy.fft unloaded.
+        script = (
+            "import sys, numpy as np, switchfolio.cli\n"
+            "from switchfolio.switching import adaptive_init, adaptive_step\n"
+            "state, loaded = adaptive_init(3), ['numpy.fft' in sys.modules]\n"
+            "for day in range(64):\n"
+            "    adaptive_step(state, np.full(3, 1.01))\n"
+            "    loaded.append('numpy.fft' in sys.modules)\n"
+            "print(loaded.index(True))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+        assert done.stdout == "64\n"
 
 
 @pytest.mark.parametrize("fixed", [True, False])
