@@ -97,14 +97,10 @@ def _parse_number(key: str, value: str, kind=float):
 
 
 def _parse_algo_string(text: str, args) -> bt.AlgoSpec:
-    """Parse 'kind' or 'kind:key=value,key=value' into an AlgoSpec."""
+    """Parse 'kind' or 'kind:key=value,key=value' into an AlgoSpec; only universal samples, so takes a seed=."""
     kind, _, param_text = text.partition(":")
     kind = kind.strip()
-    fields = {
-        "cost": _cost_from_args(args),
-        "cost_accounting": args.cost_accounting,
-        "seed": args.seed,
-    }
+    fields = {"cost": _cost_from_args(args), "cost_accounting": args.cost_accounting}
     for chunk in param_text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -122,7 +118,10 @@ def _parse_algo_string(text: str, args) -> bt.AlgoSpec:
             fields["weights"] = tuple(_parse_number(key, v) for v in value.split("|"))
         else:
             raise PortfolioError(f"unknown algorithm parameter {key!r} in {text!r}")
-    return bt.AlgoSpec(kind=kind, **fields)
+    spec = bt.AlgoSpec(kind=kind, **{"seed": args.seed, **fields})
+    if "seed" in fields and kind != bt.KIND_UNIVERSAL:
+        raise PortfolioError(f"{kind} takes no parameter seed")
+    return spec
 
 
 def _emit(text: str | Iterator[str], out_path: str | None):

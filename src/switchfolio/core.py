@@ -65,7 +65,38 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class PortfolioVector:
+class _Frozen:
+    """Base of the small immutable records: the ``__slots__`` are the fields,
+    compared, hashed and shown by value as a frozen dataclass does, and never reassigned."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class PortfolioVector(_Frozen):
     """Nonnegative weights summing to one: the fraction of wealth per asset.
 
     Construction rejects vectors farther than SIMPLEX_TOL from the simplex
@@ -74,6 +105,7 @@ class PortfolioVector:
     """
 
     __slots__ = ("weights",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=float)
@@ -86,18 +118,6 @@ class PortfolioVector:
             raise PortfolioError(f"portfolio weights sum to {total!r}, not 1 within {SIMPLEX_TOL}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        return f"PortfolioVector(weights={self.weights!r})"
-
-    def __reduce__(self):
-        return type(self), (self.weights,)
 
     @property
     def assets(self) -> int:
@@ -167,8 +187,7 @@ class PriceRelativeMatrix:
         return self.values[t - 1]
 
 
-@dataclass(frozen=True)
-class RegimeSpec:
+class RegimeSpec(_Frozen):
     """A switching schedule: when to move all wealth, and between which assets.
 
     ``switch_times`` are the 1-based trading days *after* which the regime
@@ -179,16 +198,15 @@ class RegimeSpec:
     the horizon.
     """
 
-    switch_times: tuple[int, ...]
-    strategies: tuple[int, ...]
+    __slots__ = ("switch_times", "strategies")
 
-    def __post_init__(self):
+    def __init__(self, switch_times: tuple[int, ...], strategies: tuple[int, ...]):
         try:  # operator.index takes numpy integers and refuses what only rounds to one
-            times = tuple(map(operator.index, self.switch_times))
-            strats = tuple(map(operator.index, self.strategies))
+            times = tuple(map(operator.index, switch_times))
+            strats = tuple(map(operator.index, strategies))
         except TypeError:
             raise PortfolioError(
-                f"switch times {self.switch_times} and strategies {self.strategies} must be integers"
+                f"switch times {switch_times} and strategies {strategies} must be integers"
             ) from None
         if len(strats) != len(times) + 1:
             raise PortfolioError(
@@ -204,14 +222,6 @@ class RegimeSpec:
             raise PortfolioError(f"negative strategy index in {strats}")
         object.__setattr__(self, "switch_times", times)
         object.__setattr__(self, "strategies", strats)
-
-    @classmethod
-    def _checked(cls, switch_times: tuple[int, ...], strategies: tuple[int, ...]) -> "RegimeSpec":
-        """A regime from int tuples that already passed these checks, not checked again."""
-        regime = object.__new__(cls)
-        object.__setattr__(regime, "switch_times", switch_times)
-        object.__setattr__(regime, "strategies", strategies)
-        return regime
 
     @property
     def switches(self) -> int:

@@ -20,11 +20,12 @@ none of their state scaling, bucket bookkeeping or cost placement.
 :func:`bound_check` scores one regime. It reads each segment's per-asset log
 wealth from a table kept for the matrix while the matrix lives and filled one
 segment at a time (at most T(T+1)/2 segments, each summed as
-``logs[start:end, a].sum()``, keyed by one integer per segment). The same
-table keeps each switch count's penalty for the latest prior and the log
-switch factor of the latest cost model, so scoring every regime of a
-``bounds`` run costs a few lookups, two additions per segment and one small
-record per regime.
+``logs[start:end, a].sum()``, keyed by one integer per segment). The table
+also keeps the checked segment rows of the latest switch-time block, each
+switch count's penalty for the latest prior and the log switch factor of the
+latest cost model. So a regime of a ``bounds`` run, which shares its block
+with the regimes before it, costs a bound on its strategies, one addition per
+segment and one small record.
 
 All bound arithmetic is in base-2 logarithms and reported in bits. Products
 are accumulated in log domain; only final results are exponentiated.
@@ -35,12 +36,11 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import FrozenInstanceError
 from typing import Iterator
 
 import numpy as np
 
-from .core import PortfolioError, PriceRelativeMatrix, RegimeSpec
+from .core import PortfolioError, PriceRelativeMatrix, RegimeSpec, _Frozen
 from .costs import CostModel, switch_factor
 
 LOG2 = math.log(2.0)
@@ -57,37 +57,6 @@ class InvalidRegime(PortfolioError):
 
 class InstanceTooLarge(PortfolioError):
     """Exhaustive enumeration would exceed the regime-count guard."""
-
-
-class _Frozen:
-    """Base of the small immutable records here: the ``__slots__`` are the fields,
-    compared, hashed and shown by value as a frozen dataclass does, and never reassigned."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
 
 
 class FixedGammaPrior(_Frozen):
@@ -156,14 +125,16 @@ class _SegmentLogWealth(dict):
 
     Entry a is ``float(logs[start:end, a].sum())``, numpy's order for one
     column (pairwise from 8 days on). The table does not hold X. It also keeps
-    what every regime scored against X shares: each switch count's penalty
-    under the latest prior, and the log switch factor of the latest cost model.
+    what every regime scored against X shares: the latest switch-time block
+    (see :meth:`log_wealth`), each switch count's penalty under the latest
+    prior, and the log switch factor of the latest cost model.
     """
 
     def __init__(self, X: PriceRelativeMatrix):
         super().__init__()
         self.days, self.assets = X.days, X.assets
         self._logs = np.log(X.values)
+        self._block = (None, None, [], 0)  # (switch times, convention, segment rows, charges)
         self._prior, self._penalties = None, {}
         self._cost, self._log_sf = None, 0.0  # no cost model: log(switch_factor(None)) = log(1)
 
@@ -174,22 +145,28 @@ class _SegmentLogWealth(dict):
         return sums
 
     def log_wealth(self, regime: RegimeSpec, cost: CostModel | None, convention: str) -> float:
-        """See :func:`log_regime_wealth`."""
-        T = self.days
-        _check_regime(regime, T, self.assets)
-        if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
-            raise PortfolioError(f"unknown cost convention {convention!r}")
-        times = regime.switch_times
-        stride = T + 1
+        """See :func:`log_regime_wealth`.
+
+        The latest block, regimes that share one switch-time tuple object and
+        the convention, is kept as one tuple with its checked segment rows and
+        charge count; a regime of that block is checked for its strategies alone.
+        """
+        block = self._block
+        if regime.switch_times is not block[0] or convention != block[1]:
+            T, times = self.days, regime.switch_times
+            _check_regime(regime, T, self.assets)
+            if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
+                raise PortfolioError(f"unknown cost convention {convention!r}")
+            rows = [self[start * (T + 1) + end] for start, end in zip((0,) + times, times + (T,))]
+            block = self._block = (times, convention, rows, len(times) + (convention == CHARGE_ALL_SEGMENTS))
+        elif max(regime.strategies) >= self.assets:
+            _check_regime(regime, self.days, self.assets)  # the block's checks pass; this raises the strategy's
         total = 0.0
-        start = 0
-        for asset, end in zip(regime.strategies, times + (T,)):
-            total += self[start * stride + end][asset]
-            start = end
+        for row, asset in zip(block[2], regime.strategies):
+            total += row[asset]
         if cost is not self._cost:
             self._cost, self._log_sf = cost, math.log(switch_factor(cost))
-        charges = len(times) if convention == CHARGE_SWITCHES_ONLY else len(times) + 1
-        return total + charges * self._log_sf
+        return total + block[3] * self._log_sf
 
     def penalty(self, prior: Prior, l: int) -> float:
         """The concession (bits) to a regime with l switches under prior."""
@@ -234,6 +211,10 @@ def log_regime_wealth(
     return _segment_log_wealth(X).log_wealth(regime, cost, convention)
 
 
+_new = object.__new__
+_set_switch_times, _set_strategies = (RegimeSpec.__dict__[name].__set__ for name in RegimeSpec.__slots__)
+
+
 def require_enumerable(T: int, N: int) -> None:
     """Raise :class:`InstanceTooLarge` if T days over N assets exceed ENUMERATION_GUARD regimes.
 
@@ -263,8 +244,11 @@ def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
         if l:
             rows = [row + (j,) for row in rows for j in others[row[-1]]]
         for times in itertools.combinations(range(1, T), l):
-            for row in rows:
-                yield RegimeSpec._checked(times, row)
+            for row in rows:  # checked by construction, so the slots are filled directly
+                regime = _new(RegimeSpec)
+                _set_switch_times(regime, times)
+                _set_strategies(regime, row)
+                yield regime
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -389,7 +373,7 @@ class BoundReport(_Frozen):
         return self.algorithm_log_wealth - self.regime_log_wealth + self.penalty
 
 
-# The slots' own setters: one report is made per regime, and these skip the refusing __setattr__.
+# The slots' own setters: one report is made per regime, and these skip __init__ and the refusing __setattr__.
 _set_regime_log_wealth, _set_penalty, _set_algorithm_log_wealth = (
     BoundReport.__dict__[name].__set__ for name in BoundReport.__slots__
 )
@@ -408,6 +392,11 @@ def bound_check(
     ``algorithm_log2_wealth`` must come from the algorithm matching ``prior``
     run on the same X, cost model, and convention.
     """
-    table = _segment_log_wealth(X)
-    lw = table.log_wealth(regime, cost, convention) / LOG2
-    return BoundReport(lw, table.penalty(prior, len(regime.switch_times)), algorithm_log2_wealth)
+    table = _segment_tables.get(id(X))
+    if table is None:
+        table = _segment_log_wealth(X)
+    report = _new(BoundReport)
+    _set_regime_log_wealth(report, table.log_wealth(regime, cost, convention) / LOG2)
+    _set_penalty(report, table.penalty(prior, len(regime.switch_times)))
+    _set_algorithm_log_wealth(report, algorithm_log2_wealth)
+    return report

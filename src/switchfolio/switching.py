@@ -24,9 +24,10 @@ never charged.
 
 States store simplex shares plus a log-wealth accumulator rather than raw
 linear wealth: over thousands of days raw products leave double range, while
-shares stay O(1) and the log tracks total growth exactly. ``asset_wealth``
-and ``bucket_view()`` reconstruct shares and linear values on demand, as new
-arrays. States are mutable, single-writer: one step call at a time per state.
+shares stay O(1) and the log tracks total growth exactly (linear wealth is
+shares times ``exp(log_wealth)``, where representable). ``bucket_view()`` gives
+the adaptive shares as a new array. States are mutable, single-writer: one
+step call at a time per state.
 """
 
 from __future__ import annotations
@@ -72,11 +73,6 @@ class FixedGammaState:
     @property
     def assets(self) -> int:
         return self.shares.size
-
-    @property
-    def asset_wealth(self) -> np.ndarray:
-        """Linear per-asset wealth S_t^i (unit initial investment)."""
-        return self.shares * math.exp(self.log_wealth)
 
 
 def _age_kernels(a_max: int) -> np.ndarray:
@@ -167,10 +163,6 @@ class AdaptiveState:
         view = self._coef[:, :t] * held * self._scale[:, None]
         view.setflags(write=False)
         return view
-
-    def bucket_wealth(self) -> np.ndarray:
-        """Linear bucket wealth S_{t,t0}^i, shape (N, day)."""
-        return self.bucket_view() * math.exp(self.log_wealth)
 
 
 def fixed_init(n: int, gamma: float) -> FixedGammaState:

@@ -427,6 +427,39 @@ class TestCompareCommand:
         assert (code, out) == (2, "")
         assert err == f"switchfolio: {message}\n"
 
+    @pytest.mark.parametrize(
+        "specs, kind",
+        [
+            (["eg:eta=0.05,seed=7", "bcrp:seed=3"], "eg"),
+            (["universal:samples=10", "bcrp:seed=3"], "bcrp"),
+            (["switching-fixed:gamma=0.3,seed=0"], "switching-fixed"),
+            (["switching-adaptive:seed=1"], "switching-adaptive"),
+            (["crp:weights=0.5|0.5,seed=2"], "crp"),
+            (["best-stock:seed=2"], "best-stock"),
+        ],
+    )
+    def test_own_seed_of_a_kind_that_does_not_sample_exits_two(self, capsys, tmp_path, specs, kind):
+        # The seed used to be dropped silently, with exit 0.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
+        argv = ["compare", "--data", str(data)]
+        for spec in specs:
+            argv += ["--algo", spec]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"switchfolio: {kind} takes no parameter seed\n"
+
+    def test_universal_takes_its_own_seed_and_every_kind_the_global_one(self, capsys, tmp_path):
+        data = tmp_path / "m.csv"
+        write_csv(validate_relatives(np.exp(np.random.default_rng(5).normal(0, 0.05, (6, 3))), "abc"), data)
+        base = ["compare", "--data", str(data), "--algo", "eg:eta=0.05", "--algo", "bcrp"]
+        own = invoke(capsys, *base, "--algo", "universal:samples=50,seed=4")
+        global_ = invoke(capsys, *base, "--seed", "4", "--algo", "universal:samples=50")
+        other = invoke(capsys, *base, "--algo", "universal:samples=50,seed=5")
+        assert own[0] == global_[0] == other[0] == 0
+        assert own == global_ and "samples=50 seed=4" in own[1]
+        assert own[1].split("\n")[3] != other[1].split("\n")[3]
+
 
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, tmp_path):

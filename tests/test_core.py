@@ -224,3 +224,48 @@ class TestRegimeSpec:
     def test_switch_count(self):
         assert RegimeSpec((1, 4), (0, 1, 0)).switches == 2
         assert RegimeSpec((), (1,)).switches == 0
+
+
+class TestRegimeSpecRecord:
+    """A slotted record that behaves as the frozen dataclass it replaced."""
+
+    def test_equality_hash_and_repr(self):
+        q = RegimeSpec((1, 4), (0, 2, 1))
+        twin = RegimeSpec([np.int64(1), 4], (0, 2, 1))
+        assert q == twin and hash(q) == hash(twin) == hash(((1, 4), (0, 2, 1)))
+        assert q != RegimeSpec((1, 3), (0, 2, 1)) and q != ((1, 4), (0, 2, 1))
+        assert len({q, twin, RegimeSpec((), (0,))}) == 2
+        assert repr(q) == "RegimeSpec(switch_times=(1, 4), strategies=(0, 2, 1))"
+        assert repr(RegimeSpec((), (3,))) == "RegimeSpec(switch_times=(), strategies=(3,))"
+
+    def test_copy_and_pickle_round_trip(self):
+        q = RegimeSpec((2,), (1, 0))
+        for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert twin == q and type(twin) is RegimeSpec
+            assert (twin.switch_times, twin.strategies) == ((2,), (1, 0))
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        q = RegimeSpec((2,), (1, 0))
+        for name in ("switch_times", "strategies", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(q, name, (3,))
+            with pytest.raises(FrozenInstanceError):
+                delattr(q, name)
+        assert (q.switch_times, q.strategies) == ((2,), (1, 0))
+        assert not hasattr(q, "__dict__")
+
+    @pytest.mark.parametrize(
+        "times, strategies, message",
+        [
+            ((2.5,), (0, 1), "switch times (2.5,) and strategies (0, 1) must be integers"),
+            ((1,), (0,), "1 strategies for 1 switch times; need one more strategy"),
+            ((3, 2), (0, 1, 0), "switch times not strictly increasing: (3, 2)"),
+            ((0, 2), (0, 1, 0), "switch times must be >= 1: (0, 2)"),
+            ((1,), (1, 1), "adjacent strategies equal in (1, 1): switches must change asset"),
+            ((1,), (-1, 0), "negative strategy index in (-1, 0)"),
+        ],
+    )
+    def test_messages(self, times, strategies, message):
+        with pytest.raises(PortfolioError) as exc:
+            RegimeSpec(times, strategies)
+        assert type(exc.value) is PortfolioError and str(exc.value) == message

@@ -430,3 +430,92 @@ class TestRegimeBlocks:
         del X
         gc.collect()
         assert key not in regimes._segment_tables
+
+
+class TestSwitchTimeBlocks:
+    """The segment table keeps one checked switch-time block; each field against the per-regime reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        T=st.integers(1, 6),
+        N=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        fixed=st.booleans(),
+        gamma=st.floats(0.001, 0.5),
+        kind=st.sampled_from([None, "per-trade", "parallel"]),
+        rate=st.floats(0.0, 0.49),
+        conventions=st.lists(st.sampled_from(["switches-only", "all-segments"]), min_size=1, max_size=3),
+        order=st.sampled_from(["enumerated", "rebuilt", "shuffled"]),
+        data=st.data(),
+    )
+    def test_every_field_equals_a_per_regime_recomputation(
+        self, T, N, seed, fixed, gamma, kind, rate, conventions, order, data
+    ):
+        # Blocks are kept across regimes, conventions and orders: shared switch-time tuples
+        # (enumerated), equal but distinct ones (rebuilt) and blocks left and re-entered (shuffled).
+        X = random_matrix(np.random.default_rng(seed), T, N)
+        prior = FixedGammaPrior(gamma) if fixed else AdaptivePrior()
+        cost = None if kind is None else CostModel(kind, rate)
+        regimes_ = list(enumerate_regimes(T, N))
+        if order == "rebuilt":
+            regimes_ = [RegimeSpec(q.switch_times, q.strategies) for q in regimes_]
+        elif order == "shuffled":
+            regimes_ = data.draw(st.permutations(regimes_))
+        alg = data.draw(st.floats(-20.0, 20.0))
+        for regime in regimes_:
+            for convention in conventions:
+                rep = bound_check(X, prior, alg, regime, cost, convention)
+                lw, penalty, slack = ref_bound_row(
+                    X, prior, alg, regime.switch_times, regime.strategies, cost, convention
+                )
+                fields = (rep.regime_log_wealth, rep.penalty, rep.algorithm_log_wealth, rep.slack)
+                assert fields == (lw, penalty, alg, slack)
+
+    # A refusal keeps its type, message and order (T, switch time, strategy, then convention),
+    # and leaves the cached block as it was: each test ends by scoring the valid regime's block
+    # again, where a regime sharing its switch-time tuple but holding asset 2 must be refused.
+    X = validate_relatives([[1.5, 0.5], [0.8, 1.25], [1.1, 0.9], [0.7, 1.6], [1.2, 0.95]], ["a", "b"])
+
+    @staticmethod
+    def sharing_times(valid, strategies):
+        regime = RegimeSpec(valid.switch_times, strategies)
+        object.__setattr__(regime, "switch_times", valid.switch_times)  # the same tuple object
+        return regime
+
+    def refuse(self, regime, error, message, convention="switches-only"):
+        with pytest.raises(PortfolioError) as exc:
+            bound_check(self.X, AdaptivePrior(), 0.5, regime, CostModel.per_trade(0.01), convention)
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def assert_block_still_guarded(self, valid, expected):
+        out_of_range = self.sharing_times(valid, valid.strategies[:-1] + (2,))
+        self.refuse(out_of_range, InvalidRegime, f"strategy index out of range for N=2: {out_of_range.strategies}")
+        assert bound_check(self.X, AdaptivePrior(), 0.5, valid, CostModel.per_trade(0.01)) == expected
+
+    @pytest.mark.parametrize("times, strategies", [((), (1,)), ((2,), (0, 1)), ((1, 3, 4), (1, 0, 1, 0))])
+    def test_out_of_range_strategy_in_a_scored_block(self, times, strategies):
+        valid = RegimeSpec(times, strategies)
+        expected = bound_check(self.X, AdaptivePrior(), 0.5, valid, CostModel.per_trade(0.01))
+        self.refuse(self.sharing_times(valid, (2,) + strategies[1:]), InvalidRegime,
+                    f"strategy index out of range for N=2: {(2,) + strategies[1:]}")
+        self.assert_block_still_guarded(valid, expected)
+
+    def test_switch_time_past_the_horizon(self):
+        valid = RegimeSpec((2,), (0, 1))
+        expected = bound_check(self.X, AdaptivePrior(), 0.5, valid, CostModel.per_trade(0.01))
+        self.refuse(RegimeSpec((2, 5), (0, 1, 0)), InvalidRegime, "switch time 5 outside 1..4")
+        # the switch time comes first, then the strategy, then the convention
+        self.refuse(RegimeSpec((5,), (0, 2)), InvalidRegime, "switch time 5 outside 1..4", "bogus")
+        self.assert_block_still_guarded(valid, expected)
+        with pytest.raises(InvalidRegime, match=r"^regimes need at least one trading day, got T=0$"):
+            # and the horizon before them all
+            bound_check(validate_relatives(np.empty((0, 2)), ["a", "b"]), AdaptivePrior(), 0.0,
+                        RegimeSpec((3,), (0, 2)), None, "bogus")
+
+    def test_unknown_convention_after_a_valid_call(self):
+        valid = RegimeSpec((1, 3), (1, 0, 1))
+        expected = bound_check(self.X, AdaptivePrior(), 0.5, valid, CostModel.per_trade(0.01))
+        self.refuse(valid, PortfolioError, "unknown cost convention 'bogus'", "bogus")
+        self.refuse(self.sharing_times(valid, (1, 0, 2)), InvalidRegime,
+                    "strategy index out of range for N=2: (1, 0, 2)", "bogus")
+        self.assert_block_still_guarded(valid, expected)

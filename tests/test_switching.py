@@ -32,12 +32,12 @@ def random_matrix(rng, T, N):
 class TestFixedInit:
     def test_uniform_split(self):
         st = fixed_init(2, 1 / 3)
-        assert np.allclose(st.asset_wealth, [0.5, 0.5])
+        assert np.allclose(st.shares * math.exp(st.log_wealth), [0.5, 0.5])
         assert st.day == 0 and st.log_wealth == 0.0
 
     def test_four_assets(self):
         st = fixed_init(4, 0.1)
-        assert np.allclose(st.asset_wealth, 0.25)
+        assert np.allclose(st.shares * math.exp(st.log_wealth), 0.25)
 
     def test_gamma_above_cap_rejected(self):
         with pytest.raises(GammaOutOfRange):
@@ -56,7 +56,7 @@ class TestFixedStep:
     def test_hand_evaluated_day(self):
         st = fixed_init(2, 1 / 3)
         fixed_step(st, np.array([2.0, 1.0]))
-        assert np.allclose(st.asset_wealth, [1.0, 0.5], rtol=1e-15)
+        assert np.allclose(st.shares * math.exp(st.log_wealth), [1.0, 0.5], rtol=1e-15)
         assert math.isclose(st.log_wealth, math.log(1.5), abs_tol=1e-15)
         assert st.day == 1
 
@@ -66,7 +66,7 @@ class TestFixedStep:
         fixed_step(st, x1)
         fixed_step(st, x2)
         hold = 0.5 * x1 * x2
-        assert np.allclose(st.asset_wealth, hold, rtol=1e-8)
+        assert np.allclose(st.shares * math.exp(st.log_wealth), hold, rtol=1e-8)
 
     def test_per_trade_cost_hits_switched_mass_only(self):
         # Mid-run state with even shares: switched-in mass (gamma/(N-1)) * 0.5
@@ -75,7 +75,7 @@ class TestFixedStep:
         st = FixedGammaState(g, np.array([0.5, 0.5]), day=1)
         fixed_step(st, np.array([1.0, 1.0]), CostModel.per_trade(0.01))
         per_asset = (1 - g) * 0.5 + 0.9801 * g * 0.5
-        assert np.allclose(st.asset_wealth, per_asset, rtol=1e-15)
+        assert np.allclose(st.shares * math.exp(st.log_wealth), per_asset, rtol=1e-15)
         assert math.isclose(st.log_wealth, math.log((1 - g) + 0.9801 * g), abs_tol=1e-15)
 
     def test_first_day_purchase_never_charged(self):
@@ -131,7 +131,7 @@ class TestAdaptiveInit:
     def test_first_step_seeds_buckets(self):
         st = adaptive_init(2)
         adaptive_step(st, np.array([2.0, 1.0]))
-        assert np.allclose(st.bucket_wealth(), [[1.0], [0.5]], rtol=1e-15)
+        assert np.allclose(st.bucket_view() * math.exp(st.log_wealth), [[1.0], [0.5]], rtol=1e-15)
 
     def test_fresh_state_has_unit_wealth(self):
         st = adaptive_init(3)
@@ -148,14 +148,14 @@ class TestAdaptiveStep:
         st = adaptive_init(2)
         adaptive_step(st, np.array([1.0, 1.0]))
         adaptive_step(st, np.array([1.0, 1.0]))
-        B = st.bucket_wealth()
+        B = st.bucket_view() * math.exp(st.log_wealth)
         assert math.isclose(B[0, 0], 0.25, rel_tol=1e-15)  # 0.5 * 1/2
 
     def test_hand_evaluated_second_day(self):
         st = adaptive_init(2)
         adaptive_step(st, np.array([2.0, 1.0]))
         adaptive_step(st, np.array([1.0, 1.0]))
-        B = st.bucket_wealth()
+        B = st.bucket_view() * math.exp(st.log_wealth)
         assert np.allclose(B, [[0.5, 0.25], [0.25, 0.5]], rtol=1e-14)
         assert math.isclose(st.log_wealth, math.log(1.5), abs_tol=1e-14)
 
@@ -163,7 +163,7 @@ class TestAdaptiveStep:
         st = adaptive_init(2)
         adaptive_step(st, np.array([2.0, 1.0]))
         adaptive_step(st, np.array([1.0, 1.0]), CostModel.parallel(0.05))
-        B = st.bucket_wealth()
+        B = st.bucket_view() * math.exp(st.log_wealth)
         assert np.allclose(B[:, 0], [0.5, 0.25], rtol=1e-14)  # stay buckets untouched
         assert np.allclose(B[:, 1], [0.9 * 0.25, 0.9 * 0.5], rtol=1e-14)
 

@@ -193,6 +193,9 @@ def corpus() -> list[tuple[str, list[str]]]:
         "negative-seed": ["compare", "--data", "plain2.csv", "--seed", "-1", "--algo", "universal:samples=10"],
         "unknown-parameter": ["compare", "--data", "plain2.csv", "--algo", "eg:rate=2"],
         "irrelevant-parameter": ["compare", "--data", "plain2.csv", "--algo", "eg:eta=0.05,samples=5,gamma=0.2"],
+        # Only universal samples: a seed of its own given to another kind is refused, not dropped.
+        "seed-for-unseeded-kind": ["compare", "--data", "plain2.csv", "--algo", "eg:eta=0.05,seed=7",
+                                   "--algo", "bcrp:seed=3"],
         "negative-eta-empty-market": ["compare", "--data", "empty2.csv", "--algo", "eg:eta=-1"],
         "negative-weight": ["backtest", "--data", "plain2.csv", "--algo", "crp", "--weights=-0.5,1.5"],
         "negative-price": ["backtest", "--data", "negative-price.csv", "--mode", "prices", "--algo", "bcrp"],
