@@ -189,7 +189,7 @@ def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
         weights_of = fixed_weights
         step = fixed_step
     else:
-        state = adaptive_init(n)
+        state = adaptive_init(n, X.days)
         weights_of = adaptive_weights
         step = adaptive_step
     weights = np.empty((X.days + 1, n))
@@ -341,6 +341,9 @@ def report_tsv(report: BacktestReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+PLOT_CHUNK_ROWS = 1024  # rows formatted at a time: the Python floats of one chunk, not of the run
+
+
 def emit_plot_data(report: BacktestReport) -> str:
     """Day series as CSV: day, wealth, largest asset, one weight column per asset.
 
@@ -351,13 +354,21 @@ def emit_plot_data(report: BacktestReport) -> str:
     header = "day,wealth,largest_asset," + ",".join(f"w_{i + 1}" for i in range(n))
     # "%.17g" % v is f"{v:.17g}"; day and largest asset are whole floats here, so %d prints them.
     template = "%d,%.17g,%d" + ",%.17g" * n
-    days = np.arange(report.days + 1)
-    grid = np.column_stack((days, report.wealth, report.largest, report.weights)).tolist()
-    if report.dates is None:
-        lines = [template % tuple(row) for row in grid]
-    else:
+    dates = None
+    if report.dates is not None:
         header += ",date"
         template += ",%s"
-        # Day 0 predates the first dated relative.
-        lines = [template % (*row, date) for row, date in zip(grid, ("", *report.dates))]
-    return "\n".join([header, *lines]) + "\n"
+        dates = ("", *report.dates)  # day 0 predates the first dated relative
+    template += "\n"
+    chunks = [header + "\n"]
+    rows = report.days + 1
+    for lo in range(0, rows, PLOT_CHUNK_ROWS):
+        hi = min(lo + PLOT_CHUNK_ROWS, rows)
+        grid = np.column_stack(
+            (np.arange(lo, hi), report.wealth[lo:hi], report.largest[lo:hi], report.weights[lo:hi])
+        ).tolist()
+        if dates is None:
+            chunks.append("".join([template % tuple(row) for row in grid]))
+        else:
+            chunks.append("".join([template % (*row, date) for row, date in zip(grid, dates[lo:hi])]))
+    return "".join(chunks)

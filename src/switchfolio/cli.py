@@ -147,14 +147,22 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+UNIVERSAL_SAMPLES = 10_000  # backtest --algo universal without --samples
+# Characters per write of a long text: a text file encodes a str longer than its 8192-character
+# chunk into one bytes copy of the whole before writing it.
+TEXT_SLICE = 8192
+
+
 def _cmd_backtest(args, parser: _Parser) -> int:
-    takes = bt.KIND_PARAMETERS[args.algo]  # the flags of other kinds are ignored
-    for name in takes:
-        if getattr(args, name) is None:
+    """Every parameter flag given goes into the spec, which refuses one its kind does not take."""
+    fields = {name: getattr(args, name) for name in ("gamma", "weights", "eta", "samples")}
+    if args.algo == bt.KIND_UNIVERSAL and fields["samples"] is None:
+        fields["samples"] = UNIVERSAL_SAMPLES
+    for name in bt.KIND_PARAMETERS[args.algo]:
+        if fields[name] is None:
             parser.error(f"--algo {args.algo} requires --{name}")
     X = load_csv(args.data, args.mode)
-    fields = {name: getattr(args, name) for name in takes}
-    if "weights" in fields:
+    if fields["weights"] is not None:
         fields["weights"] = tuple(_parse_number("weights", v) for v in args.weights.split(","))
     spec = bt.AlgoSpec(
         kind=args.algo,
@@ -166,8 +174,9 @@ def _cmd_backtest(args, parser: _Parser) -> int:
     report = bt.run(spec, X)
     _emit(bt.report_tsv(report), args.out)
     if args.plot_data:
+        text = bt.emit_plot_data(report)
         with open(args.plot_data, "w", newline="") as fh:
-            fh.write(bt.emit_plot_data(report))
+            fh.writelines(text[i : i + TEXT_SLICE] for i in range(0, len(text), TEXT_SLICE))
     return 0
 
 
@@ -271,8 +280,9 @@ def build_parser() -> _Parser:
     p_bt.add_argument("--gamma", type=float, help="switching probability for switching-fixed")
     p_bt.add_argument("--weights", help="comma-separated CRP weights, e.g. 0.5,0.5")
     p_bt.add_argument("--eta", type=float, help="learning rate for eg")
-    p_bt.add_argument("--samples", type=int, default=10_000,
-                      help="sample count for universal (unused for two assets without costs)")
+    p_bt.add_argument("--samples", type=int,
+                      help=f"sample count for universal (default {UNIVERSAL_SAMPLES}; "
+                           "unused for two assets without costs)")
     _add_cost_flags(p_bt)
     p_bt.add_argument(
         "--cost-accounting",

@@ -10,11 +10,11 @@ ignored by all math. Two modes:
   relatives via row[t+1] / row[t].
 
 Files are read and written as UTF-8; a leading byte-order mark, as
-spreadsheet "CSV UTF-8" exports write, is dropped on reading. All number
-cells are converted in one array cast with one finiteness test; only a file
-that fails either is walked cell by cell, to name the first bad cell by line
-and column. Output text is decimal with 17 significant digits, which
-round-trips doubles exactly.
+spreadsheet "CSV UTF-8" exports write, is dropped on reading. A file is read
+in one pass (it may be a pipe), and each row's number cells go through
+``float`` straight into one flat buffer of doubles, so a load holds little
+more than the numbers themselves. Output text is decimal with 17 significant
+digits, which round-trips doubles exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import csv
 import io
 import math
 import os
+import struct
 
 import numpy as np
 
@@ -53,65 +54,84 @@ class NonPositivePrice(PortfolioError):
     """Opening prices must be strictly positive."""
 
 
-def _parse_rows(numbered_rows: list[tuple[int, list[str]]], has_dates: bool):
-    dates: list[str] = []
-    values: list[list[float]] = []
-    for line_no, row in numbered_rows:
-        cells = row
-        if has_dates:
-            dates.append(cells[0])
-            cells = cells[1:]
-        parsed = []
-        for j, cell in enumerate(cells):
-            col = j + 2 if has_dates else j + 1
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ParseError(line_no, col, f"not a number: {cell!r}") from None
-            if not math.isfinite(v):
-                raise ParseError(line_no, col, f"not finite: {cell!r}")
-            parsed.append(v)
-        values.append(parsed)
-    return values, (dates if has_dates else None)
+def _checked_row(line: int, cells: list[str], first_column: int) -> list[float]:
+    """The row's values, cell by cell; raises the ParseError of the first that is not a finite number.
+
+    Each cell is stripped before ``float`` reads it: ``float`` itself skips only
+    some of the whitespace that ``str.strip`` removes.
+    """
+    values = []
+    for column, cell in enumerate(cells, first_column):
+        cell = cell.strip()
+        try:
+            v = float(cell)
+        except ValueError:
+            raise ParseError(line, column, f"not a number: {cell!r}") from None
+        if not math.isfinite(v):
+            raise ParseError(line, column, f"not finite: {cell!r}")
+        values.append(v)
+    return values
 
 
 def load_csv(path: str, mode: str = MODE_RELATIVES) -> PriceRelativeMatrix:
-    """Read a CSV of relatives or prices into a validated PriceRelativeMatrix."""
+    """Read a CSV of relatives or prices into a validated PriceRelativeMatrix.
+
+    Blank rows are skipped, and cells, dates and names are stripped. Errors
+    are raised once the whole file is read, in this order: no header row, a
+    header without asset columns, the first row whose cell count differs from
+    the header's, then the first cell, in reading order, that is not a finite
+    number. A ParseError names the file line its row starts on.
+    """
     if mode not in (MODE_RELATIVES, MODE_PRICES):
         raise PortfolioError(f"mode must be '{MODE_RELATIVES}' or '{MODE_PRICES}', got {mode!r}")
-    rows, lines = [], []  # non-blank rows, and the file line each starts on
+    header = None
+    # The data rows' cells as packed doubles, row after row: ``struct`` is loaded with numpy, where
+    # an ``array('d')`` would map one more extension module into every CLI process.
+    values = bytearray()
+    dates: list[str] = []
+    ragged = bad = None  # the ParseError of the first ragged row and of the first bad cell
+    isfinite = math.isfinite
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        line = 1
+        next_line = 1
         for row in reader:
-            if row:
-                rows.append([c.strip() for c in row])
-                lines.append(line)
-            line = reader.line_num + 1  # a quoted cell may have spanned several lines
-    if not rows:
+            line, next_line = next_line, reader.line_num + 1  # a quoted cell may span several lines
+            if not row:
+                continue
+            if header is None:
+                header, header_line = [c.strip() for c in row], line
+                has_dates = header[0].lower() == "date"
+                width = len(header)
+                pack = struct.Struct(f"{width - has_dates}d").pack
+            elif len(row) != width:
+                ragged = ragged or ParseError(line, len(row) + 1, f"expected {width} cells, got {len(row)}")
+            elif not (ragged or bad):  # after either, only ragged rows matter
+                if has_dates:
+                    dates.append(row[0].strip())
+                    del row[0]
+                try:
+                    parsed = list(map(float, row))
+                    good = isfinite(sum(parsed))  # a sum that overflowed is walked for nothing
+                except ValueError:
+                    good = False
+                if not good:
+                    try:
+                        parsed = _checked_row(line, row, 2 if has_dates else 1)
+                    except ParseError as exc:  # raised after the last row, unless a ragged row follows
+                        bad = exc
+                        continue
+                values += pack(*parsed)
+    if header is None:
         raise EmptyFile(f"{path}: no header row")
-    header = rows[0]
-    has_dates = bool(header) and header[0].lower() == "date"
     names = header[1:] if has_dates else header
     if not names:
-        raise ParseError(lines[0], 1, "header has no asset columns")
-    width = len(header)
-    numbered = list(zip(lines[1:], rows[1:]))
-    for line_no, row in numbered:
-        if len(row) != width:
-            raise ParseError(line_no, len(row) + 1, f"expected {width} cells, got {len(row)}")
-    dates = [row[0] for row in rows[1:]] if has_dates else None
-    cells = [row[1:] for row in rows[1:]] if has_dates else rows[1:]
-    try:  # numpy's str -> float cast accepts exactly what float() accepts
-        values = np.array(cells, dtype=float).reshape(len(cells), len(names))
-        parsed = bool(np.isfinite(values).all())
-    except ValueError:
-        parsed = False
-    if not parsed:  # cell by cell, to name the first bad one
-        values, dates = _parse_rows(numbered, has_dates)
+        raise ParseError(header_line, 1, "header has no asset columns")
+    if ragged or bad:
+        raise ragged or bad
+    grid = np.frombuffer(values, dtype=float).reshape(-1, len(names))
     if mode == MODE_PRICES:
-        return prices_to_relatives(values, names, dates)
-    return validate_relatives(values, names, dates)
+        return prices_to_relatives(grid, names, dates if has_dates else None)
+    return validate_relatives(grid, names, dates if has_dates else None)
 
 
 def prices_to_relatives(

@@ -16,7 +16,8 @@ trading day a slice of every asset's wealth is redistributed to the others:
   two fixed age kernels. Ages below 64 are summed directly; older ages are
   read from pending sums that FFT block products added ahead of time
   (relaxed multiplication), so the first T days cost O(N T log² T) in all,
-  not O(N T²) (see :class:`AdaptiveState`).
+  not O(N T²) (see :class:`AdaptiveState`). A state given its run's horizon
+  holds exactly the days the run reads.
 
 Transaction costs shrink only the redistributed (switched-in) mass by the
 cost model's lump-move factor; the stay term and the initial purchase are
@@ -43,6 +44,9 @@ from .regimes import kt_neg_log2_sequence
 SHORT_AGES = 63  # ages a day sums directly; level L = 64, 128, ... holds ages [L, 2L)
 FIRST_LEVEL = SHORT_AGES + 1
 FOLD_LO, FOLD_HI = 1e-150, 1e150  # an adaptive scale outside this range is folded
+# Real samples an FFT product transforms at once (512 KiB of float64): the transforms of a
+# level run over groups of assets, row by row as over all of them, so the bits do not change.
+FFT_SAMPLES = 1 << 16
 
 
 class GammaOutOfRange(PortfolioError):
@@ -107,6 +111,13 @@ class AdaptiveState:
     kernel spectra are kept per level. A day's work is O(N) plus O(N log L)
     amortized per level, and runs shorter than 64 days never reach a level.
 
+    Given the run's ``horizon`` T, the state holds ``coef`` and the pending
+    sums for T+1 days (the weights after day T read ``pending[T]``), and a
+    product that would reach past day T fills only the days up to T: its
+    source days, kernel ages and FFT length shrink to what those days read.
+    A step past the horizon is refused. Without a horizon both arrays start
+    at 64 days and double as the run goes on.
+
     A scale that leaves [1e-150, 1e150] is folded into its row of ``coef``
     and of the pending sums, and reset to 1, so extreme markets stay finite.
     The day's new bucket and pre-return mass (stay plus new bucket) are
@@ -116,18 +127,21 @@ class AdaptiveState:
     """
 
     __slots__ = (
-        "day", "log_wealth", "_coef", "_pending", "_scale", "_short", "_spectra", "_others", "_sum", "_day_cache"
+        "day", "horizon", "log_wealth", "_coef", "_pending", "_scale", "_short", "_spectra", "_others", "_sum",
+        "_day_cache",
     )
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, horizon: int | None = None):
         self.day = 0
+        self.horizon = horizon
         self.log_wealth = 0.0
-        self._coef = np.zeros((n, FIRST_LEVEL))
-        self._pending = np.zeros((FIRST_LEVEL, n, 2))  # [day, asset, stay or leak], like coef
+        days = FIRST_LEVEL if horizon is None else horizon + 1
+        self._coef = np.zeros((n, days))
+        self._pending = np.zeros((days, n, 2))  # [day, asset, stay or leak], like coef
         self._scale = np.ones(n)
         # Row j serves age 63 - j, so day t reads the last min(t, 63) rows.
         self._short = _age_kernels(SHORT_AGES)[:, ::-1].copy().T
-        self._spectra = {}  # level -> the rfft of its two kernel segments
+        self._spectra = {}  # (level, ages, FFT length) -> the rfft of the two kernels over those ages
         # 0-d arrays, not scalars, meet the day's vectors: numpy combines them faster, to the same bits.
         self._others = np.array(n - 1.0)  # the assets a leak is split over
         self._sum = np.empty(())  # receives each of the day's sums in turn
@@ -138,7 +152,7 @@ class AdaptiveState:
         return self._scale.size
 
     def _grow(self, needed: int):
-        """Make room for at least ``needed`` days (at least double the capacity)."""
+        """Make room for at least ``needed`` days (at least double the capacity); no horizon."""
         t, n = self.day, self.assets
         capacity = max(needed, 2 * self._coef.shape[1])
         coef = np.zeros((n, capacity))
@@ -147,11 +161,13 @@ class AdaptiveState:
         pending[t : self._pending.shape[0]] = self._pending[t:]  # days before t are read
         self._coef, self._pending = coef, pending
 
-    def _spectrum(self, level: int) -> np.ndarray:
-        """rfft of length 2L of the stay and leak kernels over ages [L, 2L), shape (2, L+1)."""
-        spectrum = self._spectra.get(level)
+    def _spectrum(self, level: int, ages: int, length: int) -> np.ndarray:
+        """rfft of the given length of the stay and leak kernels over ages [L, L + ages), shape (2, length//2 + 1)."""
+        key = (level, ages, length)
+        spectrum = self._spectra.get(key)
         if spectrum is None:
-            spectrum = self._spectra[level] = np.fft.rfft(_age_kernels(2 * level - 1)[:, level - 1 :], 2 * level)
+            kernels = _age_kernels(level + ages - 1)[:, level - 1 :]
+            spectrum = self._spectra[key] = np.fft.rfft(kernels, length)
         return spectrum
 
     def bucket_view(self) -> np.ndarray:
@@ -174,11 +190,19 @@ def fixed_init(n: int, gamma: float) -> FixedGammaState:
     return FixedGammaState(gamma, np.full(n, 1.0 / n))
 
 
-def adaptive_init(n: int) -> AdaptiveState:
-    """Empty adaptive state; the first step seeds one bucket per asset at 1/n."""
+def adaptive_init(n: int, horizon: int | None = None) -> AdaptiveState:
+    """Empty adaptive state; the first step seeds one bucket per asset at 1/n.
+
+    ``horizon``, the number of days the run will step, sizes the state to
+    them; without it the state grows as the run goes on.
+    """
     if n < 2:
         raise TooFewAssets(f"need at least 2 assets to switch between, got {n}")
-    return AdaptiveState(n)
+    if horizon is not None:
+        if not (isinstance(horizon, (int, np.integer)) and horizon >= 0):
+            raise PortfolioError(f"horizon must be a whole number of days >= 0, got {horizon!r}")
+        horizon = int(horizon)
+    return AdaptiveState(n, horizon)
 
 
 def _check_row(n: int, x) -> np.ndarray:
@@ -254,21 +278,33 @@ def _adaptive_pre_return_mass(state: AdaptiveState, cost: CostModel | None):
 
 
 def _relax(state: AdaptiveState) -> None:
-    """Add the ages [L, 2L) of days t..t+L-1 to the pending sums, for each level L that divides day t."""
+    """Add the ages [L, 2L) of days t..t+L-1 to the pending sums, for each level L that divides day t.
+
+    With a horizon T, only the days up to T are added.
+    """
     t = state.day
     top = t & -t  # the largest power of two that divides t
-    if t + top > state._pending.shape[0]:
+    horizon = state.horizon
+    if horizon is None and t + top > state._pending.shape[0]:
         state._grow(t + top)
     level = FIRST_LEVEL
     while level <= top:
-        # Coefficients of days t-2L..t-1 (fewer when t = L) against ages [L, 2L): a circular
-        # convolution of length 2L is exact on the L outputs that land on days t..t+L-1.
-        lo = max(t - 2 * level, 0)
+        days = level if horizon is None else min(level, horizon + 1 - t)  # pending days t..t+days-1
+        # Coefficients of days t-2L..t+days-1-L (from day 0 when t = L) against ages [L, L+ages):
+        # a circular convolution is exact on the outputs that land on days t..t+days-1 when its
+        # length reaches past them and past the wrapped tail of the full product (a middle
+        # product). With days = L that is length 2L over all of [L, 2L).
+        lo, hi = max(t - 2 * level, 0), t + days - level
         first = t - level - lo
-        spectrum = np.fft.rfft(state._coef[:, lo:t], 2 * level)
-        for kernel, kernel_spectrum in enumerate(state._spectrum(level)):  # one at a time: fewer temporaries
-            sums = np.fft.irfft(spectrum * kernel_spectrum, 2 * level)[:, first : first + level]
-            state._pending[t : t + level, :, kernel] += sums.T
+        ages = min(level, hi - lo)
+        length = 1 << (max(hi - lo + ages - 1 - first, first + days) - 1).bit_length()  # a power of two
+        kernel_spectra = state._spectrum(level, ages, length)
+        group = max(1, FFT_SAMPLES // length)  # assets a product transforms at once
+        for i in range(0, state.assets, group):
+            spectrum = np.fft.rfft(state._coef[i : i + group, lo:hi], length)
+            for kernel, kernel_spectrum in enumerate(kernel_spectra):  # one at a time: fewer temporaries
+                sums = np.fft.irfft(spectrum * kernel_spectrum, length)[:, first : first + days]
+                state._pending[t : t + days, i : i + group, kernel] += sums.T
         level *= 2
 
 
@@ -276,6 +312,8 @@ def adaptive_step(state: AdaptiveState, x, cost: CostModel | None = None) -> Ada
     """Advance one trading day in place; bucket count grows by one per asset."""
     row = _check_row(state._scale.size, x)
     t = state.day
+    if t == state.horizon:
+        raise PortfolioError(f"the adaptive state holds {t} days; day {t + 1} is past its horizon")
     if t == 0:
         new_bucket = mass = np.full(row.size, 1.0 / row.size)  # uncharged purchase
     else:

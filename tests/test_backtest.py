@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,3 +373,45 @@ class TestReportHelpers:
         assert "algorithm\tswitching-fixed" in text
         assert "cost_model\tparallel" in text
         assert "final_wealth_bucket" in text and "final_wealth_realized" in text
+
+
+def _random_report(T: int, N: int, dated: bool, seed: int = 0) -> BacktestReport:
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(N), size=T + 1)
+    return BacktestReport(
+        spec=AlgoSpec("switching-adaptive"),
+        wealth=np.exp(np.cumsum(rng.normal(0.0, 0.01, size=T + 1))),
+        weights=weights,
+        largest=np.argmax(weights, axis=1),
+        dates=tuple(f"2001-{k}" for k in range(T)) if dated else None,
+    )
+
+
+class TestPlotDataChunks:
+    """Rows are formatted a chunk at a time; the text must not show where the chunks meet."""
+
+    @pytest.mark.parametrize("dated", [False, True])
+    @pytest.mark.parametrize("T", [1022, 1023, 1024, 2047, 2048, 2500])
+    def test_byte_identical_across_chunk_boundaries(self, T, dated):
+        report = _random_report(T, 3, dated)
+        assert emit_plot_data(report) == ref_emit_plot_data(report)
+
+    @settings(max_examples=40, deadline=None)
+    @given(T=st.integers(0, 40), N=st.integers(1, 4), dated=st.booleans(), chunk=st.integers(1, 8))
+    def test_any_chunk_size(self, T, N, dated, chunk):
+        report = _random_report(T, N, dated, seed=T)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(backtest, "PLOT_CHUNK_ROWS", chunk)
+            assert emit_plot_data(report) == ref_emit_plot_data(report)
+
+    def test_peak_is_near_the_text_size(self):
+        # The benchmark's shape: the Python floats and row strings of one chunk at a time, then
+        # the chunk strings and the joined text.
+        report = _random_report(10_000, 5, dated=False)
+        tracemalloc.start()
+        try:
+            text = emit_plot_data(report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), f"emit_plot_data peaked at {peak / len(text):.2f}x its text"

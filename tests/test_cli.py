@@ -49,6 +49,14 @@ class TestSynthBacktestFlow:
         assert lines[0] == "day,wealth,largest_asset,w_1,w_2"
         assert len(lines) == 8
 
+    def test_backtest_universal_samples_default_and_flag(self, capsys, tmp_path):
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
+        code, out, _ = invoke(capsys, "backtest", "--data", str(data), "--algo", "universal")
+        assert code == 0 and "parameters\tsamples=10000 seed=0\n" in out
+        code, out, _ = invoke(capsys, "backtest", "--data", str(data), "--algo", "universal", "--samples", "7")
+        assert code == 0 and "parameters\tsamples=7 seed=0\n" in out
+
 
 class TestUsageErrors:
     def test_missing_gamma_exits_one(self, capsys, tmp_path):
@@ -228,6 +236,27 @@ class TestDataErrors:
         assert code == 2
         assert out == ""
         assert err == "switchfolio: 3^500 regimes for T=500, N=3 exceeds guard 10000000\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--algo", "eg", "--eta", "0.05", "--gamma", "0.3", "--samples", "5"], "eg takes no parameter gamma"),
+            (["--algo", "switching-adaptive", "--samples", "5"], "switching-adaptive takes no parameter samples"),
+            (["--algo", "crp", "--weights", "0.5,0.5", "--gamma", "0.3"], "crp takes no parameter gamma"),
+            (["--algo", "bcrp", "--weights", "0.5,0.5"], "bcrp takes no parameter weights"),
+            (["--algo", "switching-fixed", "--gamma", "0.3", "--eta", "1"],
+             "switching-fixed takes no parameter eta"),
+            (["--algo", "universal", "--eta", "0.05"], "universal takes no parameter eta"),
+        ],
+    )
+    def test_backtest_flag_the_kind_refuses_exits_two(self, capsys, tmp_path, flags, message):
+        # backtest refuses a flag given for another kind as compare refuses the parameter;
+        # it used to drop the flag and exit 0.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), *flags)
+        assert (code, out) == (2, "")
+        assert err == f"switchfolio: {message}\n"
 
 
 class TestSwitchingExactness:

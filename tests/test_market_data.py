@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,3 +291,158 @@ class TestRoundTrip:
         X = validate_relatives([[1 / 3]], ["a"])
         text = to_csv_text(X)
         assert "0.33333333333333331" in text
+
+
+def reference_load_csv(path: str, mode: str = "relatives"):
+    """Reference: the whole-file loader ``load_csv`` replaced, kept verbatim in its logic.
+
+    It holds every row as a list of stripped strings and converts them in one
+    NumPy cast, walking the rows cell by cell only when that cast fails or
+    finds a non-finite value.
+    """
+    rows, lines = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        for row in reader:
+            if row:
+                rows.append([c.strip() for c in row])
+                lines.append(line)
+            line = reader.line_num + 1
+    if not rows:
+        raise EmptyFile(f"{path}: no header row")
+    header = rows[0]
+    has_dates = bool(header) and header[0].lower() == "date"
+    names = header[1:] if has_dates else header
+    if not names:
+        raise ParseError(lines[0], 1, "header has no asset columns")
+    width = len(header)
+    numbered = list(zip(lines[1:], rows[1:]))
+    for line_no, row in numbered:
+        if len(row) != width:
+            raise ParseError(line_no, len(row) + 1, f"expected {width} cells, got {len(row)}")
+    dates = [row[0] for row in rows[1:]] if has_dates else None
+    cells = [row[1:] for row in rows[1:]] if has_dates else rows[1:]
+    try:
+        values = np.array(cells, dtype=float).reshape(len(cells), len(names))
+        parsed = bool(np.isfinite(values).all())
+    except ValueError:
+        parsed = False
+    if not parsed:
+        values = []
+        for line_no, row in numbered:
+            if has_dates:
+                row = row[1:]
+            parsed_row = []
+            for j, cell in enumerate(row):
+                col = j + 2 if has_dates else j + 1
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise ParseError(line_no, col, f"not a number: {cell!r}") from None
+                if not math.isfinite(v):
+                    raise ParseError(line_no, col, f"not finite: {cell!r}")
+                parsed_row.append(v)
+            values.append(parsed_row)
+    if mode == "prices":
+        return prices_to_relatives(values, names, dates)
+    return validate_relatives(values, names, dates)
+
+
+def _outcome(loader, path: str, mode: str):
+    """What a loader makes of a file: the matrix's names, dates and value bits, or its refusal."""
+    try:
+        X = loader(path, mode)
+    except Exception as exc:  # the refusal itself is what is compared
+        return type(exc), str(exc)
+    return X.asset_names, X.dates, X.values.shape, X.values.tobytes()
+
+
+# Number cells as files carry them: plain and padded decimals, quoted ones, ``1_0``,
+# Unicode digits, whitespace float() alone would keep, and cells that are refused.
+_GOOD_CELLS = ["1.5", "0.5", "2", " 1.25 ", "\t0.75", '"1.5"', '" 0.5 "', "1_0", "١.٥",
+               " 1.5", "1.5\x1c", "1e-3", "+0.9", "1E2"]
+_BAD_CELLS = ["nan", "-inf", "Infinity", "1e400", "abc", "", "  ", "1.0x", "0x10", "1__0", "-1.5", "0"]
+_LINE_ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def _csv_files(draw):
+    """A CSV text with a header, optional BOM and date column, one line ending, and edge cases."""
+    n = draw(st.integers(1, 4))
+    dated = draw(st.booleans())
+    end = draw(st.sampled_from(_LINE_ENDINGS))
+    header = [draw(st.sampled_from(["a", " b ", '"c"', "d e"])) + str(i) for i in range(n)]
+    if dated:
+        header = [draw(st.sampled_from(["date", "Date", " DATE "])), *header]
+    lines = [",".join(header)]
+    for t in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 20 + ["blank", "blank", "space", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  \t "])))
+            continue
+        pool = _GOOD_CELLS + (_BAD_CELLS if draw(st.integers(0, 5)) == 0 else [])
+        width = n if kind == "row" else draw(st.sampled_from([w for w in range(n + 3) if w != n]))
+        cells = [draw(st.sampled_from(pool)) for _ in range(width)]
+        if dated and kind == "row":
+            date = draw(st.sampled_from([f"2001-01-{t + 1:02d}", f" d{t} ", f'"d\n{t}"', f'"d,{t}"']))
+            cells = [date, *cells]
+        lines.append(",".join(cells))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    trailing = end if draw(st.booleans()) else ""
+    return bom + end.join(lines) + trailing
+
+
+class TestLoaderAgainstWholeFileReference:
+    """The one-pass loader must read every file as the whole-file loader did, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_csv_files(), mode=st.sampled_from(["relatives", "prices"]))
+    def test_same_matrix_or_same_refusal(self, tmp_path_factory, text, mode):
+        path = str(tmp_path_factory.mktemp("ref") / "m.csv")
+        Path(path).write_bytes(text.encode("utf-8"))
+        assert _outcome(load_csv, path, mode) == _outcome(reference_load_csv, path, mode)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n1.0,abc\n1.0\n",  # a ragged row after a bad cell wins
+            "a,b\n1.0,nan\n2.0,abc\n",  # the first bad cell in reading order
+            "a,b\n1.0,abc\n2.0,nan\n",
+            "a,b\n1e308,1e308\n1.0,inf\n",  # a row whose sum overflows is finite cell by cell
+            "a,b\r1.0,2.0\r \r1.0,2.0\r",  # a whitespace-only line is a one-cell row
+            "date\r\n1\r\n\r\n",
+            "",
+            "\n\n",
+        ],
+    )
+    def test_error_order(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for mode in ("relatives", "prices"):
+            assert _outcome(load_csv, str(path), mode) == _outcome(reference_load_csv, str(path), mode)
+
+
+def _benchmark_shaped_csv(path: Path) -> int:
+    """10 000 days of 5 assets with 17-digit cells, as the backtest benchmark writes them; the file's size."""
+    values = np.exp(np.random.default_rng(0).uniform(np.log(0.97), np.log(1.03), size=(10_000, 5)))
+    lines = [",".join(f"a{i + 1}" for i in range(5))] + [",".join(f"{v:.17g}" for v in row) for row in values]
+    path.write_text("\n".join(lines) + "\n")
+    return path.stat().st_size
+
+
+class TestLoadMemory:
+    def test_peak_is_near_the_file_size(self, tmp_path):
+        # The cells go straight into one buffer of doubles: no list of strings per row.
+        size = _benchmark_shaped_csv(tmp_path / "m.csv")
+        tracemalloc.start()
+        try:
+            X = load_csv(str(tmp_path / "m.csv"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert X.values.shape == (10_000, 5)
+        assert peak <= 1.5 * size, f"load_csv peaked at {peak / size:.2f}x the file's {size} bytes"

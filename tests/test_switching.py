@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from switchfolio.backtest import AlgoSpec, run
-from switchfolio.core import DimensionMismatch, validate_relatives
+from switchfolio.core import DimensionMismatch, PortfolioError, validate_relatives
 from switchfolio.costs import CostModel, switch_factor
 from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, kt_neg_log2_sequence, log_mixture_wealth
 from switchfolio.switching import (
@@ -457,9 +457,9 @@ def eager_adaptive(X, cost):
     return np.array(logs), np.array(weights), buckets
 
 
-def stepped_adaptive(X, cost):
-    """The same three outputs from the adaptive state machine."""
-    state = adaptive_init(X.shape[1])
+def stepped_adaptive(X, cost, horizon=None):
+    """The same three outputs from the adaptive state machine, sized to ``horizon`` if given."""
+    state = adaptive_init(X.shape[1], horizon)
     logs, weights = [], []
     for x in X:
         adaptive_step(state, x, cost)
@@ -554,6 +554,17 @@ def quadratic_adaptive(X, cost):
     return np.array(logs), np.array(weights), coef * age_held * scale[:, None]
 
 
+def assert_close_to(got, ref):
+    """(log-wealths, weights, buckets) within the relaxed day's tolerances of a reference."""
+    logs, weights, buckets = got
+    ref_logs, ref_weights, ref_buckets = ref
+    # A day's log-wealth may cross 0, where no relative bound holds; an absolute 1e-13 on
+    # the log is 1e-13 relative on the wealth itself.
+    np.testing.assert_allclose(logs, ref_logs, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(buckets, ref_buckets, rtol=0, atol=1e-13)
+
+
 COST_KINDS = dict(
     seed=st_.integers(0, 2**32 - 1),
     kind=st_.sampled_from([None, "per-trade", "parallel"]),
@@ -562,43 +573,46 @@ COST_KINDS = dict(
 
 
 class TestRelaxedAgainstQuadraticDay:
-    """Long ages read from FFT-built pending sums must reproduce the O(t) day."""
+    """Long ages read from FFT-built pending sums must reproduce the O(t) day, in a state that
+    grows and in one sized to the run's horizon."""
 
     @settings(max_examples=40, deadline=None)
     @given(T=st_.integers(1, 63), N=st_.integers(2, 6), **COST_KINDS)
     def test_runs_shorter_than_a_block_are_byte_identical(self, T, N, seed, kind, rate):
         X = random_matrix(np.random.default_rng(seed), T, N).values
         cost = None if kind is None else CostModel(kind, rate)
-        for got, ref in zip(stepped_adaptive(X, cost), quadratic_adaptive(X, cost)):
-            assert got.tobytes() == ref.tobytes()
+        ref = quadratic_adaptive(X, cost)
+        for horizon in (None, T):
+            for got, want in zip(stepped_adaptive(X, cost, horizon), ref):
+                assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(T=st_.integers(64, 300), N=st_.integers(2, 5), **COST_KINDS)
     def test_every_cost_kind_through_the_first_blocks(self, T, N, seed, kind, rate):
-        # Days 64 and 128 complete the first blocks of levels 64 and 128, day 192 a second one.
+        # Days 64 and 128 complete the first blocks of levels 64 and 128, day 192 a second one;
+        # with the horizon, the last block of each level that starts by day T is cut at T.
         X = random_matrix(np.random.default_rng(seed), T, N).values
         cost = None if kind is None else CostModel(kind, rate)
-        logs, weights, buckets = stepped_adaptive(X, cost)
-        ref_logs, ref_weights, ref_buckets = quadratic_adaptive(X, cost)
-        # A day's log-wealth may cross 0, where no relative bound holds; an absolute 1e-13 on
-        # the log is 1e-13 relative on the wealth itself.
-        np.testing.assert_allclose(logs, ref_logs, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(buckets, ref_buckets, rtol=0, atol=1e-13)
+        ref = quadratic_adaptive(X, cost)
+        grown, sized = stepped_adaptive(X, cost), stepped_adaptive(X, cost, T)
+        assert_close_to(grown, ref)
+        assert_close_to(sized, ref)
+        assert_close_to(sized, grown)
 
     @pytest.mark.parametrize("cost", [None, CostModel.per_trade(0.49), CostModel.parallel(0.02)])
     def test_fold_market(self, cost):
         # Asset 0 falls 4x a day against a rising asset 1: both scales are folded every
         # few hundred days, into the stored buckets and into the pending sums alike.
         X = np.tile([0.25, 1.5], (4000, 1))
-        logs, weights, buckets = stepped_adaptive(X, cost)
         ref_logs, ref_weights, ref_buckets = quadratic_adaptive(X, cost)
-        for out in (logs, weights, buckets):
-            assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(logs, ref_logs, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(buckets, ref_buckets, rtol=0, atol=1e-13)
-        assert np.count_nonzero(buckets) == np.count_nonzero(ref_buckets)
+        for horizon in (None, 4000):
+            logs, weights, buckets = stepped_adaptive(X, cost, horizon)
+            for out in (logs, weights, buckets):
+                assert np.all(np.isfinite(out))
+            np.testing.assert_allclose(logs, ref_logs, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(weights, ref_weights, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(buckets, ref_buckets, rtol=0, atol=1e-13)
+            assert np.count_nonzero(buckets) == np.count_nonzero(ref_buckets)
 
     def test_fft_loads_only_when_a_run_reaches_day_64(self):
         # A fresh interpreter: importing the CLI and a 63-day run leave numpy.fft unloaded.
@@ -613,6 +627,64 @@ class TestRelaxedAgainstQuadraticDay:
         )
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
         assert done.stdout == "64\n"
+
+
+class TestHorizon:
+    """A state sized to its run's horizon must give the run a growing state gives."""
+
+    @pytest.mark.parametrize("T", [64, 65, 127, 128, 129, 4095, 4096, 4097, 8191, 8192, 8193])
+    def test_around_the_levels(self, T):
+        # Horizons just below, at and just past a power of two: the top level's last product
+        # fills one day, all of its days, or none past the first.
+        X = random_matrix(np.random.default_rng(T), T, 3).values
+        cost = CostModel.parallel(0.002)
+        sized = stepped_adaptive(X, cost, T)
+        assert_close_to(sized, stepped_adaptive(X, cost))
+        assert_close_to(sized, quadratic_adaptive(X, cost))
+
+    @pytest.mark.parametrize("T", [0, 1, 63, 64, 100, 1000])
+    def test_holds_the_days_the_run_reads(self, T):
+        # Days 0..T: the weights after the last day read pending[T].
+        state = adaptive_init(3, T)
+        for x in random_matrix(np.random.default_rng(T), T, 3).values:
+            adaptive_step(state, x)
+            assert state._coef.shape == (3, T + 1) and state._pending.shape == (T + 1, 3, 2)
+        assert state.day == T and state._coef.shape == (3, T + 1) and state._pending.shape == (T + 1, 3, 2)
+        if T:
+            adaptive_weights(state)
+
+    @pytest.mark.parametrize("T", [0, 3, 64])
+    def test_step_past_the_horizon_refused(self, T):
+        state = adaptive_init(2, T)
+        for _ in range(T):
+            adaptive_step(state, np.array([1.1, 0.9]))
+        log_wealth, buckets = state.log_wealth, state.bucket_view()
+        with pytest.raises(PortfolioError, match=f"holds {T} days; day {T + 1} is past its horizon"):
+            adaptive_step(state, np.array([1.1, 0.9]))
+        assert state.day == T and state.log_wealth == log_wealth
+        assert state.bucket_view().tobytes() == buckets.tobytes()
+
+    @pytest.mark.parametrize("horizon", [-1, 2.0, "3", np.int64(-1)])
+    def test_bad_horizon_refused(self, horizon):
+        with pytest.raises(PortfolioError, match="horizon must be a whole number"):
+            adaptive_init(2, horizon)
+
+    def test_numpy_integer_horizon(self):
+        state = adaptive_init(2, np.int64(3))
+        assert state.horizon == 3 and type(state.horizon) is int
+
+    def test_run_sizes_its_state_to_the_market(self, monkeypatch):
+        import switchfolio.backtest as backtest
+
+        sizes = []
+
+        def sized_init(n, horizon=None):
+            sizes.append((n, horizon))
+            return adaptive_init(n, horizon)
+
+        monkeypatch.setattr(backtest, "adaptive_init", sized_init)
+        run(AlgoSpec("switching-adaptive"), random_matrix(np.random.default_rng(0), 70, 3))
+        assert sizes == [(3, 70)]
 
 
 @pytest.mark.parametrize("fixed", [True, False])

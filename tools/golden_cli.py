@@ -87,6 +87,14 @@ def write_markets(work: Path) -> None:
     (work / "negative.csv").write_text("a,b\n1.0,-2\n")
     (work / "negative-price.csv").write_text("a,b\n1.0,2.0\n-1.0,2.0\n")
     (work / "empty2.csv").write_text("a,b\n")  # a header and no trading day
+    # Loader edge cases: old Mac line endings, cells in quotes, with padding and with digit
+    # underscores (all read as numbers), and a whitespace-only line (a one-cell row).
+    (work / "cr3.csv").write_bytes((work / "dated3.csv").read_bytes().replace(b"\n", b"\r"))
+    (work / "quoted2.csv").write_text('"a","b"\n"1.5","0.75"\n"0.5","1.25"\n1.125,"0.875"\n')
+    (work / "space-quote.csv").write_text('a,b\n1.5,0.75\n0.5, "1.25"\n')  # the quote is part of the cell
+    (work / "padded2.csv").write_text(" date , a , b \n 2001-01-01 , 1.5 ,\t0.75\n2001-01-02,  0.5,1.25  \n")
+    (work / "underscore2.csv").write_text("a,b\n1_0,0.1\n0.1,1_0\n1_000e-3,2\n")
+    (work / "space-line.csv").write_text("a,b\n1.5,0.75\n  \n0.5,1.25\n")
 
 
 def corpus() -> list[tuple[str, list[str]]]:
@@ -152,6 +160,15 @@ def corpus() -> list[tuple[str, list[str]]]:
     cases.append(("backtest-bom3-switching-adaptive",
                   ["backtest", "--data", "bom3.csv", "--algo", "switching-adaptive", "--plot-data", "{out}.plot.csv"]))
     cases.append(("bounds-file", ["bounds", "--data", "small2.csv", "--prior", "adaptive", "--out", "{out}.tsv"]))
+    # 500 adaptive days: the relaxed products of levels 64, 128 and 256, the last of each cut at day 500.
+    cases.append(("backtest-walk3-adaptive",
+                  ["backtest", "--data", "walk3.csv", "--algo", "switching-adaptive", *COSTS["parallel"],
+                   "--plot-data", "{out}.plot.csv"]))
+    for market in ("cr3", "quoted2", "padded2", "underscore2"):
+        cases.append((f"backtest-{market}-crp",
+                      ["backtest", "--data", f"{market}.csv", "--algo", "crp",
+                       "--weights", ",".join(["0.5"] * 2 if market != "cr3" else ["0.25", "0.25", "0.5"]),
+                       "--plot-data", "{out}.plot.csv"]))
     for command in ("oracle", "bounds"):
         for prior in ("fixed", "adaptive"):
             gamma = ["--gamma", GAMMA] if prior == "fixed" else []
@@ -185,6 +202,8 @@ def corpus() -> list[tuple[str, list[str]]]:
         "late-parse-error": ["backtest", "--data", "late-bad.csv", "--algo", "switching-adaptive"],
         "parse-error-after-blank-line": ["backtest", "--data", "blank-bad.csv", "--algo", "bcrp"],
         "parse-error-after-multiline-cell": ["backtest", "--data", "multiline-bad.csv", "--algo", "bcrp"],
+        "whitespace-only-line": ["backtest", "--data", "space-line.csv", "--algo", "bcrp"],
+        "quote-after-space": ["backtest", "--data", "space-quote.csv", "--algo", "bcrp"],
         "negative-relative": ["bounds", "--data", "negative.csv", "--prior", "adaptive"],
         "malformed-weights": ["backtest", "--data", "plain2.csv", "--algo", "crp", "--weights", "0.5,x"],
         "wrong-weight-count": ["backtest", "--data", "dated3.csv", "--algo", "crp", "--weights", "0.5,0.5"],
@@ -193,6 +212,11 @@ def corpus() -> list[tuple[str, list[str]]]:
         "negative-seed": ["compare", "--data", "plain2.csv", "--seed", "-1", "--algo", "universal:samples=10"],
         "unknown-parameter": ["compare", "--data", "plain2.csv", "--algo", "eg:rate=2"],
         "irrelevant-parameter": ["compare", "--data", "plain2.csv", "--algo", "eg:eta=0.05,samples=5,gamma=0.2"],
+        # backtest refuses the flags of other kinds as compare refuses their parameters.
+        "backtest-irrelevant-flags": ["backtest", "--data", "plain2.csv", "--algo", "eg", "--eta", "0.05",
+                                      "--gamma", "0.3", "--samples", "5"],
+        "backtest-samples-for-adaptive": ["backtest", "--data", "plain2.csv", "--algo", "switching-adaptive",
+                                          "--samples", "5"],
         # Only universal samples: a seed of its own given to another kind is refused, not dropped.
         "seed-for-unseeded-kind": ["compare", "--data", "plain2.csv", "--algo", "eg:eta=0.05,seed=7",
                                    "--algo", "bcrp:seed=3"],
