@@ -37,6 +37,7 @@ from .core import (
     PortfolioError,
     PortfolioVector,
     PriceRelativeMatrix,
+    simplex_refusal,
 )
 from .costs import CostModel, realized_wealth_track
 from .switching import (
@@ -182,33 +183,36 @@ def _largest_track(weights: np.ndarray, X: PriceRelativeMatrix) -> np.ndarray:
     return largest
 
 
+def _check_track(spec: AlgoSpec, weights: np.ndarray) -> None:
+    """Refuse a weight track, once per run, at its first row off the simplex."""
+    refused = simplex_refusal(weights)
+    if refused is not None:
+        day, error = refused
+        raise type(error)(f"{spec.label}: weights after day {day}: {error}")
+
+
 def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
     n = X.assets
     if spec.kind == KIND_SWITCHING_FIXED:
-        state = fixed_init(n, spec.gamma)
-        weights_of = fixed_weights
-        step = fixed_step
+        state, step, weights_of = fixed_init(n, spec.gamma, spec.cost), fixed_step, fixed_weights
     else:
-        state = adaptive_init(n, X.days)
-        weights_of = adaptive_weights
-        step = adaptive_step
+        state, step, weights_of = adaptive_init(n, X.days, spec.cost), adaptive_step, adaptive_weights
     weights = np.empty((X.days + 1, n))
     wealth = np.ones(X.days + 1)
     log_wealth = np.zeros(X.days + 1)
     weights[0] = 1.0 / n  # the uncharged initial purchase is uniform
-    cost = spec.cost
     for t, x in enumerate(X.values, 1):
-        step(state, x, cost)
+        step(state, x)
         log_wealth[t] = state.log_wealth
         wealth[t] = math.exp(state.log_wealth)  # OverflowError where it leaves double range
-        weights[t] = weights_of(state, cost).weights
+        weights[t] = weights_of(state)
+    _check_track(spec, weights)
     return wealth, weights, log_wealth
 
 
 def _weight_driven_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
     """Strategies defined purely by a weight schedule; costs always realized."""
-    n = X.assets
-    T = X.days
+    T, n = X.days, X.assets
     weights = np.empty((T + 1, n))
     if spec.kind == KIND_CRP:
         w = PortfolioVector(np.asarray(spec.weights, dtype=float))
@@ -223,11 +227,10 @@ def _weight_driven_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
         weights[:] = 0.0
         weights[:, idx] = 1.0
     elif spec.kind == KIND_EG:
-        w = PortfolioVector.uniform(n)
-        weights[0] = w.weights
+        weights[0] = 1.0 / n
         for t in range(1, T + 1):
-            w = eg_step(w, X.values[t - 1], spec.eta)
-            weights[t] = w.weights
+            weights[t] = eg_step(weights[t - 1], X.values[t - 1], spec.eta)
+        _check_track(spec, weights)
     else:
         raise PortfolioError(f"not a weight-driven kind: {spec.kind}")
     wealth = realized_wealth_track(weights[:T], X, spec.cost)
@@ -236,27 +239,21 @@ def _weight_driven_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
 
 def run(spec: AlgoSpec, X: PriceRelativeMatrix) -> BacktestReport:
     """Backtest one strategy over a relatives matrix."""
-    wealth_bucket = None
-    wealth_realized = None
     log_wealth = None
     if spec.kind in (KIND_SWITCHING_FIXED, KIND_SWITCHING_ADAPTIVE):
         wealth, weights, log_wealth = _switching_tracks(spec, X)
-        if spec.cost is not None:
-            wealth_bucket = wealth
-            wealth_realized = realized_wealth_track(weights[: X.days], X, spec.cost)
-            wealth = wealth_bucket if spec.cost_accounting == ACCOUNTING_BUCKET else wealth_realized
     elif spec.kind == KIND_UNIVERSAL:
-        config = UniversalConfig(spec.samples, spec.seed, spec.cost)
-        wealth, weights = universal_tracks(X, config)
-        if spec.cost is not None:
-            # The sampled mixture's native accounting is per-CRP realized cost.
-            wealth_bucket = wealth
-            wealth_realized = wealth
+        # The sampled mixture's native accounting is per-CRP realized cost.
+        wealth, weights = universal_tracks(X, UniversalConfig(spec.samples, spec.seed, spec.cost))
     else:
         wealth, weights = _weight_driven_tracks(spec, X)
-        if spec.cost is not None:
-            wealth_bucket = wealth
-            wealth_realized = wealth
+    wealth_bucket = wealth_realized = None
+    if spec.cost is not None:
+        wealth_bucket = wealth_realized = wealth
+        if log_wealth is not None:  # a switching run: its own wealth is the bucket accounting
+            wealth_realized = realized_wealth_track(weights[: X.days], X, spec.cost)
+            if spec.cost_accounting == ACCOUNTING_REALIZED:
+                wealth = wealth_realized
     return BacktestReport(
         spec=spec,
         wealth=wealth,

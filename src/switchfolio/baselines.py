@@ -141,19 +141,20 @@ def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
     return PortfolioVector(best_w), best_f
 
 
-def eg_step(w: PortfolioVector, x, eta: float) -> PortfolioVector:
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's weights check
+def eg_step(w: np.ndarray, x, eta: float) -> np.ndarray:
     """Multiplicative weight update: w_i <- w_i * exp(eta * x_i / (w . x)), renormalized.
 
-    Scale-free in x; eta = 0 leaves w unchanged.
+    Scale-free in x; eta = 0 leaves w unchanged. Takes and returns an (N,) array.
     """
     if eta < 0:
         raise PortfolioError(f"learning rate must be >= 0, got {eta}")
+    w = np.asarray(w, dtype=float)
     row = np.asarray(x, dtype=float)
-    weights = w.weights
-    if row.shape != weights.shape:
-        raise DimensionMismatch(f"weights {weights.shape} vs row {row.shape}")
-    boosted = weights * np.exp(eta * row / float(weights @ row))
-    return PortfolioVector(boosted / boosted.sum())
+    if row.shape != w.shape:
+        raise DimensionMismatch(f"weights {w.shape} vs row {row.shape}")
+    boosted = w * np.exp(eta * row / float(w @ row))
+    return boosted / boosted.sum()
 
 
 def _simplex_draws(rng: np.random.Generator, m: int, n: int) -> np.ndarray:

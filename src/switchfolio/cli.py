@@ -124,13 +124,22 @@ def _parse_algo_string(text: str, args) -> bt.AlgoSpec:
     return spec
 
 
+# Characters per write of a long text: a text file encodes a str longer than its 8192-character
+# chunk into one bytes copy of the whole before writing it.
+TEXT_SLICE = 8192
+
+
 def _emit(text: str | Iterator[str], out_path: str | None):
     """Write text, or a stream of text chunks, to out_path or stdout.
 
-    Nothing is opened or written before the first chunk exists, so a refusal
-    raised while making it leaves no file behind.
+    A str is written TEXT_SLICE characters at a time. Nothing is opened or
+    written before the first chunk exists, so a refusal raised while making
+    it leaves no file behind.
     """
-    chunks = iter((text,) if isinstance(text, str) else text)
+    if isinstance(text, str):
+        chunks = (text[i : i + TEXT_SLICE] for i in range(0, len(text), TEXT_SLICE))
+    else:
+        chunks = iter(text)
     first = next(chunks, "")
     if out_path:
         with open(out_path, "w", newline="") as fh:
@@ -148,9 +157,6 @@ def _cmd_synth(args) -> int:
 
 
 UNIVERSAL_SAMPLES = 10_000  # backtest --algo universal without --samples
-# Characters per write of a long text: a text file encodes a str longer than its 8192-character
-# chunk into one bytes copy of the whole before writing it.
-TEXT_SLICE = 8192
 
 
 def _cmd_backtest(args, parser: _Parser) -> int:
@@ -174,9 +180,7 @@ def _cmd_backtest(args, parser: _Parser) -> int:
     report = bt.run(spec, X)
     _emit(bt.report_tsv(report), args.out)
     if args.plot_data:
-        text = bt.emit_plot_data(report)
-        with open(args.plot_data, "w", newline="") as fh:
-            fh.writelines(text[i : i + TEXT_SLICE] for i in range(0, len(text), TEXT_SLICE))
+        _emit(bt.emit_plot_data(report), args.plot_data)
     return 0
 
 

@@ -96,6 +96,25 @@ class _Frozen:
         return type(self), self._fields()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is refused, not warned about
+def simplex_refusal(w: np.ndarray) -> tuple[int, PortfolioError] | None:
+    """(row, error) for the first row of w (a vector, or a track of them) off the simplex, else None.
+
+    A row is refused for a negative or NaN entry, or else for a sum farther than SIMPLEX_TOL from 1.
+    """
+    rows = w.reshape(-1, w.shape[-1])
+    negative = ~(np.minimum.reduce(rows, axis=1) >= 0)  # a NaN minimum fails this test too
+    totals = np.add.reduce(rows, axis=1)
+    bad = negative | (np.abs(totals - 1.0) > SIMPLEX_TOL)
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    if negative[k]:
+        row = rows[k]
+        return k, NegativeEntry(f"negative or NaN portfolio weight: {float(row[~(row >= 0)][0])!r}")
+    return k, PortfolioError(f"portfolio weights sum to {float(totals[k])!r}, not 1 within {SIMPLEX_TOL}")
+
+
 class PortfolioVector(_Frozen):
     """Nonnegative weights summing to one: the fraction of wealth per asset.
 
@@ -111,23 +130,15 @@ class PortfolioVector(_Frozen):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise DimensionMismatch("portfolio weights must be a non-empty 1-D vector")
-        if not np.minimum.reduce(w) >= 0:  # a NaN minimum fails this test too
-            raise NegativeEntry(f"negative or NaN portfolio weight: {float(w[~(w >= 0)][0])!r}")
-        total = float(np.add.reduce(w))
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise PortfolioError(f"portfolio weights sum to {total!r}, not 1 within {SIMPLEX_TOL}")
+        refused = simplex_refusal(w)
+        if refused is not None:
+            raise refused[1]
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property
     def assets(self) -> int:
         return self.weights.size
-
-    @classmethod
-    def uniform(cls, n: int) -> "PortfolioVector":
-        if n < 1:
-            raise DimensionMismatch("need at least one asset")
-        return cls(np.full(n, 1.0 / n))
 
     def __iter__(self):
         return iter(self.weights)

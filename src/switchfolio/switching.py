@@ -16,12 +16,14 @@ trading day a slice of every asset's wealth is redistributed to the others:
   two fixed age kernels. Ages below 64 are summed directly; older ages are
   read from pending sums that FFT block products added ahead of time
   (relaxed multiplication), so the first T days cost O(N T log² T) in all,
-  not O(N T²) (see :class:`AdaptiveState`). A state given its run's horizon
-  holds exactly the days the run reads.
+  not O(N T²) (see :class:`AdaptiveState`). The state is sized to its run's
+  horizon and holds exactly the days the run reads.
 
 Transaction costs shrink only the redistributed (switched-in) mass by the
 cost model's lump-move factor; the stay term and the initial purchase are
-never charged.
+never charged. A state takes its cost model once, at init, for the whole
+run; each step ends by computing the next day's pre-return mass, which a
+weights call only normalizes into a plain ``(N,)`` array.
 
 States store simplex shares plus a log-wealth accumulator rather than raw
 linear wealth: over thousands of days raw products leave double range, while
@@ -37,7 +39,7 @@ import math
 
 import numpy as np
 
-from .core import DimensionMismatch, PortfolioError, PortfolioVector
+from .core import DimensionMismatch, PortfolioError
 from .costs import CostModel, switch_factor
 from .regimes import kt_neg_log2_sequence
 
@@ -60,23 +62,33 @@ class TooFewAssets(PortfolioError):
 class FixedGammaState:
     """Per-asset wealth evolved with a constant switching probability.
 
-    The day's pre-return mass is cached under ``day`` and the cost's switch
-    factor: whichever of a weights call and the next step comes first
-    computes it, and the other reads it.
+    ``shares`` are the post-return shares after ``day`` days; ``_mass`` is
+    the next day's pre-return mass under the state's cost (on day 0, the
+    uncharged purchase: the shares themselves).
     """
 
-    __slots__ = ("gamma", "day", "shares", "log_wealth", "_day_cache")
+    __slots__ = ("gamma", "day", "shares", "log_wealth", "_factor", "_mass")
 
-    def __init__(self, gamma: float, shares: np.ndarray, day: int = 0, log_wealth: float = 0.0):
+    def __init__(self, gamma: float, shares: np.ndarray, day: int = 0, log_wealth: float = 0.0, cost=None):
         self.gamma = float(gamma)
         self.shares = np.asarray(shares, dtype=float)
         self.day = int(day)
         self.log_wealth = float(log_wealth)
-        self._day_cache = (-1, None, 1.0, None)  # (day, cost, its switch factor, pre-return mass)
+        self._factor = switch_factor(cost)
+        self._mass = self.shares if self.day == 0 else _fixed_mass(self)
 
     @property
     def assets(self) -> int:
         return self.shares.size
+
+
+def _fixed_mass(state: FixedGammaState) -> np.ndarray:
+    """Post-trade mass per asset before the next day's returns, as shares of wealth; day >= 1."""
+    shares, g = state.shares, state.gamma
+    switched_in = (g / (shares.size - 1)) * (1.0 - shares)
+    if state._factor != 1.0:  # multiplying by 1 would change no bit
+        switched_in = state._factor * switched_in
+    return (1.0 - g) * shares + switched_in
 
 
 def _age_kernels(a_max: int) -> np.ndarray:
@@ -115,29 +127,26 @@ class AdaptiveState:
     sums for T+1 days (the weights after day T read ``pending[T]``), and a
     product that would reach past day T fills only the days up to T: its
     source days, kernel ages and FFT length shrink to what those days read.
-    A step past the horizon is refused. Without a horizon both arrays start
-    at 64 days and double as the run goes on.
+    A step past the horizon is refused.
 
     A scale that leaves [1e-150, 1e150] is folded into its row of ``coef``
     and of the pending sums, and reset to 1, so extreme markets stay finite.
-    The day's new bucket and pre-return mass (stay plus new bucket) are
-    cached under ``day`` and the cost's switch factor: whichever of a
-    weights call and the next step comes first computes them, and the other
-    reads them.
+    ``_new_bucket`` and ``_mass`` are the next day's new bucket and
+    pre-return mass (stay plus new bucket) under the state's cost; before
+    the first day both are the uncharged purchase, 1/N per asset.
     """
 
     __slots__ = (
         "day", "horizon", "log_wealth", "_coef", "_pending", "_scale", "_short", "_spectra", "_others", "_sum",
-        "_day_cache",
+        "_factor", "_new_bucket", "_mass",
     )
 
-    def __init__(self, n: int, horizon: int | None = None):
+    def __init__(self, n: int, horizon: int, cost: CostModel | None = None):
         self.day = 0
         self.horizon = horizon
         self.log_wealth = 0.0
-        days = FIRST_LEVEL if horizon is None else horizon + 1
-        self._coef = np.zeros((n, days))
-        self._pending = np.zeros((days, n, 2))  # [day, asset, stay or leak], like coef
+        self._coef = np.zeros((n, horizon + 1))
+        self._pending = np.zeros((horizon + 1, n, 2))  # [day, asset, stay or leak], like coef
         self._scale = np.ones(n)
         # Row j serves age 63 - j, so day t reads the last min(t, 63) rows.
         self._short = _age_kernels(SHORT_AGES)[:, ::-1].copy().T
@@ -145,21 +154,12 @@ class AdaptiveState:
         # 0-d arrays, not scalars, meet the day's vectors: numpy combines them faster, to the same bits.
         self._others = np.array(n - 1.0)  # the assets a leak is split over
         self._sum = np.empty(())  # receives each of the day's sums in turn
-        self._day_cache = (-1, None, 1.0, None, None)  # (day, cost, its switch factor, new bucket, pre-return mass)
+        self._factor = switch_factor(cost)
+        self._new_bucket = self._mass = np.full(n, 1.0 / n)
 
     @property
     def assets(self) -> int:
         return self._scale.size
-
-    def _grow(self, needed: int):
-        """Make room for at least ``needed`` days (at least double the capacity); no horizon."""
-        t, n = self.day, self.assets
-        capacity = max(needed, 2 * self._coef.shape[1])
-        coef = np.zeros((n, capacity))
-        coef[:, :t] = self._coef[:, :t]
-        pending = np.zeros((capacity, n, 2))
-        pending[t : self._pending.shape[0]] = self._pending[t:]  # days before t are read
-        self._coef, self._pending = coef, pending
 
     def _spectrum(self, level: int, ages: int, length: int) -> np.ndarray:
         """rfft of the given length of the stay and leak kernels over ages [L, L + ages), shape (2, length//2 + 1)."""
@@ -181,28 +181,23 @@ class AdaptiveState:
         return view
 
 
-def fixed_init(n: int, gamma: float) -> FixedGammaState:
-    """Uniform unit wealth over n assets, before any trading day."""
+def fixed_init(n: int, gamma: float, cost: CostModel | None = None) -> FixedGammaState:
+    """Uniform unit wealth over n assets, before any trading day, under one cost model for the run."""
     if n < 2:
         raise TooFewAssets(f"need at least 2 assets to switch between, got {n}")
     if not 0.0 < gamma <= (n - 1) / n:
         raise GammaOutOfRange(f"gamma must be in (0, {(n - 1) / n!r}] for N={n}, got {gamma!r}")
-    return FixedGammaState(gamma, np.full(n, 1.0 / n))
+    return FixedGammaState(gamma, np.full(n, 1.0 / n), cost=cost)
 
 
-def adaptive_init(n: int, horizon: int | None = None) -> AdaptiveState:
-    """Empty adaptive state; the first step seeds one bucket per asset at 1/n.
-
-    ``horizon``, the number of days the run will step, sizes the state to
-    them; without it the state grows as the run goes on.
-    """
+def adaptive_init(n: int, horizon: int, cost: CostModel | None = None) -> AdaptiveState:
+    """Empty adaptive state sized to a run of ``horizon`` days under one cost model; the first
+    step seeds one bucket per asset at 1/n."""
     if n < 2:
         raise TooFewAssets(f"need at least 2 assets to switch between, got {n}")
-    if horizon is not None:
-        if not (isinstance(horizon, (int, np.integer)) and horizon >= 0):
-            raise PortfolioError(f"horizon must be a whole number of days >= 0, got {horizon!r}")
-        horizon = int(horizon)
-    return AdaptiveState(n, horizon)
+    if not (isinstance(horizon, (int, np.integer)) and horizon >= 0):
+        raise PortfolioError(f"horizon must be a whole number of days >= 0, got {horizon!r}")
+    return AdaptiveState(n, int(horizon), cost)
 
 
 def _check_row(n: int, x) -> np.ndarray:
@@ -212,84 +207,37 @@ def _check_row(n: int, x) -> np.ndarray:
     return row
 
 
-def _fixed_pre_return_mass(state: FixedGammaState, cost: CostModel | None) -> np.ndarray:
-    """Post-trade mass per asset before the next day's returns, as shares of wealth."""
-    day, cached_cost, cached_factor, mass = state._day_cache
-    factor = cached_factor if cost is cached_cost else switch_factor(cost)
-    t = state.day
-    if day == t and factor == cached_factor:
-        return mass
-    shares = state.shares
-    if t == 0:
-        mass = shares.copy()  # initial purchase: nothing to trade yet
-    else:
-        g = state.gamma
-        switched_in = (g / (shares.size - 1)) * (1.0 - shares)
-        if factor != 1.0:  # multiplying by 1 would change no bit
-            switched_in = factor * switched_in
-        mass = (1.0 - g) * shares + switched_in
-    state._day_cache = (t, cost, factor, mass)
-    return mass
-
-
-def fixed_step(state: FixedGammaState, x, cost: CostModel | None = None) -> FixedGammaState:
-    """Advance one trading day in place: redistribute, charge cost, apply returns."""
+def fixed_step(state: FixedGammaState, x) -> FixedGammaState:
+    """Advance one trading day in place: apply returns to the pre-return mass, then redistribute."""
     row = _check_row(state.shares.size, x)
-    mass = _fixed_pre_return_mass(state, cost) * row
+    mass = state._mass * row
     total = float(np.add.reduce(mass))
     state.shares = mass / total
     state.log_wealth += math.log(total)
     state.day += 1
+    state._mass = _fixed_mass(state)
     return state
 
 
-def fixed_weights(state: FixedGammaState, cost: CostModel | None = None) -> PortfolioVector:
-    """Portfolio held on the next trading day.
+def fixed_weights(state: FixedGammaState) -> np.ndarray:
+    """Portfolio held on the next trading day, shape (N,).
 
     With no cost model this is the affine share update
     w_i -> (1 - gamma*N/(N-1)) * w_i + gamma/(N-1), applied to the current
     post-return shares. With costs, the switched-in term is shrunk by the
     lump-move factor and the result renormalized.
     """
-    mass = _fixed_pre_return_mass(state, cost)
-    return PortfolioVector(mass / np.add.reduce(mass))
-
-
-def _adaptive_pre_return_mass(state: AdaptiveState, cost: CostModel | None):
-    """(new bucket, stay + new bucket) per asset as shares of wealth, before returns; day >= 1."""
-    day, cached_cost, cached_factor, new_bucket, mass = state._day_cache
-    factor = cached_factor if cost is cached_cost else switch_factor(cost)
-    t = state.day
-    if day == t and factor == cached_factor:
-        return new_bucket, mass
-    # (N, 2) sums of coef times the stay and leak kernels: ages up to 63 here, older ones pending.
-    if t <= SHORT_AGES:
-        sums = state._coef[:, :t] @ state._short[SHORT_AGES - t :]
-    else:
-        sums = state._coef[:, t - SHORT_AGES : t] @ state._short
-        sums += state._pending[t]
-    scale = state._scale
-    leaked = sums[:, 1] * scale
-    # Leaked mass is split evenly over the other N-1 assets.
-    new_bucket = factor * (np.add.reduce(leaked, out=state._sum) - leaked) / state._others
-    mass = sums[:, 0] * scale + new_bucket
-    state._day_cache = (t, cost, factor, new_bucket, mass)
-    return new_bucket, mass
+    mass = state._mass
+    return mass / np.add.reduce(mass)
 
 
 def _relax(state: AdaptiveState) -> None:
-    """Add the ages [L, 2L) of days t..t+L-1 to the pending sums, for each level L that divides day t.
-
-    With a horizon T, only the days up to T are added.
-    """
+    """Add the ages [L, 2L) of days t..t+L-1, up to the horizon, to the pending sums, for each L dividing t."""
     t = state.day
     top = t & -t  # the largest power of two that divides t
-    horizon = state.horizon
-    if horizon is None and t + top > state._pending.shape[0]:
-        state._grow(t + top)
     level = FIRST_LEVEL
     while level <= top:
-        days = level if horizon is None else min(level, horizon + 1 - t)  # pending days t..t+days-1
+        days = min(level, state.horizon + 1 - t)  # pending days t..t+days-1
         # Coefficients of days t-2L..t+days-1-L (from day 0 when t = L) against ages [L, L+ages):
         # a circular convolution is exact on the outputs that land on days t..t+days-1 when its
         # length reaches past them and past the wrapped tail of the full product (a middle
@@ -308,22 +256,16 @@ def _relax(state: AdaptiveState) -> None:
         level *= 2
 
 
-def adaptive_step(state: AdaptiveState, x, cost: CostModel | None = None) -> AdaptiveState:
+def adaptive_step(state: AdaptiveState, x) -> AdaptiveState:
     """Advance one trading day in place; bucket count grows by one per asset."""
     row = _check_row(state._scale.size, x)
     t = state.day
     if t == state.horizon:
         raise PortfolioError(f"the adaptive state holds {t} days; day {t + 1} is past its horizon")
-    if t == 0:
-        new_bucket = mass = np.full(row.size, 1.0 / row.size)  # uncharged purchase
-    else:
-        new_bucket, mass = _adaptive_pre_return_mass(state, cost)
-    if t >= state._coef.shape[1]:
-        state._grow(t + 1)
     scale = state._scale
     # Stored against the pre-return scale, which today's row / total turns into its share.
-    np.divide(new_bucket, scale, out=state._coef[:, t])
-    mass = mass * row
+    np.divide(state._new_bucket, scale, out=state._coef[:, t])
+    mass = state._mass * row
     total = np.add.reduce(mass, out=state._sum)
     scale *= row / total
     # Fold a scale outside [1e-150, 1e150] into its rows before it leaves double range.
@@ -337,12 +279,22 @@ def adaptive_step(state: AdaptiveState, x, cost: CostModel | None = None) -> Ada
     state.day = t = t + 1
     if t % FIRST_LEVEL == 0:
         _relax(state)
+    # The next day's (N, 2) stay and leak sums over coef: ages up to 63 here, older ones pending.
+    if t <= SHORT_AGES:
+        sums = state._coef[:, :t] @ state._short[SHORT_AGES - t :]
+    else:
+        sums = state._coef[:, t - SHORT_AGES : t] @ state._short
+        sums += state._pending[t]
+    leaked = sums[:, 1] * scale
+    # Leaked mass is split evenly over the other N-1 assets.
+    state._new_bucket = state._factor * (np.add.reduce(leaked, out=state._sum) - leaked) / state._others
+    state._mass = sums[:, 0] * scale + state._new_bucket
     return state
 
 
-def adaptive_weights(state: AdaptiveState, cost: CostModel | None = None) -> PortfolioVector:
-    """Portfolio held on the next trading day: stay mass plus switched-in mass per asset."""
+def adaptive_weights(state: AdaptiveState) -> np.ndarray:
+    """Portfolio held on the next trading day, shape (N,): stay mass plus switched-in mass per asset."""
     if state.day < 1:
         raise PortfolioError("adaptive weights are defined only after the first trading day")
-    _, mass = _adaptive_pre_return_mass(state, cost)
-    return PortfolioVector(mass / np.add.reduce(mass, out=state._sum))
+    mass = state._mass
+    return mass / np.add.reduce(mass, out=state._sum)

@@ -43,16 +43,16 @@ def _passed(number, message):
 
 
 def _run_fixed_log2(X, gamma, cost):
-    st = fixed_init(X.assets, gamma)
+    st = fixed_init(X.assets, gamma, cost)
     for t in range(1, X.days + 1):
-        fixed_step(st, X.values[t - 1], cost)
+        fixed_step(st, X.values[t - 1])
     return st.log_wealth / LOG2
 
 
 def _run_adaptive_log2(X, cost):
-    st = adaptive_init(X.assets)
+    st = adaptive_init(X.assets, X.days, cost)
     for t in range(1, X.days + 1):
-        adaptive_step(st, X.values[t - 1], cost)
+        adaptive_step(st, X.values[t - 1])
     return st.log_wealth / LOG2
 
 

@@ -20,7 +20,7 @@ from switchfolio.backtest import (
     report_tsv,
     run,
 )
-from switchfolio.core import PortfolioError, validate_relatives
+from switchfolio.core import NegativeEntry, PortfolioError, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import synth_regime_pair, synth_volatility_pair
 from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, bound_check
@@ -166,13 +166,13 @@ class TestRun:
         X = random_matrix(rng, 7, 3)
         for cost in (None, CostModel.per_trade(0.02)):
             for spec, state, step in (
-                (AlgoSpec("switching-fixed", gamma=0.2, cost=cost), fixed_init(3, 0.2), fixed_step),
-                (AlgoSpec("switching-adaptive", cost=cost), adaptive_init(3), adaptive_step),
+                (AlgoSpec("switching-fixed", gamma=0.2, cost=cost), fixed_init(3, 0.2, cost), fixed_step),
+                (AlgoSpec("switching-adaptive", cost=cost), adaptive_init(3, X.days, cost), adaptive_step),
             ):
                 report = run(spec, X)
                 expected = [0.0]
                 for row in X.values:
-                    expected.append(step(state, row, cost).log_wealth)
+                    expected.append(step(state, row).log_wealth)
                 assert report.log_wealth.tolist() == expected
                 assert report.wealth.tolist() == [math.exp(v) for v in expected]
         assert run(AlgoSpec("best-stock"), X).log_wealth is None
@@ -226,6 +226,40 @@ class TestRun:
         assert AlgoSpec("crp", weights=(0.25, 0.75)).parameters == "w=0.25|0.75"
         assert AlgoSpec("universal", samples=300, seed=9).parameters == "samples=300 seed=9"
         assert AlgoSpec("switching-fixed", gamma=0.3, seed=4).label == "switching-fixed gamma=0.3"
+
+
+class TestWeightTrackCheck:
+    """A run checks its weight track once, after its loop, and names the first day off the simplex."""
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ([0.75, 0.5, 0.0], PortfolioError, "portfolio weights sum to 1.25, not 1 within 1e-12"),
+            ([1.5, -0.5, 0.0], NegativeEntry, "negative or NaN portfolio weight: -0.5"),
+            ([np.nan, np.nan, np.nan], NegativeEntry, "negative or NaN portfolio weight: nan"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spec, weights_of",
+        [
+            (AlgoSpec("switching-adaptive"), "adaptive_weights"),
+            (AlgoSpec("switching-fixed", gamma=0.2), "fixed_weights"),
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    def test_refusal_names_the_first_bad_day(self, monkeypatch, spec, weights_of, bad, error, message, k):
+        real = getattr(backtest, weights_of)
+        calls = []
+
+        def bad_from_day_k(state):
+            calls.append(state.day)
+            return np.array(bad) if state.day >= k else real(state)
+
+        monkeypatch.setattr(backtest, weights_of, bad_from_day_k)
+        with pytest.raises(error) as exc:
+            run(spec, random_matrix(np.random.default_rng(k), 9, 3))
+        assert str(exc.value) == f"{spec.label}: weights after day {k}: {message}"
+        assert calls == list(range(1, 10))  # the loop ran to the end before the one check
 
 
 class TestCompare:

@@ -175,38 +175,37 @@ class TestBcrpSolve:
 
 class TestEgStep:
     def test_zero_eta_is_identity(self):
-        w = PortfolioVector(np.array([0.3, 0.7]))
+        w = np.array([0.3, 0.7])
         out = eg_step(w, np.array([2.0, 0.5]), 0.0)
-        assert np.allclose(out.weights, w.weights, atol=1e-15)
+        assert np.allclose(out, w, atol=1e-15)
 
     def test_symmetric_day_keeps_uniform(self):
-        w = PortfolioVector(np.array([0.5, 0.5]))
-        out = eg_step(w, np.array([1.3, 1.3]), 0.05)
-        assert np.allclose(out.weights, 0.5, atol=1e-15)
+        out = eg_step(HALF.weights, np.array([1.3, 1.3]), 0.05)
+        assert np.allclose(out, 0.5, atol=1e-15)
 
     def test_hand_evaluated_update(self):
-        out = eg_step(HALF, np.array([2.0, 1.0]), 0.05)
+        out = eg_step(HALF.weights, np.array([2.0, 1.0]), 0.05)
         e1, e2 = math.exp(0.05 * 2.0 / 1.5), math.exp(0.05 * 1.0 / 1.5)
-        assert math.isclose(out.weights[0], e1 / (e1 + e2), rel_tol=1e-12)
-        assert math.isclose(out.weights[0], 0.50833, abs_tol=5e-6)
+        assert math.isclose(out[0], e1 / (e1 + e2), rel_tol=1e-12)
+        assert math.isclose(out[0], 0.50833, abs_tol=5e-6)
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(55)
         for _ in range(20):
             w = rng.random(3) + 1e-9
-            w = PortfolioVector(w / w.sum())
+            w = w / w.sum()
             x = np.exp(rng.uniform(-1, 1, 3))
-            a = eg_step(w, x, 0.07).weights
-            b = eg_step(w, 37.0 * x, 0.07).weights
+            a = eg_step(w, x, 0.07)
+            b = eg_step(w, 37.0 * x, 0.07)
             assert np.allclose(a, b, atol=1e-13)
 
     def test_stays_on_simplex(self):
         rng = np.random.default_rng(56)
-        w = PortfolioVector.uniform(4)
+        w = np.full(4, 0.25)
         for _ in range(50):
             w = eg_step(w, np.exp(rng.uniform(-1, 1, 4)), 0.1)
-            assert np.all(w.weights >= 0)
-            assert math.isclose(float(w.weights.sum()), 1.0, abs_tol=1e-12)
+            assert np.all(w >= 0)
+            assert math.isclose(float(w.sum()), 1.0, abs_tol=1e-12)
 
 
 class TestUniversal:

@@ -216,6 +216,27 @@ class TestDataErrors:
         assert done.stdout == ""
         assert done.stderr == f"switchfolio: {label}: non-finite {refused_figures(argv, label)}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["backtest", "--algo", "eg", "--eta", "1e300"],
+            ["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=1e300"],
+        ],
+    )
+    def test_eg_overflow_refused_without_numpy_warning(self, tmp_path, argv):
+        # exp overflows on the first day, so the weights after it are NaN. A fresh process with
+        # warnings shown: the refusal of the weight track must be the whole of stderr.
+        data = tmp_path / "v.csv"
+        cli_argv = [sys.executable, "-W", "default", "-m", "switchfolio.cli"]
+        subprocess.run(cli_argv + ["synth", "--kind", "volatility-pair", "--n", "50", "--out", str(data)],
+                       check=True)
+        done = subprocess.run(cli_argv + [argv[0], "--data", str(data), *argv[1:]],
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "switchfolio: eg eta=1e+300: weights after day 1: negative or NaN portfolio weight: nan\n"
+        )
+
     @pytest.mark.parametrize("command", ["oracle", "bounds"])
     def test_too_many_regimes_refused_before_the_algorithm(self, capsys, tmp_path, monkeypatch, command):
         # Only bounds enumerates regimes; oracle sums the same 3^500 of them by its O(T^2 N) DP.
@@ -272,10 +293,12 @@ class TestSwitchingExactness:
 
     @staticmethod
     def hand_stepped(X, prior, cost):
-        state = fixed_init(X.assets, 0.3333333333) if prior == "fixed" else adaptive_init(X.assets)
-        step = fixed_step if prior == "fixed" else adaptive_step
+        if prior == "fixed":
+            state, step = fixed_init(X.assets, 0.3333333333, cost), fixed_step
+        else:
+            state, step = adaptive_init(X.assets, X.days, cost), adaptive_step
         for row in X.values:
-            step(state, row, cost)
+            step(state, row)
         return state
 
     @pytest.mark.parametrize("prior", ["fixed", "adaptive"])

@@ -18,8 +18,11 @@ from switchfolio.core import (
     PortfolioVector,
     RaggedRows,
     RegimeSpec,
+    simplex_refusal,
     validate_relatives,
 )
+
+WEIGHT = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
 
 
 class TestValidateRelatives:
@@ -110,9 +113,6 @@ class TestPortfolioVector:
         with pytest.raises(NegativeEntry, match="nan"):
             PortfolioVector(np.array(weights))
 
-    def test_uniform(self):
-        assert np.allclose(PortfolioVector.uniform(4).weights, 0.25)
-
     @pytest.mark.parametrize(
         "weights, error, message",
         [
@@ -158,6 +158,33 @@ class TestPortfolioVector:
             assert str(exc) == expected
         else:
             assert expected is None and not pv.weights.flags.writeable
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        track=st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(WEIGHT, min_size=n, max_size=n), min_size=1, max_size=6)
+        ),
+        normalize=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_track_refused_at_the_first_row_a_vector_refuses(self, track, normalize):
+        # The once-per-run check of a weight track and PortfolioVector share one rule.
+        w = np.array(track)
+        for k, row in enumerate(w):
+            if normalize[k] and np.all(np.isfinite(row)) and np.abs(row).sum() > 0:
+                w[k] = np.abs(row) / np.abs(row).sum()
+        first = None
+        for k, row in enumerate(w):
+            try:
+                PortfolioVector(row.copy())
+            except PortfolioError as exc:
+                first = (k, type(exc), str(exc))
+                break
+        refused = simplex_refusal(w)
+        if first is None:
+            assert refused is None
+        else:
+            k, error = refused
+            assert (k, type(error), str(error)) == first
 
 
 class TestIdentityEquality:

@@ -12,7 +12,7 @@ from switchfolio.costs import (
     switch_factor,
 )
 from switchfolio.regimes import log_regime_wealth
-from switchfolio.switching import FixedGammaState, _fixed_pre_return_mass
+from switchfolio.switching import FixedGammaState, _fixed_mass
 
 
 def random_matrix(rng, T, N):
@@ -160,7 +160,7 @@ class TestRealizedWealthTrack:
             shares = rng.random(n) + 1e-9
             shares /= shares.sum()
             state = FixedGammaState(g, shares, day=2)
-            post_trade = _fixed_pre_return_mass(state, None)
+            post_trade = _fixed_mass(state)
             netted = float(np.abs(post_trade - shares).sum())
             gross = 2.0 * g  # every asset sheds gamma, same mass is re-bought
             assert netted <= gross + 1e-15

@@ -138,7 +138,7 @@ class TestMixtureOracle:
         for t in range(1, 8):
             fixed_step(st, X.day_row(t))
         assert abs(st.log_wealth - log_mixture_wealth(X, FixedGammaPrior(0.3))) < 1e-10
-        st = adaptive_init(2)
+        st = adaptive_init(2, 7)
         for t in range(1, 8):
             adaptive_step(st, X.day_row(t))
         assert abs(st.log_wealth - log_mixture_wealth(X, AdaptivePrior())) < 1e-10
@@ -230,7 +230,7 @@ class TestPenalties:
 
 class TestBoundCheck:
     def run_adaptive_log2(self, X):
-        st = adaptive_init(X.assets)
+        st = adaptive_init(X.assets, X.days)
         for t in range(1, X.days + 1):
             adaptive_step(st, X.day_row(t))
         return st.log_wealth / LOG2

@@ -72,16 +72,16 @@ class TestFixedStep:
         # Mid-run state with even shares: switched-in mass (gamma/(N-1)) * 0.5
         # is scaled by (1-c)^2 = 0.9801, the stay mass is untouched.
         g = 1 / 3
-        st = FixedGammaState(g, np.array([0.5, 0.5]), day=1)
-        fixed_step(st, np.array([1.0, 1.0]), CostModel.per_trade(0.01))
+        st = FixedGammaState(g, np.array([0.5, 0.5]), day=1, cost=CostModel.per_trade(0.01))
+        fixed_step(st, np.array([1.0, 1.0]))
         per_asset = (1 - g) * 0.5 + 0.9801 * g * 0.5
         assert np.allclose(st.shares * math.exp(st.log_wealth), per_asset, rtol=1e-15)
         assert math.isclose(st.log_wealth, math.log((1 - g) + 0.9801 * g), abs_tol=1e-15)
 
     def test_first_day_purchase_never_charged(self):
         for cost in (CostModel.per_trade(0.05), CostModel.parallel(0.1)):
-            st = fixed_init(2, 1 / 3)
-            fixed_step(st, np.array([2.0, 1.0]), cost)
+            st = fixed_init(2, 1 / 3, cost)
+            fixed_step(st, np.array([2.0, 1.0]))
             assert math.isclose(st.log_wealth, math.log(1.5), abs_tol=1e-15)
 
     def test_dimension_mismatch(self):
@@ -94,11 +94,11 @@ class TestFixedWeights:
     def test_uniform_is_fixed_point(self):
         for n, g in [(2, 1 / 3), (3, 0.2), (5, 0.7)]:
             st = fixed_init(n, g)
-            assert np.allclose(fixed_weights(st).weights, 1.0 / n, atol=1e-15)
+            assert np.allclose(fixed_weights(st), 1.0 / n, atol=1e-15)
 
     def test_hand_evaluated_map(self):
         st = FixedGammaState(1 / 3, np.array([1.0, 0.0]), day=1)
-        assert np.allclose(fixed_weights(st).weights, [2 / 3, 1 / 3], rtol=1e-15)
+        assert np.allclose(fixed_weights(st), [2 / 3, 1 / 3], rtol=1e-15)
 
     def test_sums_to_one_on_random_shares(self):
         rng = np.random.default_rng(8)
@@ -107,7 +107,7 @@ class TestFixedWeights:
             g = float(rng.uniform(1e-6, (n - 1) / n))
             shares = rng.random(n) + 1e-12
             st = FixedGammaState(g, shares / shares.sum(), day=3)
-            w = fixed_weights(st).weights
+            w = fixed_weights(st)
             assert np.all(w >= 0) and math.isclose(w.sum(), 1.0, abs_tol=1e-12)
 
     def test_matches_step_then_renormalize(self):
@@ -121,7 +121,7 @@ class TestFixedWeights:
             shares /= shares.sum()
             x = np.exp(rng.uniform(-1, 1, n))
             st = FixedGammaState(g, shares.copy(), day=2)
-            mapped = fixed_weights(st).weights * x
+            mapped = fixed_weights(st) * x
             mapped /= mapped.sum()
             fixed_step(st, x)
             assert np.allclose(st.shares, mapped, atol=1e-12)
@@ -129,30 +129,30 @@ class TestFixedWeights:
 
 class TestAdaptiveInit:
     def test_first_step_seeds_buckets(self):
-        st = adaptive_init(2)
+        st = adaptive_init(2, 1)
         adaptive_step(st, np.array([2.0, 1.0]))
         assert np.allclose(st.bucket_view() * math.exp(st.log_wealth), [[1.0], [0.5]], rtol=1e-15)
 
     def test_fresh_state_has_unit_wealth(self):
-        st = adaptive_init(3)
+        st = adaptive_init(3, 5)
         assert st.log_wealth == 0.0 and st.day == 0
 
     def test_too_few_assets(self):
         with pytest.raises(TooFewAssets):
-            adaptive_init(1)
+            adaptive_init(1, 5)
 
 
 class TestAdaptiveStep:
     def test_single_bucket_stay_factor(self):
         # A bucket born on day 1, stepped at t=1, keeps (0+1/2)/(0+1) = 1/2.
-        st = adaptive_init(2)
+        st = adaptive_init(2, 2)
         adaptive_step(st, np.array([1.0, 1.0]))
         adaptive_step(st, np.array([1.0, 1.0]))
         B = st.bucket_view() * math.exp(st.log_wealth)
         assert math.isclose(B[0, 0], 0.25, rel_tol=1e-15)  # 0.5 * 1/2
 
     def test_hand_evaluated_second_day(self):
-        st = adaptive_init(2)
+        st = adaptive_init(2, 2)
         adaptive_step(st, np.array([2.0, 1.0]))
         adaptive_step(st, np.array([1.0, 1.0]))
         B = st.bucket_view() * math.exp(st.log_wealth)
@@ -160,15 +160,15 @@ class TestAdaptiveStep:
         assert math.isclose(st.log_wealth, math.log(1.5), abs_tol=1e-14)
 
     def test_parallel_cost_scales_new_buckets(self):
-        st = adaptive_init(2)
+        st = adaptive_init(2, 2, CostModel.parallel(0.05))  # the first day's purchase is never charged
         adaptive_step(st, np.array([2.0, 1.0]))
-        adaptive_step(st, np.array([1.0, 1.0]), CostModel.parallel(0.05))
+        adaptive_step(st, np.array([1.0, 1.0]))
         B = st.bucket_view() * math.exp(st.log_wealth)
         assert np.allclose(B[:, 0], [0.5, 0.25], rtol=1e-14)  # stay buckets untouched
         assert np.allclose(B[:, 1], [0.9 * 0.25, 0.9 * 0.5], rtol=1e-14)
 
     def test_bucket_count_grows_by_n(self):
-        st = adaptive_init(3)
+        st = adaptive_init(3, 7)
         rng = np.random.default_rng(10)
         for t in range(1, 8):
             adaptive_step(st, np.exp(rng.uniform(-0.5, 0.5, 3)))
@@ -177,37 +177,38 @@ class TestAdaptiveStep:
             assert np.all(B > 0)
 
     def test_dimension_mismatch(self):
-        st = adaptive_init(2)
+        st = adaptive_init(2, 1)
         with pytest.raises(DimensionMismatch):
             adaptive_step(st, np.array([1.0]))
 
 
 class TestAdaptiveWeights:
     def test_uniform_after_symmetric_day(self):
-        st = adaptive_init(2)
+        st = adaptive_init(2, 1)
         adaptive_step(st, np.array([1.0, 1.0]))
-        assert np.allclose(adaptive_weights(st).weights, 0.5, atol=1e-15)
+        assert np.allclose(adaptive_weights(st), 0.5, atol=1e-15)
 
     def test_hand_evaluated_masses(self):
         # Buckets (1.0, 0.5) at t=1: asset 1 keeps 0.5 and receives 0.25.
-        st = adaptive_init(2)
+        st = adaptive_init(2, 1)
         adaptive_step(st, np.array([2.0, 1.0]))
-        assert np.allclose(adaptive_weights(st).weights, [0.5, 0.5], rtol=1e-14)
+        assert np.allclose(adaptive_weights(st), [0.5, 0.5], rtol=1e-14)
 
     def test_simplex_on_random_histories(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             n = int(rng.integers(2, 5))
-            st = adaptive_init(n)
-            for _ in range(int(rng.integers(1, 9))):
+            days = int(rng.integers(1, 9))
+            st = adaptive_init(n, days)
+            for _ in range(days):
                 adaptive_step(st, np.exp(rng.uniform(-1, 1, n)))
-            w = adaptive_weights(st).weights
+            w = adaptive_weights(st)
             assert np.all(w >= 0) and math.isclose(w.sum(), 1.0, abs_tol=1e-12)
 
     def test_requires_a_trading_day(self):
         from switchfolio.core import PortfolioError
 
-        st = adaptive_init(2)
+        st = adaptive_init(2, 1)
         with pytest.raises(PortfolioError):
             adaptive_weights(st)
 
@@ -216,13 +217,13 @@ class TestFixedDayCache:
     """Whether or not weights are asked for, fixed-gamma steps must produce the same bits."""
 
     @staticmethod
-    def _run(X, gamma, cost, weights_cost=False):
-        state = fixed_init(X.shape[1], gamma)
+    def _run(X, gamma, cost, with_weights):
+        state = fixed_init(X.shape[1], gamma, cost)
         logs = []
         for x in X:
-            if weights_cost is not False:
-                fixed_weights(state, weights_cost)
-            fixed_step(state, x, cost)
+            if with_weights:
+                fixed_weights(state)
+            fixed_step(state, x)
             logs.append(state.log_wealth)
         return np.array(logs), state.shares
 
@@ -233,33 +234,30 @@ class TestFixedDayCache:
         seed=st_.integers(0, 2**32 - 1),
         gamma_share=st_.floats(0.001, 1.0),
         kind=st_.sampled_from([None, "per-trade", "parallel"]),
-        weights_kind=st_.sampled_from([None, "per-trade", "parallel"]),
         rate=st_.floats(0.0, 0.49),
     )
-    def test_weights_calls_do_not_change_the_run(self, T, N, seed, gamma_share, kind, weights_kind, rate):
-        # Weights under the run's own cost are read every day, and under another cost too.
+    def test_weights_calls_do_not_change_the_run(self, T, N, seed, gamma_share, kind, rate):
         X = random_matrix(np.random.default_rng(seed), T, N).values
         gamma = gamma_share * (N - 1) / N
-        cost, other = (None if k is None else CostModel(k, rate) for k in (kind, weights_kind))
-        ref_logs, ref_shares = self._run(X, gamma, cost)
-        for weights_cost in (cost, other):
-            logs, shares = self._run(X, gamma, cost, weights_cost)
-            assert logs.tobytes() == ref_logs.tobytes()
-            assert shares.tobytes() == ref_shares.tobytes()
+        cost = None if kind is None else CostModel(kind, rate)
+        logs, shares = self._run(X, gamma, cost, with_weights=True)
+        ref_logs, ref_shares = self._run(X, gamma, cost, with_weights=False)
+        assert logs.tobytes() == ref_logs.tobytes()
+        assert shares.tobytes() == ref_shares.tobytes()
 
 
 class TestDayCache:
     """Whether or not weights are asked for, the steps must produce the same bits."""
 
     @staticmethod
-    def _run(X, cost, with_weights, weights_cost=None):
-        state = adaptive_init(X.shape[1])
+    def _run(X, cost, with_weights):
+        state = adaptive_init(X.shape[1], X.shape[0], cost)
         logs = []
         for x in X:
-            adaptive_step(state, x, cost)
+            adaptive_step(state, x)
             logs.append(state.log_wealth)
             if with_weights:
-                adaptive_weights(state, weights_cost if weights_cost is not None else cost)
+                adaptive_weights(state)
         return np.array(logs), state.bucket_view()
 
     @settings(max_examples=40, deadline=None)
@@ -287,22 +285,17 @@ class TestDayCache:
         assert logs.tobytes() == ref_logs.tobytes()
         assert buckets.tobytes() == ref_buckets.tobytes()
 
-    def test_weights_under_another_cost_do_not_reach_the_step(self):
-        X = random_matrix(np.random.default_rng(3), 300, 3).values
-        cost = CostModel.parallel(0.02)
-        logs, buckets = self._run(X, cost, with_weights=True, weights_cost=CostModel.per_trade(0.3))
-        ref_logs, ref_buckets = self._run(X, cost, with_weights=False)
-        assert logs.tobytes() == ref_logs.tobytes()
-        assert buckets.tobytes() == ref_buckets.tobytes()
-
     def test_weights_read_twice_are_equal(self):
-        st = adaptive_init(3)
-        for x in random_matrix(np.random.default_rng(4), 50, 3).values:
-            adaptive_step(st, x)
-        first = adaptive_weights(st, CostModel.per_trade(0.01)).weights
-        other = adaptive_weights(st).weights
-        assert adaptive_weights(st, CostModel.per_trade(0.01)).weights.tobytes() == first.tobytes()
-        assert not np.array_equal(first, other)
+        # Each read is a new array of the same bits, and the state's cost reaches the weights.
+        X = random_matrix(np.random.default_rng(4), 50, 3).values
+        states = [adaptive_init(3, 50, cost) for cost in (CostModel.per_trade(0.01), None)]
+        for x in X:
+            for st in states:
+                adaptive_step(st, x)
+        first = adaptive_weights(states[0])
+        again = adaptive_weights(states[0])
+        assert again is not first and again.tobytes() == first.tobytes()
+        assert not np.array_equal(first, adaptive_weights(states[1]))
 
 
 class TestMixtureEquivalence:
@@ -327,7 +320,7 @@ class TestMixtureEquivalence:
             N = int(rng.integers(2, 4))
             T = int(rng.integers(1, 9))
             X = random_matrix(rng, T, N)
-            st = adaptive_init(N)
+            st = adaptive_init(N, T)
             for t in range(1, T + 1):
                 adaptive_step(st, X.day_row(t))
             oracle = log_mixture_wealth(X, AdaptivePrior())
@@ -341,14 +334,14 @@ class TestCostMonotonicity:
         rates = [0.0, 0.01, 0.05, 0.1, 0.2, 0.4]
         for build in (CostModel.per_trade, CostModel.parallel):
             for init, step in (
-                (lambda: fixed_init(3, 1 / 3), fixed_step),
-                (lambda: adaptive_init(3), adaptive_step),
+                (lambda cost: fixed_init(3, 1 / 3, cost), fixed_step),
+                (lambda cost: adaptive_init(3, X.days, cost), adaptive_step),
             ):
                 finals = []
                 for c in rates:
-                    st = init()
+                    st = init(build(c) if c else None)
                     for t in range(1, X.days + 1):
-                        step(st, X.day_row(t), build(c) if c else None)
+                        step(st, X.day_row(t))
                     finals.append(st.log_wealth)
                 assert all(a >= b - 1e-15 for a, b in zip(finals, finals[1:]))
 
@@ -416,13 +409,13 @@ class TestScalingInvariance:
 
         for init, step, weights_of in (
             (lambda: fixed_init(2, 1 / 3), fixed_step, fixed_weights),
-            (lambda: adaptive_init(2), adaptive_step, adaptive_weights),
+            (lambda: adaptive_init(2, 6), adaptive_step, adaptive_weights),
         ):
             a, b = init(), init()
             for t in range(1, 7):
                 step(a, X.day_row(t))
                 step(b, Y.day_row(t))
-                assert np.allclose(weights_of(a).weights, weights_of(b).weights, atol=1e-12)
+                assert np.allclose(weights_of(a), weights_of(b), atol=1e-12)
             assert math.isclose(b.log_wealth, math.log(k) + a.log_wealth, abs_tol=1e-12)
 
 
@@ -458,13 +451,13 @@ def eager_adaptive(X, cost):
 
 
 def stepped_adaptive(X, cost, horizon=None):
-    """The same three outputs from the adaptive state machine, sized to ``horizon`` if given."""
-    state = adaptive_init(X.shape[1], horizon)
+    """The same three outputs from the adaptive state machine, sized to ``horizon`` (default: the run's days)."""
+    state = adaptive_init(X.shape[1], X.shape[0] if horizon is None else horizon, cost)
     logs, weights = [], []
     for x in X:
-        adaptive_step(state, x, cost)
+        adaptive_step(state, x)
         logs.append(state.log_wealth)
-        weights.append(adaptive_weights(state, cost).weights)
+        weights.append(adaptive_weights(state))
     return np.array(logs), np.array(weights), state.bucket_view()
 
 
@@ -573,8 +566,8 @@ COST_KINDS = dict(
 
 
 class TestRelaxedAgainstQuadraticDay:
-    """Long ages read from FFT-built pending sums must reproduce the O(t) day, in a state that
-    grows and in one sized to the run's horizon."""
+    """Long ages read from FFT-built pending sums must reproduce the O(t) day, in a state sized
+    to the run's horizon and in one whose horizon lies past the run."""
 
     @settings(max_examples=40, deadline=None)
     @given(T=st_.integers(1, 63), N=st_.integers(2, 6), **COST_KINDS)
@@ -582,7 +575,7 @@ class TestRelaxedAgainstQuadraticDay:
         X = random_matrix(np.random.default_rng(seed), T, N).values
         cost = None if kind is None else CostModel(kind, rate)
         ref = quadratic_adaptive(X, cost)
-        for horizon in (None, T):
+        for horizon in (T, T + 64):
             for got, want in zip(stepped_adaptive(X, cost, horizon), ref):
                 assert got.tobytes() == want.tobytes()
 
@@ -590,14 +583,15 @@ class TestRelaxedAgainstQuadraticDay:
     @given(T=st_.integers(64, 300), N=st_.integers(2, 5), **COST_KINDS)
     def test_every_cost_kind_through_the_first_blocks(self, T, N, seed, kind, rate):
         # Days 64 and 128 complete the first blocks of levels 64 and 128, day 192 a second one;
-        # with the horizon, the last block of each level that starts by day T is cut at T.
+        # with the horizon T, the last block of each level that starts by day T is cut at T,
+        # and with the horizon 2T no block is cut.
         X = random_matrix(np.random.default_rng(seed), T, N).values
         cost = None if kind is None else CostModel(kind, rate)
         ref = quadratic_adaptive(X, cost)
-        grown, sized = stepped_adaptive(X, cost), stepped_adaptive(X, cost, T)
-        assert_close_to(grown, ref)
+        longer, sized = stepped_adaptive(X, cost, 2 * T), stepped_adaptive(X, cost, T)
+        assert_close_to(longer, ref)
         assert_close_to(sized, ref)
-        assert_close_to(sized, grown)
+        assert_close_to(sized, longer)
 
     @pytest.mark.parametrize("cost", [None, CostModel.per_trade(0.49), CostModel.parallel(0.02)])
     def test_fold_market(self, cost):
@@ -605,7 +599,7 @@ class TestRelaxedAgainstQuadraticDay:
         # few hundred days, into the stored buckets and into the pending sums alike.
         X = np.tile([0.25, 1.5], (4000, 1))
         ref_logs, ref_weights, ref_buckets = quadratic_adaptive(X, cost)
-        for horizon in (None, 4000):
+        for horizon in (4000, 8000):
             logs, weights, buckets = stepped_adaptive(X, cost, horizon)
             for out in (logs, weights, buckets):
                 assert np.all(np.isfinite(out))
@@ -619,7 +613,7 @@ class TestRelaxedAgainstQuadraticDay:
         script = (
             "import sys, numpy as np, switchfolio.cli\n"
             "from switchfolio.switching import adaptive_init, adaptive_step\n"
-            "state, loaded = adaptive_init(3), ['numpy.fft' in sys.modules]\n"
+            "state, loaded = adaptive_init(3, 64), ['numpy.fft' in sys.modules]\n"
             "for day in range(64):\n"
             "    adaptive_step(state, np.full(3, 1.01))\n"
             "    loaded.append('numpy.fft' in sys.modules)\n"
@@ -630,16 +624,16 @@ class TestRelaxedAgainstQuadraticDay:
 
 
 class TestHorizon:
-    """A state sized to its run's horizon must give the run a growing state gives."""
+    """A state sized to its run's horizon must give the run a state with a longer horizon gives."""
 
     @pytest.mark.parametrize("T", [64, 65, 127, 128, 129, 4095, 4096, 4097, 8191, 8192, 8193])
     def test_around_the_levels(self, T):
         # Horizons just below, at and just past a power of two: the top level's last product
-        # fills one day, all of its days, or none past the first.
+        # fills one day, all of its days, or none past the first. With the horizon 2T it fills all.
         X = random_matrix(np.random.default_rng(T), T, 3).values
         cost = CostModel.parallel(0.002)
-        sized = stepped_adaptive(X, cost, T)
-        assert_close_to(sized, stepped_adaptive(X, cost))
+        sized = stepped_adaptive(X, cost)
+        assert_close_to(sized, stepped_adaptive(X, cost, 2 * T))
         assert_close_to(sized, quadratic_adaptive(X, cost))
 
     @pytest.mark.parametrize("T", [0, 1, 63, 64, 100, 1000])
@@ -664,7 +658,7 @@ class TestHorizon:
         assert state.day == T and state.log_wealth == log_wealth
         assert state.bucket_view().tobytes() == buckets.tobytes()
 
-    @pytest.mark.parametrize("horizon", [-1, 2.0, "3", np.int64(-1)])
+    @pytest.mark.parametrize("horizon", [-1, 2.0, "3", np.int64(-1), None])
     def test_bad_horizon_refused(self, horizon):
         with pytest.raises(PortfolioError, match="horizon must be a whole number"):
             adaptive_init(2, horizon)
@@ -678,9 +672,9 @@ class TestHorizon:
 
         sizes = []
 
-        def sized_init(n, horizon=None):
+        def sized_init(n, horizon, cost=None):
             sizes.append((n, horizon))
-            return adaptive_init(n, horizon)
+            return adaptive_init(n, horizon, cost)
 
         monkeypatch.setattr(backtest, "adaptive_init", sized_init)
         run(AlgoSpec("switching-adaptive"), random_matrix(np.random.default_rng(0), 70, 3))

@@ -164,6 +164,13 @@ def corpus() -> list[tuple[str, list[str]]]:
     cases.append(("backtest-walk3-adaptive",
                   ["backtest", "--data", "walk3.csv", "--algo", "switching-adaptive", *COSTS["parallel"],
                    "--plot-data", "{out}.plot.csv"]))
+    # 500 days of the fixed-gamma loop and of the exponentiated-gradient loop.
+    cases.append(("backtest-walk3-switching-fixed-per-trade",
+                  ["backtest", "--data", "walk3.csv", "--algo", "switching-fixed", "--gamma", GAMMA,
+                   *COSTS["per-trade"], "--plot-data", "{out}.plot.csv"]))
+    cases.append(("backtest-walk3-eg-parallel",
+                  ["backtest", "--data", "walk3.csv", "--algo", "eg", "--eta", "0.05", *COSTS["parallel"],
+                   "--plot-data", "{out}.plot.csv"]))
     for market in ("cr3", "quoted2", "padded2", "underscore2"):
         cases.append((f"backtest-{market}-crp",
                       ["backtest", "--data", f"{market}.csv", "--algo", "crp",
@@ -227,6 +234,8 @@ def corpus() -> list[tuple[str, list[str]]]:
         "parameter-without-value": ["compare", "--data", "plain2.csv", "--algo", "eg:eta"],
         "adaptive-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-adaptive"],
         "fixed-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-fixed", "--gamma", "0.01"],
+        # exp overflows on the first day: the weights are NaN, refused with no numpy warning.
+        "eg-overflow": ["backtest", "--data", "plain2.csv", "--algo", "eg", "--eta", "1e300"],
         "compare-overflow": ["compare", "--data", "regime2000.csv", "--algo", "best-stock",
                              "--algo", "eg:eta=0.05", "--algo", "universal:samples=100"],
     }
