@@ -53,6 +53,7 @@ from .market_data import (
 from .regimes import (
     AdaptivePrior,
     BoundReport,
+    BoundTable,
     FixedGammaPrior,
     InstanceTooLarge,
     InvalidRegime,

@@ -36,6 +36,7 @@ from .regimes import (
     CHARGE_SWITCHES_ONLY,
     LOG2,
     AdaptivePrior,
+    BoundTable,
     FixedGammaPrior,
     bound_check,
     enumerate_regimes,
@@ -55,11 +56,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cost_from_args(args) -> CostModel | None:
+    """The cost model of --cost-model at --cost-rate (0 if not given); a rate without a model is refused."""
     if args.cost_model == "none":
+        if args.cost_rate is not None:
+            raise PortfolioError("--cost-rate needs --cost-model per-trade or parallel")
         return None
-    if args.cost_model == "per-trade":
-        return CostModel.per_trade(args.cost_rate)
-    return CostModel.parallel(args.cost_rate)
+    rate = 0.0 if args.cost_rate is None else args.cost_rate
+    return CostModel.per_trade(rate) if args.cost_model == "per-trade" else CostModel.parallel(rate)
 
 
 def _add_data_flags(p: _Parser):
@@ -79,7 +82,7 @@ def _add_cost_flags(p: _Parser):
         default="none",
         help="transaction cost model (default: none)",
     )
-    p.add_argument("--cost-rate", type=float, default=0.0, help="commission rate c in [0, 0.5)")
+    p.add_argument("--cost-rate", type=float, help="commission rate c in [0, 0.5)")
 
 
 def _add_common(p: _Parser):
@@ -201,7 +204,7 @@ def _switching_setup(args, parser: _Parser):
     prior = FixedGammaPrior(args.gamma) if fixed else AdaptivePrior()
     spec = bt.AlgoSpec(
         kind=bt.KIND_SWITCHING_FIXED if fixed else bt.KIND_SWITCHING_ADAPTIVE,
-        gamma=args.gamma if fixed else None,
+        gamma=args.gamma,
         cost=_cost_from_args(args),
     )
     return X, prior, spec
@@ -224,7 +227,7 @@ def _cmd_oracle(args, parser: _Parser) -> int:
 BOUNDS_CHUNK_ROWS = 4096  # rows per write: the table is streamed, never held whole
 
 
-def _bounds_chunks(X, prior, alg_log2: float, cost, convention: str) -> Iterator[str]:
+def _bounds_chunks(table: BoundTable) -> Iterator[str]:
     """The bounds table, header first, as text chunks of BOUNDS_CHUNK_ROWS rows.
 
     Regimes come in blocks that share one switch-time tuple (see
@@ -236,12 +239,12 @@ def _bounds_chunks(X, prior, alg_log2: float, cost, convention: str) -> Iterator
         "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
         "algorithm_log2_wealth\tslack_bits\n"
     ]
-    alg_text = f"{alg_log2:.12g}"
+    alg_text = f"{table.algorithm_log2_wealth:.12g}"
     strategy_labels: dict[tuple[int, ...], str] = {}
     penalty_texts: dict[int, str] = {}
     times = None
-    for regime in enumerate_regimes(X.days, X.assets):
-        rep = bound_check(X, prior, alg_log2, regime, cost, convention)
+    for regime in enumerate_regimes(table.days, table.assets):
+        rep = bound_check(table, regime)
         if regime.switch_times is not times:
             times = regime.switch_times
             l = len(times)
@@ -265,7 +268,7 @@ def _cmd_bounds(args, parser: _Parser) -> int:
     X, prior, spec = _switching_setup(args, parser)
     require_enumerable(X.days, X.assets)  # refuse before the algorithm runs
     alg_log2 = float(bt.run(spec, X).log_wealth[-1]) / LOG2
-    _emit(_bounds_chunks(X, prior, alg_log2, spec.cost, args.convention), args.out)
+    _emit(_bounds_chunks(BoundTable(X, prior, alg_log2, spec.cost, args.convention)), args.out)
     return 0
 
 

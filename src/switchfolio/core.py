@@ -150,8 +150,7 @@ class PriceRelativeMatrix:
 
     ``values[t-1, i]`` is the day-t relative of asset i. ``dates`` optionally
     carries one label per day, preserved verbatim from input files; it plays
-    no role in any computation. Equality and hashing are by identity, so a
-    matrix can key a cache of what is computed from it.
+    no role in any computation. Equality and hashing are by identity.
     """
 
     values: np.ndarray

@@ -17,15 +17,14 @@ dynamic program over the day a segment starts, in O(T^2 N). It shares no code
 with the recursive algorithms it certifies but the KT stay product: it has
 none of their state scaling, bucket bookkeeping or cost placement.
 
-:func:`bound_check` scores one regime. It reads each segment's per-asset log
-wealth from a table kept for the matrix while the matrix lives and filled one
-segment at a time (at most T(T+1)/2 segments, each summed as
-``logs[start:end, a].sum()``, keyed by one integer per segment). The table
-also keeps the checked segment rows of the latest switch-time block, each
-switch count's penalty for the latest prior and the log switch factor of the
-latest cost model. So a regime of a ``bounds`` run, which shares its block
-with the regimes before it, costs a bound on its strategies, one addition per
-segment and one small record.
+:func:`bound_check` scores one regime against a :class:`BoundTable`, which
+fixes a run's market, prior, algorithm wealth, cost model and charge
+convention once. The table sums each segment's per-asset log wealth on its
+first read (at most T(T+1)/2 segments, each as ``logs[start:end, a].sum()``),
+holds each switch count's penalty and keeps the checked segment rows of the
+latest switch-time block. So a regime of a ``bounds`` run, which shares its
+block with the regimes before it, costs a bound on its strategies, one
+addition per segment and one small record.
 
 All bound arithmetic is in base-2 logarithms and reported in bits. Products
 are accumulated in log domain; only final results are exponentiated.
@@ -35,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from typing import Iterator
 
 import numpy as np
@@ -120,81 +118,11 @@ def log_prior(regime: RegimeSpec, T: int, N: int, prior: Prior) -> float:
     return -math.log(N) - l * math.log(N - 1) + float(ending[stays[:-1]].sum() + final[stays[-1]])
 
 
-class _SegmentLogWealth(dict):
-    """start * (T+1) + end -> each asset's log wealth over days start+1..end of X, each segment summed once.
-
-    Entry a is ``float(logs[start:end, a].sum())``, numpy's order for one
-    column (pairwise from 8 days on). The table does not hold X. It also keeps
-    what every regime scored against X shares: the latest switch-time block
-    (see :meth:`log_wealth`), each switch count's penalty under the latest
-    prior, and the log switch factor of the latest cost model.
-    """
-
-    def __init__(self, X: PriceRelativeMatrix):
-        super().__init__()
-        self.days, self.assets = X.days, X.assets
-        self._logs = np.log(X.values)
-        self._block = (None, None, [], 0)  # (switch times, convention, segment rows, charges)
-        self._prior, self._penalties = None, {}
-        self._cost, self._log_sf = None, 0.0  # no cost model: log(switch_factor(None)) = log(1)
-
-    def __missing__(self, key: int) -> list[float]:
-        start, end = divmod(key, self.days + 1)
-        logs = self._logs
-        sums = self[key] = [float(logs[start:end, a].sum()) for a in range(self.assets)]
-        return sums
-
-    def log_wealth(self, regime: RegimeSpec, cost: CostModel | None, convention: str) -> float:
-        """See :func:`log_regime_wealth`.
-
-        The latest block, regimes that share one switch-time tuple object and
-        the convention, is kept as one tuple with its checked segment rows and
-        charge count; a regime of that block is checked for its strategies alone.
-        """
-        block = self._block
-        if regime.switch_times is not block[0] or convention != block[1]:
-            T, times = self.days, regime.switch_times
-            _check_regime(regime, T, self.assets)
-            if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
-                raise PortfolioError(f"unknown cost convention {convention!r}")
-            rows = [self[start * (T + 1) + end] for start, end in zip((0,) + times, times + (T,))]
-            block = self._block = (times, convention, rows, len(times) + (convention == CHARGE_ALL_SEGMENTS))
-        elif max(regime.strategies) >= self.assets:
-            _check_regime(regime, self.days, self.assets)  # the block's checks pass; this raises the strategy's
-        total = 0.0
-        for row, asset in zip(block[2], regime.strategies):
-            total += row[asset]
-        if cost is not self._cost:
-            self._cost, self._log_sf = cost, math.log(switch_factor(cost))
-        return total + block[3] * self._log_sf
-
-    def penalty(self, prior: Prior, l: int) -> float:
-        """The concession (bits) to a regime with l switches under prior."""
-        if prior is not self._prior:
-            self._prior, self._penalties = prior, {}
-        penalty = self._penalties.get(l)
-        if penalty is None:
-            if isinstance(prior, FixedGammaPrior):
-                penalty = fixed_gamma_penalty(self.days, self.assets, l, prior.gamma)
-            else:
-                penalty = adaptive_penalty(self.days, self.assets, l)
-            self._penalties[l] = penalty
-        return penalty
-
-
-# Each live matrix's segment table, by the matrix's id. A finalizer drops the entry with
-# the matrix, so no id is reused while it is here. (``bounds`` looks a table up once per
-# regime, and a WeakKeyDictionary lookup measured about twice as long as this one.)
-_segment_tables: dict[int, _SegmentLogWealth] = {}
-
-
-def _segment_log_wealth(X: PriceRelativeMatrix) -> _SegmentLogWealth:
-    """The segment table of X, so that every regime scored against one X (a ``bounds`` run) reads one table."""
-    table = _segment_tables.get(id(X))
-    if table is None:
-        table = _segment_tables[id(X)] = _SegmentLogWealth(X)
-        weakref.finalize(X, _segment_tables.pop, id(X), None)
-    return table
+def _charges(cost: CostModel | None, convention: str) -> tuple[float, int]:
+    """(log lump-move factor of cost, charges before the first switch); see :func:`log_regime_wealth`."""
+    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
+        raise PortfolioError(f"unknown cost convention {convention!r}")
+    return math.log(switch_factor(cost)), int(convention == CHARGE_ALL_SEGMENTS)
 
 
 def log_regime_wealth(
@@ -208,7 +136,14 @@ def log_regime_wealth(
     ``switches-only`` charges the lump-move factor once per executed switch
     (l times); ``all-segments`` also charges the initial purchase (l+1 times).
     """
-    return _segment_log_wealth(X).log_wealth(regime, cost, convention)
+    T, times = X.days, regime.switch_times
+    _check_regime(regime, T, X.assets)
+    log_sf, first = _charges(cost, convention)
+    logs = np.log(X.values)
+    total = 0.0
+    for asset, start, end in zip(regime.strategies, (0,) + times, times + (T,)):
+        total += float(logs[start:end, asset].sum())
+    return total + (len(times) + first) * log_sf
 
 
 _new = object.__new__
@@ -287,13 +222,11 @@ def log_mixture_wealth(
     # cumlog[j, t]: asset j's log wealth over days 1..t, so a segment's by two lookups
     cumlog = np.zeros((N, T + 1))
     np.cumsum(np.log(X.values.T), axis=1, out=cumlog[:, 1:])
-    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
-        raise PortfolioError(f"unknown cost convention {convention!r}")
+    log_sf, first = _charges(cost, convention)
     ending, final = _segment_log_priors(T, prior)
-    log_sf = math.log(switch_factor(cost))
     others = np.array([[i for i in range(N) if i != j] for j in range(N)])
     enter = np.empty((N, T))
-    enter[:, 0] = -math.log(N) + (convention == CHARGE_ALL_SEGMENTS) * log_sf
+    enter[:, 0] = -math.log(N) + first * log_sf
     for e in range(1, T):
         # segments on days s..e for s = 1..e, which stay e-s days and then switch
         terms = enter[:, :e] + (cumlog[:, e, None] - cumlog[:, :e]) + ending[e - 1 :: -1]
@@ -379,24 +312,65 @@ _set_regime_log_wealth, _set_penalty, _set_algorithm_log_wealth = (
 )
 
 
-def bound_check(
-    X: PriceRelativeMatrix,
-    prior: Prior,
-    algorithm_log2_wealth: float,
-    regime: RegimeSpec,
-    cost: CostModel | None = None,
-    convention: str = CHARGE_SWITCHES_ONLY,
-) -> BoundReport:
-    """Compare achieved algorithm log2-wealth against one hindsight regime.
+class BoundTable:
+    """One bound run for :func:`bound_check`: a market, a prior, the matching algorithm's
+    log2 wealth on it, a cost model and a charge convention, fixed at construction.
 
-    ``algorithm_log2_wealth`` must come from the algorithm matching ``prior``
-    run on the same X, cost model, and convention.
+    The table keeps each segment's per-asset log wealths, ``float(logs[start:end, a].sum())``
+    (numpy's order for one column, pairwise from 8 days on), keyed by ``(start, end)`` and
+    summed on first read; each switch count's penalty; and the latest switch-time block
+    (see :meth:`_enter`). It does not hold X.
     """
-    table = _segment_tables.get(id(X))
-    if table is None:
-        table = _segment_log_wealth(X)
+
+    __slots__ = ("days", "assets", "algorithm_log2_wealth", "_logs", "_rows", "_penalties", "_log_sf",
+                 "_first", "_block")
+
+    def __init__(self, X: PriceRelativeMatrix, prior: Prior, algorithm_log2_wealth: float,
+                 cost: CostModel | None = None, convention: str = CHARGE_SWITCHES_ONLY):
+        self._log_sf, self._first = _charges(cost, convention)
+        T, N = self.days, self.assets = X.days, X.assets
+        self.algorithm_log2_wealth = algorithm_log2_wealth
+        self._logs = np.log(X.values)
+        self._rows: dict[tuple[int, int], list[float]] = {}
+        if isinstance(prior, FixedGammaPrior):
+            self._penalties = [fixed_gamma_penalty(T, N, l, prior.gamma) for l in range(T)]
+        else:
+            self._penalties = [adaptive_penalty(T, N, l) for l in range(T)]
+        self._block = (None, [], 0.0, 0.0)  # (switch times, segment rows, log charge, penalty in bits)
+
+    def _enter(self, regime: RegimeSpec) -> tuple:
+        """Check regime and make its switch times the latest block; a refused regime leaves the block as it was."""
+        T, times = self.days, regime.switch_times
+        _check_regime(regime, T, self.assets)
+        rows = []
+        for segment in zip((0,) + times, times + (T,)):
+            row = self._rows.get(segment)
+            if row is None:
+                start, end = segment
+                row = self._rows[segment] = [float(self._logs[start:end, a].sum()) for a in range(self.assets)]
+            rows.append(row)
+        l = len(times)
+        self._block = (times, rows, (l + self._first) * self._log_sf, self._penalties[l])
+        return self._block
+
+
+def bound_check(table: BoundTable, regime: RegimeSpec) -> BoundReport:
+    """Compare the table's algorithm log2-wealth against one hindsight regime.
+
+    Regimes that share one switch-time tuple object (a block of
+    :func:`enumerate_regimes`) share the table's latest block, so a regime
+    of that block is checked for its strategies alone.
+    """
+    block = table._block
+    if regime.switch_times is not block[0]:
+        block = table._enter(regime)
+    elif max(regime.strategies) >= table.assets:
+        _check_regime(regime, table.days, table.assets)  # the block's checks pass; this raises the strategy's
+    total = 0.0
+    for row, asset in zip(block[1], regime.strategies):
+        total += row[asset]
     report = _new(BoundReport)
-    _set_regime_log_wealth(report, table.log_wealth(regime, cost, convention) / LOG2)
-    _set_penalty(report, table.penalty(prior, len(regime.switch_times)))
-    _set_algorithm_log_wealth(report, algorithm_log2_wealth)
+    _set_regime_log_wealth(report, (total + block[2]) / LOG2)
+    _set_penalty(report, block[3])
+    _set_algorithm_log_wealth(report, table.algorithm_log2_wealth)
     return report

@@ -293,8 +293,9 @@ def adaptive_step(state: AdaptiveState, x) -> AdaptiveState:
 
 
 def adaptive_weights(state: AdaptiveState) -> np.ndarray:
-    """Portfolio held on the next trading day, shape (N,): stay mass plus switched-in mass per asset."""
-    if state.day < 1:
-        raise PortfolioError("adaptive weights are defined only after the first trading day")
+    """Portfolio held on the next trading day, shape (N,): stay mass plus switched-in mass per asset.
+
+    At day 0 this is the 1/N purchase, as :func:`fixed_weights` gives it.
+    """
     mass = state._mass
     return mass / np.add.reduce(mass, out=state._sum)

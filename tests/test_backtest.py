@@ -23,7 +23,7 @@ from switchfolio.backtest import (
 from switchfolio.core import NegativeEntry, PortfolioError, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import synth_regime_pair, synth_volatility_pair
-from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, bound_check
+from switchfolio.regimes import AdaptivePrior, BoundTable, FixedGammaPrior, bound_check
 from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 from switchfolio.core import RegimeSpec
 
@@ -63,16 +63,15 @@ class TestRun:
         X = synth_regime_pair(4)
         report = run(AlgoSpec("switching-fixed", gamma=1 / 3), X)
         alg_log2 = math.log2(report.final_wealth)
-        rep = bound_check(X, FixedGammaPrior(1 / 3), alg_log2, RegimeSpec((4,), (0, 1)))
+        rep = bound_check(BoundTable(X, FixedGammaPrior(1 / 3), alg_log2), RegimeSpec((4,), (0, 1)))
         assert math.isclose(rep.regime_log_wealth, 8 * math.log2(1.5), rel_tol=1e-12)
         assert rep.slack >= 0
 
     def test_switching_adaptive_bound_on_regime_pair(self):
         X = synth_regime_pair(4)
         report = run(AlgoSpec("switching-adaptive"), X)
-        rep = bound_check(
-            X, AdaptivePrior(), math.log2(report.final_wealth), RegimeSpec((4,), (0, 1))
-        )
+        table = BoundTable(X, AdaptivePrior(), math.log2(report.final_wealth))
+        rep = bound_check(table, RegimeSpec((4,), (0, 1)))
         assert rep.slack >= 0
 
     def test_wealth_starts_at_one_and_stays_positive(self):

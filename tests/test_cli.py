@@ -11,7 +11,7 @@ from switchfolio.cli import main
 from switchfolio.core import validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import write_csv
-from switchfolio.regimes import AdaptivePrior, FixedGammaPrior
+from switchfolio.regimes import AdaptivePrior, BoundTable, FixedGammaPrior
 from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 
 
@@ -279,6 +279,41 @@ class TestDataErrors:
         assert (code, out) == (2, "")
         assert err == f"switchfolio: {message}\n"
 
+    @pytest.mark.parametrize("command", ["oracle", "bounds"])
+    def test_gamma_under_the_adaptive_prior_exits_two(self, capsys, tmp_path, command):
+        # oracle and bounds refuse --gamma for the adaptive prior as backtest refuses it;
+        # they used to drop the flag and exit 0.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
+        code, out, err = invoke(capsys, command, "--data", str(data), "--prior", "adaptive", "--gamma", "0.3")
+        assert (code, out, err) == (2, "", "switchfolio: switching-adaptive takes no parameter gamma\n")
+
+    COST_COMMANDS = {
+        "backtest": ["--algo", "switching-adaptive"],
+        "compare": ["--algo", "switching-adaptive", "--algo", "bcrp"],
+        "oracle": ["--prior", "adaptive"],
+        "bounds": ["--prior", "adaptive"],
+    }
+
+    @pytest.mark.parametrize("model", [[], ["--cost-model", "none"]], ids=["no-model", "model-none"])
+    @pytest.mark.parametrize("command", list(COST_COMMANDS))
+    def test_cost_rate_without_a_model_exits_two(self, capsys, tmp_path, command, model):
+        # A rate with no cost model to charge it used to be dropped, and the run exited 0 without costs.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
+        argv = [command, "--data", str(data), *self.COST_COMMANDS[command], *model, "--cost-rate", "0.2"]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", "switchfolio: --cost-rate needs --cost-model per-trade or parallel\n")
+
+    @pytest.mark.parametrize("model", ["per-trade", "parallel"])
+    @pytest.mark.parametrize("command", list(COST_COMMANDS))
+    def test_cost_model_without_a_rate_charges_rate_zero(self, capsys, tmp_path, command, model):
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
+        argv = [command, "--data", str(data), *self.COST_COMMANDS[command], "--cost-model", model]
+        without_rate = invoke(capsys, *argv)
+        assert without_rate[0] == 0 and without_rate == invoke(capsys, *argv, "--cost-rate", "0")
+
 
 class TestSwitchingExactness:
     """oracle and bounds report the switching state's own wealth, unrounded by the CLI."""
@@ -393,7 +428,7 @@ class TestStreamedBounds:
 
     def test_rows_come_in_chunks(self, nine_day_market):
         X, _ = nine_day_market
-        chunks = list(cli._bounds_chunks(X, AdaptivePrior(), 0.0, None, "switches-only"))
+        chunks = list(cli._bounds_chunks(BoundTable(X, AdaptivePrior(), 0.0)))
         rows = [chunk.count("\n") for chunk in chunks]
         assert rows == [cli.BOUNDS_CHUNK_ROWS] * 4 + [3**9 + 1 - 4 * cli.BOUNDS_CHUNK_ROWS]
 

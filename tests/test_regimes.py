@@ -1,5 +1,4 @@
 import copy
-import gc
 import itertools
 import math
 import pickle
@@ -10,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchfolio import regimes
 from switchfolio.core import PortfolioError, RegimeSpec, validate_relatives
 from switchfolio.costs import CostModel, switch_factor
 from switchfolio.regimes import (
     AdaptivePrior,
     BoundReport,
+    BoundTable,
     FixedGammaPrior,
     InstanceTooLarge,
     InvalidRegime,
@@ -239,9 +238,9 @@ class TestBoundCheck:
         rng = np.random.default_rng(23)
         for _ in range(5):
             X = random_matrix(rng, 6, 2)
-            alg = self.run_adaptive_log2(X)
+            table = BoundTable(X, AdaptivePrior(), self.run_adaptive_log2(X))
             for q in enumerate_regimes(6, 2):
-                rep = bound_check(X, AdaptivePrior(), alg, q)
+                rep = bound_check(table, q)
                 assert rep.slack >= 0
 
     def test_fixed_prior_slack(self):
@@ -250,15 +249,15 @@ class TestBoundCheck:
         st = fixed_init(2, 1 / 3)
         for t in range(1, 7):
             fixed_step(st, X.day_row(t))
-        alg = st.log_wealth / LOG2
+        table = BoundTable(X, FixedGammaPrior(1 / 3), st.log_wealth / LOG2)
         for q in enumerate_regimes(6, 2):
-            rep = bound_check(X, FixedGammaPrior(1 / 3), alg, q)
+            rep = bound_check(table, q)
             assert rep.slack >= 0
 
     def test_degenerate_two_day_instance(self):
         X = validate_relatives([[2.0, 0.5], [0.5, 2.0]], ["a", "b"])
-        alg = self.run_adaptive_log2(X)
-        rep = bound_check(X, AdaptivePrior(), alg, RegimeSpec((), (0,)))
+        table = BoundTable(X, AdaptivePrior(), self.run_adaptive_log2(X))
+        rep = bound_check(table, RegimeSpec((), (0,)))
         assert rep.slack >= 0 and math.isfinite(rep.slack)
 
     def test_report_fields(self):
@@ -349,9 +348,11 @@ def assert_matches_references(X, prior, cost, convention, alg=1.5):
     dp = log_mixture_wealth(X, prior, cost, convention)
     ref = ref_log_mixture_wealth(X, prior, cost, convention)
     assert abs(dp - ref) <= 1e-13 * max(1.0, abs(ref))  # the DP sums in another order
+    table = BoundTable(X, prior, alg, cost, convention)
     rows = []
     for regime in enumerate_regimes(X.days, X.assets):
-        rep = bound_check(X, prior, alg, regime, cost, convention)
+        rep = bound_check(table, regime)
+        assert log_regime_wealth(regime, X, cost, convention) / LOG2 == rep.regime_log_wealth
         rows.append(
             (regime.switch_times, regime.strategies, rep.regime_log_wealth, rep.penalty, rep.slack)
         )
@@ -402,7 +403,7 @@ class TestRegimeBlocks:
         assert_matches_references(X, prior, cost, "switches-only", alg=-3.25)
 
     def test_segment_sums_follow_the_matrix(self):
-        # Segment sums are kept per matrix; another matrix must not read them.
+        # log_regime_wealth against the reference row, matrix after matrix.
         rng = np.random.default_rng(27)
         for X in [random_matrix(rng, 4, 2) for _ in range(3)] * 2:
             for times, strategies in ref_enumerate(4, 2):
@@ -410,30 +411,9 @@ class TestRegimeBlocks:
                 prior = FixedGammaPrior(0.1)
                 assert lw == ref_bound_row(X, prior, 0.0, times, strategies, None, "switches-only")[0]
 
-    def test_penalties_and_charges_follow_the_prior_and_cost(self):
-        # One matrix's table keeps the latest prior's penalties and cost's factor; a new one must not read them.
-        X = random_matrix(np.random.default_rng(29), 4, 3)
-        settings = [(FixedGammaPrior(0.1), None), (AdaptivePrior(), CostModel.per_trade(0.05)),
-                    (FixedGammaPrior(0.3), CostModel.parallel(0.2)), (FixedGammaPrior(0.1), None)]
-        for prior, cost in settings * 2:
-            for convention in ("switches-only", "all-segments"):
-                for times, strategies in ref_enumerate(4, 3):
-                    rep = bound_check(X, prior, 0.5, RegimeSpec(times, strategies), cost, convention)
-                    expected = ref_bound_row(X, prior, 0.5, times, strategies, cost, convention)
-                    assert (rep.regime_log_wealth, rep.penalty, rep.slack) == expected
-
-    def test_segment_sums_do_not_outlive_the_matrix(self):
-        X = random_matrix(np.random.default_rng(28), 5, 2)
-        bound_check(X, AdaptivePrior(), 0.0, RegimeSpec((2,), (1, 0)))
-        key = id(X)
-        assert key in regimes._segment_tables
-        del X
-        gc.collect()
-        assert key not in regimes._segment_tables
-
 
 class TestSwitchTimeBlocks:
-    """The segment table keeps one checked switch-time block; each field against the per-regime reference."""
+    """A bound table keeps one checked switch-time block; each field against the per-regime reference."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -451,7 +431,7 @@ class TestSwitchTimeBlocks:
     def test_every_field_equals_a_per_regime_recomputation(
         self, T, N, seed, fixed, gamma, kind, rate, conventions, order, data
     ):
-        # Blocks are kept across regimes, conventions and orders: shared switch-time tuples
+        # Blocks are kept across regimes, tables and orders: shared switch-time tuples
         # (enumerated), equal but distinct ones (rebuilt) and blocks left and re-entered (shuffled).
         X = random_matrix(np.random.default_rng(seed), T, N)
         prior = FixedGammaPrior(gamma) if fixed else AdaptivePrior()
@@ -462,19 +442,24 @@ class TestSwitchTimeBlocks:
         elif order == "shuffled":
             regimes_ = data.draw(st.permutations(regimes_))
         alg = data.draw(st.floats(-20.0, 20.0))
+        tables = {convention: BoundTable(X, prior, alg, cost, convention) for convention in conventions}
         for regime in regimes_:
             for convention in conventions:
-                rep = bound_check(X, prior, alg, regime, cost, convention)
+                rep = bound_check(tables[convention], regime)
                 lw, penalty, slack = ref_bound_row(
                     X, prior, alg, regime.switch_times, regime.strategies, cost, convention
                 )
                 fields = (rep.regime_log_wealth, rep.penalty, rep.algorithm_log_wealth, rep.slack)
                 assert fields == (lw, penalty, alg, slack)
+                assert log_regime_wealth(regime, X, cost, convention) / LOG2 == lw
 
-    # A refusal keeps its type, message and order (T, switch time, strategy, then convention),
-    # and leaves the cached block as it was: each test ends by scoring the valid regime's block
+    # A refusal keeps its type, message and order (T, switch time, then strategy), and
+    # leaves the table's block as it was: each test ends by scoring the valid regime's block
     # again, where a regime sharing its switch-time tuple but holding asset 2 must be refused.
     X = validate_relatives([[1.5, 0.5], [0.8, 1.25], [1.1, 0.9], [0.7, 1.6], [1.2, 0.95]], ["a", "b"])
+
+    def setup_method(self):
+        self.table = BoundTable(self.X, AdaptivePrior(), 0.5, CostModel.per_trade(0.01))
 
     @staticmethod
     def sharing_times(valid, strategies):
@@ -482,40 +467,45 @@ class TestSwitchTimeBlocks:
         object.__setattr__(regime, "switch_times", valid.switch_times)  # the same tuple object
         return regime
 
-    def refuse(self, regime, error, message, convention="switches-only"):
+    def refuse(self, regime, error, message):
         with pytest.raises(PortfolioError) as exc:
-            bound_check(self.X, AdaptivePrior(), 0.5, regime, CostModel.per_trade(0.01), convention)
+            bound_check(self.table, regime)
         assert type(exc.value) is error and str(exc.value) == message
 
     def assert_block_still_guarded(self, valid, expected):
         out_of_range = self.sharing_times(valid, valid.strategies[:-1] + (2,))
         self.refuse(out_of_range, InvalidRegime, f"strategy index out of range for N=2: {out_of_range.strategies}")
-        assert bound_check(self.X, AdaptivePrior(), 0.5, valid, CostModel.per_trade(0.01)) == expected
+        assert bound_check(self.table, valid) == expected
 
     @pytest.mark.parametrize("times, strategies", [((), (1,)), ((2,), (0, 1)), ((1, 3, 4), (1, 0, 1, 0))])
     def test_out_of_range_strategy_in_a_scored_block(self, times, strategies):
         valid = RegimeSpec(times, strategies)
-        expected = bound_check(self.X, AdaptivePrior(), 0.5, valid, CostModel.per_trade(0.01))
+        expected = bound_check(self.table, valid)
         self.refuse(self.sharing_times(valid, (2,) + strategies[1:]), InvalidRegime,
                     f"strategy index out of range for N=2: {(2,) + strategies[1:]}")
         self.assert_block_still_guarded(valid, expected)
 
     def test_switch_time_past_the_horizon(self):
         valid = RegimeSpec((2,), (0, 1))
-        expected = bound_check(self.X, AdaptivePrior(), 0.5, valid, CostModel.per_trade(0.01))
+        expected = bound_check(self.table, valid)
         self.refuse(RegimeSpec((2, 5), (0, 1, 0)), InvalidRegime, "switch time 5 outside 1..4")
-        # the switch time comes first, then the strategy, then the convention
-        self.refuse(RegimeSpec((5,), (0, 2)), InvalidRegime, "switch time 5 outside 1..4", "bogus")
+        # the switch time comes first, then the strategy
+        self.refuse(RegimeSpec((5,), (0, 2)), InvalidRegime, "switch time 5 outside 1..4")
         self.assert_block_still_guarded(valid, expected)
         with pytest.raises(InvalidRegime, match=r"^regimes need at least one trading day, got T=0$"):
-            # and the horizon before them all
-            bound_check(validate_relatives(np.empty((0, 2)), ["a", "b"]), AdaptivePrior(), 0.0,
-                        RegimeSpec((3,), (0, 2)), None, "bogus")
+            # and the horizon before them both
+            empty = validate_relatives(np.empty((0, 2)), ["a", "b"])
+            bound_check(BoundTable(empty, AdaptivePrior(), 0.0), RegimeSpec((3,), (0, 2)))
 
-    def test_unknown_convention_after_a_valid_call(self):
+    def test_unknown_convention_refused_at_construction(self):
         valid = RegimeSpec((1, 3), (1, 0, 1))
-        expected = bound_check(self.X, AdaptivePrior(), 0.5, valid, CostModel.per_trade(0.01))
-        self.refuse(valid, PortfolioError, "unknown cost convention 'bogus'", "bogus")
-        self.refuse(self.sharing_times(valid, (1, 0, 2)), InvalidRegime,
-                    "strategy index out of range for N=2: (1, 0, 2)", "bogus")
+        expected = bound_check(self.table, valid)
+        message = r"^unknown cost convention 'bogus'$"
+        with pytest.raises(PortfolioError, match=message):
+            BoundTable(self.X, AdaptivePrior(), 0.5, CostModel.per_trade(0.01), "bogus")
+        # the one charge rule refuses it for a single regime and for the mixture too
+        with pytest.raises(PortfolioError, match=message):
+            log_regime_wealth(valid, self.X, None, "bogus")
+        with pytest.raises(PortfolioError, match=message):
+            log_mixture_wealth(self.X, AdaptivePrior(), None, "bogus")
         self.assert_block_still_guarded(valid, expected)

@@ -205,12 +205,14 @@ class TestAdaptiveWeights:
             w = adaptive_weights(st)
             assert np.all(w >= 0) and math.isclose(w.sum(), 1.0, abs_tol=1e-12)
 
-    def test_requires_a_trading_day(self):
-        from switchfolio.core import PortfolioError
-
-        st = adaptive_init(2, 1)
-        with pytest.raises(PortfolioError):
-            adaptive_weights(st)
+    @pytest.mark.parametrize("cost", [None, CostModel.per_trade(0.05), CostModel.parallel(0.2)])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_day_zero_agrees_with_fixed_weights(self, n, cost):
+        # Both states hold the uncharged 1/N purchase before the first day.
+        adaptive = adaptive_weights(adaptive_init(n, 4, cost))
+        fixed = fixed_weights(fixed_init(n, 0.25, cost))
+        assert adaptive.shape == (n,) and np.array_equal(adaptive, fixed)
+        assert np.array_equal(adaptive, np.full(n, 1.0 / n) / np.add.reduce(np.full(n, 1.0 / n)))
 
 
 class TestFixedDayCache:

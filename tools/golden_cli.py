@@ -240,6 +240,16 @@ def corpus() -> list[tuple[str, list[str]]]:
                              "--algo", "eg:eta=0.05", "--algo", "universal:samples=100"],
     }
     cases += [(f"error-{name}", args) for name, args in errors.items()]
+    # A flag the run has no use for is refused, not dropped: gamma under the adaptive prior,
+    # and a cost rate with no cost model to charge it.
+    cases += [
+        ("oracle-adaptive-with-gamma", ["oracle", "--data", "small2.csv", "--prior", "adaptive", "--gamma", "0.3"]),
+        ("bounds-adaptive-with-gamma", ["bounds", "--data", "small2.csv", "--prior", "adaptive", "--gamma", "0.3"]),
+        ("backtest-rate-without-model", ["backtest", "--data", "plain2.csv", "--algo", "switching-adaptive",
+                                         "--cost-rate", "0.2"]),
+        ("compare-rate-without-model", ["compare", "--data", "plain2.csv", "--algo", "switching-adaptive",
+                                        "--algo", "bcrp", "--cost-model", "none", "--cost-rate", "0.2"]),
+    ]
     return cases
 
 
