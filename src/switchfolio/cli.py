@@ -8,10 +8,15 @@ Subcommands:
 * ``oracle``    exact mixture wealth over all regimes vs. the recursive algorithm
 * ``bounds``    per-regime competitiveness accounting as TSV
 
+``backtest`` and ``compare`` name each strategy by one spec string,
+``--algo KIND[:key=value,...]`` (``crp:weights=0.5|0.5``, ``eg:eta=0.05``),
+read by one parser before the data is loaded.
+
 Exit codes: 0 success, 1 usage error, 2 data/validation error (with
-line/column diagnostics for CSV problems, and for malformed numbers in
-algorithm parameters). All randomness flows from ``--seed``; identical
-invocations produce byte-identical output.
+line/column diagnostics for CSV problems; a malformed, missing, repeated or
+foreign parameter in a spec and an unknown kind are data errors too). All
+randomness flows from ``--seed``; identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -85,6 +90,17 @@ def _add_cost_flags(p: _Parser):
     p.add_argument("--cost-rate", type=float, help="commission rate c in [0, 0.5)")
 
 
+def _add_spec_flags(p: _Parser, **algo):
+    """--algo and the cost settings that every strategy spec of backtest and compare takes."""
+    p.add_argument("--algo", required=True, **algo)
+    _add_cost_flags(p)
+    p.add_argument(
+        "--cost-accounting",
+        choices=[bt.ACCOUNTING_BUCKET, bt.ACCOUNTING_REALIZED],
+        default=bt.ACCOUNTING_BUCKET,
+    )
+
+
 def _add_common(p: _Parser):
     p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
     p.add_argument("--out", help="write output here instead of stdout")
@@ -99,11 +115,14 @@ def _parse_number(key: str, value: str, kind=float):
         raise PortfolioError(f"algorithm parameter {key} must be {expected}, got {value!r}") from None
 
 
+UNIVERSAL_SAMPLES = 10_000  # universal's samples when its spec gives none
+
+
 def _parse_algo_string(text: str, args) -> bt.AlgoSpec:
     """Parse 'kind' or 'kind:key=value,key=value' into an AlgoSpec; only universal samples, so takes a seed=."""
     kind, _, param_text = text.partition(":")
     kind = kind.strip()
-    fields = {"cost": _cost_from_args(args), "cost_accounting": args.cost_accounting}
+    params = {}
     for chunk in param_text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -113,18 +132,32 @@ def _parse_algo_string(text: str, args) -> bt.AlgoSpec:
             raise PortfolioError(f"malformed algorithm parameter {chunk!r} in {text!r}")
         key = key.strip()
         value = value.strip()
+        if key in params:
+            raise PortfolioError(f"algorithm parameter {key} given twice in {text!r}")
         if key in ("gamma", "eta"):
-            fields[key] = _parse_number(key, value)
+            params[key] = _parse_number(key, value)
         elif key in ("samples", "seed"):
-            fields[key] = _parse_number(key, value, int)
+            params[key] = _parse_number(key, value, int)
         elif key == "weights":
-            fields["weights"] = tuple(_parse_number(key, v) for v in value.split("|"))
+            params["weights"] = tuple(_parse_number(key, v) for v in value.split("|"))
         else:
             raise PortfolioError(f"unknown algorithm parameter {key!r} in {text!r}")
-    spec = bt.AlgoSpec(kind=kind, **{"seed": args.seed, **fields})
-    if "seed" in fields and kind != bt.KIND_UNIVERSAL:
+    if kind == bt.KIND_UNIVERSAL:
+        params.setdefault("samples", UNIVERSAL_SAMPLES)
+    spec = bt.AlgoSpec(kind=kind, **{"seed": args.seed, **params}, cost=_cost_from_args(args),
+                       cost_accounting=args.cost_accounting)
+    if "seed" in params and kind != bt.KIND_UNIVERSAL:
         raise PortfolioError(f"{kind} takes no parameter seed")
     return spec
+
+
+# The --algo help of backtest and compare, with each kind's keys read from the table.
+ALGO_HELP = (
+    "strategy spec 'KIND[:key=value,...]', KIND one of "
+    + ", ".join(kind + "".join(f":{key}=" for key in keys) for kind, keys in bt.KIND_PARAMETERS.items())
+    + f"; weights values are separated by |; universal's samples default to {UNIVERSAL_SAMPLES}"
+    " (unused for two assets without a cost) and it alone takes its own seed= (default --seed)"
+)
 
 
 # Characters per write of a long text: a text file encodes a str longer than its 8192-character
@@ -159,28 +192,9 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-UNIVERSAL_SAMPLES = 10_000  # backtest --algo universal without --samples
-
-
-def _cmd_backtest(args, parser: _Parser) -> int:
-    """Every parameter flag given goes into the spec, which refuses one its kind does not take."""
-    fields = {name: getattr(args, name) for name in ("gamma", "weights", "eta", "samples")}
-    if args.algo == bt.KIND_UNIVERSAL and fields["samples"] is None:
-        fields["samples"] = UNIVERSAL_SAMPLES
-    for name in bt.KIND_PARAMETERS[args.algo]:
-        if fields[name] is None:
-            parser.error(f"--algo {args.algo} requires --{name}")
-    X = load_csv(args.data, args.mode)
-    if fields["weights"] is not None:
-        fields["weights"] = tuple(_parse_number("weights", v) for v in args.weights.split(","))
-    spec = bt.AlgoSpec(
-        kind=args.algo,
-        **fields,
-        seed=args.seed,
-        cost=_cost_from_args(args),
-        cost_accounting=args.cost_accounting,
-    )
-    report = bt.run(spec, X)
+def _cmd_backtest(args) -> int:
+    spec = _parse_algo_string(args.algo, args)
+    report = bt.run(spec, load_csv(args.data, args.mode))
     _emit(bt.report_tsv(report), args.out)
     if args.plot_data:
         _emit(bt.emit_plot_data(report), args.plot_data)
@@ -188,9 +202,8 @@ def _cmd_backtest(args, parser: _Parser) -> int:
 
 
 def _cmd_compare(args) -> int:
-    X = load_csv(args.data, args.mode)
     specs = [_parse_algo_string(text, args) for text in args.algo]
-    rows = bt.compare(specs, X)
+    rows = bt.compare(specs, load_csv(args.data, args.mode))
     _emit(bt.comparison_tsv(rows), args.out)
     return 0
 
@@ -283,36 +296,13 @@ def build_parser() -> _Parser:
 
     p_bt = sub.add_parser("backtest", help="run one strategy and print a TSV report")
     _add_data_flags(p_bt)
-    p_bt.add_argument("--algo", choices=list(bt.ALGO_KINDS), required=True)
-    p_bt.add_argument("--gamma", type=float, help="switching probability for switching-fixed")
-    p_bt.add_argument("--weights", help="comma-separated CRP weights, e.g. 0.5,0.5")
-    p_bt.add_argument("--eta", type=float, help="learning rate for eg")
-    p_bt.add_argument("--samples", type=int,
-                      help=f"sample count for universal (default {UNIVERSAL_SAMPLES}; "
-                           "unused for two assets without costs)")
-    _add_cost_flags(p_bt)
-    p_bt.add_argument(
-        "--cost-accounting",
-        choices=[bt.ACCOUNTING_BUCKET, bt.ACCOUNTING_REALIZED],
-        default=bt.ACCOUNTING_BUCKET,
-    )
+    _add_spec_flags(p_bt, help=ALGO_HELP)
     p_bt.add_argument("--plot-data", help="also write the day-series CSV here")
     _add_common(p_bt)
 
     p_cmp = sub.add_parser("compare", help="run several strategies, one TSV row each")
     _add_data_flags(p_cmp)
-    p_cmp.add_argument(
-        "--algo",
-        action="append",
-        required=True,
-        help="repeatable; 'kind' or 'kind:gamma=0.33,...' (weights values separated by |)",
-    )
-    _add_cost_flags(p_cmp)
-    p_cmp.add_argument(
-        "--cost-accounting",
-        choices=[bt.ACCOUNTING_BUCKET, bt.ACCOUNTING_REALIZED],
-        default=bt.ACCOUNTING_BUCKET,
-    )
+    _add_spec_flags(p_cmp, action="append", help="repeatable; " + ALGO_HELP)
     _add_common(p_cmp)
 
     for name, help_text in (
@@ -341,7 +331,7 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return _cmd_synth(args)
         if args.command == "backtest":
-            return _cmd_backtest(args, parser)
+            return _cmd_backtest(args)
         if args.command == "compare":
             return _cmd_compare(args)
         if args.command == "oracle":

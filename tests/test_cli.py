@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from switchfolio import cli
-from switchfolio.backtest import AlgoSpec, run
+from switchfolio.backtest import ALGO_KINDS, AlgoSpec, run
 from switchfolio.cli import main
 from switchfolio.core import validate_relatives
 from switchfolio.costs import CostModel
@@ -41,29 +41,30 @@ class TestSynthBacktestFlow:
         invoke(capsys, "synth", "--kind", "volatility-pair", "--n", "3", "--out", str(data))
         plot = tmp_path / "plot.csv"
         code, _, _ = invoke(
-            capsys, "backtest", "--data", str(data), "--algo", "crp",
-            "--weights", "0.5,0.5", "--plot-data", str(plot),
+            capsys, "backtest", "--data", str(data), "--algo", "crp:weights=0.5|0.5", "--plot-data", str(plot),
         )
         assert code == 0
         lines = plot.read_text().strip().split("\n")
         assert lines[0] == "day,wealth,largest_asset,w_1,w_2"
         assert len(lines) == 8
 
-    def test_backtest_universal_samples_default_and_flag(self, capsys, tmp_path):
+    def test_universal_samples_default_and_spec(self, capsys, tmp_path):
+        # compare used to refuse universal without samples= where backtest ran 10 000 of them.
         data = tmp_path / "m.csv"
         invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
         code, out, _ = invoke(capsys, "backtest", "--data", str(data), "--algo", "universal")
         assert code == 0 and "parameters\tsamples=10000 seed=0\n" in out
-        code, out, _ = invoke(capsys, "backtest", "--data", str(data), "--algo", "universal", "--samples", "7")
+        code, out, _ = invoke(capsys, "compare", "--data", str(data), "--algo", "universal")
+        assert code == 0 and out.split("\n")[1].startswith("universal\tsamples=10000 seed=0\t")
+        code, out, _ = invoke(capsys, "backtest", "--data", str(data), "--algo", "universal:samples=7")
         assert code == 0 and "parameters\tsamples=7 seed=0\n" in out
 
 
 class TestUsageErrors:
-    def test_missing_gamma_exits_one(self, capsys, tmp_path):
-        data = tmp_path / "m.csv"
-        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(data))
+    @pytest.mark.parametrize("command", ["backtest", "compare"])
+    def test_missing_algo_exits_one(self, command):
         with pytest.raises(SystemExit) as exc:
-            main(["backtest", "--data", str(data), "--algo", "switching-fixed"])
+            main([command, "--data", "m.csv"])
         assert exc.value.code == 1
 
     def test_unknown_flag_exits_one(self):
@@ -110,19 +111,10 @@ class TestDataErrors:
         )
         assert code == 2
 
-    def test_malformed_weights_exits_two(self, capsys, tmp_path):
-        data = tmp_path / "m.csv"
-        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(data))
-        code, _, err = invoke(
-            capsys, "backtest", "--data", str(data), "--algo", "crp", "--weights", "0.5,x"
-        )
-        assert code == 2
-        assert err == "switchfolio: algorithm parameter weights must be a number, got 'x'\n"
-
     def test_negative_weight_printed_as_a_float(self, capsys, tmp_path):
         data = tmp_path / "m.csv"
         invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(data))
-        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "crp", "--weights=-0.5,1.5")
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "crp:weights=-0.5|1.5")
         assert (code, out) == (2, "")
         assert err == "switchfolio: negative or NaN portfolio weight: -0.5\n"
 
@@ -138,7 +130,7 @@ class TestDataErrors:
         [
             ["compare", "--seed", "-1", "--algo", "universal:samples=10"],
             ["compare", "--algo", "universal:samples=10,seed=-1"],
-            ["backtest", "--algo", "universal", "--samples", "10", "--seed", "-1"],
+            ["backtest", "--algo", "universal:samples=10", "--seed", "-1"],
         ],
     )
     def test_negative_seed_exits_two(self, capsys, tmp_path, argv):
@@ -162,7 +154,7 @@ class TestDataErrors:
         [
             (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=0.05"], "eg eta=0.05"),
             (["compare", "--algo", "universal:samples=50"], "universal samples=50 seed=0"),
-            (["backtest", "--algo", "eg", "--eta", "0.05"], "eg eta=0.05"),
+            (["backtest", "--algo", "eg:eta=0.05"], "eg eta=0.05"),
         ],
     )
     def test_non_finite_wealth_exits_two(self, capsys, tmp_path, argv, label):
@@ -219,7 +211,7 @@ class TestDataErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["backtest", "--algo", "eg", "--eta", "1e300"],
+            ["backtest", "--algo", "eg:eta=1e300"],
             ["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=1e300"],
         ],
     )
@@ -259,23 +251,22 @@ class TestDataErrors:
         assert err == "switchfolio: 3^500 regimes for T=500, N=3 exceeds guard 10000000\n"
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "spec, message",
         [
-            (["--algo", "eg", "--eta", "0.05", "--gamma", "0.3", "--samples", "5"], "eg takes no parameter gamma"),
-            (["--algo", "switching-adaptive", "--samples", "5"], "switching-adaptive takes no parameter samples"),
-            (["--algo", "crp", "--weights", "0.5,0.5", "--gamma", "0.3"], "crp takes no parameter gamma"),
-            (["--algo", "bcrp", "--weights", "0.5,0.5"], "bcrp takes no parameter weights"),
-            (["--algo", "switching-fixed", "--gamma", "0.3", "--eta", "1"],
-             "switching-fixed takes no parameter eta"),
-            (["--algo", "universal", "--eta", "0.05"], "universal takes no parameter eta"),
+            ("eg:eta=0.05,gamma=0.3,samples=5", "eg takes no parameter gamma"),
+            ("switching-adaptive:samples=5", "switching-adaptive takes no parameter samples"),
+            ("crp:weights=0.5|0.5,gamma=0.3", "crp takes no parameter gamma"),
+            ("bcrp:weights=0.5|0.5", "bcrp takes no parameter weights"),
+            ("switching-fixed:gamma=0.3,eta=1", "switching-fixed takes no parameter eta"),
+            ("universal:eta=0.05", "universal takes no parameter eta"),
         ],
     )
-    def test_backtest_flag_the_kind_refuses_exits_two(self, capsys, tmp_path, flags, message):
-        # backtest refuses a flag given for another kind as compare refuses the parameter;
-        # it used to drop the flag and exit 0.
+    def test_backtest_parameter_the_kind_refuses_exits_two(self, capsys, tmp_path, spec, message):
+        # backtest refuses a parameter given for another kind as compare does; with its old
+        # per-parameter flags it used to drop the flag and exit 0.
         data = tmp_path / "m.csv"
         invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
-        code, out, err = invoke(capsys, "backtest", "--data", str(data), *flags)
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", spec)
         assert (code, out) == (2, "")
         assert err == f"switchfolio: {message}\n"
 
@@ -484,18 +475,6 @@ class TestCompareCommand:
         assert lines[3].startswith("switching-fixed\tgamma=0.333333")
 
     @pytest.mark.parametrize(
-        "spec", ["switching-fixed:gamma=abc", "universal:samples=1e3", "crp:weights=0.5|x", "eg:eta="]
-    )
-    def test_malformed_number_exits_two(self, capsys, tmp_path, spec):
-        data = tmp_path / "m.csv"
-        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(data))
-        code, out, err = invoke(capsys, "compare", "--data", str(data), "--algo", spec)
-        assert code == 2
-        assert out == ""
-        key = spec.split(":")[1].split("=")[0]
-        assert err.startswith(f"switchfolio: algorithm parameter {key} must be")
-
-    @pytest.mark.parametrize(
         "spec, message",
         [
             ("eg:eta=0.05,samples=5,gamma=0.2", "eg takes no parameter gamma"),
@@ -546,6 +525,73 @@ class TestCompareCommand:
         assert own[0] == global_[0] == other[0] == 0
         assert own == global_ and "samples=50 seed=4" in own[1]
         assert own[1].split("\n")[3] != other[1].split("\n")[3]
+
+
+class TestOneSpecParser:
+    """backtest and compare read --algo with the one spec parser: the same spec runs to the same
+    figures and is refused with the same line in both."""
+
+    SPECS = [
+        "switching-fixed:gamma=0.3333333333",
+        "switching-adaptive",
+        "crp:weights=0.25|0.25|0.5",
+        "bcrp",
+        "eg:eta=0.05",
+        "universal:samples=200,seed=4",
+        "best-stock",
+    ]
+
+    @pytest.mark.parametrize("cost", [[], ["--cost-model", "per-trade", "--cost-rate", "0.01"]],
+                             ids=["no-cost", "per-trade"])
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_backtest_and_compare_print_the_same_figures(self, capsys, tmp_path, spec, cost):
+        data = tmp_path / "m.csv"
+        values = np.exp(np.random.default_rng(19).normal(0.0, 0.05, (12, 3)))
+        write_csv(validate_relatives(values, ["a", "b", "c"]), str(data))
+        code, out, _ = invoke(capsys, "backtest", "--data", str(data), "--algo", spec, *cost)
+        assert code == 0
+        report = dict(line.split("\t") for line in out.strip().split("\n"))
+        code, out, _ = invoke(capsys, "compare", "--data", str(data), "--algo", spec, *cost)
+        assert code == 0
+        header, row = out.strip().split("\n")
+        table = dict(zip(header.split("\t"), row.split("\t")))
+        for field in ("parameters", "final_wealth", "max_drawdown", "hindsight_only"):
+            assert report[field] == table[field]
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("switching-fixed:gamma=abc", "algorithm parameter gamma must be a number, got 'abc'"),
+            ("universal:samples=1e3", "algorithm parameter samples must be an integer, got '1e3'"),
+            ("crp:weights=0.5|x", "algorithm parameter weights must be a number, got 'x'"),
+            ("eg:eta=", "algorithm parameter eta must be a number, got ''"),
+            ("crp:weights=0.5,0.5", "malformed algorithm parameter '0.5' in 'crp:weights=0.5,0.5'"),
+            ("switching-fixed", "switching-fixed needs gamma"),
+            ("crp", "crp needs weights"),
+            ("eg", "eg needs eta"),
+            ("bcrp:eta=0.05", "bcrp takes no parameter eta"),
+            ("eg:eta=0.05,rate=2", "unknown algorithm parameter 'rate' in 'eg:eta=0.05,rate=2'"),
+            ("momentum", f"unknown algorithm kind 'momentum'; choose from {ALGO_KINDS}"),
+        ],
+        ids=["malformed-float", "malformed-int", "malformed-weight", "empty-value", "comma-weights", "missing-gamma", "missing-weights",
+             "missing-eta", "foreign", "unknown-key", "unknown-kind"],
+    )
+    @pytest.mark.parametrize("market", ["m.csv", "missing.csv"])
+    @pytest.mark.parametrize("command", ["backtest", "compare"])
+    def test_refusal_is_the_same_in_both_commands(self, capsys, tmp_path, command, market, spec, message):
+        # The spec is read before the data: a missing file is not reported ahead of it.
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(tmp_path / "m.csv"))
+        code, out, err = invoke(capsys, command, "--data", str(tmp_path / market), "--algo", spec)
+        assert (code, out, err) == (2, "", f"switchfolio: {message}\n")
+
+    @pytest.mark.parametrize("spec, key", [("eg:eta=0.1,eta=0.2", "eta"), ("universal:seed=1, seed=1", "seed")])
+    @pytest.mark.parametrize("command", ["backtest", "compare"])
+    def test_repeated_key_exits_two(self, capsys, tmp_path, command, spec, key):
+        # The last value used to win silently, with exit 0.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(data))
+        code, out, err = invoke(capsys, command, "--data", str(data), "--algo", spec)
+        assert (code, out, err) == (2, "", f"switchfolio: algorithm parameter {key} given twice in {spec!r}\n")
 
 
 class TestDeterminism:

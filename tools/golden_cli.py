@@ -34,13 +34,13 @@ GAMMA = "0.3333333333"
 COSTS = {"none": [], "per-trade": ["--cost-model", "per-trade", "--cost-rate", "0.01"],
          "parallel": ["--cost-model", "parallel", "--cost-rate", "0.02"]}
 KINDS = {
-    "switching-fixed": ["--gamma", GAMMA],
-    "switching-adaptive": [],
+    "switching-fixed": f"switching-fixed:gamma={GAMMA}",
+    "switching-adaptive": "switching-adaptive",
     "crp": None,  # weights depend on the asset count
-    "bcrp": [],
-    "eg": ["--eta", "0.05"],
-    "universal": ["--samples", "500"],
-    "best-stock": [],
+    "bcrp": "bcrp",
+    "eg": "eg:eta=0.05",
+    "universal": "universal:samples=500",
+    "best-stock": "best-stock",
 }
 
 
@@ -106,16 +106,16 @@ def corpus() -> list[tuple[str, list[str]]]:
     ]
     markets = {"dated3": ([], 3), "plain2": ([], 2), "prices2": (["--mode", "prices"], 2)}
     for market, (mode, n) in markets.items():
-        for kind, extra in KINDS.items():
-            if extra is None:
-                extra = ["--weights", ",".join([f"{1 / n:.17g}"] * n)]
+        for kind, spec in KINDS.items():
+            if spec is None:
+                spec = "crp:weights=" + "|".join([f"{1 / n:.17g}"] * n)
             for cost, cost_args in COSTS.items():
                 for accounting in ("bucket", "realized"):
                     if cost == "none" and accounting == "realized":
                         continue
                     cases.append((
                         f"backtest-{market}-{kind}-{cost}-{accounting}",
-                        ["backtest", "--data", f"{market}.csv", *mode, "--algo", kind, *extra,
+                        ["backtest", "--data", f"{market}.csv", *mode, "--algo", spec,
                          *cost_args, "--cost-accounting", accounting, "--seed", "3",
                          "--out", "{out}.tsv", "--plot-data", "{out}.plot.csv"],
                     ))
@@ -130,11 +130,14 @@ def corpus() -> list[tuple[str, list[str]]]:
         cases.append((f"bcrp-{market}", ["backtest", "--data", f"{market}.csv", "--algo", "bcrp"]))
     for cost in ("none", "per-trade"):  # 20000 samples: more than two universal tiles of samples
         cases.append((f"backtest-long2-universal20000-{cost}",
-                      ["backtest", "--data", "long2.csv", "--algo", "universal", "--samples", "20000",
+                      ["backtest", "--data", "long2.csv", "--algo", "universal:samples=20000",
                        *COSTS[cost], "--seed", "3", "--out", "{out}.tsv", "--plot-data", "{out}.plot.csv"]))
         cases.append((f"compare-long2-universal20000-{cost}",
                       ["compare", "--data", "long2.csv", "--algo", "universal:samples=20000",
                        "--algo", "best-stock", *COSTS[cost]]))
+    # universal without samples= runs UNIVERSAL_SAMPLES of them, as in backtest.
+    cases.append(("compare-universal-default-samples",
+                  ["compare", "--data", "dated3.csv", "--algo", "universal", "--algo", "bcrp", "--seed", "3"]))
     cases.append(("compare-long3-universal20000-none",
                   ["compare", "--data", "long3.csv", "--algo", "universal:samples=20000", "--algo", "best-stock"]))
     for command in ("oracle", "bounds"):
@@ -166,15 +169,15 @@ def corpus() -> list[tuple[str, list[str]]]:
                    "--plot-data", "{out}.plot.csv"]))
     # 500 days of the fixed-gamma loop and of the exponentiated-gradient loop.
     cases.append(("backtest-walk3-switching-fixed-per-trade",
-                  ["backtest", "--data", "walk3.csv", "--algo", "switching-fixed", "--gamma", GAMMA,
+                  ["backtest", "--data", "walk3.csv", "--algo", f"switching-fixed:gamma={GAMMA}",
                    *COSTS["per-trade"], "--plot-data", "{out}.plot.csv"]))
     cases.append(("backtest-walk3-eg-parallel",
-                  ["backtest", "--data", "walk3.csv", "--algo", "eg", "--eta", "0.05", *COSTS["parallel"],
+                  ["backtest", "--data", "walk3.csv", "--algo", "eg:eta=0.05", *COSTS["parallel"],
                    "--plot-data", "{out}.plot.csv"]))
     for market in ("cr3", "quoted2", "padded2", "underscore2"):
         cases.append((f"backtest-{market}-crp",
-                      ["backtest", "--data", f"{market}.csv", "--algo", "crp",
-                       "--weights", ",".join(["0.5"] * 2 if market != "cr3" else ["0.25", "0.25", "0.5"]),
+                      ["backtest", "--data", f"{market}.csv",
+                       "--algo", "crp:weights=" + ("0.25|0.25|0.5" if market == "cr3" else "0.5|0.5"),
                        "--plot-data", "{out}.plot.csv"]))
     for command in ("oracle", "bounds"):
         for prior in ("fixed", "adaptive"):
@@ -212,30 +215,32 @@ def corpus() -> list[tuple[str, list[str]]]:
         "whitespace-only-line": ["backtest", "--data", "space-line.csv", "--algo", "bcrp"],
         "quote-after-space": ["backtest", "--data", "space-quote.csv", "--algo", "bcrp"],
         "negative-relative": ["bounds", "--data", "negative.csv", "--prior", "adaptive"],
-        "malformed-weights": ["backtest", "--data", "plain2.csv", "--algo", "crp", "--weights", "0.5,x"],
-        "wrong-weight-count": ["backtest", "--data", "dated3.csv", "--algo", "crp", "--weights", "0.5,0.5"],
+        "malformed-weights": ["backtest", "--data", "plain2.csv", "--algo", "crp:weights=0.5|x"],
+        "wrong-weight-count": ["backtest", "--data", "dated3.csv", "--algo", "crp:weights=0.5|0.5"],
         "malformed-gamma": ["compare", "--data", "plain2.csv", "--algo", "switching-fixed:gamma=abc"],
         "malformed-samples": ["compare", "--data", "plain2.csv", "--algo", "universal:samples=1e3"],
         "negative-seed": ["compare", "--data", "plain2.csv", "--seed", "-1", "--algo", "universal:samples=10"],
         "unknown-parameter": ["compare", "--data", "plain2.csv", "--algo", "eg:rate=2"],
         "irrelevant-parameter": ["compare", "--data", "plain2.csv", "--algo", "eg:eta=0.05,samples=5,gamma=0.2"],
-        # backtest refuses the flags of other kinds as compare refuses their parameters.
-        "backtest-irrelevant-flags": ["backtest", "--data", "plain2.csv", "--algo", "eg", "--eta", "0.05",
-                                      "--gamma", "0.3", "--samples", "5"],
-        "backtest-samples-for-adaptive": ["backtest", "--data", "plain2.csv", "--algo", "switching-adaptive",
-                                          "--samples", "5"],
+        # backtest refuses the parameters of other kinds as compare does.
+        "backtest-irrelevant-flags": ["backtest", "--data", "plain2.csv", "--algo", "eg:eta=0.05,gamma=0.3,samples=5"],
+        "backtest-samples-for-adaptive": ["backtest", "--data", "plain2.csv", "--algo", "switching-adaptive:samples=5"],
+        "backtest-malformed-number": ["backtest", "--data", "plain2.csv", "--algo", "switching-fixed:gamma=abc"],
+        # A key given twice is refused, not overridden by its last value.
+        "repeated-key": ["compare", "--data", "plain2.csv", "--algo", "eg:eta=0.1,eta=0.2"],
+        "backtest-repeated-key": ["backtest", "--data", "plain2.csv", "--algo", "eg:eta=0.1,eta=0.2"],
         # Only universal samples: a seed of its own given to another kind is refused, not dropped.
         "seed-for-unseeded-kind": ["compare", "--data", "plain2.csv", "--algo", "eg:eta=0.05,seed=7",
                                    "--algo", "bcrp:seed=3"],
         "negative-eta-empty-market": ["compare", "--data", "empty2.csv", "--algo", "eg:eta=-1"],
-        "negative-weight": ["backtest", "--data", "plain2.csv", "--algo", "crp", "--weights=-0.5,1.5"],
+        "negative-weight": ["backtest", "--data", "plain2.csv", "--algo", "crp:weights=-0.5|1.5"],
         "negative-price": ["backtest", "--data", "negative-price.csv", "--mode", "prices", "--algo", "bcrp"],
         "unknown-kind": ["compare", "--data", "plain2.csv", "--algo", "momentum"],
         "parameter-without-value": ["compare", "--data", "plain2.csv", "--algo", "eg:eta"],
         "adaptive-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-adaptive"],
-        "fixed-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-fixed", "--gamma", "0.01"],
+        "fixed-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-fixed:gamma=0.01"],
         # exp overflows on the first day: the weights are NaN, refused with no numpy warning.
-        "eg-overflow": ["backtest", "--data", "plain2.csv", "--algo", "eg", "--eta", "1e300"],
+        "eg-overflow": ["backtest", "--data", "plain2.csv", "--algo", "eg:eta=1e300"],
         "compare-overflow": ["compare", "--data", "regime2000.csv", "--algo", "best-stock",
                              "--algo", "eg:eta=0.05", "--algo", "universal:samples=100"],
     }
