@@ -43,8 +43,8 @@ from .regimes import (
     AdaptivePrior,
     BoundTable,
     FixedGammaPrior,
+    block_regimes,
     bound_check,
-    enumerate_regimes,
     mixture_oracle,
     require_enumerable,
 )
@@ -208,23 +208,24 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _switching_setup(args, parser: _Parser):
-    """Market, prior and matching switching spec (with its cost model) for oracle and bounds."""
-    if args.prior == "fixed" and args.gamma is None:
-        parser.error("--prior fixed requires --gamma")
+def _switching_setup(args):
+    """Market, prior and matching switching spec (with its cost model) for oracle and bounds.
+
+    The spec is built before the prior, so a fixed prior without --gamma is refused
+    as ``switching-fixed needs gamma``, as backtest refuses it."""
     X = load_csv(args.data, args.mode)
     fixed = args.prior == "fixed"
-    prior = FixedGammaPrior(args.gamma) if fixed else AdaptivePrior()
     spec = bt.AlgoSpec(
         kind=bt.KIND_SWITCHING_FIXED if fixed else bt.KIND_SWITCHING_ADAPTIVE,
         gamma=args.gamma,
         cost=_cost_from_args(args),
     )
+    prior = FixedGammaPrior(args.gamma) if fixed else AdaptivePrior()
     return X, prior, spec
 
 
-def _cmd_oracle(args, parser: _Parser) -> int:
-    X, prior, spec = _switching_setup(args, parser)
+def _cmd_oracle(args) -> int:
+    X, prior, spec = _switching_setup(args)
     oracle = mixture_oracle(X, prior, spec.cost, args.convention)
     algorithm = bt.run(spec, X).final_wealth
     gap = abs(algorithm - oracle) / oracle if oracle else 0.0
@@ -237,48 +238,51 @@ def _cmd_oracle(args, parser: _Parser) -> int:
     return 0
 
 
-BOUNDS_CHUNK_ROWS = 4096  # rows per write: the table is streamed, never held whole
+BOUNDS_CHUNK_ROWS = 4096  # most rows per chunk: a wider switch-time block is written in pieces
 
 
 def _bounds_chunks(table: BoundTable) -> Iterator[str]:
-    """The bounds table, header first, as text chunks of BOUNDS_CHUNK_ROWS rows.
+    """The bounds table as text chunks: the header with the first switch-time block,
+    then one chunk per block, a block of more than BOUNDS_CHUNK_ROWS rows in pieces
+    of that many. The table is streamed, never held whole.
 
-    Regimes come in blocks that share one switch-time tuple (see
-    ``enumerate_regimes``), so a block's label and switch count are made once
-    per block; each switch count's penalty text and each strategy tuple's
-    label once per run.
+    Each block is scored at once (``BoundTable.scored_blocks``) and each chunk is
+    made by one ``%`` over its switch count's row template, which holds every
+    row's strategy label, the switch count, the penalty text and the
+    algorithm's text, built once per switch count. ``bound_check`` is still
+    called once per regime, a read of the scored block: the benchmark's trace
+    counts those calls.
     """
-    chunk = [
+    text = (
         "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
         "algorithm_log2_wealth\tslack_bits\n"
-    ]
-    alg_text = f"{table.algorithm_log2_wealth:.12g}"
-    strategy_labels: dict[tuple[int, ...], str] = {}
-    penalty_texts: dict[int, str] = {}
-    times = None
-    for regime in enumerate_regimes(table.days, table.assets):
-        rep = bound_check(table, regime)
-        if regime.switch_times is not times:
-            times = regime.switch_times
-            l = len(times)
-            if l not in penalty_texts:
-                penalty_texts[l] = f"{rep.penalty:.12g}"
-            head = (",".join(map(str, times)) or "-") + "\t"
-            middle = f"\t{l}\t"
-            tail = f"\t{penalty_texts[l]}\t{alg_text}\t"
-        strats = regime.strategies
-        label = strategy_labels.get(strats)
-        if label is None:
-            label = strategy_labels[strats] = ",".join(map(str, strats))
-        chunk.append(f"{head}{label}{middle}{rep.regime_log_wealth:.12g}{tail}{rep.slack:.12g}\n")
-        if len(chunk) >= BOUNDS_CHUNK_ROWS:
-            yield "".join(chunk)
-            chunk = []
-    yield "".join(chunk)
+    )
+    alg = table.algorithm_log2_wealth
+    rows_seen = None
+    for times, rows, log2_wealth, penalty in table.scored_blocks():
+        for regime in block_regimes(times, rows):
+            bound_check(table, regime)
+        if rows is not rows_seen:  # a new switch count
+            rows_seen = rows
+            tail = f"\t{len(times)}\t%.12g\t{penalty:.12g}\t{alg:.12g}\t%.12g\n"
+            templates = [
+                "".join(["%s\t" + ",".join(map(str, row)) + tail for row in rows[i : i + BOUNDS_CHUNK_ROWS]])
+                for i in range(0, len(rows), BOUNDS_CHUNK_ROWS)
+            ]
+        slack = alg - log2_wealth + penalty  # BoundReport.slack's operations, elementwise
+        head = ",".join(map(str, times)) or "-"
+        for i, template in enumerate(templates):
+            piece = slice(i * BOUNDS_CHUNK_ROWS, (i + 1) * BOUNDS_CHUNK_ROWS)
+            wealth_cells = log2_wealth[piece].tolist()
+            cells = [head] * (3 * len(wealth_cells))
+            cells[1::3] = wealth_cells
+            cells[2::3] = slack[piece].tolist()
+            yield text + template % tuple(cells)
+            text = ""
 
 
-def _cmd_bounds(args, parser: _Parser) -> int:
-    X, prior, spec = _switching_setup(args, parser)
+def _cmd_bounds(args) -> int:
+    X, prior, spec = _switching_setup(args)
     require_enumerable(X.days, X.assets)  # refuse before the algorithm runs
     alg_log2 = float(bt.run(spec, X).log_wealth[-1]) / LOG2
     _emit(_bounds_chunks(BoundTable(X, prior, alg_log2, spec.cost, args.convention)), args.out)
@@ -335,8 +339,8 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         if args.command == "oracle":
-            return _cmd_oracle(args, parser)
-        return _cmd_bounds(args, parser)
+            return _cmd_oracle(args)
+        return _cmd_bounds(args)
     except (PortfolioError, OSError) as exc:
         print(f"switchfolio: {exc}", file=sys.stderr)
         return 2

@@ -20,11 +20,11 @@ none of their state scaling, bucket bookkeeping or cost placement.
 :func:`bound_check` scores one regime against a :class:`BoundTable`, which
 fixes a run's market, prior, algorithm wealth, cost model and charge
 convention once. The table sums each segment's per-asset log wealth on its
-first read (at most T(T+1)/2 segments, each as ``logs[start:end, a].sum()``),
-holds each switch count's penalty and keeps the checked segment rows of the
-latest switch-time block. So a regime of a ``bounds`` run, which shares its
-block with the regimes before it, costs a bound on its strategies, one
-addition per segment and one small record.
+first read (at most T(T+1)/2 segments, each as ``logs[start:end, a].sum()``)
+and holds each switch count's penalty. :meth:`BoundTable.scored_blocks`
+scores each switch-time block of the enumeration at once in numpy, one
+gather and one addition per segment over the block's strategy rows, and a
+``bound_check`` of the block's next regime reads its value from there.
 
 All bound arithmetic is in base-2 logarithms and reported in bits. Products
 are accumulated in log domain; only final results are exponentiated.
@@ -160,13 +160,15 @@ def require_enumerable(T: int, N: int) -> None:
         raise InstanceTooLarge(f"{N}^{T} regimes for T={T}, N={N} exceeds guard {ENUMERATION_GUARD}")
 
 
-def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
-    """Yield every switching regime for T days and N assets once.
+def switch_time_blocks(T: int, N: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    """Yield every switching regime for T days and N assets once, as switch-time blocks.
 
-    Regimes come by switch count l, then by switch-time tuple in lexicographic
-    order, then by first asset and by each hop to one of the other N-1 assets
-    (in index order), the last hop fastest. Deliberately exponential; guarded
-    at ENUMERATION_GUARD regimes.
+    A block is a switch-time tuple and the list of its strategy rows, each a
+    tuple of len(times) + 1 assets: every first asset and every hop to one of
+    the other N-1 assets (in index order), the last hop fastest. Blocks come
+    by switch count l, then by switch-time tuple in lexicographic order; the
+    blocks of one switch count share one list of rows. Deliberately
+    exponential; guarded at ENUMERATION_GUARD regimes.
     """
     if N < 1:
         raise InvalidRegime(f"need at least one asset, got N={N}")
@@ -178,12 +180,26 @@ def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
     for l in range(T):
         if l:
             rows = [row + (j,) for row in rows for j in others[row[-1]]]
+            if not rows:  # one asset never switches
+                return
         for times in itertools.combinations(range(1, T), l):
-            for row in rows:  # checked by construction, so the slots are filled directly
-                regime = _new(RegimeSpec)
-                _set_switch_times(regime, times)
-                _set_strategies(regime, row)
-                yield regime
+            yield times, rows
+
+
+def block_regimes(times: tuple[int, ...], rows: list[tuple[int, ...]]) -> Iterator[RegimeSpec]:
+    """The regimes of one block of :func:`switch_time_blocks`, in its order, sharing its tuples."""
+    for row in rows:  # checked by construction, so the slots are filled directly
+        regime = _new(RegimeSpec)
+        _set_switch_times(regime, times)
+        _set_strategies(regime, row)
+        yield regime
+
+
+def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
+    """Yield every switching regime for T days and N assets once, in the order of
+    :func:`switch_time_blocks`; the regimes of a block share its switch-time tuple object."""
+    for times, rows in switch_time_blocks(T, N):
+        yield from block_regimes(times, rows)
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -318,12 +334,12 @@ class BoundTable:
 
     The table keeps each segment's per-asset log wealths, ``float(logs[start:end, a].sum())``
     (numpy's order for one column, pairwise from 8 days on), keyed by ``(start, end)`` and
-    summed on first read; each switch count's penalty; and the latest switch-time block
-    (see :meth:`_enter`). It does not hold X.
+    summed on first read; each switch count's penalty; and the block that
+    :meth:`scored_blocks` scored last. It does not hold X.
     """
 
-    __slots__ = ("days", "assets", "algorithm_log2_wealth", "_logs", "_rows", "_penalties", "_log_sf",
-                 "_first", "_block")
+    __slots__ = ("days", "assets", "algorithm_log2_wealth", "_logs", "_segments", "_penalties", "_log_sf",
+                 "_first", "_block", "_position")
 
     def __init__(self, X: PriceRelativeMatrix, prior: Prior, algorithm_log2_wealth: float,
                  cost: CostModel | None = None, convention: str = CHARGE_SWITCHES_ONLY):
@@ -331,46 +347,65 @@ class BoundTable:
         T, N = self.days, self.assets = X.days, X.assets
         self.algorithm_log2_wealth = algorithm_log2_wealth
         self._logs = np.log(X.values)
-        self._rows: dict[tuple[int, int], list[float]] = {}
+        self._segments: dict[tuple[int, int], np.ndarray] = {}
         if isinstance(prior, FixedGammaPrior):
             self._penalties = [fixed_gamma_penalty(T, N, l, prior.gamma) for l in range(T)]
         else:
             self._penalties = [adaptive_penalty(T, N, l) for l in range(T)]
-        self._block = (None, [], 0.0, 0.0)  # (switch times, segment rows, log charge, penalty in bits)
+        self._block = (None, [], np.empty(0))  # (switch times, strategy rows, their log2 wealths)
+        self._position = 0  # the row of the block that bound_check reads next
 
-    def _enter(self, regime: RegimeSpec) -> tuple:
-        """Check regime and make its switch times the latest block; a refused regime leaves the block as it was."""
-        T, times = self.days, regime.switch_times
-        _check_regime(regime, T, self.assets)
-        rows = []
-        for segment in zip((0,) + times, times + (T,)):
-            row = self._rows.get(segment)
+    def _score(self, times: tuple[int, ...], strategies: np.ndarray) -> np.ndarray:
+        """Log2 wealths of the regimes with these switch times and (R, l+1) strategy rows.
+
+        Each regime's segment wealths are added left to right from 0.0, then its
+        log charge, then the sum is divided by ``LOG2``: a lone regime's additions
+        in its order, so every value keeps its bits.
+        """
+        total = np.zeros(len(strategies))
+        for k, segment in enumerate(zip((0,) + times, times + (self.days,))):
+            row = self._segments.get(segment)
             if row is None:
                 start, end = segment
-                row = self._rows[segment] = [float(self._logs[start:end, a].sum()) for a in range(self.assets)]
-            rows.append(row)
-        l = len(times)
-        self._block = (times, rows, (l + self._first) * self._log_sf, self._penalties[l])
-        return self._block
+                row = self._segments[segment] = np.array(
+                    [float(self._logs[start:end, a].sum()) for a in range(self.assets)])
+            total += row[strategies[:, k]]
+        return (total + (len(times) + self._first) * self._log_sf) / LOG2
+
+    def scored_blocks(self) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]], np.ndarray, float]]:
+        """Yield each block of :func:`switch_time_blocks` for the table's days and assets as
+        ``(switch times, strategy rows, their log2 wealths, penalty in bits)``, scored at once.
+
+        While a block is out, :func:`bound_check` reads its regimes, in order, from it.
+        """
+        rows_seen = None
+        for times, rows in switch_time_blocks(self.days, self.assets):
+            if rows is not rows_seen:  # a new switch count: one index array for all its blocks,
+                # of the smallest integer type (at N=8, T=7 an intp array would add 46 MiB to the peak)
+                rows_seen, strategies = rows, np.array(rows, dtype=np.min_scalar_type(self.assets - 1))
+            log2_wealth = self._score(times, strategies)
+            self._block, self._position = (times, rows, log2_wealth), 0
+            yield times, rows, log2_wealth, self._penalties[len(times)]
 
 
 def bound_check(table: BoundTable, regime: RegimeSpec) -> BoundReport:
     """Compare the table's algorithm log2-wealth against one hindsight regime.
 
-    Regimes that share one switch-time tuple object (a block of
-    :func:`enumerate_regimes`) share the table's latest block, so a regime
-    of that block is checked for its strategies alone.
+    The next regime of the block that :meth:`BoundTable.scored_blocks` scored
+    last (the block's switch-time tuple object and the strategy tuple at the
+    block's position) is read from it. Any other regime is checked and scored
+    as a one-row block.
     """
-    block = table._block
-    if regime.switch_times is not block[0]:
-        block = table._enter(regime)
-    elif max(regime.strategies) >= table.assets:
-        _check_regime(regime, table.days, table.assets)  # the block's checks pass; this raises the strategy's
-    total = 0.0
-    for row, asset in zip(block[1], regime.strategies):
-        total += row[asset]
+    times, rows, log2_wealths = table._block
+    position = table._position
+    if regime.switch_times is times and position < len(rows) and regime.strategies is rows[position]:
+        table._position = position + 1
+        log2_wealth = log2_wealths.item(position)
+    else:
+        _check_regime(regime, table.days, table.assets)
+        log2_wealth = float(table._score(regime.switch_times, np.array([regime.strategies]))[0])
     report = _new(BoundReport)
-    _set_regime_log_wealth(report, (total + block[2]) / LOG2)
-    _set_penalty(report, block[3])
+    _set_regime_log_wealth(report, log2_wealth)
+    _set_penalty(report, table._penalties[len(regime.switch_times)])
     _set_algorithm_log_wealth(report, table.algorithm_log2_wealth)
     return report

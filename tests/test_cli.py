@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -279,6 +280,14 @@ class TestDataErrors:
         code, out, err = invoke(capsys, command, "--data", str(data), "--prior", "adaptive", "--gamma", "0.3")
         assert (code, out, err) == (2, "", "switchfolio: switching-adaptive takes no parameter gamma\n")
 
+    @pytest.mark.parametrize("command", ["oracle", "bounds"])
+    def test_fixed_prior_without_gamma_exits_two(self, capsys, tmp_path, command):
+        # The same refusal as backtest --algo switching-fixed; it used to be an argparse usage error.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
+        code, out, err = invoke(capsys, command, "--data", str(data), "--prior", "fixed")
+        assert (code, out, err) == (2, "", "switchfolio: switching-fixed needs gamma\n")
+
     COST_COMMANDS = {
         "backtest": ["--algo", "switching-adaptive"],
         "compare": ["--algo", "switching-adaptive", "--algo", "bcrp"],
@@ -417,11 +426,60 @@ class TestStreamedBounds:
             )
         assert out == "\n".join(lines) + "\n"
 
-    def test_rows_come_in_chunks(self, nine_day_market):
+    # Switch-time blocks at T=9, N=3, in enumeration order: (first column, rows).
+    BLOCKS = [
+        (",".join(map(str, times)) or "-", 3 * 2**l)
+        for l in range(9)
+        for times in itertools.combinations(range(1, 9), l)
+    ]
+
+    @staticmethod
+    def chunk_blocks(chunks):
+        """(first column, rows) of each chunk, after checking that its rows share the first column."""
+        header, first = chunks[0].split("\n", 1)
+        assert header.startswith("switch_times\t")
+        blocks = []
+        for chunk in [first, *chunks[1:]]:
+            labels = [row.split("\t", 1)[0] for row in chunk.splitlines()]
+            assert chunk.endswith("\n") and set(labels) == {labels[0]}
+            blocks.append((labels[0], len(labels)))
+        return blocks
+
+    def test_rows_come_in_whole_blocks(self, nine_day_market):
         X, _ = nine_day_market
         chunks = list(cli._bounds_chunks(BoundTable(X, AdaptivePrior(), 0.0)))
-        rows = [chunk.count("\n") for chunk in chunks]
-        assert rows == [cli.BOUNDS_CHUNK_ROWS] * 4 + [3**9 + 1 - 4 * cli.BOUNDS_CHUNK_ROWS]
+        assert self.chunk_blocks(chunks) == self.BLOCKS  # 256 chunks; the largest is 768 of 19 683 rows
+
+    def test_a_wide_block_comes_in_pieces(self, nine_day_market, monkeypatch):
+        X, _ = nine_day_market
+        whole = "".join(cli._bounds_chunks(BoundTable(X, AdaptivePrior(), 0.0)))
+        monkeypatch.setattr(cli, "BOUNDS_CHUNK_ROWS", 100)
+        chunks = list(cli._bounds_chunks(BoundTable(X, AdaptivePrior(), 0.0)))
+        pieces = [(label, min(100, rows - start)) for label, rows in self.BLOCKS for start in range(0, rows, 100)]
+        assert self.chunk_blocks(chunks) == pieces
+        assert "".join(chunks) == whole
+
+    def test_each_block_is_scored_once(self, nine_day_market, monkeypatch):
+        # bounds scores each switch-time block at once, and its per-regime bound_check calls
+        # (the benchmark's trace counts them) read the scored block: no one-row block is scored.
+        X, _ = nine_day_market
+        scored, checks = [], []
+        score, check = BoundTable._score, cli.bound_check
+
+        def spy_score(table, times, strategies):
+            scored.append((",".join(map(str, times)) or "-", len(strategies)))
+            return score(table, times, strategies)
+
+        def spy_check(table, regime):
+            checks.append(regime)
+            return check(table, regime)
+
+        monkeypatch.setattr(BoundTable, "_score", spy_score)
+        monkeypatch.setattr(cli, "bound_check", spy_check)
+        for _ in cli._bounds_chunks(BoundTable(X, AdaptivePrior(), 0.0)):
+            pass
+        assert scored == self.BLOCKS and len(scored) == 2**8
+        assert len(checks) == 3**9
 
     @pytest.mark.parametrize(
         "days, assets, flags, message",

@@ -20,6 +20,7 @@ from switchfolio.regimes import (
     InvalidRegime,
     _logsumexp,
     adaptive_penalty,
+    block_regimes,
     bound_check,
     enumerate_regimes,
     fixed_gamma_penalty,
@@ -509,3 +510,62 @@ class TestSwitchTimeBlocks:
         with pytest.raises(PortfolioError, match=message):
             log_mixture_wealth(self.X, AdaptivePrior(), None, "bogus")
         self.assert_block_still_guarded(valid, expected)
+
+
+class TestScoredBlocks:
+    """bounds' path: each block scored at once, then read regime by regime by bound_check."""
+
+    @pytest.mark.parametrize(
+        "T, N, prior, cost, convention",
+        [
+            (9, 3, AdaptivePrior(), CostModel.per_trade(0.01), "switches-only"),
+            (6, 4, FixedGammaPrior(0.2), CostModel.parallel(0.3), "all-segments"),
+            (10, 2, FixedGammaPrior(0.05), None, "switches-only"),
+            (1, 3, AdaptivePrior(), None, "all-segments"),
+        ],
+    )
+    def test_reads_equal_the_references(self, T, N, prior, cost, convention):
+        X = random_matrix(np.random.default_rng(T * 10 + N), T, N)
+        table = BoundTable(X, prior, -2.5, cost, convention)
+        rows = []
+        for times, strategies, log2_wealth, penalty in table.scored_blocks():
+            assert log2_wealth.shape == (len(strategies),)
+            for regime, lw in zip(block_regimes(times, strategies), log2_wealth.tolist(), strict=True):
+                rep = bound_check(table, regime)
+                assert (rep.regime_log_wealth, rep.penalty) == (lw, penalty)
+                rows.append((times, regime.strategies, lw, penalty, rep.slack))
+        expected = [
+            (times, strategies, *ref_bound_row(X, prior, -2.5, times, strategies, cost, convention))
+            for times, strategies in ref_enumerate(T, N)
+        ]
+        assert rows == expected  # exact float equality, row by row
+
+    def test_other_regimes_inside_a_block_leave_it(self, monkeypatch):
+        # Inside a scored block, a lone check, a repeat, a regime out of place and a refusal are each
+        # scored (or refused) as a one-row block; the block's next regime is still a read.
+        X = random_matrix(np.random.default_rng(5), 5, 3)
+        table = BoundTable(X, AdaptivePrior(), 0.5, CostModel.per_trade(0.01))
+        one_row = []
+        score = BoundTable._score
+
+        def spy(table_, times, strategies):
+            if len(strategies) == 1:
+                one_row.append((times, tuple(strategies[0])))
+            return score(table_, times, strategies)
+
+        monkeypatch.setattr(BoundTable, "_score", spy)
+        blocks = table.scored_blocks()
+        times, rows, log2_wealth, _ = next(itertools.islice(blocks, 6, None))  # the block of (1, 3)
+        regimes = list(block_regimes(times, rows))
+        reads = [bound_check(table, regimes[0]).regime_log_wealth]
+        lone = RegimeSpec((3,), (2, 0))
+        assert bound_check(table, lone) == bound_check(table, RegimeSpec((3,), (2, 0)))
+        repeat = bound_check(table, regimes[0])
+        skipped = bound_check(table, regimes[2])
+        with pytest.raises(InvalidRegime, match=r"^strategy index out of range for N=3: \(0, 1, 3\)$"):
+            bound_check(table, RegimeSpec(times, (0, 1, 3)))
+        reads += [bound_check(table, q).regime_log_wealth for q in regimes[1:]]
+        assert reads == log2_wealth.tolist()
+        assert (repeat.regime_log_wealth, skipped.regime_log_wealth) == (reads[0], reads[2])
+        lone_rows = [((3,), (2, 0))] * 2
+        assert one_row == lone_rows + [(times, regimes[0].strategies), (times, regimes[2].strategies)]
