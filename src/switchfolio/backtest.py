@@ -21,7 +21,6 @@ Both series are attached whenever a cost model is active.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .core import (
     PortfolioError,
     PortfolioVector,
     PriceRelativeMatrix,
+    _Frozen,
     simplex_refusal,
 )
 from .costs import CostModel, realized_wealth_track
@@ -74,33 +74,28 @@ ACCOUNTING_BUCKET = "bucket"
 ACCOUNTING_REALIZED = "realized"
 
 
-@dataclass(frozen=True)
-class AlgoSpec:
+class AlgoSpec(_Frozen):
     """One strategy configuration for a backtest run."""
 
-    kind: str
-    gamma: float | None = None
-    weights: tuple[float, ...] | None = None
-    eta: float | None = None
-    samples: int | None = None
-    seed: int = 0
-    cost: CostModel | None = None
-    cost_accounting: str = ACCOUNTING_BUCKET
+    __slots__ = ("kind", "gamma", "weights", "eta", "samples", "seed", "cost", "cost_accounting")
 
-    def __post_init__(self):
-        if self.kind not in ALGO_KINDS:
-            raise PortfolioError(f"unknown algorithm kind {self.kind!r}; choose from {ALGO_KINDS}")
-        if self.cost_accounting not in (ACCOUNTING_BUCKET, ACCOUNTING_REALIZED):
-            raise PortfolioError(f"cost_accounting must be bucket or realized, got {self.cost_accounting!r}")
-        takes = KIND_PARAMETERS[self.kind]
-        for name in ("gamma", "weights", "eta", "samples"):
-            given = getattr(self, name) is not None
+    def __init__(self, kind: str, gamma: float | None = None, weights: tuple[float, ...] | None = None,
+                 eta: float | None = None, samples: int | None = None, seed: int = 0,
+                 cost: CostModel | None = None, cost_accounting: str = ACCOUNTING_BUCKET):
+        if kind not in ALGO_KINDS:
+            raise PortfolioError(f"unknown algorithm kind {kind!r}; choose from {ALGO_KINDS}")
+        if cost_accounting not in (ACCOUNTING_BUCKET, ACCOUNTING_REALIZED):
+            raise PortfolioError(f"cost_accounting must be bucket or realized, got {cost_accounting!r}")
+        takes = KIND_PARAMETERS[kind]
+        for name, value in (("gamma", gamma), ("weights", weights), ("eta", eta), ("samples", samples)):
+            given = value is not None
             if name in takes and not given:
-                raise PortfolioError(f"{self.kind} needs {name}")
+                raise PortfolioError(f"{kind} needs {name}")
             if given and name not in takes:
-                raise PortfolioError(f"{self.kind} takes no parameter {name}")
-        if self.eta is not None and not (math.isfinite(self.eta) and self.eta >= 0):
-            raise PortfolioError(f"eta must be a finite number >= 0, got {self.eta!r}")
+                raise PortfolioError(f"{kind} takes no parameter {name}")
+        if eta is not None and not (math.isfinite(eta) and eta >= 0):
+            raise PortfolioError(f"eta must be a finite number >= 0, got {eta!r}")
+        self._set(kind, gamma, weights, eta, samples, seed, cost, cost_accounting)
 
     @property
     def label(self) -> str:
@@ -122,8 +117,7 @@ class AlgoSpec:
         return self.label.partition(" ")[2] or "-"
 
 
-@dataclass(frozen=True)
-class BacktestReport:
+class BacktestReport(_Frozen):
     """Day-indexed wealth, weights, and largest-asset track for one strategy.
 
     ``log_wealth`` is the switching state's own natural-log wealth
@@ -131,15 +125,14 @@ class BacktestReport:
     wealth; it is None for the other kinds.
     """
 
-    spec: AlgoSpec
-    wealth: np.ndarray
-    weights: np.ndarray
-    largest: np.ndarray
-    hindsight_only: bool = False
-    wealth_bucket: np.ndarray | None = None
-    wealth_realized: np.ndarray | None = None
-    log_wealth: np.ndarray | None = None
-    dates: tuple[str, ...] | None = None
+    __slots__ = ("spec", "wealth", "weights", "largest", "hindsight_only", "wealth_bucket", "wealth_realized",
+                 "log_wealth", "dates")
+
+    def __init__(self, spec: AlgoSpec, wealth: np.ndarray, weights: np.ndarray, largest: np.ndarray,
+                 hindsight_only: bool = False, wealth_bucket: np.ndarray | None = None,
+                 wealth_realized: np.ndarray | None = None, log_wealth: np.ndarray | None = None,
+                 dates: tuple[str, ...] | None = None):
+        self._set(spec, wealth, weights, largest, hindsight_only, wealth_bucket, wealth_realized, log_wealth, dates)
 
     @property
     def final_wealth(self) -> float:
@@ -267,13 +260,12 @@ def run(spec: AlgoSpec, X: PriceRelativeMatrix) -> BacktestReport:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    name: str
-    parameters: str
-    final_wealth: float
-    max_drawdown: float
-    hindsight_only: bool
+class ComparisonRow(_Frozen):
+    __slots__ = ("name", "parameters", "final_wealth", "max_drawdown", "hindsight_only")
+
+    def __init__(self, name: str, parameters: str, final_wealth: float, max_drawdown: float,
+                 hindsight_only: bool):
+        self._set(name, parameters, final_wealth, max_drawdown, hindsight_only)
 
 
 def compare(specs: list[AlgoSpec], X: PriceRelativeMatrix) -> list[ComparisonRow]:

@@ -28,7 +28,6 @@ full M x N sample matrix is never held.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .core import (
     PortfolioError,
     PortfolioVector,
     PriceRelativeMatrix,
+    _Frozen,
 )
 from .costs import CostModel
 
@@ -51,21 +51,19 @@ class NoData(PortfolioError):
     """Operation needs at least one trading day."""
 
 
-@dataclass(frozen=True)
-class UniversalConfig:
+class UniversalConfig(_Frozen):
     """Universal portfolio settings; the exact two-asset path reads only ``cost``."""
 
-    samples: int
-    rng_seed: int = 0
-    cost: CostModel | None = None
+    __slots__ = ("samples", "rng_seed", "cost")
 
-    def __post_init__(self):
-        if not _is_integer(self.samples):
-            raise PortfolioError(f"sample count must be an integer, got {self.samples!r}")
-        if self.samples < 1:
-            raise PortfolioError(f"need at least one sample, got {self.samples}")
-        if not _is_integer(self.rng_seed) or self.rng_seed < 0:
-            raise PortfolioError(f"seed must be a non-negative integer, got {self.rng_seed!r}")
+    def __init__(self, samples: int, rng_seed: int = 0, cost: CostModel | None = None):
+        if not _is_integer(samples):
+            raise PortfolioError(f"sample count must be an integer, got {samples!r}")
+        if samples < 1:
+            raise PortfolioError(f"need at least one sample, got {samples}")
+        if not _is_integer(rng_seed) or rng_seed < 0:
+            raise PortfolioError(f"seed must be a non-negative integer, got {rng_seed!r}")
+        self._set(samples, rng_seed, cost)
 
 
 def _is_integer(value) -> bool:

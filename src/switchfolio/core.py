@@ -20,7 +20,7 @@ threads.
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import Sequence
 
 import numpy as np
@@ -67,9 +67,17 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 class _Frozen:
     """Base of the small immutable records: the ``__slots__`` are the fields,
-    compared, hashed and shown by value as a frozen dataclass does, and never reassigned."""
+    compared, hashed and shown by value as a frozen dataclass does, and never reassigned.
+
+    A record's ``__init__`` takes its fields in slot order, checks them and ends in one
+    :meth:`_set`, so ``__reduce__`` can rebuild it from its fields."""
 
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Fill the slots, in order, with values: the one write of a record's ``__init__``."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -134,7 +142,7 @@ class PortfolioVector(_Frozen):
         if refused is not None:
             raise refused[1]
         w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        self._set(w)
 
     @property
     def assets(self) -> int:
@@ -144,8 +152,7 @@ class PortfolioVector(_Frozen):
         return iter(self.weights)
 
 
-@dataclass(frozen=True, eq=False)
-class PriceRelativeMatrix:
+class PriceRelativeMatrix(_Frozen):
     """T x N grid of strictly positive daily price relatives.
 
     ``values[t-1, i]`` is the day-t relative of asset i. ``dates`` optionally
@@ -153,19 +160,16 @@ class PriceRelativeMatrix:
     no role in any computation. Equality and hashing are by identity.
     """
 
-    values: np.ndarray
-    asset_names: tuple[str, ...]
-    dates: tuple[str, ...] | None = None
+    __slots__ = ("values", "asset_names", "dates")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def __init__(self, values: np.ndarray, asset_names: tuple[str, ...], dates: tuple[str, ...] | None = None):
+        v = np.asarray(values, dtype=float)
         if v.ndim != 2:
             raise RaggedRows("price relatives must form a rectangular T x N grid")
-        names = tuple(str(n) for n in self.asset_names)
+        names = tuple(str(n) for n in asset_names)
         if len(names) != v.shape[1]:
-            raise DimensionMismatch(
-                f"{len(names)} asset names for {v.shape[1]} columns"
-            )
+            raise DimensionMismatch(f"{len(names)} asset names for {v.shape[1]} columns")
         if len(set(names)) != len(names):
             raise DuplicateAssetName(f"asset names not distinct: {names}")
         if v.shape[1] < 1:
@@ -174,13 +178,11 @@ class PriceRelativeMatrix:
         if bad.any():
             day, asset = map(int, np.argwhere(bad)[0])
             raise NonPositiveRelative(day, asset, float(v[day, asset]))
-        if self.dates is not None:
-            dates = tuple(str(d) for d in self.dates)
+        if dates is not None:
+            dates = tuple(str(d) for d in dates)
             if len(dates) != v.shape[0]:
                 raise DimensionMismatch(f"{len(dates)} dates for {v.shape[0]} days")
-            object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "asset_names", names)
+        self._set(_readonly(v), names, dates)
 
     @property
     def days(self) -> int:
@@ -230,8 +232,7 @@ class RegimeSpec(_Frozen):
             raise PortfolioError(f"adjacent strategies equal in {strats}: switches must change asset")
         if any(i < 0 for i in strats):
             raise PortfolioError(f"negative strategy index in {strats}")
-        object.__setattr__(self, "switch_times", times)
-        object.__setattr__(self, "strategies", strats)
+        self._set(times, strats)
 
     @property
     def switches(self) -> int:

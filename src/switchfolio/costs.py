@@ -19,11 +19,9 @@ commissions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import DimensionMismatch, PortfolioError
+from .core import DimensionMismatch, PortfolioError, _Frozen
 
 PER_TRADE = "per-trade"
 PARALLEL = "parallel"
@@ -33,22 +31,21 @@ class NegativeAllocation(PortfolioError):
     """Wealth allocations handed to cost accounting must be nonnegative."""
 
 
-@dataclass(frozen=True)
-class CostModel:
+class CostModel(_Frozen):
     """A commission scheme with rate c in [0, 0.5).
 
     The upper bound keeps the parallel model's full-switch factor 1 - 2c
     positive.
     """
 
-    kind: str
-    rate: float
+    __slots__ = ("kind", "rate")
 
-    def __post_init__(self):
-        if self.kind not in (PER_TRADE, PARALLEL):
-            raise PortfolioError(f"unknown cost model kind {self.kind!r}")
-        if not 0.0 <= self.rate < 0.5:
-            raise PortfolioError(f"commission rate must be in [0, 0.5), got {self.rate!r}")
+    def __init__(self, kind: str, rate: float):
+        if kind not in (PER_TRADE, PARALLEL):
+            raise PortfolioError(f"unknown cost model kind {kind!r}")
+        if not 0.0 <= rate < 0.5:
+            raise PortfolioError(f"commission rate must be in [0, 0.5), got {rate!r}")
+        self._set(kind, rate)
 
     @classmethod
     def per_trade(cls, c: float) -> "CostModel":

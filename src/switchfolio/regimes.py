@@ -65,7 +65,7 @@ class FixedGammaPrior(_Frozen):
     def __init__(self, gamma: float):
         if not 0.0 < gamma < 1.0:
             raise PortfolioError(f"prior gamma must be in (0,1), got {gamma!r}")
-        object.__setattr__(self, "gamma", gamma)
+        self._set(gamma)
 
 
 class AdaptivePrior(_Frozen):
