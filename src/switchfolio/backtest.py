@@ -12,10 +12,11 @@ Report row conventions (day k = 0..T):
 * ``largest[k]``: the asset holding the most wealth after day k settles,
   ties to the lowest index.
 
-Two cost accountings: ``bucket`` reports the algorithm's internal bookkeeping
-(lump-move factors on switched mass; what the competitiveness bounds cover),
-``realized`` replays the implied weights through netted-trade execution.
-Both series are attached whenever a cost model is active.
+Two cost accountings for the switching kinds: ``bucket`` reports the
+algorithm's internal bookkeeping (lump-move factors on switched mass; what the
+competitiveness bounds cover), ``realized`` replays the implied weights
+through netted-trade execution. With a cost model a switching report carries
+both series; every other kind has only realized accounting and carries that.
 """
 
 from __future__ import annotations
@@ -242,8 +243,9 @@ def run(spec: AlgoSpec, X: PriceRelativeMatrix) -> BacktestReport:
         wealth, weights = _weight_driven_tracks(spec, X)
     wealth_bucket = wealth_realized = None
     if spec.cost is not None:
-        wealth_bucket = wealth_realized = wealth
+        wealth_realized = wealth
         if log_wealth is not None:  # a switching run: its own wealth is the bucket accounting
+            wealth_bucket = wealth
             wealth_realized = realized_wealth_track(weights[: X.days], X, spec.cost)
             if spec.cost_accounting == ACCOUNTING_REALIZED:
                 wealth = wealth_realized
@@ -263,8 +265,7 @@ def run(spec: AlgoSpec, X: PriceRelativeMatrix) -> BacktestReport:
 class ComparisonRow(_Frozen):
     __slots__ = ("name", "parameters", "final_wealth", "max_drawdown", "hindsight_only")
 
-    def __init__(self, name: str, parameters: str, final_wealth: float, max_drawdown: float,
-                 hindsight_only: bool):
+    def __init__(self, name: str, parameters: str, final_wealth: float, max_drawdown: float, hindsight_only: bool):
         self._set(name, parameters, final_wealth, max_drawdown, hindsight_only)
 
 
@@ -309,8 +310,9 @@ def report_tsv(report: BacktestReport) -> str:
     A finite drawdown also implies a finite wealth series, hence finite plot data.
     """
     figures = {"final_wealth": report.final_wealth, "max_drawdown": max_drawdown(report.wealth)}
-    if report.spec.cost is not None:
+    if report.wealth_bucket is not None:
         figures["final_wealth_bucket"] = float(report.wealth_bucket[-1])
+    if report.wealth_realized is not None:
         figures["final_wealth_realized"] = float(report.wealth_realized[-1])
     _require_finite(report.spec, figures)
     lines = [
@@ -324,9 +326,10 @@ def report_tsv(report: BacktestReport) -> str:
     if report.spec.cost is not None:
         lines.append(f"cost_model\t{report.spec.cost.kind}")
         lines.append(f"cost_rate\t{report.spec.cost.rate:.12g}")
-        lines.append(f"cost_accounting\t{report.spec.cost_accounting}")
-        lines.append(f"final_wealth_bucket\t{figures['final_wealth_bucket']:.12g}")
-        lines.append(f"final_wealth_realized\t{figures['final_wealth_realized']:.12g}")
+        # Only a switching run keeps bucket accounting; every other kind's costs are realized.
+        accounting = report.spec.cost_accounting if report.wealth_bucket is not None else ACCOUNTING_REALIZED
+        lines.append(f"cost_accounting\t{accounting}")
+        lines += [f"{name}\t{value:.12g}" for name, value in figures.items() if name.startswith("final_wealth_")]
     return "\n".join(lines) + "\n"
 
 

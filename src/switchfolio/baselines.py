@@ -73,6 +73,7 @@ def _is_integer(value) -> bool:
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {w >= 0, sum w = 1} (sort-based)."""
+    v = v - v.max()  # shift-invariant; then the largest entry qualifies, even where rounding near 2^53 left none
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
@@ -86,6 +87,7 @@ def _log_wealth(weights: np.ndarray, X: PriceRelativeMatrix) -> float:
     return float(np.log(X.values @ weights).sum())
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # past the double range the ascent stops or refuses
 def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
     """Hindsight-optimal constant rebalanced portfolio and its log-wealth (natural log).
 
@@ -114,17 +116,21 @@ def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
         stalled = 0
         for _ in range(_BCRP_MAX_ITER):
             grad = (V / (V @ w)[:, None]).sum(axis=0)
+            if not np.isfinite(grad).all():  # on a face, where any step lands on a corner: a start of its own
+                break
             # The projection ignores a shift along (1, ..., 1); dropping the
             # gradient's mean keeps the entries it rounds O(1) however far the
             # step has grown, so the weight sum stays within SIMPLEX_TOL.
             grad -= grad.mean()
             improved = False
             while step > 1e-18:
-                cand = _project_to_simplex(w + step * grad / X.days)
-                f_cand = _log_wealth(cand, X)
-                if f_cand > f:
-                    improved = True
-                    break
+                moved = w + step * grad / X.days
+                if np.isfinite(moved).all():  # a step past the double range is shortened
+                    cand = _project_to_simplex(moved)
+                    f_cand = _log_wealth(cand, X)
+                    if f_cand > f:
+                        improved = True
+                        break
                 step *= 0.5
             if not improved:
                 break

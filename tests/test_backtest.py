@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -407,6 +408,24 @@ class TestReportHelpers:
         assert "cost_model\tparallel" in text
         assert "final_wealth_bucket" in text and "final_wealth_realized" in text
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [("crp", {"weights": (0.5, 0.5)}), ("bcrp", {}), ("best-stock", {}), ("eg", {"eta": 0.05}),
+         ("universal", {"samples": 50})],
+    )
+    def test_only_switching_kinds_report_bucket_accounting(self, kind, params):
+        # These kinds hold a weight schedule whose costs are realized; a bucket figure used to be
+        # printed for them, a copy of the realized one under the flag's default label.
+        X = synth_volatility_pair(3)
+        texts = set()
+        for accounting in ("bucket", "realized"):
+            report = run(AlgoSpec(kind, **params, cost=CostModel.parallel(0.01), cost_accounting=accounting), X)
+            assert report.wealth_bucket is None and report.wealth_realized is report.wealth
+            texts.add(report_tsv(report))
+        (text,) = texts
+        assert "cost_accounting\trealized\n" in text and "final_wealth_bucket" not in text
+        assert f"final_wealth_realized\t{report.final_wealth:.12g}\n" in text
+
 
 def _random_report(T: int, N: int, dated: bool, seed: int = 0) -> BacktestReport:
     rng = np.random.default_rng(seed)
@@ -418,6 +437,20 @@ def _random_report(T: int, N: int, dated: bool, seed: int = 0) -> BacktestReport
         largest=np.argmax(weights, axis=1),
         dates=tuple(f"2001-{k}" for k in range(T)) if dated else None,
     )
+
+
+class TestBacktestReportRecord:
+    """A slotted record that behaves as the frozen dataclass it replaced."""
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        report = _random_report(4, 2, dated=True)
+        for name in (*report.__slots__, "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(report, name)
+        assert report.spec == AlgoSpec("switching-adaptive") and report.days == 4
+        assert not hasattr(report, "__dict__")
 
 
 class TestPlotDataChunks:

@@ -60,6 +60,15 @@ class TestSynthBacktestFlow:
         code, out, _ = invoke(capsys, "backtest", "--data", str(data), "--algo", "universal:samples=7")
         assert code == 0 and "parameters\tsamples=7 seed=0\n" in out
 
+    def test_bcrp_on_relatives_near_two_to_the_53(self, capsys, tmp_path):
+        # A gradient step near 2^53 used to leave the simplex projection no qualifying index:
+        # an IndexError traceback with exit 1.
+        data = tmp_path / "m.csv"
+        data.write_text("a,b\n1e-13,1e13\n")
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "bcrp")
+        assert (code, err) == (0, "")
+        assert "final_wealth\t1e+13\n" in out
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["backtest", "compare"])
@@ -174,7 +183,7 @@ class TestDataErrors:
             (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "best-stock"], "final_wealth"),
             (["backtest", "--algo", "best-stock"], "final_wealth"),
             (["backtest", "--algo", "best-stock", "--cost-model", "parallel", "--cost-rate", "0.01"],
-             "final_wealth, final_wealth_bucket, final_wealth_realized"),
+             "final_wealth, final_wealth_realized"),
         ],
     )
     def test_wealth_underflow_exits_two(self, capsys, tmp_path, argv, refused):

@@ -223,6 +223,27 @@ class TestPortfolioVectorRecord:
             assert twin.weights.tolist() == [0.25, 0.75] and not twin.weights.flags.writeable
 
 
+class TestPriceRelativeMatrixRecord:
+    """A slotted class that behaves as the frozen dataclass it replaced."""
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        X = validate_relatives([[2.0, 0.5]], ["A", "B"], ["d1"])
+        for name in ("values", "asset_names", "dates", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(X, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(X, name)
+        assert (X.values.tolist(), X.asset_names, X.dates) == ([[2.0, 0.5]], ("A", "B"), ("d1",))
+        assert not hasattr(X, "__dict__")
+
+    def test_repr_copy_and_pickle(self):
+        X = validate_relatives([[2.0, 0.5]], ["A", "B"])
+        assert repr(X) == "PriceRelativeMatrix(values=array([[2. , 0.5]]), asset_names=('A', 'B'), dates=None)"
+        for twin in (copy.copy(X), copy.deepcopy(X), pickle.loads(pickle.dumps(X))):
+            assert twin.values.tolist() == [[2.0, 0.5]] and not twin.values.flags.writeable
+            assert (twin.asset_names, twin.dates) == (("A", "B"), None)
+
+
 class TestRegimeSpec:
     def test_lengths_must_agree(self):
         with pytest.raises(PortfolioError):

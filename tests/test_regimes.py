@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchfolio.backtest import AlgoSpec, ComparisonRow
+from switchfolio.baselines import UniversalConfig
 from switchfolio.core import PortfolioError, RegimeSpec, validate_relatives
 from switchfolio.costs import CostModel, switch_factor
 from switchfolio.regimes import (
@@ -267,9 +269,25 @@ class TestBoundCheck:
 
 
 class TestRecords:
-    """The priors and the bound report are immutable values, as frozen dataclasses were."""
+    """The priors, the bound report and the small records of backtest, baselines and costs
+    are immutable values, as frozen dataclasses were."""
 
     RECORDS = [
+        (AlgoSpec("eg", eta=0.05, cost=CostModel.parallel(0.01)), AlgoSpec("eg", eta=0.05),
+         ("eg", None, None, 0.05, None, 0, CostModel("parallel", 0.01), "bucket"),
+         "AlgoSpec(kind='eg', gamma=None, weights=None, eta=0.05, samples=None, seed=0, "
+         "cost=CostModel(kind='parallel', rate=0.01), cost_accounting='bucket')"),
+        (AlgoSpec("crp", weights=(0.5, 0.5)), AlgoSpec("crp", weights=(0.25, 0.75)),
+         ("crp", None, (0.5, 0.5), None, None, 0, None, "bucket"),
+         "AlgoSpec(kind='crp', gamma=None, weights=(0.5, 0.5), eta=None, samples=None, seed=0, "
+         "cost=None, cost_accounting='bucket')"),
+        (CostModel.per_trade(0.01), CostModel.parallel(0.01), ("per-trade", 0.01),
+         "CostModel(kind='per-trade', rate=0.01)"),
+        (UniversalConfig(100, 3), UniversalConfig(100), (100, 3, None),
+         "UniversalConfig(samples=100, rng_seed=3, cost=None)"),
+        (ComparisonRow("bcrp", "-", 1.25, 0.5, True), ComparisonRow("bcrp", "-", 1.25, 0.5, False),
+         ("bcrp", "-", 1.25, 0.5, True),
+         "ComparisonRow(name='bcrp', parameters='-', final_wealth=1.25, max_drawdown=0.5, hindsight_only=True)"),
         (BoundReport(1.5, 2.0, -0.5), BoundReport(1.5, 2.0, -0.25), (1.5, 2.0, -0.5),
          "BoundReport(regime_log_wealth=1.5, penalty=2.0, algorithm_log_wealth=-0.5)"),
         (FixedGammaPrior(0.25), FixedGammaPrior(0.5), (0.25,), "FixedGammaPrior(gamma=0.25)"),

@@ -12,7 +12,12 @@ scratch directory holding the corpus's own input markets (written by this
 script from fixed seeds, independent of the code under test). A capture
 records every invocation's exit code, stdout, stderr and output files.
 ``diff`` prints one line per invocation that differs in any of them and exits
-1 if there is one. In stderr the source path is replaced by ``<src>`` and
+1 if there is one. ``check`` reads one capture and exits 1 if any invocation
+exited outside {0, 1, 2} or wrote a Python traceback to stderr:
+
+    python3 tools/golden_cli.py check after.json
+
+In stderr the source path is replaced by ``<src>`` and
 source line numbers by ``<n>``, so a traceback or warning from two checkouts
 compares equal when only the path or the line it points at moved.
 """
@@ -80,6 +85,8 @@ def write_markets(work: Path) -> None:
     # A spreadsheet "CSV UTF-8" export: a byte-order mark ahead of the date header.
     (work / "bom3.csv").write_text("\ufeff" + (work / "dated3.csv").read_text(), encoding="utf-8")
     _market(work / "day1.csv", 17, 1, 3, 0.05)  # one trading day: a single switch count, l = 0
+    # One day whose bcrp gradient step nears 2^53: its simplex projection once found no index.
+    (work / "near53.csv").write_text("a,b\n1e-13,1e13\n")
     (work / "bad.csv").write_text("a,b\n1.0,oops\n")
     # Bad cells on file line 4, after a blank line and after a date cell that spans two lines.
     (work / "blank-bad.csv").write_text("a,b\n1.0,2.0\n\n1.0,abc\n")
@@ -126,7 +133,7 @@ def corpus() -> list[tuple[str, list[str]]]:
         cases.append((f"compare-plain2-{cost}", ["compare", "--data", "plain2.csv", *table, *cost_args]))
     cases.append(("compare-prices2-realized", ["compare", "--data", "prices2.csv", "--mode", "prices",
                                                *table, *COSTS["parallel"], "--cost-accounting", "realized"]))
-    for market in ("walk3", "drift3"):
+    for market in ("walk3", "drift3", "near53"):
         cases.append((f"bcrp-{market}", ["backtest", "--data", f"{market}.csv", "--algo", "bcrp"]))
     for cost in ("none", "per-trade"):  # 20000 samples: more than two universal tiles of samples
         cases.append((f"backtest-long2-universal20000-{cost}",
@@ -308,6 +315,20 @@ def diff(a_path: Path, b_path: Path) -> int:
     return 1 if differing else 0
 
 
+def check(path: Path) -> int:
+    """Print each invocation that exited outside {0, 1, 2} or wrote a traceback; 1 if there is one."""
+    results = json.loads(path.read_text())
+    failing = 0
+    for name, result in sorted(results.items()):
+        faults = ([f"exit {result['exit']}"] if result["exit"] not in (0, 1, 2) else []) + (
+            ["Traceback on stderr"] if "Traceback" in result["stderr"] else [])
+        if faults:
+            print(f"{name}: {', '.join(faults)}")
+            failing += 1
+    print(f"{failing} of {len(results)} invocations exit outside 0, 1, 2 or write a traceback")
+    return 1 if failing else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,10 +338,14 @@ def main(argv=None) -> int:
     p_diff = sub.add_parser("diff", help="compare two captures")
     p_diff.add_argument("before", type=Path)
     p_diff.add_argument("after", type=Path)
+    p_check = sub.add_parser("check", help="fail on a stray exit code or a traceback in one capture")
+    p_check.add_argument("capture", type=Path)
     args = parser.parse_args(argv)
     if args.command == "capture":
         capture(args.src, args.out)
         return 0
+    if args.command == "check":
+        return check(args.capture)
     return diff(args.before, args.after)
 
 
