@@ -222,8 +222,9 @@ def _weight_driven_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
         weights[:, idx] = 1.0
     elif spec.kind == KIND_EG:
         weights[0] = 1.0 / n
-        for t in range(1, T + 1):
-            weights[t] = eg_step(weights[t - 1], X.values[t - 1], spec.eta)
+        w = weights[0]
+        for t, x in enumerate(X.values, 1):
+            weights[t] = w = eg_step(w, x, spec.eta)
         _check_track(spec, weights)
     else:
         raise PortfolioError(f"not a weight-driven kind: {spec.kind}")

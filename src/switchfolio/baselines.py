@@ -42,6 +42,7 @@ from .costs import CostModel
 
 _BCRP_MAX_ITER = 20_000
 _BCRP_TOL = 1e-12  # relative objective improvement per sweep
+_ROW_MIN, _ROW_MAX = 2.0**-512, 2.0**512  # a day's largest relative outside these is scaled for the solve
 # Universal portfolio tile: days x samples of float64, 512 KiB, picked by timing
 _TILE_DAYS = 8
 _TILE_SAMPLES = 8192
@@ -73,7 +74,10 @@ def _is_integer(value) -> bool:
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {w >= 0, sum w = 1} (sort-based)."""
-    v = v - v.max()  # shift-invariant; then the largest entry qualifies, even where rounding near 2^53 left none
+    # Shift-invariant; then the largest entry qualifies, even where rounding near 2^53 left none.
+    # The threshold is then at least -1, so an entry below -1 gets weight 0: raising those below -2
+    # to -2 changes no weight and keeps the running sum finite after a step near the double range.
+    v = np.maximum(v - v.max(), -2.0)
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     idx = np.arange(1, v.size + 1)
@@ -83,8 +87,25 @@ def _project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _log_wealth(weights: np.ndarray, X: PriceRelativeMatrix) -> float:
-    return float(np.log(X.values @ weights).sum())
+def _log_wealth(weights: np.ndarray, V: np.ndarray) -> float:
+    return float(np.log(V @ weights).sum())
+
+
+def _rows_in_range(V: np.ndarray) -> np.ndarray:
+    """V with each row whose largest relative lies outside [2^-512, 2^512] multiplied by a
+    power of two that brings that relative into [1/2, 1); every other row keeps its bits.
+
+    A row's scale shifts the log wealth of every portfolio by the same constant, so the
+    best portfolio does not move, and no product ``V @ w`` of the scaled rows overflows.
+    """
+    top = V.max(axis=1)
+    out = (top < _ROW_MIN) | (top > _ROW_MAX)
+    if not out.any():
+        return V
+    V = V.copy()
+    _, exponents = np.frexp(top[out])
+    V[out] = np.ldexp(V[out], -exponents[:, None])
+    return V
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # past the double range the ascent stops or refuses
@@ -93,14 +114,17 @@ def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
 
     Maximizes the concave objective sum_t log(w . x^t) over the simplex by
     projected gradient ascent with backtracking, restarted from the uniform
-    point and up to five corners; the best run wins.
+    point and up to five corners; the best run wins. A day whose largest
+    relative lies outside [2^-512, 2^512] is first scaled by an exact power
+    of two, which moves no optimum; the log-wealth returned is that of the
+    given relatives, infinite where it leaves the double range.
     """
     if X.days < 1:
         raise NoData("best CRP needs at least one trading day")
     n = X.assets
     if n == 1:
         w = np.ones(1)
-        return PortfolioVector(w), _log_wealth(w, X)
+        return PortfolioVector(w), _log_wealth(w, X.values)
 
     starts = [np.full(n, 1.0 / n)]
     for i in range(min(n, 5)):
@@ -109,9 +133,9 @@ def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
         starts.append(corner)
 
     best_w, best_f = None, -math.inf
-    V = X.values
+    V = _rows_in_range(X.values)
     for w in starts:
-        f = _log_wealth(w, X)
+        f = _log_wealth(w, V)
         step = 1.0
         stalled = 0
         for _ in range(_BCRP_MAX_ITER):
@@ -127,7 +151,7 @@ def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
                 moved = w + step * grad / X.days
                 if np.isfinite(moved).all():  # a step past the double range is shortened
                     cand = _project_to_simplex(moved)
-                    f_cand = _log_wealth(cand, X)
+                    f_cand = _log_wealth(cand, V)
                     if f_cand > f:
                         improved = True
                         break
@@ -142,6 +166,8 @@ def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
                 break
         if f > best_f:
             best_w, best_f = w, f
+    if V is not X.values:
+        best_f = _log_wealth(best_w, X.values)
     return PortfolioVector(best_w), best_f
 
 
@@ -157,8 +183,8 @@ def eg_step(w: np.ndarray, x, eta: float) -> np.ndarray:
     row = np.asarray(x, dtype=float)
     if row.shape != w.shape:
         raise DimensionMismatch(f"weights {w.shape} vs row {row.shape}")
-    boosted = w * np.exp(eta * row / float(w @ row))
-    return boosted / boosted.sum()
+    boosted = w * np.exp(eta * row / float(np.dot(w, row)))
+    return boosted / np.add.reduce(boosted)
 
 
 def _simplex_draws(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -208,37 +234,47 @@ def _exact_pair_tracks(X: PriceRelativeMatrix) -> tuple[np.ndarray, np.ndarray]:
     log s. Every term is positive, so nothing cancels. Both weights and the
     growth are computed so that swapping the two columns gives the same
     wealth and mirrored weights, bit for bit.
+
+    The mirror needs each weight summed in the same order as its twin:
+    swapping the columns reverses the shares, so asset 2's terms, held in
+    share order, are summed from the last share down (``np.add.reduce`` over
+    a reversed view keeps that order), as asset 1's are summed from the
+    first share up. The days' growths are kept and turned into the log
+    wealth by one ``np.log`` and one running sum after the loop, which add
+    in day order as the loop would.
     """
     T = X.days
     ks = np.arange(1.0, T + 2)
     shares, spare = np.zeros(T + 2), np.zeros(T + 2)
     shares[0] = 1.0
     up, down = np.empty(T + 1), np.empty(T + 1)
-    log_wealth = np.zeros(T + 1)
+    log_wealth = np.zeros(T + 1)  # each day's growth s, until the loop ends
     weights = np.empty((T + 1, 2))
+    values, add = X.values, np.add.reduce
     for t in range(T + 1):
         n = t + 1
-        k = ks[:n]
         u, d = up[:n], down[:n]
-        # u[j] = f_j (j+1) moves up to share j+1 with asset 1's relative; d[j] = f_{t-j} (j+1) stays
-        # at share t-j with asset 2's. Swapping the columns reverses the shares, which swaps u and d
-        # exactly, and with them the two weights.
-        np.multiply(shares[:n], k, out=u)
-        np.multiply(shares[n - 1 :: -1], k, out=d)
-        w1, w2 = u.sum() / (t + 2), d.sum() / (t + 2)
+        # u[j] = f_j (j+1) moves up to share j+1 with asset 1's relative; d[j] = f_j (t+1-j) stays
+        # at share j with asset 2's. Swapping the columns reverses the shares, which turns u into
+        # d read backwards, and with it swaps the two weights.
+        np.multiply(shares[:n], ks[:n], out=u)
+        np.multiply(shares[:n], ks[t::-1], out=d)
+        w1, w2 = float(add(u)) / (t + 2), float(add(d[::-1])) / (t + 2)
         weights[t] = w1, w2
         if t == T:
             break
-        x1, x2 = X.values[t]
+        x1, x2 = values[t].tolist()
         s = x1 * w1 + x2 * w2  # the new shares' sum before scaling
-        log_wealth[t + 1] = log_wealth[t] + np.log(s)
+        log_wealth[t + 1] = s
         scale = 1.0 / ((t + 2) * s)
         np.multiply(u, x1 * scale, out=spare[1 : n + 1])
         spare[0] = 0.0
         d *= x2 * scale
-        stays = spare[n - 1 :: -1]
+        stays = spare[:n]
         np.add(stays, d, out=stays)
         shares, spare = spare, shares
+    np.log(log_wealth[1:], out=log_wealth[1:])
+    np.cumsum(log_wealth, out=log_wealth)
     return np.exp(log_wealth), weights
 
 

@@ -64,18 +64,23 @@ class FixedGammaState:
 
     ``shares`` are the post-return shares after ``day`` days; ``_mass`` is
     the next day's pre-return mass under the state's cost (on day 0, the
-    uncharged purchase: the shares themselves).
+    uncharged purchase: the shares themselves). A step overwrites both
+    arrays in place; ``_keep`` = 1 - gamma and ``_spread`` = gamma/(N-1)
+    are taken once, at init.
     """
 
-    __slots__ = ("gamma", "day", "shares", "log_wealth", "_factor", "_mass")
+    __slots__ = ("gamma", "day", "shares", "log_wealth", "_factor", "_keep", "_spread", "_mass")
 
     def __init__(self, gamma: float, shares: np.ndarray, day: int = 0, log_wealth: float = 0.0, cost=None):
         self.gamma = float(gamma)
-        self.shares = np.asarray(shares, dtype=float)
+        self.shares = np.array(shares, dtype=float)  # a copy: the steps write into it
         self.day = int(day)
         self.log_wealth = float(log_wealth)
         self._factor = switch_factor(cost)
-        self._mass = self.shares if self.day == 0 else _fixed_mass(self)
+        self._keep, self._spread = 1.0 - self.gamma, self.gamma / (self.shares.size - 1)
+        self._mass = self.shares.copy()
+        if self.day:
+            _fixed_mass(self)
 
     @property
     def assets(self) -> int:
@@ -83,12 +88,15 @@ class FixedGammaState:
 
 
 def _fixed_mass(state: FixedGammaState) -> np.ndarray:
-    """Post-trade mass per asset before the next day's returns, as shares of wealth; day >= 1."""
-    shares, g = state.shares, state.gamma
-    switched_in = (g / (shares.size - 1)) * (1.0 - shares)
+    """Post-trade mass per asset before the next day's returns, as shares of wealth, written
+    into and returned as ``state._mass``; day >= 1."""
+    mass, shares = state._mass, state.shares
+    np.subtract(1.0, shares, out=mass)
+    mass *= state._spread  # the switched-in mass
     if state._factor != 1.0:  # multiplying by 1 would change no bit
-        switched_in = state._factor * switched_in
-    return (1.0 - g) * shares + switched_in
+        mass *= state._factor
+    mass += state._keep * shares
+    return mass
 
 
 def _age_kernels(a_max: int) -> np.ndarray:
@@ -209,13 +217,14 @@ def _check_row(n: int, x) -> np.ndarray:
 
 def fixed_step(state: FixedGammaState, x) -> FixedGammaState:
     """Advance one trading day in place: apply returns to the pre-return mass, then redistribute."""
-    row = _check_row(state.shares.size, x)
-    mass = state._mass * row
-    total = float(np.add.reduce(mass))
-    state.shares = mass / total
+    shares = state.shares
+    row = _check_row(shares.size, x)
+    np.multiply(state._mass, row, out=shares)
+    total = float(np.add.reduce(shares))
+    shares /= total
     state.log_wealth += math.log(total)
     state.day += 1
-    state._mass = _fixed_mass(state)
+    _fixed_mass(state)
     return state
 
 

@@ -262,6 +262,39 @@ class TestWeightTrackCheck:
         assert calls == list(range(1, 10))  # the loop ran to the end before the one check
 
 
+class TestPerDayCalls:
+    """A run calls each per-day function once a day, in day order, under its name in
+    ``switchfolio.backtest``, where the benchmark's trace wraps and counts it."""
+
+    @pytest.mark.parametrize(
+        "spec, names",
+        [
+            (AlgoSpec("eg", eta=0.05), ["eg_step"]),
+            (AlgoSpec("switching-fixed", gamma=0.2, cost=CostModel.per_trade(0.01)), ["fixed_step", "fixed_weights"]),
+            (AlgoSpec("switching-adaptive", cost=CostModel.parallel(0.02)), ["adaptive_step", "adaptive_weights"]),
+        ],
+    )
+    def test_one_call_a_day(self, monkeypatch, spec, names):
+        X = random_matrix(np.random.default_rng(31), 11, 3)
+        calls = {name: [] for name in names}
+
+        def counted(name, real):
+            def wrapper(*args):
+                result = real(*args)
+                # A state's day after a step, or the day a weights call reads; EG's row, by content.
+                first = args[0]
+                calls[name].append(first.day if hasattr(first, "day") else args[1].tolist())
+                return result
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(backtest, name, counted(name, getattr(backtest, name)))
+        run(spec, X)
+        expected = X.values.tolist() if spec.kind == "eg" else list(range(1, X.days + 1))
+        assert calls == {name: expected for name in names}
+
+
 class TestCompare:
     def test_rows_and_corner_dominance(self):
         rng = np.random.default_rng(77)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchfolio.backtest import AlgoSpec, compare, comparison_tsv, run
@@ -108,6 +108,14 @@ class TestCrpRun:
         assert charged < free
 
 
+@st.composite
+def extreme_markets(draw):
+    """1-9 days of 2-4 relatives, each drawn from subnormals up to the top of the double range."""
+    T, N = draw(st.integers(1, 9)), draw(st.integers(2, 4))
+    values = [5e-324, 1e-320, 1e-310, 1e-200, 1.0, 1e200, 1e300, 1.7e308]
+    return np.array(draw(st.lists(st.sampled_from(values), min_size=T * N, max_size=T * N))).reshape(T, N)
+
+
 class TestBcrpSolve:
     def test_dominant_asset_takes_all(self):
         X = validate_relatives([[1.5, 1.0], [1.2, 0.9], [1.1, 0.7]], ["a", "b"])
@@ -162,6 +170,21 @@ class TestBcrpSolve:
         assert math.isclose(float(np.log(X.values @ w.weights).sum()), lw, rel_tol=1e-12)
         assert lw >= best_stock(X)[1] - 1e-12
         assert lw >= float(np.log(X.values @ np.full(3, 1 / 3)).sum()) - 1e-12
+
+    def test_top_of_the_double_range_solves(self):
+        # These rows once made the solve refuse its own weights (sum to inf); each is now scaled by a power of two.
+        X = validate_relatives([[1e200, 1.0, 1e200, 1e-310], [1.0, 1e-310, 1.0, 1.7e308]], list("abcd"))
+        w, lw = bcrp_solve(X)
+        assert np.allclose(w.weights, [0.25, 0.0, 0.25, 0.5], atol=1e-6)
+        assert lw == float(np.log(X.values @ w.weights).sum())  # of the given relatives
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=extreme_markets())
+    @example(values=np.array([[1e300, 1.0, 1.7e308]]))  # the ascent's step outgrew the projection's sums
+    def test_extreme_relatives_give_a_simplex_point(self, values):
+        X = validate_relatives(values, [f"a{i}" for i in range(values.shape[1])])
+        w, _ = bcrp_solve(X)  # PortfolioVector refuses a point off the simplex
+        assert w.assets == X.assets
 
     def test_acceptance_market_solves(self):
         rng = np.random.default_rng(909)
@@ -435,6 +458,66 @@ class TestExactPair:
                 assert abs(mc - exact) <= 4 * finals.std() / math.sqrt(M)
                 errs.append(abs(mc - exact))
         assert np.mean(errors[100_000]) * 3 <= np.mean(errors[1000])
+
+
+def ref_exact_pair_tracks(X):
+    """The exact two-asset universal portfolio in plain per-day steps: each weight a ``sum()`` of its
+    terms in share order (asset 2's from a reversed copy of the shares), each day's ``np.log`` added
+    to the running log wealth as the day ends. The reference for the kernel's bits."""
+    T = X.days
+    ks = np.arange(1.0, T + 2)
+    shares = np.zeros(T + 2)
+    shares[0] = 1.0
+    log_wealth = np.zeros(T + 1)
+    weights = np.empty((T + 1, 2))
+    for t in range(T + 1):
+        n = t + 1
+        u = shares[:n] * ks[:n]
+        d = shares[n - 1 :: -1] * ks[:n]
+        w1, w2 = u.sum() / (t + 2), d.sum() / (t + 2)
+        weights[t] = w1, w2
+        if t == T:
+            break
+        x1, x2 = X.values[t]
+        s = x1 * w1 + x2 * w2
+        log_wealth[t + 1] = log_wealth[t] + np.log(s)
+        scale = 1.0 / ((t + 2) * s)
+        new = np.zeros(T + 2)
+        new[1 : n + 1] = u * (x1 * scale)
+        new[n - 1 :: -1] += d * (x2 * scale)
+        shares = new
+    return np.exp(log_wealth), weights
+
+
+def ref_eg_weights(X, eta):
+    """EG's weight track one day at a time, each day from the row before it with ``w @ x`` and ``sum()``."""
+    weights = np.empty((X.days + 1, X.assets))
+    weights[0] = 1.0 / X.assets
+    for t in range(1, X.days + 1):
+        w, x = weights[t - 1], X.values[t - 1]
+        boosted = w * np.exp(eta * x / float(w @ x))
+        weights[t] = boosted / boosted.sum()
+    return weights
+
+
+class TestKernelsMatchPerDayReference:
+    """The day loops keep every bit of the plain per-day formulas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(X=pair_markets(60))
+    def test_exact_pair_and_its_mirror(self, X):
+        swapped = validate_relatives(X.values[:, ::-1], ["b", "a"])
+        for market in (X, swapped):
+            wealth, track = _exact_pair_tracks(market)
+            ref_wealth, ref_track = ref_exact_pair_tracks(market)
+            assert np.array_equal(wealth, ref_wealth) and np.array_equal(track, ref_track)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), T=st.integers(0, 60), N=st.sampled_from([2, 3]), eta=st.floats(0.0, 2.0))
+    def test_eg(self, data, T, N, eta):
+        flat = data.draw(st.lists(st.floats(0.25, 4.0), min_size=T * N, max_size=T * N))
+        X = validate_relatives(np.array(flat, dtype=float).reshape(T, N), [f"a{i}" for i in range(N)])
+        assert np.array_equal(run(AlgoSpec("eg", eta=eta), X).weights, ref_eg_weights(X, eta))
 
 
 class TestBestStock:

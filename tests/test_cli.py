@@ -69,6 +69,15 @@ class TestSynthBacktestFlow:
         assert (code, err) == (0, "")
         assert "final_wealth\t1e+13\n" in out
 
+    def test_bcrp_on_relatives_near_the_top_of_the_double_range(self, capsys, tmp_path):
+        # The solve used to overflow on these rows and then refuse its own weights with
+        # "portfolio weights sum to inf". The best CRP is found; its wealth, about e^1169,
+        # is what cannot be printed.
+        data = tmp_path / "m.csv"
+        data.write_text("a,b,c,d\n1e+200,1.0,1e+200,1e-310\n1.0,1e-310,1.0,1.7e+308\n")
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "bcrp")
+        assert (code, out, err) == (2, "", "switchfolio: bcrp: non-finite final_wealth, max_drawdown\n")
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["backtest", "compare"])

@@ -248,6 +248,54 @@ class TestFixedDayCache:
         assert shares.tobytes() == ref_shares.tobytes()
 
 
+def ref_fixed_run(X, gamma, cost):
+    """The fixed-gamma mixture one day at a time, each day's arrays made new: the log wealth, the
+    shares and the next day's weights after every day. The reference for the day's bits."""
+    n = X.shape[1]
+    factor = switch_factor(cost)
+    mass = np.full(n, 1.0 / n)
+    log_wealth = 0.0
+    logs, shares_track, weights = [], [], []
+    for x in X:
+        day = mass * x
+        total = float(np.add.reduce(day))
+        shares = day / total
+        log_wealth += math.log(total)
+        switched_in = (gamma / (n - 1)) * (1.0 - shares)
+        if factor != 1.0:
+            switched_in = factor * switched_in
+        mass = (1.0 - gamma) * shares + switched_in
+        logs.append(log_wealth)
+        shares_track.append(shares)
+        weights.append(mass / np.add.reduce(mass))
+    return np.array(logs), np.array(shares_track).reshape(-1, n), np.array(weights).reshape(-1, n)
+
+
+class TestFixedDayAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st_.integers(0, 60),
+        N=st_.sampled_from([2, 3]),
+        seed=st_.integers(0, 2**32 - 1),
+        gamma_share=st_.floats(0.001, 1.0),
+        cost=st_.sampled_from([None, CostModel.per_trade(0.01), CostModel.parallel(0.02)]),
+    )
+    def test_bitwise_equal(self, T, N, seed, gamma_share, cost):
+        X = random_matrix(np.random.default_rng(seed), T, N).values
+        gamma = gamma_share * (N - 1) / N
+        state = fixed_init(N, gamma, cost)
+        logs, shares, weights = [], [], []
+        for x in X:
+            fixed_step(state, x)
+            logs.append(state.log_wealth)
+            shares.append(state.shares.copy())  # the step writes the next day's shares into this array
+            weights.append(fixed_weights(state))
+        ref_logs, ref_shares, ref_weights = ref_fixed_run(X, gamma, cost)
+        assert np.array_equal(np.array(logs), ref_logs)
+        assert np.array_equal(np.array(shares).reshape(-1, N), ref_shares)
+        assert np.array_equal(np.array(weights).reshape(-1, N), ref_weights)
+
+
 class TestDayCache:
     """Whether or not weights are asked for, the steps must produce the same bits."""
 
