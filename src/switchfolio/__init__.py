@@ -16,7 +16,6 @@ from .baselines import (
     bcrp_solve,
     best_stock,
     eg_step,
-    sample_simplex,
     universal_tracks,
 )
 from .core import (
@@ -25,7 +24,6 @@ from .core import (
     NegativeEntry,
     NonPositiveRelative,
     PortfolioError,
-    PortfolioVector,
     PriceRelativeMatrix,
     RaggedRows,
     RegimeSpec,
@@ -35,7 +33,6 @@ from .costs import (
     CostModel,
     NegativeAllocation,
     realized_wealth_track,
-    rebalance_cost,
     switch_factor,
 )
 from .market_data import (
@@ -59,12 +56,9 @@ from .regimes import (
     InvalidRegime,
     adaptive_penalty,
     bound_check,
-    enumerate_regimes,
     fixed_gamma_penalty,
     kt_neg_log2_sequence,
     log_mixture_wealth,
-    log_prior,
-    log_regime_wealth,
     mixture_oracle,
 )
 from .switching import (

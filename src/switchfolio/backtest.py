@@ -35,7 +35,6 @@ from .baselines import (
 from .core import (
     DimensionMismatch,
     PortfolioError,
-    PortfolioVector,
     PriceRelativeMatrix,
     _Frozen,
     simplex_refusal,
@@ -96,6 +95,13 @@ class AlgoSpec(_Frozen):
                 raise PortfolioError(f"{kind} takes no parameter {name}")
         if eta is not None and not (math.isfinite(eta) and eta >= 0):
             raise PortfolioError(f"eta must be a finite number >= 0, got {eta!r}")
+        if weights is not None:
+            w = np.asarray(weights, dtype=float)
+            if w.ndim != 1 or w.size == 0:  # an empty vector has no minimum for the simplex rule
+                raise DimensionMismatch("portfolio weights must be a non-empty 1-D vector")
+            refused = simplex_refusal(w)
+            if refused is not None:
+                raise refused[1]
         self._set(kind, gamma, weights, eta, samples, seed, cost, cost_accounting)
 
     @property
@@ -209,13 +215,11 @@ def _weight_driven_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
     T, n = X.days, X.assets
     weights = np.empty((T + 1, n))
     if spec.kind == KIND_CRP:
-        w = PortfolioVector(np.asarray(spec.weights, dtype=float))
-        if w.assets != n:
-            raise DimensionMismatch(f"crp weights have {w.assets} entries for {n} assets")
-        weights[:] = w.weights
+        if len(spec.weights) != n:
+            raise DimensionMismatch(f"crp weights have {len(spec.weights)} entries for {n} assets")
+        weights[:] = spec.weights
     elif spec.kind == KIND_BCRP:
-        w, _ = bcrp_solve(X)
-        weights[:] = w.weights
+        weights[:] = bcrp_solve(X)[0]
     elif spec.kind == KIND_BEST_STOCK:
         idx, _ = best_stock(X)
         weights[:] = 0.0
@@ -337,6 +341,13 @@ def report_tsv(report: BacktestReport) -> str:
 PLOT_CHUNK_ROWS = 1024  # rows formatted at a time: the Python floats of one chunk, not of the run
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer's minimal quoting writes it: quoted, quotes doubled, if it holds , " CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_plot_data(report: BacktestReport) -> str:
     """Day series as CSV: day, wealth, largest asset, one weight column per asset.
 
@@ -351,7 +362,7 @@ def emit_plot_data(report: BacktestReport) -> str:
     if report.dates is not None:
         header += ",date"
         template += ",%s"
-        dates = ("", *report.dates)  # day 0 predates the first dated relative
+        dates = ("", *map(_csv_cell, report.dates))  # day 0 predates the first dated relative
     template += "\n"
     chunks = [header + "\n"]
     rows = report.days + 1

@@ -31,13 +31,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    DimensionMismatch,
-    PortfolioError,
-    PortfolioVector,
-    PriceRelativeMatrix,
-    _Frozen,
-)
+from .core import DimensionMismatch, PortfolioError, PriceRelativeMatrix, _Frozen, simplex_refusal
 from .costs import CostModel
 
 _BCRP_MAX_ITER = 20_000
@@ -109,22 +103,23 @@ def _rows_in_range(V: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # past the double range the ascent stops or refuses
-def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
-    """Hindsight-optimal constant rebalanced portfolio and its log-wealth (natural log).
+def bcrp_solve(X: PriceRelativeMatrix) -> tuple[np.ndarray, float]:
+    """Hindsight-optimal constant rebalanced portfolio, an (N,) array, and its log-wealth (natural log).
 
     Maximizes the concave objective sum_t log(w . x^t) over the simplex by
     projected gradient ascent with backtracking, restarted from the uniform
     point and up to five corners; the best run wins. A day whose largest
     relative lies outside [2^-512, 2^512] is first scaled by an exact power
     of two, which moves no optimum; the log-wealth returned is that of the
-    given relatives, infinite where it leaves the double range.
+    given relatives, infinite where it leaves the double range. A result off
+    the simplex is refused, as :func:`core.simplex_refusal` words it.
     """
     if X.days < 1:
         raise NoData("best CRP needs at least one trading day")
     n = X.assets
     if n == 1:
         w = np.ones(1)
-        return PortfolioVector(w), _log_wealth(w, X.values)
+        return w, _log_wealth(w, X.values)
 
     starts = [np.full(n, 1.0 / n)]
     for i in range(min(n, 5)):
@@ -168,7 +163,10 @@ def bcrp_solve(X: PriceRelativeMatrix) -> tuple[PortfolioVector, float]:
             best_w, best_f = w, f
     if V is not X.values:
         best_f = _log_wealth(best_w, X.values)
-    return PortfolioVector(best_w), best_f
+    refused = simplex_refusal(best_w)
+    if refused is not None:
+        raise refused[1]
+    return best_w, best_f
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's weights check
@@ -196,11 +194,6 @@ def _simplex_draws(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     u = rng.random((m, n))
     e = -np.log1p(-u)  # exponential(1) from uniform [0,1)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def sample_simplex(m: int, n: int, seed: int) -> np.ndarray:
-    """m points uniform on the n-simplex from a Philox stream seeded with seed."""
-    return _simplex_draws(np.random.Generator(np.random.Philox(seed)), m, n)
 
 
 def universal_tracks(

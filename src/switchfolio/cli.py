@@ -242,9 +242,9 @@ BOUNDS_CHUNK_ROWS = 4096  # most rows per chunk: a wider switch-time block is wr
 
 
 def _bounds_chunks(table: BoundTable) -> Iterator[str]:
-    """The bounds table as text chunks: the header with the first switch-time block,
-    then one chunk per block, a block of more than BOUNDS_CHUNK_ROWS rows in pieces
-    of that many. The table is streamed, never held whole.
+    """The bounds table as text chunks: the header with the first switch-time block
+    (alone if there is none), then one chunk per block, a block of more than
+    BOUNDS_CHUNK_ROWS rows in pieces of that many. The table is streamed, never held whole.
 
     Each block is scored at once (``BoundTable.scored_blocks``) and each chunk is
     made by one ``%`` over its switch count's row template, which holds every
@@ -279,6 +279,8 @@ def _bounds_chunks(table: BoundTable) -> Iterator[str]:
             cells[2::3] = slack[piece].tolist()
             yield text + template % tuple(cells)
             text = ""
+    if text:  # a market of no days has no block
+        yield text
 
 
 def _cmd_bounds(args) -> int:

@@ -1,4 +1,4 @@
-"""Shared domain types: price-relative grids, portfolio vectors, switching regimes.
+"""Shared domain types: price-relative grids, switching regimes, and the one simplex rule for weights.
 
 Conventions used throughout the package:
 
@@ -123,35 +123,6 @@ def simplex_refusal(w: np.ndarray) -> tuple[int, PortfolioError] | None:
     return k, PortfolioError(f"portfolio weights sum to {float(totals[k])!r}, not 1 within {SIMPLEX_TOL}")
 
 
-class PortfolioVector(_Frozen):
-    """Nonnegative weights summing to one: the fraction of wealth per asset.
-
-    Construction rejects vectors farther than SIMPLEX_TOL from the simplex
-    rather than silently renormalizing. The weights array is read-only and
-    the attribute cannot be reassigned. Equality and hashing are by identity.
-    """
-
-    __slots__ = ("weights",)
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, weights: np.ndarray):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise DimensionMismatch("portfolio weights must be a non-empty 1-D vector")
-        refused = simplex_refusal(w)
-        if refused is not None:
-            raise refused[1]
-        w.setflags(write=False)
-        self._set(w)
-
-    @property
-    def assets(self) -> int:
-        return self.weights.size
-
-    def __iter__(self):
-        return iter(self.weights)
-
-
 class PriceRelativeMatrix(_Frozen):
     """T x N grid of strictly positive daily price relatives.
 
@@ -192,12 +163,6 @@ class PriceRelativeMatrix(_Frozen):
     def assets(self) -> int:
         return self.values.shape[1]
 
-    def day_row(self, t: int) -> np.ndarray:
-        """Relatives for 1-based trading day t."""
-        if not 1 <= t <= self.days:
-            raise DimensionMismatch(f"day {t} outside 1..{self.days}")
-        return self.values[t - 1]
-
 
 class RegimeSpec(_Frozen):
     """A switching schedule: when to move all wealth, and between which assets.
@@ -233,11 +198,6 @@ class RegimeSpec(_Frozen):
         if any(i < 0 for i in strats):
             raise PortfolioError(f"negative strategy index in {strats}")
         self._set(times, strats)
-
-    @property
-    def switches(self) -> int:
-        """Number of strategy changes (the regime's complexity)."""
-        return len(self.switch_times)
 
 
 def validate_relatives(

@@ -11,10 +11,9 @@ passing ``None`` wherever a cost model is accepted:
   proportions are preserved. A full switch retains 1 - 2c.
 
 ``switch_factor`` gives the lump-move retention used inside the algorithms'
-wealth bookkeeping. ``rebalance_cost``/``realized_wealth_track`` implement the
-netted accounting used for realized-wealth reporting: each asset trades only
-its net delta, which is the cheapest execution under proportional
-commissions.
+wealth bookkeeping. ``realized_wealth_track`` implements the netted accounting
+used for realized-wealth reporting: each asset trades only its net delta, which
+is the cheapest execution under proportional commissions.
 """
 
 from __future__ import annotations
@@ -63,29 +62,6 @@ def switch_factor(model: CostModel | None) -> float:
     if model.kind == PER_TRADE:
         return (1.0 - model.rate) ** 2
     return 1.0 - 2.0 * model.rate
-
-
-def rebalance_cost(
-    model: CostModel | None,
-    current: np.ndarray,
-    target: np.ndarray,
-) -> float:
-    """Commission for reshaping per-asset wealth ``current`` into ``target``.
-
-    Both models charge c * sum_i |net delta_i|: netting means an asset that
-    the bucket-level bookkeeping would both sell from and buy into trades only
-    its net amount. The models differ in the lump-move factors applied inside
-    algorithm state (see :func:`switch_factor`), not here.
-    """
-    cur = np.asarray(current, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    if cur.shape != tgt.shape:
-        raise DimensionMismatch(f"allocations differ in shape: {cur.shape} vs {tgt.shape}")
-    if np.any(cur < 0) or np.any(tgt < 0):
-        raise NegativeAllocation("wealth allocations must be nonnegative")
-    if model is None:
-        return 0.0
-    return model.rate * float(np.abs(cur - tgt).sum())
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's finiteness check

@@ -77,11 +77,9 @@ class AdaptivePrior(_Frozen):
 Prior = FixedGammaPrior | AdaptivePrior
 
 
-def _check_regime(regime: RegimeSpec, T: int, N: int, for_prior: bool = False) -> None:
+def _check_regime(regime: RegimeSpec, T: int, N: int) -> None:
     if T < 1:
         raise InvalidRegime(f"regimes need at least one trading day, got T={T}")
-    if for_prior and N < 2:
-        raise InvalidRegime("switching priors need at least two assets")
     if regime.switch_times and regime.switch_times[-1] > T - 1:
         raise InvalidRegime(f"switch time {regime.switch_times[-1]} outside 1..{T - 1}")
     if max(regime.strategies) >= N:
@@ -105,45 +103,11 @@ def _segment_log_priors(T: int, prior: Prior) -> tuple[np.ndarray, np.ndarray]:
     return final + np.log(0.5 / (k + 1.0)), final
 
 
-def log_prior(regime: RegimeSpec, T: int, N: int, prior: Prior) -> float:
-    """Natural log of a regime's prior probability over T days and N assets.
-
-    Under the fixed-gamma prior it is log of 1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1)
-    for a regime with l switches; see :func:`_segment_log_priors` for both priors.
-    """
-    _check_regime(regime, T, N, for_prior=True)
-    ending, final = _segment_log_priors(T, prior)
-    stays = np.diff((0,) + regime.switch_times + (T,)) - 1
-    l = regime.switches
-    return -math.log(N) - l * math.log(N - 1) + float(ending[stays[:-1]].sum() + final[stays[-1]])
-
-
 def _charges(cost: CostModel | None, convention: str) -> tuple[float, int]:
-    """(log lump-move factor of cost, charges before the first switch); see :func:`log_regime_wealth`."""
+    """(log lump-move factor of cost, charges before the first switch: 1 for ``all-segments``, else 0)."""
     if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
         raise PortfolioError(f"unknown cost convention {convention!r}")
     return math.log(switch_factor(cost)), int(convention == CHARGE_ALL_SEGMENTS)
-
-
-def log_regime_wealth(
-    regime: RegimeSpec,
-    X: PriceRelativeMatrix,
-    cost: CostModel | None = None,
-    convention: str = CHARGE_SWITCHES_ONLY,
-) -> float:
-    """Natural log of a regime's wealth over X, including commission factors.
-
-    ``switches-only`` charges the lump-move factor once per executed switch
-    (l times); ``all-segments`` also charges the initial purchase (l+1 times).
-    """
-    T, times = X.days, regime.switch_times
-    _check_regime(regime, T, X.assets)
-    log_sf, first = _charges(cost, convention)
-    logs = np.log(X.values)
-    total = 0.0
-    for asset, start, end in zip(regime.strategies, (0,) + times, times + (T,)):
-        total += float(logs[start:end, asset].sum())
-    return total + (len(times) + first) * log_sf
 
 
 _new = object.__new__
@@ -193,13 +157,6 @@ def block_regimes(times: tuple[int, ...], rows: list[tuple[int, ...]]) -> Iterat
         _set_switch_times(regime, times)
         _set_strategies(regime, row)
         yield regime
-
-
-def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
-    """Yield every switching regime for T days and N assets once, in the order of
-    :func:`switch_time_blocks`; the regimes of a block share its switch-time tuple object."""
-    for times, rows in switch_time_blocks(T, N):
-        yield from block_regimes(times, rows)
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:

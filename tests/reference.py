@@ -1,0 +1,99 @@
+"""Reference implementations that only the tests call.
+
+Each is the direct, unoptimized form of a quantity the package computes by a
+faster route: a regime's prior and wealth one at a time, the regimes one at a
+time, the universal portfolio's sample points all at once, and the netted
+commission of one reshape. The tests compare the package against them.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterator
+
+import numpy as np
+
+from switchfolio.baselines import _simplex_draws
+from switchfolio.core import DimensionMismatch, PriceRelativeMatrix, RegimeSpec
+from switchfolio.costs import CostModel, NegativeAllocation
+from switchfolio.regimes import (
+    CHARGE_SWITCHES_ONLY,
+    InvalidRegime,
+    Prior,
+    _charges,
+    _check_regime,
+    _segment_log_priors,
+    block_regimes,
+    switch_time_blocks,
+)
+
+
+def log_prior(regime: RegimeSpec, T: int, N: int, prior: Prior) -> float:
+    """Natural log of a regime's prior probability over T days and N assets.
+
+    Under the fixed-gamma prior it is log of 1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1)
+    for a regime with l switches; see ``regimes._segment_log_priors`` for both priors.
+    """
+    if T >= 1 and N < 2:  # a horizon of no days is refused first, by the regime check
+        raise InvalidRegime("switching priors need at least two assets")
+    _check_regime(regime, T, N)
+    ending, final = _segment_log_priors(T, prior)
+    stays = np.diff((0,) + regime.switch_times + (T,)) - 1
+    l = len(regime.switch_times)
+    return -math.log(N) - l * math.log(N - 1) + float(ending[stays[:-1]].sum() + final[stays[-1]])
+
+
+def log_regime_wealth(
+    regime: RegimeSpec,
+    X: PriceRelativeMatrix,
+    cost: CostModel | None = None,
+    convention: str = CHARGE_SWITCHES_ONLY,
+) -> float:
+    """Natural log of a regime's wealth over X, including commission factors.
+
+    ``switches-only`` charges the lump-move factor once per executed switch
+    (l times); ``all-segments`` also charges the initial purchase (l+1 times).
+    """
+    T, times = X.days, regime.switch_times
+    _check_regime(regime, T, X.assets)
+    log_sf, first = _charges(cost, convention)
+    logs = np.log(X.values)
+    total = 0.0
+    for asset, start, end in zip(regime.strategies, (0,) + times, times + (T,)):
+        total += float(logs[start:end, asset].sum())
+    return total + (len(times) + first) * log_sf
+
+
+def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:
+    """Yield every switching regime for T days and N assets once, in the order of
+    ``regimes.switch_time_blocks``; the regimes of a block share its switch-time tuple object."""
+    for times, rows in switch_time_blocks(T, N):
+        yield from block_regimes(times, rows)
+
+
+def sample_simplex(m: int, n: int, seed: int) -> np.ndarray:
+    """m points uniform on the n-simplex from a Philox stream seeded with seed."""
+    return _simplex_draws(np.random.Generator(np.random.Philox(seed)), m, n)
+
+
+def rebalance_cost(
+    model: CostModel | None,
+    current: np.ndarray,
+    target: np.ndarray,
+) -> float:
+    """Commission for reshaping per-asset wealth ``current`` into ``target``.
+
+    Both models charge c * sum_i |net delta_i|: netting means an asset that
+    the bucket-level bookkeeping would both sell from and buy into trades only
+    its net amount. The models differ in the lump-move factors applied inside
+    algorithm state (see ``costs.switch_factor``), not here.
+    """
+    cur = np.asarray(current, dtype=float)
+    tgt = np.asarray(target, dtype=float)
+    if cur.shape != tgt.shape:
+        raise DimensionMismatch(f"allocations differ in shape: {cur.shape} vs {tgt.shape}")
+    if np.any(cur < 0) or np.any(tgt < 0):
+        raise NegativeAllocation("wealth allocations must be nonnegative")
+    if model is None:
+        return 0.0
+    return model.rate * float(np.abs(cur - tgt).sum())

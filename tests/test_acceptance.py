@@ -24,14 +24,13 @@ from switchfolio.regimes import (
     AdaptivePrior,
     FixedGammaPrior,
     adaptive_penalty,
-    enumerate_regimes,
     fixed_gamma_penalty,
     kt_neg_log2_sequence,
     log_mixture_wealth,
-    log_prior,
-    log_regime_wealth,
 )
 from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
+
+from reference import enumerate_regimes, log_prior, log_regime_wealth
 
 LOG2 = math.log(2.0)
 GAMMAS = (0.1, 1 / 3, 0.45)
@@ -130,8 +129,8 @@ def test_criterion_4_penalty_bounds(instances):
         best_by_l = np.full(T, -np.inf)
         for q in enumerate_regimes(T, N):
             lw = log_regime_wealth(q, X) / LOG2
-            if lw > best_by_l[q.switches]:
-                best_by_l[q.switches] = lw
+            if lw > best_by_l[len(q.switch_times)]:
+                best_by_l[len(q.switch_times)] = lw
         for cost in COSTS:
             sf_log2 = math.log2(
                 1.0 if cost is None else (1 - cost.rate) ** 2 if cost.kind == "per-trade" else 1 - 2 * cost.rate

@@ -381,6 +381,24 @@ class TestPlotData:
         assert lines[1].endswith(",")  # day 0 precedes the first dated relative
         assert lines[2].endswith(",d1")
 
+    @settings(max_examples=200, deadline=None)
+    @given(dates=st.lists(st.text(max_size=6) | st.sampled_from(["2020,01", 'x"y', "a\rb", "a\nb", '"']),
+                          min_size=1, max_size=5))
+    def test_dates_read_back_by_csv_reader(self, dates):
+        # A date holding a comma, quote, CR or LF once spilled into extra fields or broke its row.
+        X = validate_relatives(np.ones((len(dates), 2)), ["a", "b"], dates=dates)
+        report = run(AlgoSpec("crp", weights=(0.5, 0.5)), X)
+        rows = list(csv.reader(io.StringIO(emit_plot_data(report), newline="")))
+        assert [len(row) for row in rows] == [6] * (len(dates) + 2)
+        assert [row[-1] for row in rows] == ["date", "", *dates]
+
+
+def _csv_cell(text: str) -> str:
+    """text as one cell of a line that csv.writer writes with its default minimal quoting."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["", text])
+    return buf.getvalue()[1:-2]  # past the first, empty cell and before the CR LF
+
 
 def ref_emit_plot_data(report: BacktestReport) -> str:
     """The per-row, per-cell emission the whole-grid one must reproduce byte for byte."""
@@ -395,7 +413,7 @@ def ref_emit_plot_data(report: BacktestReport) -> str:
         cells = [str(k), f"{report.wealth[k]:.17g}", str(int(report.largest[k]))]
         cells += [f"{v:.17g}" for v in report.weights[k]]
         if with_dates:
-            cells.append("" if k == 0 else report.dates[k - 1])
+            cells.append("" if k == 0 else _csv_cell(report.dates[k - 1]))
         buf.write(",".join(cells) + "\n")
     return buf.getvalue()
 

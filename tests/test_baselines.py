@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from switchfolio import baselines
 from switchfolio.backtest import AlgoSpec, compare, comparison_tsv, run
 from switchfolio.baselines import (
     _TILE_DAYS,
@@ -19,19 +20,20 @@ from switchfolio.baselines import (
     bcrp_solve,
     best_stock,
     eg_step,
-    sample_simplex,
     universal_tracks,
 )
-from switchfolio.core import DimensionMismatch, PortfolioError, PortfolioVector, validate_relatives
+from switchfolio.core import DimensionMismatch, PortfolioError, simplex_refusal, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import synth_regime_pair, synth_volatility_pair
 
-HALF = PortfolioVector(np.array([0.5, 0.5]))
+from reference import sample_simplex
+
+HALF = np.array([0.5, 0.5])
 
 
 def crp_wealth(w, X, cost=None):
     """Wealth series of the constant rebalanced portfolio w over X."""
-    return run(AlgoSpec("crp", weights=tuple(w.weights), cost=cost), X).wealth
+    return run(AlgoSpec("crp", weights=tuple(w), cost=cost), X).wealth
 
 
 def random_matrix(rng, T, N, spread=(0.25, 4.0)):
@@ -85,7 +87,7 @@ class TestCrpRun:
     def test_pure_strategy_ignores_costs(self):
         rng = np.random.default_rng(51)
         X = random_matrix(rng, 15, 2)
-        w = PortfolioVector(np.array([1.0, 0.0]))
+        w = np.array([1.0, 0.0])
         expected = float(np.prod(X.values[:, 0]))
         for model in (None, CostModel.per_trade(0.05), CostModel.parallel(0.05)):
             assert math.isclose(crp_wealth(w, X, model)[-1], expected, rel_tol=1e-12)
@@ -120,12 +122,12 @@ class TestBcrpSolve:
     def test_dominant_asset_takes_all(self):
         X = validate_relatives([[1.5, 1.0], [1.2, 0.9], [1.1, 0.7]], ["a", "b"])
         w, _ = bcrp_solve(X)
-        assert w.weights[0] > 1.0 - 1e-6
+        assert w[0] > 1.0 - 1e-6
 
     def test_single_asset(self):
         X = validate_relatives([[1.3], [0.8]], ["a"])
         w, lw = bcrp_solve(X)
-        assert w.weights.tolist() == [1.0]
+        assert w.tolist() == [1.0]
         assert math.isclose(lw, math.log(1.3 * 0.8), rel_tol=1e-12)
 
     def test_no_data(self):
@@ -146,7 +148,7 @@ class TestBcrpSolve:
     def test_volatility_pair_optimum_is_even_split(self):
         X = synth_volatility_pair(8)
         w, lw = bcrp_solve(X)
-        assert np.allclose(w.weights, 0.5, atol=1e-4)
+        assert np.allclose(w, 0.5, atol=1e-4)
         assert math.isclose(lw, 8 * math.log(9 / 8), rel_tol=1e-9)
 
     def test_beats_corners_and_tested_mixes(self):
@@ -167,7 +169,7 @@ class TestBcrpSolve:
         rng = np.random.default_rng(seed)
         X = validate_relatives(np.exp(rng.normal(0.0, 0.02, size=(500, 3))), ["a", "b", "c"])
         w, lw = bcrp_solve(X)
-        assert math.isclose(float(np.log(X.values @ w.weights).sum()), lw, rel_tol=1e-12)
+        assert math.isclose(float(np.log(X.values @ w).sum()), lw, rel_tol=1e-12)
         assert lw >= best_stock(X)[1] - 1e-12
         assert lw >= float(np.log(X.values @ np.full(3, 1 / 3)).sum()) - 1e-12
 
@@ -175,16 +177,24 @@ class TestBcrpSolve:
         # These rows once made the solve refuse its own weights (sum to inf); each is now scaled by a power of two.
         X = validate_relatives([[1e200, 1.0, 1e200, 1e-310], [1.0, 1e-310, 1.0, 1.7e308]], list("abcd"))
         w, lw = bcrp_solve(X)
-        assert np.allclose(w.weights, [0.25, 0.0, 0.25, 0.5], atol=1e-6)
-        assert lw == float(np.log(X.values @ w.weights).sum())  # of the given relatives
+        assert np.allclose(w, [0.25, 0.0, 0.25, 0.5], atol=1e-6)
+        assert lw == float(np.log(X.values @ w).sum())  # of the given relatives
 
     @settings(max_examples=200, deadline=None)
     @given(values=extreme_markets())
     @example(values=np.array([[1e300, 1.0, 1.7e308]]))  # the ascent's step outgrew the projection's sums
     def test_extreme_relatives_give_a_simplex_point(self, values):
         X = validate_relatives(values, [f"a{i}" for i in range(values.shape[1])])
-        w, _ = bcrp_solve(X)  # PortfolioVector refuses a point off the simplex
-        assert w.assets == X.assets
+        w, _ = bcrp_solve(X)  # bcrp_solve refuses a point off the simplex
+        assert w.shape == (X.assets,) and simplex_refusal(w) is None
+
+    def test_off_simplex_result_refused(self, monkeypatch):
+        # A projection that misses the simplex: its point (sum 1.2) beats the starts and is kept.
+        monkeypatch.setattr(baselines, "_project_to_simplex", lambda v: np.full(v.size, 0.6))
+        X = validate_relatives([[1.5, 1.0], [1.2, 0.9]], ["a", "b"])
+        with pytest.raises(PortfolioError) as exc:
+            bcrp_solve(X)
+        assert str(exc.value) == "portfolio weights sum to 1.2, not 1 within 1e-12"
 
     def test_acceptance_market_solves(self):
         rng = np.random.default_rng(909)
@@ -192,7 +202,7 @@ class TestBcrpSolve:
             np.exp(rng.uniform(np.log(0.97), np.log(1.03), size=(5651, 3))), ["a", "b", "c"]
         )
         w, lw = bcrp_solve(X)
-        assert abs(w.weights.sum() - 1.0) <= 1e-14
+        assert abs(w.sum() - 1.0) <= 1e-14
         assert lw >= best_stock(X)[1]
 
 
@@ -203,11 +213,11 @@ class TestEgStep:
         assert np.allclose(out, w, atol=1e-15)
 
     def test_symmetric_day_keeps_uniform(self):
-        out = eg_step(HALF.weights, np.array([1.3, 1.3]), 0.05)
+        out = eg_step(HALF, np.array([1.3, 1.3]), 0.05)
         assert np.allclose(out, 0.5, atol=1e-15)
 
     def test_hand_evaluated_update(self):
-        out = eg_step(HALF.weights, np.array([2.0, 1.0]), 0.05)
+        out = eg_step(HALF, np.array([2.0, 1.0]), 0.05)
         e1, e2 = math.exp(0.05 * 2.0 / 1.5), math.exp(0.05 * 1.0 / 1.5)
         assert math.isclose(out[0], e1 / (e1 + e2), rel_tol=1e-12)
         assert math.isclose(out[0], 0.50833, abs_tol=5e-6)

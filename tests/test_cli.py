@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 import subprocess
@@ -48,6 +49,20 @@ class TestSynthBacktestFlow:
         lines = plot.read_text().strip().split("\n")
         assert lines[0] == "day,wealth,largest_asset,w_1,w_2"
         assert len(lines) == 8
+
+    def test_plot_data_quotes_dates_as_csv_does(self, capsys, tmp_path):
+        # The comma split the first date over two fields; the quote was written bare.
+        data = tmp_path / "m.csv"
+        data.write_text('date,a,b\n"2020,01",1.1,0.9\n"x""y",0.9,1.2\n')
+        plot = tmp_path / "plot.csv"
+        code, _, _ = invoke(
+            capsys, "backtest", "--data", str(data), "--algo", "crp:weights=0.5|0.5", "--plot-data", str(plot),
+        )
+        assert code == 0
+        with open(plot, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [6, 6, 6, 6]
+        assert [row[-1] for row in rows] == ["date", "", "2020,01", 'x"y']
 
     def test_universal_samples_default_and_spec(self, capsys, tmp_path):
         # compare used to refuse universal without samples= where backtest ran 10 000 of them.
@@ -136,6 +151,11 @@ class TestDataErrors:
         code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "crp:weights=-0.5|1.5")
         assert (code, out) == (2, "")
         assert err == "switchfolio: negative or NaN portfolio weight: -0.5\n"
+
+    def test_off_simplex_weights_refused_before_the_data_loads(self, capsys):
+        code, out, err = invoke(capsys, "backtest", "--data", "no-such-file.csv", "--algo", "crp:weights=0.5|0.6")
+        assert (code, out) == (2, "")
+        assert err == "switchfolio: portfolio weights sum to 1.1, not 1 within 1e-12\n"
 
     def test_negative_price_printed_as_a_float(self, capsys, tmp_path):
         data = tmp_path / "p.csv"
@@ -532,6 +552,18 @@ class TestStreamedBounds:
         rows = out.strip().split("\n")[1:]
         assert [row.split("\t")[:3] for row in rows] == [["-", str(a), "0"] for a in range(assets)]
         assert all(float(row.split("\t")[-1]) >= 0 for row in rows)
+
+    @pytest.mark.parametrize("flags", [["--prior", "adaptive"], ["--prior", "fixed", "--gamma", "0.2"]])
+    def test_bounds_on_no_days_prints_the_header(self, capsys, tmp_path, flags):
+        # A market of no days has no switch-time block, and the header came with the first one.
+        data = tmp_path / "e.csv"
+        data.write_text("a,b\n")
+        header = "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t" \
+                 "algorithm_log2_wealth\tslack_bits\n"
+        assert invoke(capsys, "bounds", "--data", str(data), *flags) == (0, header, "")
+        table = tmp_path / "bounds.tsv"
+        assert invoke(capsys, "bounds", "--data", str(data), *flags, "--out", str(table)) == (0, "", "")
+        assert table.read_text() == header
 
 
 class TestCompareCommand:

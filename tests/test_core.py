@@ -15,7 +15,6 @@ from switchfolio.core import (
     NegativeEntry,
     NonPositiveRelative,
     PortfolioError,
-    PortfolioVector,
     RaggedRows,
     RegimeSpec,
     simplex_refusal,
@@ -99,19 +98,26 @@ class TestDailyReturn:
             assert x.min() - 1e-12 <= r <= x.max() + 1e-12
 
 
-class TestPortfolioVector:
+class TestCrpWeightRefusal:
+    """CRP weights off the simplex are refused when the spec is made, by the one simplex rule."""
+
     def test_rejects_off_simplex(self):
         with pytest.raises(PortfolioError):
-            PortfolioVector(np.array([0.5, 0.6]))
+            AlgoSpec("crp", weights=(0.5, 0.6))
 
     def test_rejects_negative(self):
         with pytest.raises(NegativeEntry):
-            PortfolioVector(np.array([1.2, -0.2]))
+            AlgoSpec("crp", weights=(1.2, -0.2))
 
     @pytest.mark.parametrize("weights", [[np.nan, np.nan], [1.0, np.nan], [np.nan, 0.5, 0.5]])
     def test_rejects_nan(self, weights):
         with pytest.raises(NegativeEntry, match="nan"):
-            PortfolioVector(np.array(weights))
+            AlgoSpec("crp", weights=tuple(weights))
+
+    @pytest.mark.parametrize("weights", [(), ((0.5, 0.5),), 1.0])
+    def test_rejects_empty_or_not_1d(self, weights):
+        with pytest.raises(DimensionMismatch, match="^portfolio weights must be a non-empty 1-D vector$"):
+            AlgoSpec("crp", weights=weights)
 
     @pytest.mark.parametrize(
         "weights, error, message",
@@ -125,11 +131,14 @@ class TestPortfolioVector:
         ],
     )
     def test_messages(self, weights, error, message):
+        refused = simplex_refusal(np.array(weights))
         if error is None:
-            assert PortfolioVector(np.array(weights)).weights.tolist() == weights
+            assert refused is None
+            assert AlgoSpec("crp", weights=tuple(weights)).weights == tuple(weights)
             return
+        assert refused[0] == 0 and type(refused[1]) is error and str(refused[1]) == message
         with pytest.raises(error) as exc:
-            PortfolioVector(np.array(weights))
+            AlgoSpec("crp", weights=tuple(weights))
         assert str(exc.value) == message
 
     @settings(max_examples=200, deadline=None)
@@ -153,11 +162,11 @@ class TestPortfolioVector:
         else:
             expected = None
         try:
-            pv = PortfolioVector(w)
+            AlgoSpec("crp", weights=tuple(w.tolist()))
         except PortfolioError as exc:
             assert str(exc) == expected
         else:
-            assert expected is None and not pv.weights.flags.writeable
+            assert expected is None
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -166,8 +175,8 @@ class TestPortfolioVector:
         ),
         normalize=st.lists(st.booleans(), min_size=6, max_size=6),
     )
-    def test_track_refused_at_the_first_row_a_vector_refuses(self, track, normalize):
-        # The once-per-run check of a weight track and PortfolioVector share one rule.
+    def test_track_refused_at_the_first_row_a_spec_refuses(self, track, normalize):
+        # The once-per-run check of a weight track and the CRP spec's check share one rule.
         w = np.array(track)
         for k, row in enumerate(w):
             if normalize[k] and np.all(np.isfinite(row)) and np.abs(row).sum() > 0:
@@ -175,7 +184,7 @@ class TestPortfolioVector:
         first = None
         for k, row in enumerate(w):
             try:
-                PortfolioVector(row.copy())
+                AlgoSpec("crp", weights=tuple(row.tolist()))
             except PortfolioError as exc:
                 first = (k, type(exc), str(exc))
                 break
@@ -188,39 +197,13 @@ class TestPortfolioVector:
 
 
 class TestIdentityEquality:
-    """Matrices and vectors compare and hash by identity; comparing the arrays they hold raised."""
+    """Matrices compare and hash by identity; comparing the arrays they hold raised."""
 
     def test_matrix(self):
         X = validate_relatives([[2.0, 0.5], [1.5, 0.75]], ["A", "B"])
         Y = validate_relatives(X.values, X.asset_names)
         assert X == X and X != Y and not (X == Y)
         assert len({X, Y, X}) == 2
-
-    def test_vector(self):
-        w = PortfolioVector(np.array([0.25, 0.75]))
-        v = PortfolioVector(np.array([0.25, 0.75]))
-        assert w == w and w != v
-        assert len({w, v, w}) == 2
-
-
-class TestPortfolioVectorRecord:
-    """A slotted class that behaves as the frozen dataclass it replaced."""
-
-    def test_attribute_cannot_be_set_or_deleted(self):
-        pv = PortfolioVector(np.array([0.25, 0.75]))
-        for name in ("weights", "extra"):
-            with pytest.raises(FrozenInstanceError):
-                setattr(pv, name, np.array([0.5, 0.5]))
-            with pytest.raises(FrozenInstanceError):
-                delattr(pv, name)
-        assert pv.weights.tolist() == [0.25, 0.75]
-        assert not hasattr(pv, "__dict__")
-
-    def test_repr_copy_and_pickle(self):
-        pv = PortfolioVector(np.array([0.25, 0.75]))
-        assert repr(pv) == "PortfolioVector(weights=array([0.25, 0.75]))"
-        for twin in (copy.copy(pv), copy.deepcopy(pv), pickle.loads(pickle.dumps(pv))):
-            assert twin.weights.tolist() == [0.25, 0.75] and not twin.weights.flags.writeable
 
 
 class TestPriceRelativeMatrixRecord:
@@ -268,10 +251,6 @@ class TestRegimeSpec:
         q = RegimeSpec((np.int64(2),), tuple(np.array([0, 1], dtype=np.int32)))
         assert q == RegimeSpec((2,), (0, 1))
         assert all(type(v) is int for v in q.switch_times + q.strategies)
-
-    def test_switch_count(self):
-        assert RegimeSpec((1, 4), (0, 1, 0)).switches == 2
-        assert RegimeSpec((), (1,)).switches == 0
 
 
 class TestRegimeSpecRecord:

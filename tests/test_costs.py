@@ -8,11 +8,11 @@ from switchfolio.costs import (
     CostModel,
     NegativeAllocation,
     realized_wealth_track,
-    rebalance_cost,
     switch_factor,
 )
-from switchfolio.regimes import log_regime_wealth
 from switchfolio.switching import FixedGammaState, _fixed_mass
+
+from reference import log_regime_wealth, rebalance_cost
 
 
 def random_matrix(rng, T, N):

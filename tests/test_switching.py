@@ -360,7 +360,7 @@ class TestMixtureEquivalence:
             X = random_matrix(rng, T, N)
             st = fixed_init(N, gamma)
             for t in range(1, T + 1):
-                fixed_step(st, X.day_row(t))
+                fixed_step(st, X.values[t - 1])
             oracle = log_mixture_wealth(X, FixedGammaPrior(gamma))
             assert abs(st.log_wealth - oracle) <= 1e-10
 
@@ -372,7 +372,7 @@ class TestMixtureEquivalence:
             X = random_matrix(rng, T, N)
             st = adaptive_init(N, T)
             for t in range(1, T + 1):
-                adaptive_step(st, X.day_row(t))
+                adaptive_step(st, X.values[t - 1])
             oracle = log_mixture_wealth(X, AdaptivePrior())
             assert abs(st.log_wealth - oracle) <= 1e-10
 
@@ -391,7 +391,7 @@ class TestCostMonotonicity:
                 for c in rates:
                     st = init(build(c) if c else None)
                     for t in range(1, X.days + 1):
-                        step(st, X.day_row(t))
+                        step(st, X.values[t - 1])
                     finals.append(st.log_wealth)
                 assert all(a >= b - 1e-15 for a, b in zip(finals, finals[1:]))
 
@@ -463,8 +463,8 @@ class TestScalingInvariance:
         ):
             a, b = init(), init()
             for t in range(1, 7):
-                step(a, X.day_row(t))
-                step(b, Y.day_row(t))
+                step(a, X.values[t - 1])
+                step(b, Y.values[t - 1])
                 assert np.allclose(weights_of(a), weights_of(b), atol=1e-12)
             assert math.isclose(b.log_wealth, math.log(k) + a.log_wealth, abs_tol=1e-12)
 

@@ -94,6 +94,7 @@ def write_markets(work: Path) -> None:
     (work / "negative.csv").write_text("a,b\n1.0,-2\n")
     (work / "negative-price.csv").write_text("a,b\n1.0,2.0\n-1.0,2.0\n")
     (work / "empty2.csv").write_text("a,b\n")  # a header and no trading day
+    (work / "quoted-dates2.csv").write_text('date,a,b\n"2020,01",1.1,0.9\n"x""y",0.9,1.2\n')  # a comma, a quote
     # Loader edge cases: old Mac line endings, cells in quotes, with padding and with digit
     # underscores (all read as numbers), and a whitespace-only line (a one-cell row).
     (work / "cr3.csv").write_bytes((work / "dated3.csv").read_bytes().replace(b"\n", b"\r"))
@@ -190,6 +191,10 @@ def corpus() -> list[tuple[str, list[str]]]:
         for prior in ("fixed", "adaptive"):
             gamma = ["--gamma", GAMMA] if prior == "fixed" else []
             cases.append((f"{command}-day1-{prior}", [command, "--data", "day1.csv", "--prior", prior, *gamma]))
+    # Dates that csv quoting must protect in the plot file, and a bounds table of no days: the header alone.
+    cases.append(("backtest-quoted-dates2-crp", ["backtest", "--data", "quoted-dates2.csv",
+                                                 "--algo", "crp:weights=0.5|0.5", "--plot-data", "{out}.plot.csv"]))
+    cases.append(("bounds-empty2", ["bounds", "--data", "empty2.csv", "--prior", "adaptive"]))
     for sub in ("synth", "backtest", "compare", "oracle", "bounds"):
         cases.append((f"help-{sub}", [sub, "--help"]))
     errors = {
