@@ -40,6 +40,7 @@ from .core import (
     simplex_refusal,
 )
 from .costs import CostModel, realized_wealth_track
+from .market_data import csv_cell
 from .switching import (
     adaptive_init,
     adaptive_step,
@@ -341,38 +342,40 @@ def report_tsv(report: BacktestReport) -> str:
 PLOT_CHUNK_ROWS = 1024  # rows formatted at a time: the Python floats of one chunk, not of the run
 
 
-def _csv_cell(text: str) -> str:
-    """text as csv.writer's minimal quoting writes it: quoted, quotes doubled, if it holds , " CR or LF."""
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def emit_plot_data(report: BacktestReport) -> str:
     """Day series as CSV: day, wealth, largest asset, one weight column per asset.
 
     17-significant-digit decimals, one row per day 0..T. A trailing date
-    column is appended only when the source data carried dates.
+    column, quoted by ``market_data.csv_cell``, is appended only when the
+    source data carried dates.
+
+    Each chunk of PLOT_CHUNK_ROWS rows is made by one ``%`` over a chunk-wide
+    row template, its cells filled a column at a time.
     """
     n = report.weights.shape[1]
     header = "day,wealth,largest_asset," + ",".join(f"w_{i + 1}" for i in range(n))
-    # "%.17g" % v is f"{v:.17g}"; day and largest asset are whole floats here, so %d prints them.
-    template = "%d,%.17g,%d" + ",%.17g" * n
+    # "%.17g" % v is f"{v:.17g}"; the largest asset is a whole number, so %d prints it.
+    row_template = "%d,%.17g,%d" + ",%.17g" * n
     dates = None
     if report.dates is not None:
         header += ",date"
-        template += ",%s"
-        dates = ("", *map(_csv_cell, report.dates))  # day 0 predates the first dated relative
-    template += "\n"
+        row_template += ",%s"
+        dates = ["", *map(csv_cell, report.dates)]  # day 0 predates the first dated relative
+    row_template += "\n"
+    width = n + 3 + (dates is not None)
+    chunk_template = row_template * PLOT_CHUNK_ROWS
     chunks = [header + "\n"]
     rows = report.days + 1
     for lo in range(0, rows, PLOT_CHUNK_ROWS):
         hi = min(lo + PLOT_CHUNK_ROWS, rows)
-        grid = np.column_stack(
-            (np.arange(lo, hi), report.wealth[lo:hi], report.largest[lo:hi], report.weights[lo:hi])
-        ).tolist()
-        if dates is None:
-            chunks.append("".join([template % tuple(row) for row in grid]))
-        else:
-            chunks.append("".join([template % (*row, date) for row, date in zip(grid, dates[lo:hi])]))
+        cells = [None] * ((hi - lo) * width)
+        cells[0::width] = range(lo, hi)
+        cells[1::width] = report.wealth[lo:hi].tolist()
+        cells[2::width] = report.largest[lo:hi].tolist()
+        for j, column in enumerate(report.weights[lo:hi].T.tolist(), 3):
+            cells[j::width] = column
+        if dates is not None:
+            cells[width - 1 :: width] = dates[lo:hi]
+        template = chunk_template if hi - lo == PLOT_CHUNK_ROWS else row_template * (hi - lo)
+        chunks.append(template % tuple(cells))
     return "".join(chunks)

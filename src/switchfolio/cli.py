@@ -14,7 +14,8 @@ read by one parser before the data is loaded.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error (with
 line/column diagnostics for CSV problems; a malformed, missing, repeated or
-foreign parameter in a spec and an unknown kind are data errors too). All
+foreign parameter in a spec and an unknown kind are data errors too, as is
+output that cannot be written, such as a closed stdout pipe). All
 randomness flows from ``--seed``; identical invocations produce byte-identical
 output.
 """
@@ -22,6 +23,8 @@ output.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from typing import Iterator
 
@@ -352,5 +355,35 @@ def main(argv=None) -> int:
         return 2
 
 
+def console_main():
+    """Run ``main`` as a whole process: the entry of ``python -m switchfolio.cli`` and of
+    the ``switchfolio`` script. It never returns; the process exits with main's code.
+
+    Stdout is flushed here, not at interpreter shutdown, so a failed write (a reader
+    that closed the pipe, a full disk) gets the data-error exit, 2, and one
+    ``switchfolio:`` line, none more when main has already reported a failure; stdout
+    then points at the null device, so the shutdown flush cannot fail again.
+
+    ``gc.freeze()`` moves every object alive at exit out of the collector's reach, so
+    the shutdown collection does not walk them; the memory goes back with the process.
+    Atexit handlers and the interpreter's own stream flush still run. ``main`` itself
+    leaves the collector as it found it, for its in-process callers.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's usage error and --help
+        code = exc.code
+    try:
+        if sys.stdout is not None:  # None when the process started with no fd 1
+            sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, a full disk: main reports any earlier write's failure
+        if not code:
+            print(f"switchfolio: {exc}", file=sys.stderr)
+            code = 2
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -155,17 +155,32 @@ def prices_to_relatives(
     return validate_relatives(rel, names, None if dates is None else list(dates)[1:])
 
 
+def csv_cell(text: str) -> str:
+    """text as one CSV cell: quoted, inner quotes doubled, if it holds , " CR or LF; else as it is.
+
+    This is csv.writer's minimal quoting, except that a CR is quoted whatever the
+    line terminator, so that every date and name reads back through ``load_csv``.
+    """
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv(X: PriceRelativeMatrix, path_or_buffer) -> None:
-    """Write relatives to CSV with 17-significant-digit decimals (exact round-trip)."""
+    """Write relatives to CSV with 17-significant-digit decimals (exact round-trip).
+
+    Dates and names are written by ``csv_cell``. A header of one empty name is
+    written ``""``, as csv.writer writes a row of one empty field, so that it
+    is not read back as a blank line.
+    """
     own = isinstance(path_or_buffer, (str, os.PathLike))
     fh = open(path_or_buffer, "w", newline="", encoding="utf-8") if own else path_or_buffer
     try:
-        writer = csv.writer(fh, lineterminator="\n")
         header = (["date"] if X.dates is not None else []) + list(X.asset_names)
-        writer.writerow(header)
+        fh.write((",".join(map(csv_cell, header)) or '""') + "\n")
         for t in range(X.days):
-            row = [X.dates[t]] if X.dates is not None else []
-            writer.writerow(row + [f"{v:.17g}" for v in X.values[t]])
+            date = csv_cell(X.dates[t]) + "," if X.dates is not None else ""
+            fh.write(date + ",".join([f"{v:.17g}" for v in X.values[t]]) + "\n")
     finally:
         if own:
             fh.close()

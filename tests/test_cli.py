@@ -1,12 +1,16 @@
 import csv
+import gc
 import itertools
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import switchfolio
 from switchfolio import cli
 from switchfolio.backtest import ALGO_KINDS, AlgoSpec, run
 from switchfolio.cli import main
@@ -744,3 +748,81 @@ class TestFftLoadsLazily:
         done = subprocess.run([sys.executable, "-c", self.SCRIPT, argv[0], "--data", str(data), *argv[1:],
                                "--out", str(out)], capture_output=True, text=True, check=True)
         assert done.stdout == f"0 {loaded}\n"
+
+
+def entry_env(**extra) -> dict:
+    """The environment of a ``python -m switchfolio.cli`` child that imports the package under test."""
+    return dict(os.environ, PYTHONPATH=str(Path(switchfolio.__file__).resolve().parents[1]), **extra)
+
+
+class TestProcessEntry:
+    """``console_main`` is the whole process (``python -m switchfolio.cli`` and the ``switchfolio``
+    script); ``main`` is what in-process callers run, and must leave the process as it found it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "--kind", "regime-pair", "--n", "3"],
+            ["oracle", "--data", "missing.csv", "--prior", "adaptive"],
+        ],
+    )
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, argv):
+        before = gc.get_freeze_count(), gc.isenabled()
+        invoke(capsys, *argv)
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    MARKET = 'date,a,b\n"2020,01",1.1,0.9\n"x""y",0.9,1.2\n03,1.05,0.97\n04,0.98,1.02\n05,1.01,0.99\n'
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["backtest", "--data", "m.csv", "--algo", "switching-adaptive", "--cost-model", "parallel",
+             "--cost-rate", "0.01", "--plot-data", "plot.csv"],
+            ["compare", "--data", "m.csv", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=0.05",
+             "--algo", "bcrp"],
+            ["oracle", "--data", "m.csv", "--prior", "adaptive", "--cost-model", "per-trade", "--cost-rate", "0.01"],
+            ["bounds", "--data", "m.csv", "--prior", "fixed", "--gamma", "0.1", "--out", "bounds.tsv"],
+            ["backtest", "--data", "missing.csv", "--algo", "switching-adaptive"],
+        ],
+    )
+    def test_process_writes_what_main_writes(self, capsys, tmp_path, monkeypatch, argv):
+        runs = {}
+        for where in ("process", "main"):
+            work = tmp_path / where
+            work.mkdir()
+            (work / "m.csv").write_text(self.MARKET)
+            if where == "process":
+                done = subprocess.run([sys.executable, "-m", "switchfolio.cli", *argv], cwd=work,
+                                      env=entry_env(), capture_output=True, text=True)
+                result = done.returncode, done.stdout, done.stderr
+            else:
+                monkeypatch.chdir(work)
+                result = invoke(capsys, *argv)
+            files = {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+            runs[where] = result, files
+        assert runs["process"] == runs["main"]
+        assert runs["main"][0][0] == (2 if "missing.csv" in argv else 0)
+
+    @pytest.mark.parametrize("n", ["5", "50000"])
+    def test_closed_stdout_exits_two_with_one_line(self, n):
+        # Buffered stdout (no PYTHONUNBUFFERED) once failed only at the interpreter's shutdown
+        # flush: "Exception ignored in: <_io.TextIOWrapper ...>", a BrokenPipeError and exit 120.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = entry_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            done = subprocess.run([sys.executable, "-m", "switchfolio.cli", "synth", "--kind", "regime-pair",
+                                   "--n", n], stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, "switchfolio: [Errno 32] Broken pipe\n")
+
+    def test_no_stdout_at_all_with_out(self, tmp_path):
+        # Started without fd 1, the interpreter sets sys.stdout to None; --out needs no stdout.
+        script = "import os, subprocess, sys; os.close(1); sys.exit(subprocess.call(sys.argv[1:]))"
+        done = subprocess.run([sys.executable, "-c", script, sys.executable, "-m", "switchfolio.cli", "synth",
+                               "--kind", "volatility-pair", "--n", "1", "--out", "m.csv"],
+                              cwd=tmp_path, env=entry_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert (tmp_path / "m.csv").read_text() == "steady,volatile\n1,0.5\n1,2\n"

@@ -286,6 +286,41 @@ class TestRoundTrip:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "u.csv").read_bytes() == "date,\u00e9t\u00e9\n2020-01-02,1.5\n".encode("utf-8")
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), T=st.integers(0, 4), N=st.integers(1, 3), dated=st.booleans())
+    def test_quoted_dates_and_names_read_back(self, tmp_path_factory, data, T, N, dated):
+        # load_csv strips cells, so no date or name starts or ends with whitespace (CR and LF are).
+        text = st.text(',"\r\nab', max_size=5).filter(lambda s: s == s.strip())
+        names = data.draw(st.lists(text, min_size=N, max_size=N, unique=True), label="names")
+        dates = data.draw(st.lists(text, min_size=T, max_size=T), label="dates")
+        X = validate_relatives(np.full((T, N), 1.5), names, dates if dated else None)
+        path = tmp_path_factory.mktemp("rt") / "rt.csv"
+        write_csv(X, str(path))
+        Y = load_csv(str(path))
+        assert (Y.asset_names, Y.dates, Y.values.shape) == (X.asset_names, X.dates, X.values.shape)
+
+    def test_carriage_return_in_a_date_is_quoted(self, tmp_path):
+        # Written bare, a\rb split its row in two: "line 2, column 2: expected 3 cells, got 1".
+        X = validate_relatives([[1.0, 1.0]], ["a", "b"], dates=["a\rb"])
+        (tmp_path / "cr.csv").write_text(to_csv_text(X), newline="")
+        assert to_csv_text(X) == 'date,a,b\n"a\rb",1,1\n'
+        assert load_csv(str(tmp_path / "cr.csv")).dates == ("a\rb",)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), T=st.integers(0, 3), N=st.integers(1, 3), dated=st.booleans())
+    def test_same_bytes_as_csv_writer_without_carriage_returns(self, data, T, N, dated):
+        # Text without a CR is written as csv.writer wrote it, including "" for a lone empty name.
+        text = st.text(',"\n ab', max_size=5)
+        names = data.draw(st.lists(text, min_size=N, max_size=N, unique=True), label="names")
+        dates = data.draw(st.lists(text, min_size=T, max_size=T), label="dates")
+        X = validate_relatives(np.full((T, N), 1 / 3), names, dates if dated else None)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow((["date"] if dated else []) + names)
+        for t in range(T):
+            writer.writerow(([dates[t]] if dated else []) + [f"{v:.17g}" for v in X.values[t]])
+        assert to_csv_text(X) == buf.getvalue()
+
     def test_seventeen_digit_text(self):
         X = validate_relatives([[1 / 3]], ["a"])
         text = to_csv_text(X)
