@@ -55,10 +55,9 @@ from .regimes import (
     InstanceTooLarge,
     InvalidRegime,
     adaptive_penalty,
+    adaptive_prior_terms,
     bound_check,
     fixed_gamma_penalty,
-    kt_neg_log2_sequence,
-    log_mixture_wealth,
     mixture_oracle,
 )
 from .switching import (

@@ -31,12 +31,12 @@ import math
 
 import numpy as np
 
-from .core import DimensionMismatch, PortfolioError, PriceRelativeMatrix, _Frozen, simplex_refusal
+from .core import (GROWTH_MAX, GROWTH_MIN, LOG2, DimensionMismatch, PortfolioError, PriceRelativeMatrix, _Frozen,
+                   scaled_days, simplex_refusal)
 from .costs import CostModel
 
 _BCRP_MAX_ITER = 20_000
 _BCRP_TOL = 1e-12  # relative objective improvement per sweep
-_ROW_MIN, _ROW_MAX = 2.0**-512, 2.0**512  # a day's largest relative outside these is scaled for the solve
 # Universal portfolio tile: days x samples of float64, 512 KiB, picked by timing
 _TILE_DAYS = 8
 _TILE_SAMPLES = 8192
@@ -93,12 +93,11 @@ def _rows_in_range(V: np.ndarray) -> np.ndarray:
     best portfolio does not move, and no product ``V @ w`` of the scaled rows overflows.
     """
     top = V.max(axis=1)
-    out = (top < _ROW_MIN) | (top > _ROW_MAX)
+    out = (top < GROWTH_MIN) | (top > GROWTH_MAX)
     if not out.any():
         return V
     V = V.copy()
-    _, exponents = np.frexp(top[out])
-    V[out] = np.ldexp(V[out], -exponents[:, None])
+    V[out] = scaled_days(V[out])[0]
     return V
 
 
@@ -173,7 +172,8 @@ def bcrp_solve(X: PriceRelativeMatrix) -> tuple[np.ndarray, float]:
 def eg_step(w: np.ndarray, x, eta: float) -> np.ndarray:
     """Multiplicative weight update: w_i <- w_i * exp(eta * x_i / (w . x)), renormalized.
 
-    Scale-free in x; eta = 0 leaves w unchanged. Takes and returns an (N,) array.
+    Scale-free in x, so a day whose growth w . x leaves [2^-512, 2^512] is first divided by a
+    power of two (:func:`core.scaled_days`); eta = 0 leaves w unchanged. Takes and returns an (N,) array.
     """
     if eta < 0:
         raise PortfolioError(f"learning rate must be >= 0, got {eta}")
@@ -181,7 +181,11 @@ def eg_step(w: np.ndarray, x, eta: float) -> np.ndarray:
     row = np.asarray(x, dtype=float)
     if row.shape != w.shape:
         raise DimensionMismatch(f"weights {w.shape} vs row {row.shape}")
-    boosted = w * np.exp(eta * row / float(np.dot(w, row)))
+    growth = float(np.dot(w, row))
+    if not GROWTH_MIN <= growth <= GROWTH_MAX:  # a day at an end of the double range, rescaled
+        row = scaled_days(row)[0]
+        growth = float(np.dot(w, row))
+    boosted = w * np.exp(eta * row / growth)
     return boosted / np.add.reduce(boosted)
 
 
@@ -224,9 +228,10 @@ def _exact_pair_tracks(X: PriceRelativeMatrix) -> tuple[np.ndarray, np.ndarray]:
         f'_k = (x1 k f_{k-1} + x2 (t+1-k) f_k) / ((t+2) s),  k = 0..t+1,
 
     where s = x1 w1 + x2 w2 is the day's growth, added to the log wealth as
-    log s. Every term is positive, so nothing cancels. Both weights and the
-    growth are computed so that swapping the two columns gives the same
-    wealth and mirrored weights, bit for bit.
+    log s (a day with s outside [2^-512, 2^512] is first divided by a power of
+    two, whose log is added back). Every term is positive, so nothing
+    cancels. Both weights and the growth are computed so that swapping the
+    two columns gives the same wealth and mirrored weights, bit for bit.
 
     The mirror needs each weight summed in the same order as its twin:
     swapping the columns reverses the shares, so asset 2's terms, held in
@@ -244,6 +249,7 @@ def _exact_pair_tracks(X: PriceRelativeMatrix) -> tuple[np.ndarray, np.ndarray]:
     log_wealth = np.zeros(T + 1)  # each day's growth s, until the loop ends
     weights = np.empty((T + 1, 2))
     values, add = X.values, np.add.reduce
+    shifts = {}  # day -> e, for each day divided by 2^e
     for t in range(T + 1):
         n = t + 1
         u, d = up[:n], down[:n]
@@ -258,6 +264,10 @@ def _exact_pair_tracks(X: PriceRelativeMatrix) -> tuple[np.ndarray, np.ndarray]:
             break
         x1, x2 = values[t].tolist()
         s = x1 * w1 + x2 * w2  # the new shares' sum before scaling
+        if not GROWTH_MIN <= s <= GROWTH_MAX:  # a day at an end of the double range, rescaled
+            row, e = scaled_days(values[t])
+            (x1, x2), shifts[t + 1] = row.tolist(), e.item()
+            s = x1 * w1 + x2 * w2
         log_wealth[t + 1] = s
         scale = 1.0 / ((t + 2) * s)
         np.multiply(u, x1 * scale, out=spare[1 : n + 1])
@@ -267,6 +277,8 @@ def _exact_pair_tracks(X: PriceRelativeMatrix) -> tuple[np.ndarray, np.ndarray]:
         np.add(stays, d, out=stays)
         shares, spare = spare, shares
     np.log(log_wealth[1:], out=log_wealth[1:])
+    for day, e in shifts.items():
+        log_wealth[day] += e * LOG2
     np.cumsum(log_wealth, out=log_wealth)
     return np.exp(log_wealth), weights
 

@@ -15,15 +15,17 @@ read by one parser before the data is loaded.
 Exit codes: 0 success, 1 usage error, 2 data/validation error (with
 line/column diagnostics for CSV problems; a malformed, missing, repeated or
 foreign parameter in a spec and an unknown kind are data errors too, as is
-output that cannot be written, such as a closed stdout pipe). All
-randomness flows from ``--seed``; identical invocations produce byte-identical
-output.
+output that cannot be written, such as a closed stdout pipe or none at all,
+and an ``oracle`` wealth that is not a positive normal double). All randomness
+flows from ``--seed``, which only ``backtest`` and ``compare`` take;
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from typing import Iterator
@@ -104,8 +106,9 @@ def _add_spec_flags(p: _Parser, **algo):
     )
 
 
-def _add_common(p: _Parser):
-    p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
+def _add_common(p: _Parser, seed: bool = False):
+    if seed:  # backtest and compare: only their universal specs sample
+        p.add_argument("--seed", type=int, default=0, help="seed for all sampling (default 0)")
     p.add_argument("--out", help="write output here instead of stdout")
 
 
@@ -184,6 +187,8 @@ def _emit(text: str | Iterator[str], out_path: str | None):
         with open(out_path, "w", newline="") as fh:
             fh.write(first)
             fh.writelines(chunks)
+    elif sys.stdout is None:  # the process started with no fd 1
+        raise OSError("no standard output to write to")
     else:
         sys.stdout.write(first)
         sys.stdout.writelines(chunks)
@@ -227,11 +232,18 @@ def _switching_setup(args):
     return X, prior, spec
 
 
+def _linear_wealth(name: str, log_wealth: float) -> float:
+    """e^log_wealth, which oracle prints; a wealth outside the positive normal doubles is refused."""
+    if not math.log(sys.float_info.min) <= log_wealth <= math.log(sys.float_info.max):
+        raise PortfolioError(f"{name} e^{log_wealth:.17g} lies outside the positive normal doubles")
+    return math.exp(log_wealth)
+
+
 def _cmd_oracle(args) -> int:
     X, prior, spec = _switching_setup(args)
-    oracle = mixture_oracle(X, prior, spec.cost, args.convention)
-    algorithm = bt.run(spec, X).final_wealth
-    gap = abs(algorithm - oracle) / oracle if oracle else 0.0
+    oracle = _linear_wealth("oracle_wealth", mixture_oracle(X, prior, spec.cost, args.convention))
+    algorithm = _linear_wealth("algorithm_wealth", float(bt.run(spec, X).log_wealth[-1]))
+    gap = abs(algorithm - oracle) / oracle
     text = (
         f"oracle_wealth\t{oracle:.17g}\n"
         f"algorithm_wealth\t{algorithm:.17g}\n"
@@ -307,12 +319,12 @@ def build_parser() -> _Parser:
     _add_data_flags(p_bt)
     _add_spec_flags(p_bt, help=ALGO_HELP)
     p_bt.add_argument("--plot-data", help="also write the day-series CSV here")
-    _add_common(p_bt)
+    _add_common(p_bt, seed=True)
 
     p_cmp = sub.add_parser("compare", help="run several strategies, one TSV row each")
     _add_data_flags(p_cmp)
     _add_spec_flags(p_cmp, action="append", help="repeatable; " + ALGO_HELP)
-    _add_common(p_cmp)
+    _add_common(p_cmp, seed=True)
 
     for name, help_text in (
         ("oracle", "exact mixture wealth over all regimes vs the algorithm"),

@@ -19,6 +19,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import FrozenInstanceError
 from typing import Sequence
@@ -26,6 +27,8 @@ from typing import Sequence
 import numpy as np
 
 SIMPLEX_TOL = 1e-12
+LOG2 = math.log(2.0)
+GROWTH_MIN, GROWTH_MAX = 2.0**-512, 2.0**512  # a day whose growth leaves these is divided by a power of two
 
 
 class PortfolioError(Exception):
@@ -102,6 +105,16 @@ class _Frozen:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+def scaled_days(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each day of rows (one day's relatives, or a (days, N) block) divided by the power of two 2^e
+    that brings its largest relative into [1/2, 1), and the exponents e (keepdims, one per day).
+
+    Every portfolio's log wealth on a scaled day is e ln 2 below the day's own; no growth overflows.
+    """
+    _, e = np.frexp(rows.max(axis=-1, keepdims=True))
+    return np.ldexp(rows, -e), e
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf or nan sum is refused, not warned about

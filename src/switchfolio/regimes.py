@@ -9,13 +9,14 @@ A switching regime is scored two ways:
   optional commission factor per executed switch (or per segment, including
   the initial purchase, under the alternative convention).
 
-:func:`log_mixture_wealth` sums prior * wealth over every regime. Both priors factor
+:func:`mixture_oracle` sums prior * wealth over every regime. Both priors factor
 over segments: a segment's prior term depends only on its length and on
 whether a switch ends it (:func:`_segment_log_priors`). So the N^T-term sum
-splits at each switch and :func:`log_mixture_wealth` computes it exactly by a
-dynamic program over the day a segment starts, in O(T^2 N). It shares no code
-with the recursive algorithms it certifies but the KT stay product: it has
-none of their state scaling, bucket bookkeeping or cost placement.
+splits at each switch and :func:`mixture_oracle` computes its natural log
+exactly by a dynamic program over the day a segment starts, in O(T^2 N). It
+shares no code with the recursive algorithms it certifies but the adaptive
+prior's terms (:func:`adaptive_prior_terms`): it has none of their state
+scaling, bucket bookkeeping or cost placement.
 
 :func:`bound_check` scores one regime against a :class:`BoundTable`, which
 fixes a run's market, prior, algorithm wealth, cost model and charge
@@ -38,10 +39,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import PortfolioError, PriceRelativeMatrix, RegimeSpec, _Frozen
+from .core import LOG2, PortfolioError, PriceRelativeMatrix, RegimeSpec, _Frozen
 from .costs import CostModel, switch_factor
-
-LOG2 = math.log(2.0)
 
 CHARGE_SWITCHES_ONLY = "switches-only"
 CHARGE_ALL_SEGMENTS = "all-segments"
@@ -93,14 +92,13 @@ def _segment_log_priors(T: int, prior: Prior) -> tuple[np.ndarray, np.ndarray]:
     A regime's prior is 1/N for the first asset, 1/(N-1) for each switch's
     target, and these terms of its segments. Under the fixed-gamma prior each
     day stays with 1-gamma and switches with gamma; under the adaptive prior
-    the j-th stay has probability 1 - (1/2)/j and a switch after d days (1/2)/d.
+    they are the logs of :func:`adaptive_prior_terms`.
     """
-    k = np.arange(T, dtype=float)
     if isinstance(prior, FixedGammaPrior):
-        final = k * math.log1p(-prior.gamma)
+        final = np.arange(T, dtype=float) * math.log1p(-prior.gamma)
         return final + math.log(prior.gamma), final
-    final = np.concatenate(([0.0], -kt_neg_log2_sequence(T)))[:T] * LOG2
-    return final + np.log(0.5 / (k + 1.0)), final
+    stay, switch = adaptive_prior_terms(T)
+    return np.log(switch), np.log(stay)
 
 
 def _charges(cost: CostModel | None, convention: str) -> tuple[float, int]:
@@ -171,13 +169,13 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.squeeze(total, axis=axis)
 
 
-def log_mixture_wealth(
+def mixture_oracle(
     X: PriceRelativeMatrix,
     prior: Prior,
     cost: CostModel | None = None,
     convention: str = CHARGE_SWITCHES_ONLY,
 ) -> float:
-    """Natural log of sum over all regimes of prior(Q) * wealth(Q), exactly, in O(T^2 N).
+    """Natural log of the sum over all regimes of prior(Q) * wealth(Q), exactly, in O(T^2 N).
 
     ``enter[j, s-1]`` is the log mass (prior, wealth and charges) of every
     regime prefix that enters asset j on day s. On day e, ``leave[j]`` is that
@@ -209,26 +207,18 @@ def log_mixture_wealth(
     return float(_logsumexp(terms))
 
 
-def mixture_oracle(
-    X: PriceRelativeMatrix,
-    prior: Prior,
-    cost: CostModel | None = None,
-    convention: str = CHARGE_SWITCHES_ONLY,
-) -> float:
-    """Total mixture wealth over all regimes (see :func:`log_mixture_wealth`), which ``oracle`` prints."""
-    return math.exp(log_mixture_wealth(X, prior, cost, convention))
+def adaptive_prior_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The adaptive prior's terms ``(stay, switch)`` for a segment that has stayed k = 0..n-1 days.
 
-
-def kt_neg_log2_sequence(n_max: int) -> np.ndarray:
-    """-log2 of the stay-run product prod_{i=0..n-1} (i + 1/2)/(i + 1), for every n in 1..n_max.
-
-    The product is the sequential half-integer estimator's probability of an
-    all-stays run; it falls like 1/sqrt(n), never faster than 2^-(log2(n)/2 + 1).
+    ``stay[k]`` = P(k) = prod_{j=1..k} (j - 1/2)/j, the sequential half-integer
+    estimator's probability of k stays in a row, is one running product;
+    ``switch[k]`` = P(k) (1/2)/(k+1) is that of k stays and then a switch.
+    P(k) falls like 1/sqrt(k), never below 2^-(log2(k)/2 + 1).
     """
-    if n_max < 1:
-        raise PortfolioError(f"need n_max >= 1, got {n_max}")
-    i = np.arange(n_max, dtype=float)
-    return -np.cumsum(np.log2((i + 0.5) / (i + 1.0)))
+    j = np.arange(1.0, n)
+    stay = np.ones(n)
+    np.cumprod((j - 0.5) / j, out=stay[1:])
+    return stay, stay * 0.5 / np.arange(1.0, n + 1)
 
 
 def adaptive_penalty(T: int, N: int, l: int) -> float:

@@ -28,7 +28,9 @@ weights call only normalizes into a plain ``(N,)`` array.
 States store simplex shares plus a log-wealth accumulator rather than raw
 linear wealth: over thousands of days raw products leave double range, while
 shares stay O(1) and the log tracks total growth exactly (linear wealth is
-shares times ``exp(log_wealth)``, where representable). ``bucket_view()`` gives
+shares times ``exp(log_wealth)``, where representable). A day whose growth
+leaves [2^-512, 2^512] is first divided by a power of two
+(:func:`core.scaled_days`), whose log the accumulator adds. ``bucket_view()`` gives
 the adaptive shares as a new array. States are mutable, single-writer: one
 step call at a time per state.
 """
@@ -39,9 +41,9 @@ import math
 
 import numpy as np
 
-from .core import DimensionMismatch, PortfolioError
+from .core import GROWTH_MAX, GROWTH_MIN, LOG2, DimensionMismatch, PortfolioError, scaled_days
 from .costs import CostModel, switch_factor
-from .regimes import kt_neg_log2_sequence
+from .regimes import adaptive_prior_terms
 
 SHORT_AGES = 63  # ages a day sums directly; level L = 64, 128, ... holds ages [L, 2L)
 FIRST_LEVEL = SHORT_AGES + 1
@@ -62,29 +64,23 @@ class TooFewAssets(PortfolioError):
 class FixedGammaState:
     """Per-asset wealth evolved with a constant switching probability.
 
-    ``shares`` are the post-return shares after ``day`` days; ``_mass`` is
-    the next day's pre-return mass under the state's cost (on day 0, the
-    uncharged purchase: the shares themselves). A step overwrites both
-    arrays in place; ``_keep`` = 1 - gamma and ``_spread`` = gamma/(N-1)
-    are taken once, at init.
+    ``shares`` are the post-return shares after ``day`` days, uniform over
+    the n assets at day 0; ``_mass`` is the next day's pre-return mass under
+    the state's cost (on day 0, the uncharged purchase: the shares
+    themselves). A step overwrites both arrays in place; ``_keep`` = 1 - gamma
+    and ``_spread`` = gamma/(N-1) are taken once, at init.
     """
 
     __slots__ = ("gamma", "day", "shares", "log_wealth", "_factor", "_keep", "_spread", "_mass")
 
-    def __init__(self, gamma: float, shares: np.ndarray, day: int = 0, log_wealth: float = 0.0, cost=None):
+    def __init__(self, gamma: float, n: int, cost: CostModel | None = None):
         self.gamma = float(gamma)
-        self.shares = np.array(shares, dtype=float)  # a copy: the steps write into it
-        self.day = int(day)
-        self.log_wealth = float(log_wealth)
+        self.shares = np.full(n, 1.0 / n)
+        self.day = 0
+        self.log_wealth = 0.0
         self._factor = switch_factor(cost)
-        self._keep, self._spread = 1.0 - self.gamma, self.gamma / (self.shares.size - 1)
+        self._keep, self._spread = 1.0 - self.gamma, self.gamma / (n - 1)
         self._mass = self.shares.copy()
-        if self.day:
-            _fixed_mass(self)
-
-    @property
-    def assets(self) -> int:
-        return self.shares.size
 
 
 def _fixed_mass(state: FixedGammaState) -> np.ndarray:
@@ -97,14 +93,6 @@ def _fixed_mass(state: FixedGammaState) -> np.ndarray:
         mass *= state._factor
     mass += state._keep * shares
     return mass
-
-
-def _age_kernels(a_max: int) -> np.ndarray:
-    """Stay P(a) = prod_{j=1..a} (j - 1/2)/j and leak P(a-1)/(2a) for ages 1..a_max, shape (2, a_max)."""
-    age = np.arange(1.0, a_max + 1)
-    stay = np.exp2(-kt_neg_log2_sequence(a_max))
-    leak = np.concatenate(([1.0], stay[:-1])) / (2.0 * age)
-    return np.stack((stay, leak))
 
 
 class AdaptiveState:
@@ -128,7 +116,9 @@ class AdaptiveState:
     on each day t that L divides, one batched FFT product of the
     coefficients of days t-2L..t-1 with the level's two kernel segments
     adds the ages [L, 2L) of days t..t+L-1, over all assets at once. The
-    kernel spectra are kept per level. A day's work is O(N) plus O(N log L)
+    kernel spectra are kept per level; both kernels are read from one table
+    of the prior's terms (:func:`regimes.adaptive_prior_terms`), taken at
+    init for every age the run reaches. A day's work is O(N) plus O(N log L)
     amortized per level, and runs shorter than 64 days never reach a level.
 
     Given the run's ``horizon`` T, the state holds ``coef`` and the pending
@@ -145,8 +135,8 @@ class AdaptiveState:
     """
 
     __slots__ = (
-        "day", "horizon", "log_wealth", "_coef", "_pending", "_scale", "_short", "_spectra", "_others", "_sum",
-        "_factor", "_new_bucket", "_mass",
+        "day", "horizon", "log_wealth", "_coef", "_pending", "_scale", "_kernels", "_short", "_spectra", "_others",
+        "_sum", "_factor", "_new_bucket", "_mass",
     )
 
     def __init__(self, n: int, horizon: int, cost: CostModel | None = None):
@@ -156,8 +146,11 @@ class AdaptiveState:
         self._coef = np.zeros((n, horizon + 1))
         self._pending = np.zeros((horizon + 1, n, 2))  # [day, asset, stay or leak], like coef
         self._scale = np.ones(n)
+        # Stay P(a) and leak P(a-1)/(2a) by age a = 0..max(horizon, 63); no day reads the leak at age 0.
+        stay, switch = adaptive_prior_terms(max(horizon, SHORT_AGES) + 1)
+        self._kernels = np.stack((stay, np.roll(switch, 1)))
         # Row j serves age 63 - j, so day t reads the last min(t, 63) rows.
-        self._short = _age_kernels(SHORT_AGES)[:, ::-1].copy().T
+        self._short = self._kernels[:, SHORT_AGES:0:-1].copy().T
         self._spectra = {}  # (level, ages, FFT length) -> the rfft of the two kernels over those ages
         # 0-d arrays, not scalars, meet the day's vectors: numpy combines them faster, to the same bits.
         self._others = np.array(n - 1.0)  # the assets a leak is split over
@@ -174,16 +167,13 @@ class AdaptiveState:
         key = (level, ages, length)
         spectrum = self._spectra.get(key)
         if spectrum is None:
-            kernels = _age_kernels(level + ages - 1)[:, level - 1 :]
-            spectrum = self._spectra[key] = np.fft.rfft(kernels, length)
+            spectrum = self._spectra[key] = np.fft.rfft(self._kernels[:, level : level + ages], length)
         return spectrum
 
     def bucket_view(self) -> np.ndarray:
         """Shares by (asset, start day): a new read-only (N, day) array of fractions of total."""
         t = self.day
-        held = np.ones(t)  # P(t-1-k); the bucket born on day t has held for no day yet
-        if t > 1:
-            held[:-1] = np.exp2(-kt_neg_log2_sequence(t - 1))[::-1]
+        held = self._kernels[0, :t][::-1]  # P(t-1-k); the bucket born on day t has held for no day yet
         view = self._coef[:, :t] * held * self._scale[:, None]
         view.setflags(write=False)
         return view
@@ -195,7 +185,7 @@ def fixed_init(n: int, gamma: float, cost: CostModel | None = None) -> FixedGamm
         raise TooFewAssets(f"need at least 2 assets to switch between, got {n}")
     if not 0.0 < gamma <= (n - 1) / n:
         raise GammaOutOfRange(f"gamma must be in (0, {(n - 1) / n!r}] for N={n}, got {gamma!r}")
-    return FixedGammaState(gamma, np.full(n, 1.0 / n), cost=cost)
+    return FixedGammaState(gamma, n, cost)
 
 
 def adaptive_init(n: int, horizon: int, cost: CostModel | None = None) -> AdaptiveState:
@@ -221,6 +211,11 @@ def fixed_step(state: FixedGammaState, x) -> FixedGammaState:
     row = _check_row(shares.size, x)
     np.multiply(state._mass, row, out=shares)
     total = float(np.add.reduce(shares))
+    if not GROWTH_MIN <= total <= GROWTH_MAX:  # a day at an end of the double range, rescaled
+        row, e = scaled_days(row)
+        state.log_wealth += e.item() * LOG2
+        np.multiply(state._mass, row, out=shares)
+        total = float(np.add.reduce(shares))
     shares /= total
     state.log_wealth += math.log(total)
     state.day += 1
@@ -276,6 +271,12 @@ def adaptive_step(state: AdaptiveState, x) -> AdaptiveState:
     np.divide(state._new_bucket, scale, out=state._coef[:, t])
     mass = state._mass * row
     total = np.add.reduce(mass, out=state._sum)
+    growth = float(total)
+    if not GROWTH_MIN <= growth <= GROWTH_MAX:  # a day at an end of the double range, rescaled
+        row, e = scaled_days(row)
+        state.log_wealth += e.item() * LOG2
+        mass = state._mass * row
+        growth = float(np.add.reduce(mass, out=state._sum))  # into total
     scale *= row / total
     # Fold a scale outside [1e-150, 1e150] into its rows before it leaves double range.
     scales = scale.tolist()
@@ -284,7 +285,7 @@ def adaptive_step(state: AdaptiveState, x) -> AdaptiveState:
         state._coef[out, : t + 1] *= scale[out, None]
         state._pending[t + 1 : 2 * t, out] *= scale[out, None]  # relaxed days t' wrote below 2t'
         scale[out] = 1.0
-    state.log_wealth += math.log(total)
+    state.log_wealth += math.log(growth)
     state.day = t = t + 1
     if t % FIRST_LEVEL == 0:
         _relax(state)

@@ -24,9 +24,9 @@ from switchfolio.regimes import (
     AdaptivePrior,
     FixedGammaPrior,
     adaptive_penalty,
+    adaptive_prior_terms,
     fixed_gamma_penalty,
-    kt_neg_log2_sequence,
-    log_mixture_wealth,
+    mixture_oracle,
 )
 from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 
@@ -77,7 +77,7 @@ def test_criterion_1_oracle_equivalence(instances):
                 (FixedGammaPrior(g), _run_fixed_log2(X, g, cost)) for g in GAMMAS
             ]
             for prior, alg_log2 in configs:
-                oracle_log2 = log_mixture_wealth(X, prior, cost, "switches-only") / LOG2
+                oracle_log2 = mixture_oracle(X, prior, cost, "switches-only") / LOG2
                 allowed = 1e-10 * abs(oracle_log2) + 1e-12
                 assert abs(alg_log2 - oracle_log2) <= allowed, (
                     X.days,
@@ -108,7 +108,7 @@ def test_criterion_2_prior_normalization():
 def test_criterion_3_stay_run_bound():
     started = time.time()
     n_max = 100_000
-    neg = kt_neg_log2_sequence(n_max)
+    neg = -np.log2(adaptive_prior_terms(n_max + 1)[0][1:])  # -log2 P(n), n = 1..n_max
     n = np.arange(1, n_max + 1)
     assert np.all(neg <= 0.5 * np.log2(n) + 1.0)
     g_log2 = 0.5 * np.log2(n) - neg  # log2 of sqrt(n) * product

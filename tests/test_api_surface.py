@@ -80,3 +80,11 @@ def test_reader_skips_a_definition_and_its_own_body(tmp_path):
     module.write_text("TABLE = [('m', 'named_in_a_string')]\n")
     assert "named_in_a_string" not in read_names(module)
     assert "named_in_a_string" in read_names(module, strings=True)
+
+
+def test_readme_python_api_block_runs(capsys):
+    # The README's example calls the package's public names, so a rename cannot leave it stale.
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") >= 4

@@ -110,6 +110,17 @@ class TestUsageErrors:
             main(["synth", "--kind", "regime-pair", "--n", "2", "--frobnicate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [["synth", "--kind", "regime-pair", "--n", "2"],
+                                      ["oracle", "--data", "m.csv", "--prior", "adaptive"],
+                                      ["bounds", "--data", "m.csv", "--prior", "adaptive"]])
+    def test_seed_only_where_something_samples(self, capsys, argv):
+        # Only backtest and compare take --seed: their universal specs sample.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "3"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: switchfolio ") and err.endswith(": error: unrecognized arguments: --seed 3\n")
+
     def test_help_exits_zero(self, capsys):
         for sub in ("synth", "backtest", "compare", "oracle", "bounds"):
             with pytest.raises(SystemExit) as exc:
@@ -818,11 +829,19 @@ class TestProcessEntry:
             os.close(write_end)
         assert (done.returncode, done.stderr) == (2, "switchfolio: [Errno 32] Broken pipe\n")
 
+    NO_STDOUT = "import os, subprocess, sys; os.close(1); sys.exit(subprocess.call(sys.argv[1:]))"
+
     def test_no_stdout_at_all_with_out(self, tmp_path):
         # Started without fd 1, the interpreter sets sys.stdout to None; --out needs no stdout.
-        script = "import os, subprocess, sys; os.close(1); sys.exit(subprocess.call(sys.argv[1:]))"
-        done = subprocess.run([sys.executable, "-c", script, sys.executable, "-m", "switchfolio.cli", "synth",
-                               "--kind", "volatility-pair", "--n", "1", "--out", "m.csv"],
+        done = subprocess.run([sys.executable, "-c", self.NO_STDOUT, sys.executable, "-m", "switchfolio.cli",
+                               "synth", "--kind", "volatility-pair", "--n", "1", "--out", "m.csv"],
                               cwd=tmp_path, env=entry_env(), capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (0, "")
         assert (tmp_path / "m.csv").read_text() == "steady,volatile\n1,0.5\n1,2\n"
+
+    def test_no_stdout_at_all_exits_two_with_one_line(self, tmp_path):
+        # Writing to the missing stdout once raised AttributeError on None: a traceback and exit 1.
+        done = subprocess.run([sys.executable, "-c", self.NO_STDOUT, sys.executable, "-m", "switchfolio.cli",
+                               "synth", "--kind", "regime-pair", "--n", "5"],
+                              cwd=tmp_path, env=entry_env(), capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (2, "switchfolio: no standard output to write to\n")

@@ -4,28 +4,24 @@ Every invocation exits 0, 1 or 2 and raises no other exception (a warning
 counts as one). Exit 1 comes only from argparse, for a usage error. Exit 2
 comes with exactly one stderr line, starting ``switchfolio: ``. On exit 0
 stderr is empty, every number printed is finite, no linear wealth prints as
-0, the ``oracle`` gap is at most 1e-9 and is computed from nonzero wealths,
-and every plot row parses to finite numbers.
+0, the ``oracle`` wealths are positive normal doubles and its gap is at most
+1e-9, and every plot row parses to finite numbers.
 
 The markets have at most 8 days and 1 to 3 assets. Their relatives lie
 within e^±5, near e^695 or e^-695 every day, near e^±695 with the sign drawn
 per cell (the edge of the double range: linear wealth leaves it within two
-days), or are drawn from {e^-30, 1, e^30}. Every command, algorithm kind,
-cost model and cost accounting runs on them, under hypothesis and on a fixed
-seeded grid.
-
-ROADMAP item 1 (wealth in the log domain up to the report) lists wrong
-outputs that the CLI still gives. The one that reaches this contract, an
-``oracle`` that prints its wealths as 0, enters as ``xfail(strict=True)``
-cases that name the item. They fail with :class:`Item1Defect` and nothing
-else, so any other violation in them fails the run, and the item's fix turns
-them into unexpected passes.
+days), are drawn from {e^-30, 1, e^30}, or are drawn from the ends of the
+double range themselves, subnormals included (``EDGES``). Every command,
+algorithm kind, cost model and cost accounting runs on them, under
+hypothesis and on a fixed seeded grid.
 """
 
 import contextlib
 import io
 import itertools
 import math
+import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -35,10 +31,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from switchfolio import cli
+from switchfolio.core import validate_relatives
+from switchfolio.costs import CostModel
+from switchfolio.market_data import synth_regime_pair
+from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, mixture_oracle
+from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 
 MAX_DAYS = 8
-SCALES = ("moderate", "rising", "falling", "mixed", "discrete")
+SCALES = ("moderate", "rising", "falling", "mixed", "discrete", "edges")
 DISCRETE = (math.exp(-30.0), 1.0, math.exp(30.0))
+EDGES = (5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1.7e308)
 COMMANDS = ("synth", "backtest", "compare", "oracle", "bounds")
 KINDS = ("switching-fixed", "switching-adaptive", "crp", "bcrp", "eg", "universal", "best-stock")
 COSTS = (None, ("per-trade", "0"), ("per-trade", "0.01"), ("parallel", "0.02"), ("parallel", "0.49"))
@@ -46,18 +48,10 @@ ACCOUNTINGS = ("bucket", "realized")
 CONVENTIONS = ("switches-only", "all-segments")
 GAMMAS = ("0.01", "0.3333333333", "0.9")
 USAGE_ERRORS = (["--frobnicate"], ["--cost-model", "free"], ["--seed", "x"])
-ITEM1 = (
-    "ROADMAP item 1: oracle prints linear wealth, which underflows to 0 on a market near e^-695 a day "
-    "(oracle_wealth 0, algorithm_wealth 0 and relative_gap 0.000000e+00 with exit 0)"
-)
 
 
 class ContractViolation(AssertionError):
     """An invocation broke the CLI contract."""
-
-
-class Item1Defect(ContractViolation):
-    """The violation that ROADMAP item 1 names: an oracle wealth printed as 0, with exit 0."""
 
 
 def relatives(rng: np.random.Generator, scale: str, days: int, assets: int) -> np.ndarray:
@@ -65,8 +59,8 @@ def relatives(rng: np.random.Generator, scale: str, days: int, assets: int) -> n
     shape = (days, assets)
     if scale == "moderate":
         return np.exp(rng.uniform(-5.0, 5.0, shape))
-    if scale == "discrete":
-        return rng.choice(DISCRETE, shape)
+    if scale in ("discrete", "edges"):
+        return rng.choice(DISCRETE if scale == "discrete" else EDGES, shape)
     signs = rng.choice([-1.0, 1.0], shape) if scale == "mixed" else (1.0 if scale == "rising" else -1.0)
     return np.exp(signs * 695.0 + rng.uniform(-1.0, 1.0, shape))
 
@@ -135,7 +129,7 @@ def invoke(argv: list[str]) -> tuple[int, str, str, bool]:
 
 
 def check(argv: list[str], plot: Path, factor: float = 1.0) -> None:
-    """Run one invocation; raise ContractViolation (Item1Defect for item 1's) where it breaks the contract.
+    """Run one invocation; raise ContractViolation where it breaks the contract.
 
     plot is the --plot-data file a backtest writes; factor is :func:`oracle_factor` for an oracle run.
     """
@@ -181,10 +175,8 @@ def check(argv: list[str], plot: Path, factor: float = 1.0) -> None:
                 raise ContractViolation(f"{where}: row {row!r}")
     elif argv[0] == "oracle":
         oracle, algorithm = float(report["oracle_wealth"]), float(report["algorithm_wealth"])
-        if oracle == 0 or algorithm == 0:
-            raise Item1Defect(f"{where}: {stdout!r}")
         gap = float(report["relative_gap"]) if factor == 1.0 else abs(oracle / (algorithm * factor) - 1.0)
-        if not (oracle > 0 and algorithm > 0 and gap <= 1e-9):
+        if not (min(oracle, algorithm) >= sys.float_info.min and gap <= 1e-9):
             raise ContractViolation(f"{where}: {stdout!r}")
 
 
@@ -204,8 +196,8 @@ def run_case(work: Path, command: str, values: np.ndarray, dated: bool, choice: 
 def _cells(scale: str) -> st.SearchStrategy:
     if scale == "moderate":
         return st.floats(-5.0, 5.0).map(math.exp)
-    if scale == "discrete":
-        return st.sampled_from(DISCRETE)
+    if scale in ("discrete", "edges"):
+        return st.sampled_from(DISCRETE if scale == "discrete" else EDGES)
     signs = st.sampled_from([-1.0, 1.0]) if scale == "mixed" else st.just(1.0 if scale == "rising" else -1.0)
     return st.tuples(signs, st.floats(-1.0, 1.0)).map(lambda p: math.exp(p[0] * 695.0 + p[1]))
 
@@ -241,30 +233,11 @@ def _hypothesis_case(work, command, data):
     run_case(work, command, values, dated, choice)
 
 
-@pytest.mark.parametrize("command", ["synth", "backtest", "compare", "bounds"])
+@pytest.mark.parametrize("command", COMMANDS)
 @HYPOTHESIS
 @given(data=st.data())
 def test_contract_under_hypothesis(work, command, data):
     _hypothesis_case(work, command, data)
-
-
-@pytest.mark.xfail(strict=True, raises=Item1Defect, reason=ITEM1)
-def test_oracle_contract_under_hypothesis(work):
-    # Item 1's underflow is set aside as it is found, so every example runs and any other
-    # violation fails the search as in the other commands; it is raised once the search is over.
-    found = []
-
-    @HYPOTHESIS
-    @given(data=st.data())
-    def search(data):
-        try:
-            _hypothesis_case(work, "oracle", data)
-        except Item1Defect as exc:
-            found.append(exc)
-
-    search()
-    if found:
-        raise Item1Defect(f"{len(found)} examples; the first: {found[0]}")
 
 
 # On the seeded grid.
@@ -293,16 +266,10 @@ def grid_choices(command: str) -> list[dict]:
     return choices + [{**choices[0], "usage_error": error} for error in USAGE_ERRORS]
 
 
-# The grid case where item 1's oracle underflow shows: its falling markets of two days or more.
-GRID_ITEM1 = {("oracle", "falling")}
 GRID = [("synth", "-")] + [(c, s) for c in COMMANDS[1:] for s in SCALES]
 
 
-@pytest.mark.parametrize(
-    "command, scale",
-    [pytest.param(*case, marks=pytest.mark.xfail(strict=True, raises=Item1Defect, reason=ITEM1))
-     if case in GRID_ITEM1 else case for case in GRID],
-)
+@pytest.mark.parametrize("command, scale", GRID)
 def test_contract_on_the_grid(work, command, scale):
     markets = [(np.empty((0, 1)), False)] if command == "synth" else [
         (relatives(np.random.default_rng([SCALES.index(scale), days, assets]), scale, days, assets), days == 2)
@@ -316,15 +283,38 @@ def test_contract_on_the_grid(work, command, scale):
                 run_case(work, command, values, dated, choice)
             except ContractViolation as exc:
                 violations.append(exc)
-    others = [v for v in violations if not isinstance(v, Item1Defect)]
-    if others:
-        raise ContractViolation(f"{len(others)} violations; the first: {others[0]}")
     if violations:
-        raise Item1Defect(f"{len(violations)} violations; the first: {violations[0]}")
+        raise ContractViolation(f"{len(violations)} violations; the first: {violations[0]}")
 
 
-@pytest.mark.xfail(strict=True, raises=Item1Defect, reason=ITEM1)
-def test_oracle_on_sixty_days_near_e_to_the_minus_695(work):
-    values = relatives(np.random.default_rng(60), "falling", 60, 2)
-    run_case(work, "oracle", values, False, {"fixed": False, "variant": 0, "cost": None,
-                                             "convention": "switches-only"})
+@pytest.mark.parametrize("prior", [["adaptive"], ["fixed", "--gamma", GAMMAS[0]]])
+@pytest.mark.parametrize("market", ["sixty days near e^-695", "regime-pair --n 2000"])
+def test_oracle_refuses_a_wealth_outside_the_normal_doubles(work, prior, market):
+    # Linear wealth underflows on the first market and overflows on the second.
+    if market == "regime-pair --n 2000":
+        values = synth_regime_pair(2000).values
+    else:
+        values = relatives(np.random.default_rng(60), "falling", 60, 2)
+    data = work / "refused.csv"
+    write_market(data, values, False)
+    code, stdout, stderr, _ = invoke(["oracle", "--data", str(data), "--prior", *prior])
+    assert (code, stdout) == (2, "")
+    assert re.fullmatch(r"switchfolio: oracle_wealth e\^-?[0-9.e+]+ lies outside the positive normal doubles\n",
+                        stderr), stderr
+
+
+@HYPOTHESIS
+@given(days=st.integers(1, 4), assets=st.integers(2, 3), fixed=st.booleans(), cost=st.sampled_from(COSTS),
+       cells=st.lists(st.sampled_from(EDGES), min_size=12, max_size=12))
+def test_switching_states_equal_the_oracle_at_the_ends_of_the_range(days, assets, cells, fixed, cost):
+    # The states a switching run steps (its linear wealth track may leave the double range here).
+    X = validate_relatives(np.reshape(cells[: days * assets], (days, assets)), [f"a{i}" for i in range(assets)])
+    model = None if cost is None else CostModel(cost[0], float(cost[1]))
+    if fixed:
+        state, step, prior = fixed_init(assets, 0.3, model), fixed_step, FixedGammaPrior(0.3)
+    else:
+        state, step, prior = adaptive_init(assets, days, model), adaptive_step, AdaptivePrior()
+    for row in X.values:
+        step(state, row)
+    oracle = mixture_oracle(X, prior, model)
+    assert abs(state.log_wealth - oracle) <= 1e-12 * max(1.0, abs(oracle))

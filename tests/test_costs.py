@@ -10,7 +10,7 @@ from switchfolio.costs import (
     realized_wealth_track,
     switch_factor,
 )
-from switchfolio.switching import FixedGammaState, _fixed_mass
+from switchfolio.switching import _fixed_mass, fixed_init, fixed_step
 
 from reference import log_regime_wealth, rebalance_cost
 
@@ -159,9 +159,10 @@ class TestRealizedWealthTrack:
             g = float(rng.uniform(0.05, (n - 1) / n))
             shares = rng.random(n) + 1e-9
             shares /= shares.sum()
-            state = FixedGammaState(g, shares, day=2)
+            state = fixed_init(n, g)
+            fixed_step(state, shares)  # from uniform shares, a day's relatives become its shares
             post_trade = _fixed_mass(state)
-            netted = float(np.abs(post_trade - shares).sum())
+            netted = float(np.abs(post_trade - state.shares).sum())
             gross = 2.0 * g  # every asset sheds gamma, same mass is re-bought
             assert netted <= gross + 1e-15
 

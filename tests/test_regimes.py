@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,11 +23,10 @@ from switchfolio.regimes import (
     InvalidRegime,
     _logsumexp,
     adaptive_penalty,
+    adaptive_prior_terms,
     block_regimes,
     bound_check,
     fixed_gamma_penalty,
-    kt_neg_log2_sequence,
-    log_mixture_wealth,
     mixture_oracle,
 )
 from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
@@ -124,13 +124,13 @@ class TestEnumerateRegimes:
 class TestMixtureOracle:
     def test_empty_history(self):
         X = validate_relatives([], ["a", "b"])
-        assert mixture_oracle(X, AdaptivePrior()) == 1.0
-        assert mixture_oracle(X, FixedGammaPrior(0.3)) == 1.0
+        assert mixture_oracle(X, AdaptivePrior()) == 0.0
+        assert mixture_oracle(X, FixedGammaPrior(0.3)) == 0.0
 
     def test_single_day_uniform_pick(self):
         X = validate_relatives([[2.0, 0.5]], ["a", "b"])
-        assert math.isclose(mixture_oracle(X, AdaptivePrior()), 1.25, rel_tol=1e-14)
-        assert math.isclose(mixture_oracle(X, FixedGammaPrior(0.3)), 1.25, rel_tol=1e-14)
+        assert math.isclose(mixture_oracle(X, AdaptivePrior()), math.log(1.25), abs_tol=1e-14)
+        assert math.isclose(mixture_oracle(X, FixedGammaPrior(0.3)), math.log(1.25), abs_tol=1e-14)
 
     def test_matches_recursions(self):
         rng = np.random.default_rng(21)
@@ -138,11 +138,11 @@ class TestMixtureOracle:
         st = fixed_init(2, 0.3)
         for t in range(1, 8):
             fixed_step(st, X.values[t - 1])
-        assert abs(st.log_wealth - log_mixture_wealth(X, FixedGammaPrior(0.3))) < 1e-10
+        assert abs(st.log_wealth - mixture_oracle(X, FixedGammaPrior(0.3))) < 1e-10
         st = adaptive_init(2, 7)
         for t in range(1, 8):
             adaptive_step(st, X.values[t - 1])
-        assert abs(st.log_wealth - log_mixture_wealth(X, AdaptivePrior())) < 1e-10
+        assert abs(st.log_wealth - mixture_oracle(X, AdaptivePrior())) < 1e-10
 
     def test_logsumexp_matches_pairwise_logaddexp(self):
         rng = np.random.default_rng(23)
@@ -165,7 +165,7 @@ class TestMixtureOracle:
             log_prior(q, 6, 3, AdaptivePrior()) + log_regime_wealth(q, X)
             for q in enumerate_regimes(6, 3)
         ]
-        reference = log_mixture_wealth(X, AdaptivePrior())
+        reference = mixture_oracle(X, AdaptivePrior())
         for _ in range(3):
             rng.shuffle(terms)
             acc = -math.inf
@@ -174,17 +174,28 @@ class TestMixtureOracle:
             assert abs(float(acc) - reference) <= 1e-12
 
 
-class TestKTProduct:
+class TestAdaptivePriorTerms:
     def test_small_values(self):
-        neg = kt_neg_log2_sequence(4)
-        assert neg[0] == 1.0 and 2.0 ** -neg[0] == 0.5
-        assert math.isclose(2.0 ** -neg[1], 0.375, rel_tol=1e-15)
-        assert math.isclose(2.0 ** -neg[3], 105 / 384, rel_tol=1e-14)
-        assert neg[3] <= 0.5 * math.log2(4) + 1
+        stay, switch = adaptive_prior_terms(5)
+        assert stay.tolist() == [1.0, 0.5, 0.375, 0.3125, 0.2734375]  # P(4) = 35/128, exact in binary
+        assert switch.tolist() == [0.5, 0.125, 0.0625, 0.0390625, 0.02734375]  # P(k) (1/2)/(k+1)
+        assert -math.log2(stay[4]) <= 0.5 * math.log2(4) + 1
+        assert [term.size for term in adaptive_prior_terms(0)] == [0, 0]
+
+    def test_against_exact_products_through_age_2000(self):
+        # One rounding per factor and per product: measured 3.29e-15 at ages 1001-2000.
+        stay, switch = adaptive_prior_terms(2001)
+        exact = Fraction(1)
+        for k in range(2001):
+            if k:
+                exact *= Fraction(2 * k - 1, 2 * k)
+            assert abs(Fraction(stay[k]) - exact) <= Fraction(4e-15) * exact, k
+            exact_switch = exact / (2 * (k + 1))
+            assert abs(Fraction(switch[k]) - exact_switch) <= Fraction(4e-15 + 2.0**-53) * exact_switch, k
 
     def test_stay_run_bound_and_monotone_normalization(self):
-        # -log2 kt(n) <= log2(n)/2 + 1, i.e. sqrt(n)*kt(n) >= 1/2 and increasing.
-        neg = kt_neg_log2_sequence(10_000)
+        # -log2 P(n) <= log2(n)/2 + 1, i.e. sqrt(n)*P(n) >= 1/2 and increasing.
+        neg = -np.log2(adaptive_prior_terms(10_001)[0][1:])
         n = np.arange(1, 10_001)
         assert np.all(neg <= 0.5 * np.log2(n) + 1.0)
         g_log2 = 0.5 * np.log2(n) - neg
@@ -333,7 +344,7 @@ def ref_segments(times, strategies, T):
     return [(a, s + 1, e) for a, s, e in zip(strategies, (0,) + times, times + (T,))]
 
 
-def ref_log_mixture_wealth(X, prior, cost, convention):
+def ref_mixture_oracle(X, prior, cost, convention):
     T, N = X.days, X.assets
     cumlog = np.zeros((T + 1, N))
     np.cumsum(np.log(X.values), axis=0, out=cumlog[1:])
@@ -363,8 +374,8 @@ def ref_bound_row(X, prior, alg, times, strategies, cost, convention):
 
 
 def assert_matches_references(X, prior, cost, convention, alg=1.5):
-    dp = log_mixture_wealth(X, prior, cost, convention)
-    ref = ref_log_mixture_wealth(X, prior, cost, convention)
+    dp = mixture_oracle(X, prior, cost, convention)
+    ref = ref_mixture_oracle(X, prior, cost, convention)
     assert abs(dp - ref) <= 1e-13 * max(1.0, abs(ref))  # the DP sums in another order
     table = BoundTable(X, prior, alg, cost, convention)
     rows = []
@@ -525,7 +536,7 @@ class TestSwitchTimeBlocks:
         with pytest.raises(PortfolioError, match=message):
             log_regime_wealth(valid, self.X, None, "bogus")
         with pytest.raises(PortfolioError, match=message):
-            log_mixture_wealth(self.X, AdaptivePrior(), None, "bogus")
+            mixture_oracle(self.X, AdaptivePrior(), None, "bogus")
         self.assert_block_still_guarded(valid, expected)
 
 

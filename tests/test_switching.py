@@ -10,9 +10,8 @@ from hypothesis import strategies as st_
 from switchfolio.backtest import AlgoSpec, run
 from switchfolio.core import DimensionMismatch, PortfolioError, validate_relatives
 from switchfolio.costs import CostModel, switch_factor
-from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, kt_neg_log2_sequence, log_mixture_wealth
+from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, adaptive_prior_terms, mixture_oracle
 from switchfolio.switching import (
-    FixedGammaState,
     GammaOutOfRange,
     TooFewAssets,
     adaptive_init,
@@ -69,10 +68,11 @@ class TestFixedStep:
         assert np.allclose(st.shares * math.exp(st.log_wealth), hold, rtol=1e-8)
 
     def test_per_trade_cost_hits_switched_mass_only(self):
-        # Mid-run state with even shares: switched-in mass (gamma/(N-1)) * 0.5
-        # is scaled by (1-c)^2 = 0.9801, the stay mass is untouched.
+        # Mid-run state with even shares (a flat first day): switched-in mass
+        # (gamma/(N-1)) * 0.5 is scaled by (1-c)^2 = 0.9801, the stay mass is untouched.
         g = 1 / 3
-        st = FixedGammaState(g, np.array([0.5, 0.5]), day=1, cost=CostModel.per_trade(0.01))
+        st = fixed_init(2, g, CostModel.per_trade(0.01))
+        fixed_step(st, np.array([1.0, 1.0]))
         fixed_step(st, np.array([1.0, 1.0]))
         per_asset = (1 - g) * 0.5 + 0.9801 * g * 0.5
         assert np.allclose(st.shares * math.exp(st.log_wealth), per_asset, rtol=1e-15)
@@ -97,7 +97,8 @@ class TestFixedWeights:
             assert np.allclose(fixed_weights(st), 1.0 / n, atol=1e-15)
 
     def test_hand_evaluated_map(self):
-        st = FixedGammaState(1 / 3, np.array([1.0, 0.0]), day=1)
+        st = fixed_init(2, 1 / 3)
+        fixed_step(st, np.array([1.0, 0.0]))  # the state kernel takes the zero: shares (1, 0)
         assert np.allclose(fixed_weights(st), [2 / 3, 1 / 3], rtol=1e-15)
 
     def test_sums_to_one_on_random_shares(self):
@@ -106,7 +107,8 @@ class TestFixedWeights:
             n = int(rng.integers(2, 6))
             g = float(rng.uniform(1e-6, (n - 1) / n))
             shares = rng.random(n) + 1e-12
-            st = FixedGammaState(g, shares / shares.sum(), day=3)
+            st = fixed_init(n, g)
+            fixed_step(st, shares)  # from uniform shares, a day's relatives become its shares
             w = fixed_weights(st)
             assert np.all(w >= 0) and math.isclose(w.sum(), 1.0, abs_tol=1e-12)
 
@@ -120,7 +122,8 @@ class TestFixedWeights:
             shares = rng.random(n) + 1e-9
             shares /= shares.sum()
             x = np.exp(rng.uniform(-1, 1, n))
-            st = FixedGammaState(g, shares.copy(), day=2)
+            st = fixed_init(n, g)
+            fixed_step(st, shares)
             mapped = fixed_weights(st) * x
             mapped /= mapped.sum()
             fixed_step(st, x)
@@ -361,7 +364,7 @@ class TestMixtureEquivalence:
             st = fixed_init(N, gamma)
             for t in range(1, T + 1):
                 fixed_step(st, X.values[t - 1])
-            oracle = log_mixture_wealth(X, FixedGammaPrior(gamma))
+            oracle = mixture_oracle(X, FixedGammaPrior(gamma))
             assert abs(st.log_wealth - oracle) <= 1e-10
 
     def test_adaptive(self):
@@ -373,7 +376,7 @@ class TestMixtureEquivalence:
             st = adaptive_init(N, T)
             for t in range(1, T + 1):
                 adaptive_step(st, X.values[t - 1])
-            oracle = log_mixture_wealth(X, AdaptivePrior())
+            oracle = mixture_oracle(X, AdaptivePrior())
             assert abs(st.log_wealth - oracle) <= 1e-10
 
 
@@ -559,7 +562,7 @@ class TestAdaptiveAgainstEagerRecursion:
             "switching-adaptive", cost=cost
         )
         report = run(spec, X)
-        oracle = log_mixture_wealth(X, FixedGammaPrior(gamma) if fixed else AdaptivePrior(), cost)
+        oracle = mixture_oracle(X, FixedGammaPrior(gamma) if fixed else AdaptivePrior(), cost)
         assert math.isclose(report.log_wealth[-1], oracle, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -572,8 +575,8 @@ def quadratic_adaptive(X, cost):
     day and the final bucket shares, as ``stepped_adaptive`` does.
     """
     T, n = X.shape
-    stay = np.exp2(-kt_neg_log2_sequence(max(T, 1)))
-    leak = np.concatenate(([1.0], stay[:-1])) / (2.0 * np.arange(1.0, stay.size + 1))
+    stay, leak = adaptive_prior_terms(max(T, 1) + 1)  # stay P(a) at age a, leak P(a-1)/(2a) at a
+    stay, leak = stay[1:], leak[:-1]
     kernel = np.ascontiguousarray(np.stack((stay, leak))[:, ::-1])  # column j serves age T - j
     coef, scale, log_wealth = np.zeros((n, T)), np.ones(n), 0.0
     logs, weights = [], []
@@ -742,4 +745,4 @@ def test_long_horizon_equals_mixture_oracle(T, N, fixed):
         spec, prior = AlgoSpec("switching-fixed", gamma=0.01, cost=cost), FixedGammaPrior(0.01)
     else:
         spec, prior = AlgoSpec("switching-adaptive", cost=cost), AdaptivePrior()
-    assert abs(run(spec, X).log_wealth[-1] - log_mixture_wealth(X, prior, cost)) <= 1e-12
+    assert abs(run(spec, X).log_wealth[-1] - mixture_oracle(X, prior, cost)) <= 1e-12
