@@ -276,7 +276,7 @@ def adaptive_step(state: AdaptiveState, x) -> AdaptiveState:
         row, e = scaled_days(row)
         state.log_wealth += e.item() * LOG2
         mass = state._mass * row
-        growth = float(np.add.reduce(mass, out=state._sum))  # into total
+        growth = float(np.add.reduce(mass, out=state._sum))  # total is state._sum: it holds the new sum
     scale *= row / total
     # Fold a scale outside [1e-150, 1e150] into its rows before it leaves double range.
     scales = scale.tolist()
