@@ -42,8 +42,6 @@ from .market_data import (
     to_csv_text,
 )
 from .regimes import (
-    CHARGE_ALL_SEGMENTS,
-    CHARGE_SWITCHES_ONLY,
     LOG2,
     AdaptivePrior,
     BoundTable,
@@ -241,7 +239,7 @@ def _linear_wealth(name: str, log_wealth: float) -> float:
 
 def _cmd_oracle(args) -> int:
     X, prior, spec = _switching_setup(args)
-    oracle = _linear_wealth("oracle_wealth", mixture_oracle(X, prior, spec.cost, args.convention))
+    oracle = _linear_wealth("oracle_wealth", mixture_oracle(X, prior, spec.cost))
     algorithm = _linear_wealth("algorithm_wealth", float(bt.run(spec, X).log_wealth[-1]))
     gap = abs(algorithm - oracle) / oracle
     text = (
@@ -302,7 +300,7 @@ def _cmd_bounds(args) -> int:
     X, prior, spec = _switching_setup(args)
     require_enumerable(X.days, X.assets)  # refuse before the algorithm runs
     alg_log2 = float(bt.run(spec, X).log_wealth[-1]) / LOG2
-    _emit(_bounds_chunks(BoundTable(X, prior, alg_log2, spec.cost, args.convention)), args.out)
+    _emit(_bounds_chunks(BoundTable(X, prior, alg_log2, spec.cost)), args.out)
     return 0
 
 
@@ -335,11 +333,6 @@ def build_parser() -> _Parser:
         p_sw.add_argument("--prior", choices=["fixed", "adaptive"], required=True)
         p_sw.add_argument("--gamma", type=float, help="switching probability for --prior fixed")
         _add_cost_flags(p_sw)
-        p_sw.add_argument(
-            "--convention",
-            choices=[CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS],
-            default=CHARGE_SWITCHES_ONLY,
-        )
         _add_common(p_sw)
 
     return parser

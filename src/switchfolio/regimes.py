@@ -6,8 +6,8 @@ A switching regime is scored two ways:
   (geometric segment lengths) or the adaptive model (each extra holding day
   makes staying likelier, the classic half-integer sequential estimator);
 * its wealth: the product of the held asset's relatives per segment, with an
-  optional commission factor per executed switch (or per segment, including
-  the initial purchase, under the alternative convention).
+  optional commission factor per executed switch, none for the initial
+  purchase: the charges every algorithm state pays.
 
 :func:`mixture_oracle` sums prior * wealth over every regime. Both priors factor
 over segments: a segment's prior term depends only on its length and on
@@ -19,13 +19,13 @@ prior's terms (:func:`adaptive_prior_terms`): it has none of their state
 scaling, bucket bookkeeping or cost placement.
 
 :func:`bound_check` scores one regime against a :class:`BoundTable`, which
-fixes a run's market, prior, algorithm wealth, cost model and charge
-convention once. The table sums each segment's per-asset log wealth on its
-first read (at most T(T+1)/2 segments, each as ``logs[start:end, a].sum()``)
-and holds each switch count's penalty. :meth:`BoundTable.scored_blocks`
-scores each switch-time block of the enumeration at once in numpy, one
-gather and one addition per segment over the block's strategy rows, and a
-``bound_check`` of the block's next regime reads its value from there.
+fixes a run's market, prior, algorithm wealth and cost model once. The table
+sums each segment's per-asset log wealth on its first read (at most T(T+1)/2
+segments, each as ``logs[start:end, a].sum()``) and holds each switch count's
+penalty. :meth:`BoundTable.scored_blocks` scores each switch-time block of the
+enumeration at once in numpy, one gather and one addition per segment over the
+block's strategy rows, and a ``bound_check`` of the block's next regime reads
+its value from there.
 
 All bound arithmetic is in base-2 logarithms and reported in bits. Products
 are accumulated in log domain; only final results are exponentiated.
@@ -41,9 +41,6 @@ import numpy as np
 
 from .core import LOG2, PortfolioError, PriceRelativeMatrix, RegimeSpec, _Frozen
 from .costs import CostModel, switch_factor
-
-CHARGE_SWITCHES_ONLY = "switches-only"
-CHARGE_ALL_SEGMENTS = "all-segments"
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -99,13 +96,6 @@ def _segment_log_priors(T: int, prior: Prior) -> tuple[np.ndarray, np.ndarray]:
         return final + math.log(prior.gamma), final
     stay, switch = adaptive_prior_terms(T)
     return np.log(switch), np.log(stay)
-
-
-def _charges(cost: CostModel | None, convention: str) -> tuple[float, int]:
-    """(log lump-move factor of cost, charges before the first switch: 1 for ``all-segments``, else 0)."""
-    if convention not in (CHARGE_SWITCHES_ONLY, CHARGE_ALL_SEGMENTS):
-        raise PortfolioError(f"unknown cost convention {convention!r}")
-    return math.log(switch_factor(cost)), int(convention == CHARGE_ALL_SEGMENTS)
 
 
 _new = object.__new__
@@ -169,12 +159,7 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.squeeze(total, axis=axis)
 
 
-def mixture_oracle(
-    X: PriceRelativeMatrix,
-    prior: Prior,
-    cost: CostModel | None = None,
-    convention: str = CHARGE_SWITCHES_ONLY,
-) -> float:
+def mixture_oracle(X: PriceRelativeMatrix, prior: Prior, cost: CostModel | None = None) -> float:
     """Natural log of the sum over all regimes of prior(Q) * wealth(Q), exactly, in O(T^2 N).
 
     ``enter[j, s-1]`` is the log mass (prior, wealth and charges) of every
@@ -193,11 +178,11 @@ def mixture_oracle(
     # cumlog[j, t]: asset j's log wealth over days 1..t, so a segment's by two lookups
     cumlog = np.zeros((N, T + 1))
     np.cumsum(np.log(X.values.T), axis=1, out=cumlog[:, 1:])
-    log_sf, first = _charges(cost, convention)
+    log_sf = math.log(switch_factor(cost))
     ending, final = _segment_log_priors(T, prior)
     others = np.array([[i for i in range(N) if i != j] for j in range(N)])
     enter = np.empty((N, T))
-    enter[:, 0] = -math.log(N) + first * log_sf
+    enter[:, 0] = -math.log(N)
     for e in range(1, T):
         # segments on days s..e for s = 1..e, which stay e-s days and then switch
         terms = enter[:, :e] + (cumlog[:, e, None] - cumlog[:, :e]) + ending[e - 1 :: -1]
@@ -277,7 +262,7 @@ _set_regime_log_wealth, _set_penalty, _set_algorithm_log_wealth = (
 
 class BoundTable:
     """One bound run for :func:`bound_check`: a market, a prior, the matching algorithm's
-    log2 wealth on it, a cost model and a charge convention, fixed at construction.
+    log2 wealth on it and a cost model, charged once per executed switch, fixed at construction.
 
     The table keeps each segment's per-asset log wealths, ``float(logs[start:end, a].sum())``
     (numpy's order for one column, pairwise from 8 days on), keyed by ``(start, end)`` and
@@ -286,11 +271,11 @@ class BoundTable:
     """
 
     __slots__ = ("days", "assets", "algorithm_log2_wealth", "_logs", "_segments", "_penalties", "_log_sf",
-                 "_first", "_block", "_position")
+                 "_block", "_position")
 
     def __init__(self, X: PriceRelativeMatrix, prior: Prior, algorithm_log2_wealth: float,
-                 cost: CostModel | None = None, convention: str = CHARGE_SWITCHES_ONLY):
-        self._log_sf, self._first = _charges(cost, convention)
+                 cost: CostModel | None = None):
+        self._log_sf = math.log(switch_factor(cost))
         T, N = self.days, self.assets = X.days, X.assets
         self.algorithm_log2_wealth = algorithm_log2_wealth
         self._logs = np.log(X.values)
@@ -317,7 +302,7 @@ class BoundTable:
                 row = self._segments[segment] = np.array(
                     [float(self._logs[start:end, a].sum()) for a in range(self.assets)])
             total += row[strategies[:, k]]
-        return (total + (len(times) + self._first) * self._log_sf) / LOG2
+        return (total + len(times) * self._log_sf) / LOG2
 
     def scored_blocks(self) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]], np.ndarray, float]]:
         """Yield each block of :func:`switch_time_blocks` for the table's days and assets as

@@ -15,12 +15,10 @@ import numpy as np
 
 from switchfolio.baselines import _simplex_draws
 from switchfolio.core import DimensionMismatch, PriceRelativeMatrix, RegimeSpec
-from switchfolio.costs import CostModel, NegativeAllocation
+from switchfolio.costs import CostModel, NegativeAllocation, switch_factor
 from switchfolio.regimes import (
-    CHARGE_SWITCHES_ONLY,
     InvalidRegime,
     Prior,
-    _charges,
     _check_regime,
     _segment_log_priors,
     block_regimes,
@@ -43,25 +41,17 @@ def log_prior(regime: RegimeSpec, T: int, N: int, prior: Prior) -> float:
     return -math.log(N) - l * math.log(N - 1) + float(ending[stays[:-1]].sum() + final[stays[-1]])
 
 
-def log_regime_wealth(
-    regime: RegimeSpec,
-    X: PriceRelativeMatrix,
-    cost: CostModel | None = None,
-    convention: str = CHARGE_SWITCHES_ONLY,
-) -> float:
-    """Natural log of a regime's wealth over X, including commission factors.
-
-    ``switches-only`` charges the lump-move factor once per executed switch
-    (l times); ``all-segments`` also charges the initial purchase (l+1 times).
-    """
+def log_regime_wealth(regime: RegimeSpec, X: PriceRelativeMatrix, cost: CostModel | None = None) -> float:
+    """Natural log of a regime's wealth over X, with the lump-move factor charged
+    once per executed switch (l times) and never for the initial purchase."""
     T, times = X.days, regime.switch_times
     _check_regime(regime, T, X.assets)
-    log_sf, first = _charges(cost, convention)
+    log_sf = math.log(switch_factor(cost))
     logs = np.log(X.values)
     total = 0.0
     for asset, start, end in zip(regime.strategies, (0,) + times, times + (T,)):
         total += float(logs[start:end, asset].sum())
-    return total + (len(times) + first) * log_sf
+    return total + len(times) * log_sf
 
 
 def enumerate_regimes(T: int, N: int) -> Iterator[RegimeSpec]:

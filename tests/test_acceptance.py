@@ -77,7 +77,7 @@ def test_criterion_1_oracle_equivalence(instances):
                 (FixedGammaPrior(g), _run_fixed_log2(X, g, cost)) for g in GAMMAS
             ]
             for prior, alg_log2 in configs:
-                oracle_log2 = mixture_oracle(X, prior, cost, "switches-only") / LOG2
+                oracle_log2 = mixture_oracle(X, prior, cost) / LOG2
                 allowed = 1e-10 * abs(oracle_log2) + 1e-12
                 assert abs(alg_log2 - oracle_log2) <= allowed, (
                     X.days,

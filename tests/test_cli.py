@@ -121,6 +121,17 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert err.startswith("usage: switchfolio ") and err.endswith(": error: unrecognized arguments: --seed 3\n")
 
+    @pytest.mark.parametrize("command", ["oracle", "bounds"])
+    @pytest.mark.parametrize("convention", ["all-segments", "switches-only"])
+    def test_no_cost_convention_flag(self, capsys, command, convention):
+        # Costs are charged once per executed switch, as the algorithms pay them; there is no other rule.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--data", "m.csv", "--prior", "adaptive", "--convention", convention])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.startswith("usage: switchfolio ")
+        assert err.endswith(f": error: unrecognized arguments: --convention {convention}\n")
+
     def test_help_exits_zero(self, capsys):
         for sub in ("synth", "backtest", "compare", "oracle", "bounds"):
             with pytest.raises(SystemExit) as exc:
@@ -431,10 +442,13 @@ class TestOracle:
 
 
 class TestBounds:
-    def test_all_slacks_nonnegative(self, capsys, tmp_path):
+    @pytest.mark.parametrize("prior", [["adaptive"], ["fixed", "--gamma", "0.3333333333"]])
+    @pytest.mark.parametrize("cost", [[], ["--cost-model", "per-trade", "--cost-rate", "0.01"],
+                                      ["--cost-model", "parallel", "--cost-rate", "0.02"]])
+    def test_all_slacks_nonnegative(self, capsys, tmp_path, prior, cost):
         data = tmp_path / "m.csv"
         invoke(capsys, "synth", "--kind", "regime-pair", "--n", "3", "--out", str(data))
-        code, out, _ = invoke(capsys, "bounds", "--data", str(data), "--prior", "adaptive")
+        code, out, _ = invoke(capsys, "bounds", "--data", str(data), "--prior", *prior, *cost)
         assert code == 0
         lines = out.strip().split("\n")
         assert lines[0].startswith("switch_times\t")
@@ -472,7 +486,7 @@ class TestStreamedBounds:
             "algorithm_log2_wealth\tslack_bits"
         ]
         for times, strategies in ref_enumerate(9, 3):
-            lw, penalty, slack = ref_bound_row(X, FixedGammaPrior(0.2), alg, times, strategies, cost, "switches-only")
+            lw, penalty, slack = ref_bound_row(X, FixedGammaPrior(0.2), alg, times, strategies, cost)
             lines.append(
                 f"{','.join(map(str, times)) or '-'}\t{','.join(map(str, strategies))}\t{len(times)}\t"
                 f"{lw:.12g}\t{penalty:.12g}\t{alg:.12g}\t{slack:.12g}"

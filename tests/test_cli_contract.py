@@ -45,7 +45,6 @@ COMMANDS = ("synth", "backtest", "compare", "oracle", "bounds")
 KINDS = ("switching-fixed", "switching-adaptive", "crp", "bcrp", "eg", "universal", "best-stock")
 COSTS = (None, ("per-trade", "0"), ("per-trade", "0.01"), ("parallel", "0.02"), ("parallel", "0.49"))
 ACCOUNTINGS = ("bucket", "realized")
-CONVENTIONS = ("switches-only", "all-segments")
 GAMMAS = ("0.01", "0.3333333333", "0.9")
 USAGE_ERRORS = (["--frobnicate"], ["--cost-model", "free"], ["--seed", "x"])
 
@@ -102,18 +101,8 @@ def argv_of(command: str, data: Path, assets: int, plot: Path, choice: dict) -> 
         argv += ["--cost-accounting", choice["accounting"]]
     elif command in ("oracle", "bounds"):
         prior = ["fixed", "--gamma", GAMMAS[choice["variant"] % 3]] if choice["fixed"] else ["adaptive"]
-        argv += ["--prior", *prior, "--convention", choice["convention"]]
+        argv += ["--prior", *prior]
     return argv + choice.get("usage_error", [])
-
-
-def oracle_factor(choice: dict, days: int) -> float:
-    """The oracle's wealth over the algorithm's. Under all-segments the oracle also charges each
-    regime's initial purchase, one lump-move factor that the algorithm never pays, once a day is traded."""
-    cost = choice.get("cost")
-    if cost is None or choice.get("convention") != "all-segments" or days == 0:
-        return 1.0
-    rate = float(cost[1])
-    return (1.0 - rate) ** 2 if cost[0] == "per-trade" else 1.0 - 2.0 * rate
 
 
 def invoke(argv: list[str]) -> tuple[int, str, str, bool]:
@@ -128,10 +117,10 @@ def invoke(argv: list[str]) -> tuple[int, str, str, bool]:
     return code, out.getvalue(), err.getvalue(), from_argparse
 
 
-def check(argv: list[str], plot: Path, factor: float = 1.0) -> None:
+def check(argv: list[str], plot: Path) -> None:
     """Run one invocation; raise ContractViolation where it breaks the contract.
 
-    plot is the --plot-data file a backtest writes; factor is :func:`oracle_factor` for an oracle run.
+    plot is the --plot-data file a backtest writes.
     """
     plot.unlink(missing_ok=True)
     code, stdout, stderr, from_argparse = invoke(argv)
@@ -175,8 +164,7 @@ def check(argv: list[str], plot: Path, factor: float = 1.0) -> None:
                 raise ContractViolation(f"{where}: row {row!r}")
     elif argv[0] == "oracle":
         oracle, algorithm = float(report["oracle_wealth"]), float(report["algorithm_wealth"])
-        gap = float(report["relative_gap"]) if factor == 1.0 else abs(oracle / (algorithm * factor) - 1.0)
-        if not (min(oracle, algorithm) >= sys.float_info.min and gap <= 1e-9):
+        if not (min(oracle, algorithm) >= sys.float_info.min and float(report["relative_gap"]) <= 1e-9):
             raise ContractViolation(f"{where}: {stdout!r}")
 
 
@@ -188,7 +176,7 @@ def work(tmp_path_factory):
 def run_case(work: Path, command: str, values: np.ndarray, dated: bool, choice: dict) -> None:
     data, plot = work / "market.csv", work / "plot.csv"
     write_market(data, values, dated)
-    check(argv_of(command, data, values.shape[1], plot, choice), plot, oracle_factor(choice, values.shape[0]))
+    check(argv_of(command, data, values.shape[1], plot, choice), plot)
 
 
 # Under hypothesis.
@@ -217,7 +205,7 @@ CHOICES = {
                                        "accounting": st.sampled_from(ACCOUNTINGS)}),
     "compare": st.fixed_dictionaries({**COSTED, "kinds": st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
                                       "accounting": st.sampled_from(ACCOUNTINGS)}),
-    "oracle": st.fixed_dictionaries({**COSTED, "fixed": st.booleans(), "convention": st.sampled_from(CONVENTIONS)}),
+    "oracle": st.fixed_dictionaries({**COSTED, "fixed": st.booleans()}),
 }
 CHOICES["bounds"] = CHOICES["oracle"]
 
@@ -248,7 +236,7 @@ GRID_COSTS = ((None, "bucket"), (COSTS[2], "bucket"), (COSTS[1], "realized"), (C
 
 
 def grid_choices(command: str) -> list[dict]:
-    """Every kind, cost model, accounting, prior and convention of command, then three usage errors
+    """Every kind, cost model, accounting and prior of command, then three usage errors
     (the grid runs those on its first market only)."""
     if command == "synth":
         choices = [{"synth": synth, "n": n}
@@ -260,9 +248,8 @@ def grid_choices(command: str) -> list[dict]:
         choices = [{"kinds": KINDS, "variant": i, "cost": cost, "accounting": accounting}
                    for i, (cost, accounting) in enumerate(GRID_COSTS)]
     else:
-        choices = [{"fixed": fixed, "variant": i, "cost": cost, "convention": convention}
-                   for i, (cost, _) in enumerate(GRID_COSTS)
-                   for fixed, convention in itertools.product([False, True], CONVENTIONS)]
+        choices = [{"fixed": fixed, "variant": i, "cost": cost}
+                   for i, (cost, _) in enumerate(GRID_COSTS) for fixed in (False, True)]
     return choices + [{**choices[0], "usage_error": error} for error in USAGE_ERRORS]
 
 

@@ -147,7 +147,7 @@ class TestRealizedWealthTrack:
         schedule[7:, 0] = 1.0
         model = CostModel.parallel(0.04)
         track = realized_wealth_track(schedule, X, model)
-        expected = log_regime_wealth(regime, X, model, "switches-only")
+        expected = log_regime_wealth(regime, X, model)
         assert math.isclose(math.log(track[-1]), expected, abs_tol=1e-12)
 
     def test_netted_at_most_gross_bucket_flow(self):

@@ -91,16 +91,8 @@ class TestRegimeWealth:
     def test_switch_product(self):
         assert math.isclose(log_regime_wealth(RegimeSpec((1,), (0, 1)), self.X), math.log(4.0), abs_tol=1e-14)
 
-    def test_all_segments_cost_convention(self):
-        lw = log_regime_wealth(
-            RegimeSpec((1,), (0, 1)), self.X, CostModel.per_trade(0.01), "all-segments"
-        )
-        assert math.isclose(lw, math.log(4.0 * 0.9801**2), abs_tol=1e-13)
-
     def test_switches_only_cost_convention(self):
-        lw = log_regime_wealth(
-            RegimeSpec((1,), (0, 1)), self.X, CostModel.per_trade(0.01), "switches-only"
-        )
+        lw = log_regime_wealth(RegimeSpec((1,), (0, 1)), self.X, CostModel.per_trade(0.01))
         assert math.isclose(lw, math.log(4.0 * 0.9801), abs_tol=1e-13)
 
 
@@ -344,7 +336,7 @@ def ref_segments(times, strategies, T):
     return [(a, s + 1, e) for a, s, e in zip(strategies, (0,) + times, times + (T,))]
 
 
-def ref_mixture_oracle(X, prior, cost, convention):
+def ref_mixture_oracle(X, prior, cost):
     T, N = X.days, X.assets
     cumlog = np.zeros((T + 1, N))
     np.cumsum(np.log(X.values), axis=0, out=cumlog[1:])
@@ -352,20 +344,19 @@ def ref_mixture_oracle(X, prior, cost, convention):
     acc = -math.inf
     for times, strategies in ref_enumerate(T, N):
         segments = ref_segments(times, strategies, T)
-        lw = (len(times) + (convention == "all-segments")) * log_sf
+        lw = len(times) * log_sf
         for asset, start, end in segments:
             lw += cumlog[end, asset] - cumlog[start - 1, asset]
         acc = np.logaddexp(acc, log_prior(RegimeSpec(times, strategies), T, N, prior) + lw)
     return float(acc)
 
 
-def ref_bound_row(X, prior, alg, times, strategies, cost, convention):
+def ref_bound_row(X, prior, alg, times, strategies, cost):
     logs = np.log(X.values)
     total = 0.0
     for asset, start, end in ref_segments(times, strategies, X.days):
         total += float(logs[start - 1 : end, asset].sum())
-    charges = len(times) + (convention == "all-segments")
-    lw = (total + charges * math.log(switch_factor(cost))) / LOG2
+    lw = (total + len(times) * math.log(switch_factor(cost))) / LOG2
     if isinstance(prior, FixedGammaPrior):
         penalty = fixed_gamma_penalty(X.days, X.assets, len(times), prior.gamma)
     else:
@@ -373,20 +364,20 @@ def ref_bound_row(X, prior, alg, times, strategies, cost, convention):
     return lw, penalty, alg - lw + penalty
 
 
-def assert_matches_references(X, prior, cost, convention, alg=1.5):
-    dp = mixture_oracle(X, prior, cost, convention)
-    ref = ref_mixture_oracle(X, prior, cost, convention)
+def assert_matches_references(X, prior, cost, alg=1.5):
+    dp = mixture_oracle(X, prior, cost)
+    ref = ref_mixture_oracle(X, prior, cost)
     assert abs(dp - ref) <= 1e-13 * max(1.0, abs(ref))  # the DP sums in another order
-    table = BoundTable(X, prior, alg, cost, convention)
+    table = BoundTable(X, prior, alg, cost)
     rows = []
     for regime in enumerate_regimes(X.days, X.assets):
         rep = bound_check(table, regime)
-        assert log_regime_wealth(regime, X, cost, convention) / LOG2 == rep.regime_log_wealth
+        assert log_regime_wealth(regime, X, cost) / LOG2 == rep.regime_log_wealth
         rows.append(
             (regime.switch_times, regime.strategies, rep.regime_log_wealth, rep.penalty, rep.slack)
         )
     expected = [
-        (times, strategies, *ref_bound_row(X, prior, alg, times, strategies, cost, convention))
+        (times, strategies, *ref_bound_row(X, prior, alg, times, strategies, cost))
         for times, strategies in ref_enumerate(X.days, X.assets)
     ]
     assert rows == expected  # exact float equality, row by row
@@ -410,13 +401,12 @@ class TestRegimeBlocks:
         gamma=st.floats(0.001, 0.5),
         kind=st.sampled_from([None, "per-trade", "parallel"]),
         rate=st.floats(0.0, 0.49),
-        convention=st.sampled_from(["switches-only", "all-segments"]),
     )
-    def test_bitwise_equal_to_references(self, T, N, seed, fixed, gamma, kind, rate, convention):
+    def test_bitwise_equal_to_references(self, T, N, seed, fixed, gamma, kind, rate):
         X = random_matrix(np.random.default_rng(seed), T, N)
         prior = FixedGammaPrior(gamma) if fixed else AdaptivePrior()
         cost = None if kind is None else CostModel(kind, rate)
-        assert_matches_references(X, prior, cost, convention)
+        assert_matches_references(X, prior, cost)
 
     @pytest.mark.parametrize(
         "T, N, prior, cost",
@@ -429,7 +419,7 @@ class TestRegimeBlocks:
     def test_long_segments_bitwise_equal_to_references(self, T, N, prior, cost):
         # Segments of 8 or more days take numpy's pairwise summation path.
         X = random_matrix(np.random.default_rng(T * 10 + N), T, N)
-        assert_matches_references(X, prior, cost, "switches-only", alg=-3.25)
+        assert_matches_references(X, prior, cost, alg=-3.25)
 
     def test_segment_sums_follow_the_matrix(self):
         # log_regime_wealth against the reference row, matrix after matrix.
@@ -438,7 +428,7 @@ class TestRegimeBlocks:
             for times, strategies in ref_enumerate(4, 2):
                 lw = log_regime_wealth(RegimeSpec(times, strategies), X) / LOG2
                 prior = FixedGammaPrior(0.1)
-                assert lw == ref_bound_row(X, prior, 0.0, times, strategies, None, "switches-only")[0]
+                assert lw == ref_bound_row(X, prior, 0.0, times, strategies, None)[0]
 
 
 class TestSwitchTimeBlocks:
@@ -451,36 +441,36 @@ class TestSwitchTimeBlocks:
         seed=st.integers(0, 2**32 - 1),
         fixed=st.booleans(),
         gamma=st.floats(0.001, 0.5),
-        kind=st.sampled_from([None, "per-trade", "parallel"]),
-        rate=st.floats(0.0, 0.49),
-        conventions=st.lists(st.sampled_from(["switches-only", "all-segments"]), min_size=1, max_size=3),
+        settings_=st.lists(
+            st.tuples(st.sampled_from([None, "per-trade", "parallel"]), st.floats(0.0, 0.49), st.floats(-20.0, 20.0)),
+            min_size=1,
+            max_size=3,
+        ),
         order=st.sampled_from(["enumerated", "rebuilt", "shuffled"]),
         data=st.data(),
     )
-    def test_every_field_equals_a_per_regime_recomputation(
-        self, T, N, seed, fixed, gamma, kind, rate, conventions, order, data
-    ):
+    def test_every_field_equals_a_per_regime_recomputation(self, T, N, seed, fixed, gamma, settings_, order, data):
         # Blocks are kept across regimes, tables and orders: shared switch-time tuples
-        # (enumerated), equal but distinct ones (rebuilt) and blocks left and re-entered (shuffled).
+        # (enumerated), equal but distinct ones (rebuilt), blocks left and re-entered (shuffled),
+        # and 1-3 interleaved tables, each with its own cost model and algorithm wealth.
         X = random_matrix(np.random.default_rng(seed), T, N)
         prior = FixedGammaPrior(gamma) if fixed else AdaptivePrior()
-        cost = None if kind is None else CostModel(kind, rate)
         regimes_ = list(enumerate_regimes(T, N))
         if order == "rebuilt":
             regimes_ = [RegimeSpec(q.switch_times, q.strategies) for q in regimes_]
         elif order == "shuffled":
             regimes_ = data.draw(st.permutations(regimes_))
-        alg = data.draw(st.floats(-20.0, 20.0))
-        tables = {convention: BoundTable(X, prior, alg, cost, convention) for convention in conventions}
+        tables = []
+        for kind, rate, alg in settings_:
+            cost = None if kind is None else CostModel(kind, rate)
+            tables.append((BoundTable(X, prior, alg, cost), cost, alg))
         for regime in regimes_:
-            for convention in conventions:
-                rep = bound_check(tables[convention], regime)
-                lw, penalty, slack = ref_bound_row(
-                    X, prior, alg, regime.switch_times, regime.strategies, cost, convention
-                )
+            for table, cost, alg in tables:
+                rep = bound_check(table, regime)
+                lw, penalty, slack = ref_bound_row(X, prior, alg, regime.switch_times, regime.strategies, cost)
                 fields = (rep.regime_log_wealth, rep.penalty, rep.algorithm_log_wealth, rep.slack)
                 assert fields == (lw, penalty, alg, slack)
-                assert log_regime_wealth(regime, X, cost, convention) / LOG2 == lw
+                assert log_regime_wealth(regime, X, cost) / LOG2 == lw
 
     # A refusal keeps its type, message and order (T, switch time, then strategy), and
     # leaves the table's block as it was: each test ends by scoring the valid regime's block
@@ -526,35 +516,22 @@ class TestSwitchTimeBlocks:
             empty = validate_relatives(np.empty((0, 2)), ["a", "b"])
             bound_check(BoundTable(empty, AdaptivePrior(), 0.0), RegimeSpec((3,), (0, 2)))
 
-    def test_unknown_convention_refused_at_construction(self):
-        valid = RegimeSpec((1, 3), (1, 0, 1))
-        expected = bound_check(self.table, valid)
-        message = r"^unknown cost convention 'bogus'$"
-        with pytest.raises(PortfolioError, match=message):
-            BoundTable(self.X, AdaptivePrior(), 0.5, CostModel.per_trade(0.01), "bogus")
-        # the one charge rule refuses it for a single regime and for the mixture too
-        with pytest.raises(PortfolioError, match=message):
-            log_regime_wealth(valid, self.X, None, "bogus")
-        with pytest.raises(PortfolioError, match=message):
-            mixture_oracle(self.X, AdaptivePrior(), None, "bogus")
-        self.assert_block_still_guarded(valid, expected)
-
 
 class TestScoredBlocks:
     """bounds' path: each block scored at once, then read regime by regime by bound_check."""
 
     @pytest.mark.parametrize(
-        "T, N, prior, cost, convention",
+        "T, N, prior, cost",
         [
-            (9, 3, AdaptivePrior(), CostModel.per_trade(0.01), "switches-only"),
-            (6, 4, FixedGammaPrior(0.2), CostModel.parallel(0.3), "all-segments"),
-            (10, 2, FixedGammaPrior(0.05), None, "switches-only"),
-            (1, 3, AdaptivePrior(), None, "all-segments"),
+            (9, 3, AdaptivePrior(), CostModel.per_trade(0.01)),
+            (6, 4, FixedGammaPrior(0.2), CostModel.parallel(0.3)),
+            (10, 2, FixedGammaPrior(0.05), None),
+            (1, 3, AdaptivePrior(), None),
         ],
     )
-    def test_reads_equal_the_references(self, T, N, prior, cost, convention):
+    def test_reads_equal_the_references(self, T, N, prior, cost):
         X = random_matrix(np.random.default_rng(T * 10 + N), T, N)
-        table = BoundTable(X, prior, -2.5, cost, convention)
+        table = BoundTable(X, prior, -2.5, cost)
         rows = []
         for times, strategies, log2_wealth, penalty in table.scored_blocks():
             assert log2_wealth.shape == (len(strategies),)
@@ -563,7 +540,7 @@ class TestScoredBlocks:
                 assert (rep.regime_log_wealth, rep.penalty) == (lw, penalty)
                 rows.append((times, regime.strategies, lw, penalty, rep.slack))
         expected = [
-            (times, strategies, *ref_bound_row(X, prior, -2.5, times, strategies, cost, convention))
+            (times, strategies, *ref_bound_row(X, prior, -2.5, times, strategies, cost))
             for times, strategies in ref_enumerate(T, N)
         ]
         assert rows == expected  # exact float equality, row by row
