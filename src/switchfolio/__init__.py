@@ -10,14 +10,7 @@ markets, and a backtesting CLI (``switchfolio``).
 """
 
 from .backtest import AlgoSpec, BacktestReport, compare, emit_plot_data, max_drawdown, run
-from .baselines import (
-    NoData,
-    UniversalConfig,
-    bcrp_solve,
-    best_stock,
-    eg_step,
-    universal_tracks,
-)
+from .baselines import NoData, bcrp_solve, best_stock, eg_step, universal_tracks
 from .core import (
     DimensionMismatch,
     DuplicateAssetName,

@@ -25,13 +25,7 @@ import math
 
 import numpy as np
 
-from .baselines import (
-    UniversalConfig,
-    bcrp_solve,
-    best_stock,
-    eg_step,
-    universal_tracks,
-)
+from .baselines import bcrp_solve, best_stock, eg_step, universal_tracks
 from .core import (
     DimensionMismatch,
     PortfolioError,
@@ -70,9 +64,37 @@ KIND_PARAMETERS = {
     KIND_BEST_STOCK: (),
 }
 ALGO_KINDS = tuple(KIND_PARAMETERS)
+# The keys a kind's spec string may give and its label shows, in label order: universal's own seed too.
+SPEC_KEYS = {kind: keys + ("seed",) * (kind == KIND_UNIVERSAL) for kind, keys in KIND_PARAMETERS.items()}
+DEFAULT_SAMPLES = 10_000  # universal's samples when its spec string gives none
 
 ACCOUNTING_BUCKET = "bucket"
 ACCOUNTING_REALIZED = "realized"
+
+
+def _read_number(key: str, text: str, kind=float):
+    """One numeric spec parameter; a malformed value is a data error naming it."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise PortfolioError(f"algorithm parameter {key} must be {expected}, got {text!r}") from None
+
+
+# Each parameter's spec-string reader, (key, text) -> value, and its report label, value -> text.
+PARAMETERS = {
+    "gamma": (_read_number, "gamma={:g}".format),
+    "weights": (lambda key, text: tuple(_read_number(key, v) for v in text.split("|")),
+                lambda w: "w=" + "|".join(f"{v:g}" for v in w)),
+    "eta": (_read_number, "eta={:g}".format),
+    "samples": (lambda key, text: _read_number(key, text, int), "samples={}".format),
+    "seed": (lambda key, text: _read_number(key, text, int), "seed={}".format),
+}
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is refused, though Python counts it as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class AlgoSpec(_Frozen):
@@ -103,21 +125,52 @@ class AlgoSpec(_Frozen):
             refused = simplex_refusal(w)
             if refused is not None:
                 raise refused[1]
+        if samples is not None:  # universal: the samples and the seed that draws them
+            if not _is_integer(samples):
+                raise PortfolioError(f"sample count must be an integer, got {samples!r}")
+            if samples < 1:
+                raise PortfolioError(f"need at least one sample, got {samples}")
+            if not _is_integer(seed) or seed < 0:
+                raise PortfolioError(f"seed must be a non-negative integer, got {seed!r}")
         self._set(kind, gamma, weights, eta, samples, seed, cost, cost_accounting)
+
+    @classmethod
+    def parse(cls, text: str, seed: int = 0, cost: CostModel | None = None,
+              cost_accounting: str = ACCOUNTING_BUCKET) -> AlgoSpec:
+        """The spec of 'kind' or 'kind:key=value,key=value', as ``backtest`` and ``compare`` read it.
+
+        Keys are read by ``PARAMETERS``; ``weights`` values are separated by ``|``.
+        Universal's samples default to DEFAULT_SAMPLES and its seed to ``seed``; only
+        universal takes a ``seed=`` of its own. A malformed chunk, a key given twice, a
+        malformed value and an unknown key are refused, in the order the text gives them,
+        before the kind and its parameters are checked.
+        """
+        kind, _, param_text = text.partition(":")
+        kind = kind.strip()
+        params = {}
+        for chunk in param_text.split(","):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            key, eq, value = chunk.partition("=")
+            if not eq:
+                raise PortfolioError(f"malformed algorithm parameter {chunk!r} in {text!r}")
+            key = key.strip()
+            if key in params:
+                raise PortfolioError(f"algorithm parameter {key} given twice in {text!r}")
+            if key not in PARAMETERS:
+                raise PortfolioError(f"unknown algorithm parameter {key!r} in {text!r}")
+            params[key] = PARAMETERS[key][0](key, value.strip())
+        if kind == KIND_UNIVERSAL:
+            params.setdefault("samples", DEFAULT_SAMPLES)
+        spec = cls(kind, **{"seed": seed, **params}, cost=cost, cost_accounting=cost_accounting)
+        if "seed" in params and "seed" not in SPEC_KEYS[kind]:
+            raise PortfolioError(f"{kind} takes no parameter seed")
+        return spec
 
     @property
     def label(self) -> str:
-        parts = [self.kind]
-        if self.gamma is not None:
-            parts.append(f"gamma={self.gamma:g}")
-        if self.weights is not None:
-            parts.append("w=" + "|".join(f"{v:g}" for v in self.weights))
-        if self.eta is not None:
-            parts.append(f"eta={self.eta:g}")
-        if self.samples is not None:
-            parts.append(f"samples={self.samples}")
-            parts.append(f"seed={self.seed}")
-        return " ".join(parts)
+        return " ".join([self.kind] + [PARAMETERS[name][1](getattr(self, name)) for name in SPEC_KEYS[self.kind]])
 
     @property
     def parameters(self) -> str:
@@ -244,7 +297,7 @@ def run(spec: AlgoSpec, X: PriceRelativeMatrix) -> BacktestReport:
         wealth, weights, log_wealth = _switching_tracks(spec, X)
     elif spec.kind == KIND_UNIVERSAL:
         # The sampled mixture's native accounting is per-CRP realized cost.
-        wealth, weights = universal_tracks(X, UniversalConfig(spec.samples, spec.seed, spec.cost))
+        wealth, weights = universal_tracks(X, spec)
     else:
         wealth, weights = _weight_driven_tracks(spec, X)
     wealth_bucket = wealth_realized = None

@@ -28,12 +28,15 @@ full M x N sample matrix is never held.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (GROWTH_MAX, GROWTH_MIN, LOG2, DimensionMismatch, PortfolioError, PriceRelativeMatrix, _Frozen,
+from .core import (GROWTH_MAX, GROWTH_MIN, LOG2, DimensionMismatch, PortfolioError, PriceRelativeMatrix,
                    scaled_days, simplex_refusal)
-from .costs import CostModel
+
+if TYPE_CHECKING:
+    from .backtest import AlgoSpec
 
 _BCRP_MAX_ITER = 20_000
 _BCRP_TOL = 1e-12  # relative objective improvement per sweep
@@ -44,26 +47,6 @@ _TILE_SAMPLES = 8192
 
 class NoData(PortfolioError):
     """Operation needs at least one trading day."""
-
-
-class UniversalConfig(_Frozen):
-    """Universal portfolio settings; the exact two-asset path reads only ``cost``."""
-
-    __slots__ = ("samples", "rng_seed", "cost")
-
-    def __init__(self, samples: int, rng_seed: int = 0, cost: CostModel | None = None):
-        if not _is_integer(samples):
-            raise PortfolioError(f"sample count must be an integer, got {samples!r}")
-        if samples < 1:
-            raise PortfolioError(f"need at least one sample, got {samples}")
-        if not _is_integer(rng_seed) or rng_seed < 0:
-            raise PortfolioError(f"seed must be a non-negative integer, got {rng_seed!r}")
-        self._set(samples, rng_seed, cost)
-
-
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; a bool is refused, though Python counts it as one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -200,19 +183,17 @@ def _simplex_draws(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def universal_tracks(
-    X: PriceRelativeMatrix, config: UniversalConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def universal_tracks(X: PriceRelativeMatrix, spec: AlgoSpec) -> tuple[np.ndarray, np.ndarray]:
     """Wealth series and implied weight track of the uniform-prior universal portfolio.
 
     Returns (wealth of length T+1, weights of shape (T+1, N)); weights[t] is
     the portfolio going into day t+1. Two assets without costs take the
-    exact form; every other input, the Monte Carlo mixture of config.samples
-    CRPs.
+    exact form; every other input, the Monte Carlo mixture of the universal
+    spec's samples CRPs, drawn from its seed.
     """
-    if X.assets == 2 and config.cost is None:
+    if X.assets == 2 and spec.cost is None:
         return _exact_pair_tracks(X)
-    return _sampled_tracks(X, config)
+    return _sampled_tracks(X, spec)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf and nan are refused by the caller
@@ -284,9 +265,7 @@ def _exact_pair_tracks(X: PriceRelativeMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's finiteness check
-def _sampled_tracks(
-    X: PriceRelativeMatrix, config: UniversalConfig
-) -> tuple[np.ndarray, np.ndarray]:
+def _sampled_tracks(X: PriceRelativeMatrix, spec: AlgoSpec) -> tuple[np.ndarray, np.ndarray]:
     """Wealth series and implied weight track of the sampled universal portfolio.
 
     Initial wealth is split equally across M uniformly sampled CRPs; each runs
@@ -301,14 +280,14 @@ def _sampled_tracks(
     once per call, so no tile allocates memory or faults in fresh pages.
     """
     T, N = X.days, X.assets
-    rng = np.random.Generator(np.random.Philox(config.rng_seed))
-    c = config.cost
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    c = spec.cost
     # table[t] = (total wealth, wealth-weighted weights) summed over the CRPs after day t
     table = np.zeros((T + 1, N + 1))
     part = np.empty((_TILE_DAYS, N + 1))
     tiles = np.empty((3, _TILE_DAYS * _TILE_SAMPLES))  # returns then wealth; commission; one asset's term
-    for start in range(0, config.samples, _TILE_SAMPLES):
-        W = _simplex_draws(rng, min(_TILE_SAMPLES, config.samples - start), N)
+    for start in range(0, spec.samples, _TILE_SAMPLES):
+        W = _simplex_draws(rng, min(_TILE_SAMPLES, spec.samples - start), N)
         m = W.shape[0]
         Wt = np.ascontiguousarray(W.T)
         rate_w = None if c is None else c.rate * Wt
@@ -343,7 +322,7 @@ def _sampled_tracks(
             carry[:] = rows[days - 1]  # the next tile's product overwrites the buffer
             np.matmul(R, one_w, out=part[:days])
             table[t0 + 1 : t0 + 1 + days] += part[:days]
-    wealth = table[:, 0] / config.samples
+    wealth = table[:, 0] / spec.samples
     track = table[:, 1:] / table[:, :1]
     return wealth, track
 

@@ -10,7 +10,7 @@ Subcommands:
 
 ``backtest`` and ``compare`` name each strategy by one spec string,
 ``--algo KIND[:key=value,...]`` (``crp:weights=0.5|0.5``, ``eg:eta=0.05``),
-read by one parser before the data is loaded.
+read by one parser, ``backtest.AlgoSpec.parse``, before the data is loaded.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error (with
 line/column diagnostics for CSV problems; a malformed, missing, repeated or
@@ -110,56 +110,11 @@ def _add_common(p: _Parser, seed: bool = False):
     p.add_argument("--out", help="write output here instead of stdout")
 
 
-def _parse_number(key: str, value: str, kind=float):
-    """One numeric algorithm parameter; a malformed value is a data error naming it."""
-    try:
-        return kind(value)
-    except ValueError:
-        expected = "an integer" if kind is int else "a number"
-        raise PortfolioError(f"algorithm parameter {key} must be {expected}, got {value!r}") from None
-
-
-UNIVERSAL_SAMPLES = 10_000  # universal's samples when its spec gives none
-
-
-def _parse_algo_string(text: str, args) -> bt.AlgoSpec:
-    """Parse 'kind' or 'kind:key=value,key=value' into an AlgoSpec; only universal samples, so takes a seed=."""
-    kind, _, param_text = text.partition(":")
-    kind = kind.strip()
-    params = {}
-    for chunk in param_text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        key, eq, value = chunk.partition("=")
-        if not eq:
-            raise PortfolioError(f"malformed algorithm parameter {chunk!r} in {text!r}")
-        key = key.strip()
-        value = value.strip()
-        if key in params:
-            raise PortfolioError(f"algorithm parameter {key} given twice in {text!r}")
-        if key in ("gamma", "eta"):
-            params[key] = _parse_number(key, value)
-        elif key in ("samples", "seed"):
-            params[key] = _parse_number(key, value, int)
-        elif key == "weights":
-            params["weights"] = tuple(_parse_number(key, v) for v in value.split("|"))
-        else:
-            raise PortfolioError(f"unknown algorithm parameter {key!r} in {text!r}")
-    if kind == bt.KIND_UNIVERSAL:
-        params.setdefault("samples", UNIVERSAL_SAMPLES)
-    spec = bt.AlgoSpec(kind=kind, **{"seed": args.seed, **params}, cost=_cost_from_args(args),
-                       cost_accounting=args.cost_accounting)
-    if "seed" in params and kind != bt.KIND_UNIVERSAL:
-        raise PortfolioError(f"{kind} takes no parameter seed")
-    return spec
-
-
 # The --algo help of backtest and compare, with each kind's keys read from the table.
 ALGO_HELP = (
     "strategy spec 'KIND[:key=value,...]', KIND one of "
     + ", ".join(kind + "".join(f":{key}=" for key in keys) for kind, keys in bt.KIND_PARAMETERS.items())
-    + f"; weights values are separated by |; universal's samples default to {UNIVERSAL_SAMPLES}"
+    + f"; weights values are separated by |; universal's samples default to {bt.DEFAULT_SAMPLES}"
     " (unused for two assets without a cost) and it alone takes its own seed= (default --seed)"
 )
 
@@ -199,7 +154,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
-    spec = _parse_algo_string(args.algo, args)
+    spec = bt.AlgoSpec.parse(args.algo, args.seed, _cost_from_args(args), args.cost_accounting)
     report = bt.run(spec, load_csv(args.data, args.mode))
     _emit(bt.report_tsv(report), args.out)
     if args.plot_data:
@@ -208,7 +163,8 @@ def _cmd_backtest(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    specs = [_parse_algo_string(text, args) for text in args.algo]
+    cost = _cost_from_args(args)
+    specs = [bt.AlgoSpec.parse(text, args.seed, cost, args.cost_accounting) for text in args.algo]
     rows = bt.compare(specs, load_csv(args.data, args.mode))
     _emit(bt.comparison_tsv(rows), args.out)
     return 0

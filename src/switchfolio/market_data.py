@@ -192,15 +192,25 @@ def to_csv_text(X: PriceRelativeMatrix) -> str:
     return buf.getvalue()
 
 
+SYNTH_MAX_N = 10**6  # largest n of a synthetic market: 2 million days, 32 MB of relatives
+
+
+def _synth_days(n: int, unit: str) -> int:
+    """The 2n days of a synthetic market; an n below 1 or above SYNTH_MAX_N is refused."""
+    if n < 1:
+        raise PortfolioError(f"need n >= 1 {unit}, got {n}")
+    if n > SYNTH_MAX_N:
+        raise PortfolioError(f"need n <= {SYNTH_MAX_N} {unit}, got {n}")
+    return 2 * n
+
+
 def synth_volatility_pair(n: int) -> PriceRelativeMatrix:
     """2n days of a flat asset next to one that halves on odd days, doubles on even.
 
     Each asset alone goes nowhere; a daily-rebalanced even split grows by 9/8
     every two days.
     """
-    if n < 1:
-        raise PortfolioError(f"need n >= 1 half-periods, got {n}")
-    values = np.ones((2 * n, 2))
+    values = np.ones((_synth_days(n, "half-periods"), 2))
     values[0::2, 1] = 0.5  # day 1, 3, 5, ... (odd trading days)
     values[1::2, 1] = 2.0
     return PriceRelativeMatrix(values, ("steady", "volatile"))
@@ -213,9 +223,7 @@ def synth_regime_pair(n: int) -> PriceRelativeMatrix:
     Any constant rebalanced mix decays (the even split loses 1/8 every day),
     while holding asset 1 then switching to asset 2 compounds 3/2 daily.
     """
-    if n < 1:
-        raise PortfolioError(f"need n >= 1 phase days, got {n}")
-    values = np.empty((2 * n, 2))
+    values = np.empty((_synth_days(n, "phase days"), 2))
     values[:n, 0] = 1.5
     values[n:, 0] = 0.25
     values[:n, 1] = 0.25

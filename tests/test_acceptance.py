@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from switchfolio.backtest import AlgoSpec, compare, emit_plot_data, run
-from switchfolio.baselines import UniversalConfig, _sampled_tracks, bcrp_solve
+from switchfolio.baselines import _sampled_tracks, bcrp_solve
 from switchfolio.core import RegimeSpec, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import load_csv, synth_regime_pair, synth_volatility_pair
@@ -191,7 +191,7 @@ def test_criterion_7_universal_vs_quadrature():
         vals = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(T, 2)))
         X = validate_relatives(vals, ["a", "b"])
         exact = float(np.trapezoid(np.prod(W @ X.values.T, axis=1), grid))
-        mc = _sampled_tracks(X, UniversalConfig(samples=100_000, rng_seed=2026))[0][-1]
+        mc = _sampled_tracks(X, AlgoSpec("universal", samples=100_000, seed=2026))[0][-1]
         rel = abs(mc - exact) / exact
         worst = max(worst, rel)
         assert rel <= 0.01, (T, rel)

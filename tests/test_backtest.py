@@ -227,6 +227,128 @@ class TestRun:
         assert AlgoSpec("universal", samples=300, seed=9).parameters == "samples=300 seed=9"
         assert AlgoSpec("switching-fixed", gamma=0.3, seed=4).label == "switching-fixed gamma=0.3"
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_universal_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(PortfolioError) as exc:
+            AlgoSpec("universal", samples=10, seed=seed)
+        assert str(exc.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+    @pytest.mark.parametrize("samples", [2.5, 5.0, "5", True, False, np.True_, np.float64(3)])
+    def test_sample_count_must_be_an_integer(self, samples):
+        with pytest.raises(PortfolioError) as exc:
+            AlgoSpec("universal", samples=samples)
+        assert str(exc.value) == f"sample count must be an integer, got {samples!r}"
+
+    @pytest.mark.parametrize("samples", [0, -3, np.int64(0)])
+    def test_sample_count_must_be_positive(self, samples):
+        with pytest.raises(PortfolioError) as exc:
+            AlgoSpec("universal", samples=samples)
+        assert str(exc.value) == f"need at least one sample, got {samples}"
+
+    def test_numpy_integer_samples_and_seed_accepted(self):
+        spec = AlgoSpec("universal", samples=np.int32(20), seed=np.int64(4))
+        assert spec == AlgoSpec("universal", samples=20, seed=4)
+        assert spec.parameters == "samples=20 seed=4"
+
+
+def _padded(draw, text: str) -> str:
+    """text with drawn spaces around it, which the spec grammar strips."""
+    return draw(st.sampled_from(["", " ", "  "])) + text + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def spec_strings(draw):
+    """(spec string, AlgoSpec keyword arguments, parameters text) of one kind with drawn valid parameters.
+
+    The keyword arguments hold a seed only where the string gives one; the parameters text
+    holds ``{seed}`` for universal's seed.
+    """
+    kind = draw(st.sampled_from(backtest.ALGO_KINDS))
+    finite = st.floats(0.0, 1e6, allow_subnormal=True)
+    fields, texts = {}, []
+    if kind == "switching-fixed":
+        fields["gamma"] = draw(finite)
+        texts.append(f"gamma={fields['gamma']:g}")
+    elif kind == "eg":
+        fields["eta"] = draw(finite)
+        texts.append(f"eta={fields['eta']:g}")
+    elif kind == "crp":
+        raw = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4))
+        fields["weights"] = tuple(v / math.fsum(raw) for v in raw)
+        texts.append("w=" + "|".join(f"{v:g}" for v in fields["weights"]))
+    chunks = [f"{_padded(draw, key)}={_padded(draw, repr(v) if key != 'weights' else '|'.join(map(repr, v)))}"
+              for key, v in fields.items()]
+    if kind == "universal":
+        given = draw(st.sets(st.sampled_from(["samples", "seed"])))
+        fields["samples"] = draw(st.integers(1, 10**9)) if "samples" in given else backtest.DEFAULT_SAMPLES
+        if "seed" in given:
+            fields["seed"] = draw(st.integers(0, 2**63))
+        chunks += draw(st.permutations([f"{_padded(draw, key)}={_padded(draw, str(fields[key]))}" for key in given]))
+        texts += [f"samples={fields['samples']}", "seed={seed}"]
+    chunks += [""] * draw(st.integers(0, 1))  # an empty chunk is skipped
+    text = _padded(draw, kind) + (":" + ",".join(chunks) if chunks or draw(st.booleans()) else "")
+    return text, {"kind": kind, **fields}, " ".join(texts) or "-"
+
+
+class TestParse:
+    """``AlgoSpec.parse`` reads the spec strings of backtest and compare."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=spec_strings(), seed=st.integers(0, 2**63), cost=st.sampled_from([None, CostModel.parallel(0.02)]),
+           accounting=st.sampled_from(["bucket", "realized"]))
+    def test_a_valid_spec_string_reads_to_the_spec_built_directly(self, drawn, seed, cost, accounting):
+        text, fields, parameters = drawn
+        spec = AlgoSpec.parse(text, seed, cost, accounting)
+        direct = AlgoSpec(**{"seed": seed, **fields}, cost=cost, cost_accounting=accounting)
+        assert spec == direct
+        assert spec.parameters == direct.parameters == parameters.format(seed=direct.seed)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("eg:eta", "malformed algorithm parameter 'eta' in 'eg:eta'"),
+            ("crp:weights=0.5,0.5", "malformed algorithm parameter '0.5' in 'crp:weights=0.5,0.5'"),
+            ("eg:eta=0.1,eta=0.2", "algorithm parameter eta given twice in 'eg:eta=0.1,eta=0.2'"),
+            ("eg: eta=0.1 , eta =abc", "algorithm parameter eta given twice in 'eg: eta=0.1 , eta =abc'"),
+            ("eg:rate=1,rate=2", "unknown algorithm parameter 'rate' in 'eg:rate=1,rate=2'"),
+            ("universal:seed=1,seed=1", "algorithm parameter seed given twice in 'universal:seed=1,seed=1'"),
+            ("eg:eta=0.05,rate=2", "unknown algorithm parameter 'rate' in 'eg:eta=0.05,rate=2'"),
+            ("eg:rate=x,eta=abc", "unknown algorithm parameter 'rate' in 'eg:rate=x,eta=abc'"),
+            ("momentum:rate=1", "unknown algorithm parameter 'rate' in 'momentum:rate=1'"),
+            ("eg:eta=abc,rate=1", "algorithm parameter eta must be a number, got 'abc'"),
+            ("switching-fixed:gamma=abc", "algorithm parameter gamma must be a number, got 'abc'"),
+            ("eg:eta=", "algorithm parameter eta must be a number, got ''"),
+            ("crp:weights=0.5|x", "algorithm parameter weights must be a number, got 'x'"),
+            ("universal:samples=1e3", "algorithm parameter samples must be an integer, got '1e3'"),
+            ("universal:seed=x", "algorithm parameter seed must be an integer, got 'x'"),
+            ("momentum:eta=x", "algorithm parameter eta must be a number, got 'x'"),
+            ("momentum", "unknown algorithm kind 'momentum'; choose from " + repr(backtest.ALGO_KINDS)),
+            ("eg", "eg needs eta"),
+            ("eg:seed=3", "eg needs eta"),
+            ("eg:eta=0.05,gamma=0.2,samples=5", "eg takes no parameter gamma"),
+            ("bcrp:weights=0.5|0.5", "bcrp takes no parameter weights"),
+            ("switching-adaptive:samples=5", "switching-adaptive takes no parameter samples"),
+            ("universal:samples=5,eta=0.1", "universal takes no parameter eta"),
+            ("bcrp:seed=3", "bcrp takes no parameter seed"),
+            ("eg:eta=0.05,seed=-1", "eg takes no parameter seed"),
+            ("eg:eta=-1", "eta must be a finite number >= 0, got -1.0"),
+            ("crp:weights=-0.5|1.5", "negative or NaN portfolio weight: -0.5"),
+            ("universal:samples=0", "need at least one sample, got 0"),
+            ("universal:seed=-1", "seed must be a non-negative integer, got -1"),
+        ],
+    )
+    def test_refusals(self, text, message):
+        with pytest.raises(PortfolioError) as exc:
+            AlgoSpec.parse(text)
+        assert str(exc.value) == message
+
+    def test_a_refused_seed_argument_reaches_only_universal(self):
+        assert AlgoSpec.parse("bcrp", seed=-1).seed == -1
+        with pytest.raises(PortfolioError, match="^seed must be a non-negative integer, got -1$"):
+            AlgoSpec.parse("universal", seed=-1)
+        with pytest.raises(PortfolioError, match="^cost_accounting must be bucket or realized, got 'x'$"):
+            AlgoSpec.parse("bcrp", cost_accounting="x")
+
 
 class TestWeightTrackCheck:
     """A run checks its weight track once, after its loop, and names the first day off the simplex."""

@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from switchfolio.baselines import (
     _TILE_DAYS,
     _TILE_SAMPLES,
     NoData,
-    UniversalConfig,
     _exact_pair_tracks,
     _sampled_tracks,
     _simplex_draws,
@@ -43,7 +41,7 @@ def random_matrix(rng, T, N, spread=(0.25, 4.0)):
 
 def ref_universal_tracks(X, config):
     """The sampled universal portfolio one day at a time over all M CRPs: the reference for the tiles."""
-    W = sample_simplex(config.samples, X.assets, config.rng_seed)
+    W = sample_simplex(config.samples, X.assets, config.seed)
     wealth_per_crp = np.ones(config.samples)
     wealth = np.ones(X.days + 1)
     track = np.empty((X.days + 1, X.assets))
@@ -244,17 +242,17 @@ class TestEgStep:
 class TestUniversal:
     def test_single_asset_is_buy_and_hold(self):
         X = validate_relatives([[1.2], [0.9], [1.4]], ["a"])
-        series = universal_tracks(X, UniversalConfig(samples=7, rng_seed=1))[0]
+        series = universal_tracks(X, AlgoSpec("universal", samples=7, seed=1))[0]
         assert math.isclose(series[-1], 1.2 * 0.9 * 1.4, rel_tol=1e-12)
 
     def test_empty_history(self):
         X = validate_relatives([], ["a", "b"])
-        assert universal_tracks(X, UniversalConfig(samples=10, rng_seed=0))[0].tolist() == [1.0]
+        assert universal_tracks(X, AlgoSpec("universal", samples=10, seed=0))[0].tolist() == [1.0]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(57)
         X = random_matrix(rng, 10, 3)
-        cfg = UniversalConfig(samples=500, rng_seed=99)
+        cfg = AlgoSpec("universal", samples=500, seed=99)
         a = universal_tracks(X, cfg)[0]
         b = universal_tracks(X, cfg)[0]
         assert np.array_equal(a, b)
@@ -262,7 +260,7 @@ class TestUniversal:
     def test_final_wealth_between_sampled_extremes(self):
         rng = np.random.default_rng(58)
         X = random_matrix(rng, 10, 2)
-        cfg = UniversalConfig(samples=200, rng_seed=5)
+        cfg = AlgoSpec("universal", samples=200, seed=5)
         W = sample_simplex(200, 2, 5)
         finals = np.prod(W @ X.values.T, axis=1)
         u = _sampled_tracks(X, cfg)[0][-1]
@@ -272,7 +270,7 @@ class TestUniversal:
         rng = np.random.default_rng(59)
         for _ in range(5):
             X = random_matrix(rng, 12, 2)
-            u = universal_tracks(X, UniversalConfig(samples=2000, rng_seed=3))[0][-1]
+            u = universal_tracks(X, AlgoSpec("universal", samples=2000, seed=3))[0][-1]
             _, lw = bcrp_solve(X)
             assert math.log(u) <= lw + 1e-9
 
@@ -283,13 +281,13 @@ class TestUniversal:
         for _ in range(3):
             X = random_matrix(rng, int(rng.integers(1, 11)), 2)
             exact = float(np.trapezoid(np.prod(W @ X.values.T, axis=1), grid))
-            mc = _sampled_tracks(X, UniversalConfig(samples=100_000, rng_seed=7))[0][-1]
+            mc = _sampled_tracks(X, AlgoSpec("universal", samples=100_000, seed=7))[0][-1]
             assert abs(mc - exact) / exact <= 0.01
 
     def test_weights_track_is_wealth_weighted_mean(self):
         rng = np.random.default_rng(61)
         X = random_matrix(rng, 6, 2)
-        cfg = UniversalConfig(samples=50, rng_seed=11)
+        cfg = AlgoSpec("universal", samples=50, seed=11)
         wealth, track = _sampled_tracks(X, cfg)
         W = sample_simplex(50, 2, 11)
         finals = np.prod(W @ X.values.T, axis=1)
@@ -303,7 +301,7 @@ class TestUniversal:
         X = random_matrix(np.random.default_rng(62 + 10 * T + N), T, N)
         for M in TILE_SAMPLES:
             for cost in COST_MODELS:
-                assert_matches_reference(X, UniversalConfig(samples=M, rng_seed=T + M, cost=cost))
+                assert_matches_reference(X, AlgoSpec("universal", samples=M, seed=T + M, cost=cost))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -316,7 +314,7 @@ class TestUniversal:
     )
     def test_tiles_match_reference_property(self, T, N, M, cost, seed, market_seed):
         X = random_matrix(np.random.default_rng(market_seed), T, N)
-        assert_matches_reference(X, UniversalConfig(samples=M, rng_seed=seed, cost=cost))
+        assert_matches_reference(X, AlgoSpec("universal", samples=M, seed=seed, cost=cost))
 
     @pytest.mark.parametrize("chunk", [1, 7, 2048, 4096, _TILE_SAMPLES])
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -330,37 +328,22 @@ class TestUniversal:
     def test_results_survive_a_later_call(self, cost):
         # The tile buffer is per call: a second call of another shape leaves the first's arrays alone.
         X = random_matrix(np.random.default_rng(5), 2 * _TILE_DAYS + 3, 3)
-        wealth, track = universal_tracks(X, UniversalConfig(samples=_TILE_SAMPLES + 5, rng_seed=1, cost=cost))
+        wealth, track = universal_tracks(X, AlgoSpec("universal", samples=_TILE_SAMPLES + 5, seed=1, cost=cost))
         kept = wealth.copy(), track.copy()
         Y = random_matrix(np.random.default_rng(6), _TILE_DAYS + 1, 3)
-        universal_tracks(Y, UniversalConfig(samples=_TILE_SAMPLES - 3, rng_seed=2, cost=cost))
+        universal_tracks(Y, AlgoSpec("universal", samples=_TILE_SAMPLES - 3, seed=2, cost=cost))
         assert np.array_equal(wealth, kept[0]) and np.array_equal(track, kept[1])
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
-    def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(PortfolioError, match="seed must be a non-negative integer"):
-            UniversalConfig(samples=10, rng_seed=seed)
-
-    @pytest.mark.parametrize("samples", [2.5, 5.0, "5", None, True, False, np.True_, np.float64(3)])
-    def test_sample_count_must_be_an_integer(self, samples):
-        with pytest.raises(PortfolioError, match=re.escape(f"sample count must be an integer, got {samples!r}")):
-            UniversalConfig(samples=samples)
-
-    @pytest.mark.parametrize("samples", [0, -3, np.int64(0)])
-    def test_sample_count_must_be_positive(self, samples):
-        with pytest.raises(PortfolioError, match="need at least one sample"):
-            UniversalConfig(samples=samples)
 
     def test_numpy_integer_seed_accepted(self):
         X = validate_relatives([[1.2, 0.9], [0.8, 1.1]], ["a", "b"])
-        a = _sampled_tracks(X, UniversalConfig(samples=20, rng_seed=np.int64(4)))
-        b = _sampled_tracks(X, UniversalConfig(samples=20, rng_seed=4))
+        a = _sampled_tracks(X, AlgoSpec("universal", samples=20, seed=np.int64(4)))
+        b = _sampled_tracks(X, AlgoSpec("universal", samples=20, seed=4))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_numpy_integer_sample_count_accepted(self):
         X = validate_relatives([[1.2, 0.9], [0.8, 1.1]], ["a", "b"])
-        a = _sampled_tracks(X, UniversalConfig(samples=np.int32(20), rng_seed=4))
-        b = _sampled_tracks(X, UniversalConfig(samples=20, rng_seed=4))
+        a = _sampled_tracks(X, AlgoSpec("universal", samples=np.int32(20), seed=4))
+        b = _sampled_tracks(X, AlgoSpec("universal", samples=20, seed=4))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_sampler_is_uniform_on_simplex(self):
@@ -440,9 +423,9 @@ class TestExactPair:
         X = random_matrix(np.random.default_rng(64), 40, 2)
         exact = _exact_pair_tracks(X)
         for samples, seed in [(1, 0), (500, 3), (20_000, 11)]:
-            got = universal_tracks(X, UniversalConfig(samples=samples, rng_seed=seed))
+            got = universal_tracks(X, AlgoSpec("universal", samples=samples, seed=seed))
             assert np.array_equal(got[0], exact[0]) and np.array_equal(got[1], exact[1])
-        cfg = UniversalConfig(samples=500, rng_seed=3, cost=CostModel.per_trade(0.01))
+        cfg = AlgoSpec("universal", samples=500, seed=3, cost=CostModel.per_trade(0.01))
         costed, sampled = universal_tracks(X, cfg), _sampled_tracks(X, cfg)
         assert np.array_equal(costed[0], sampled[0]) and np.array_equal(costed[1], sampled[1])
 
@@ -463,7 +446,7 @@ class TestExactPair:
         errors = {1000: [], 100_000: []}
         for seed in range(5):
             for M, errs in errors.items():
-                mc = _sampled_tracks(X, UniversalConfig(samples=M, rng_seed=seed))[0][-1]
+                mc = _sampled_tracks(X, AlgoSpec("universal", samples=M, seed=seed))[0][-1]
                 finals = np.prod(sample_simplex(M, 2, seed) @ X.values.T, axis=1)
                 assert abs(mc - exact) <= 4 * finals.std() / math.sqrt(M)
                 errs.append(abs(mc - exact))

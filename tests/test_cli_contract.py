@@ -274,6 +274,18 @@ def test_contract_on_the_grid(work, command, scale):
         raise ContractViolation(f"{len(violations)} violations; the first: {violations[0]}")
 
 
+@pytest.mark.parametrize("kind, unit", [("regime-pair", "phase days"), ("volatility-pair", "half-periods")])
+@pytest.mark.parametrize("n", ["1000000000000", "100000000000000000000"])
+def test_synth_refuses_a_market_too_large_to_hold(work, kind, unit, n):
+    # numpy once failed to allocate the first (29.1 TiB) and refused the second's dimension.
+    out = work / "huge.csv"
+    out.unlink(missing_ok=True)
+    argv = ["synth", "--kind", kind, "--n", n, "--out", str(out)]
+    check(argv, work / "plot.csv")
+    assert invoke(argv)[:3] == (2, "", f"switchfolio: need n <= 1000000 {unit}, got {n}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("prior", [["adaptive"], ["fixed", "--gamma", GAMMAS[0]]])
 @pytest.mark.parametrize("market", ["sixty days near e^-695", "regime-pair --n 2000"])
 def test_oracle_refuses_a_wealth_outside_the_normal_doubles(work, prior, market):

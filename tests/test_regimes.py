@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchfolio.backtest import AlgoSpec, ComparisonRow
-from switchfolio.baselines import UniversalConfig
 from switchfolio.core import PortfolioError, RegimeSpec, validate_relatives
 from switchfolio.costs import CostModel, switch_factor
 from switchfolio.regimes import (
@@ -285,8 +284,6 @@ class TestRecords:
          "cost=None, cost_accounting='bucket')"),
         (CostModel.per_trade(0.01), CostModel.parallel(0.01), ("per-trade", 0.01),
          "CostModel(kind='per-trade', rate=0.01)"),
-        (UniversalConfig(100, 3), UniversalConfig(100), (100, 3, None),
-         "UniversalConfig(samples=100, rng_seed=3, cost=None)"),
         (ComparisonRow("bcrp", "-", 1.25, 0.5, True), ComparisonRow("bcrp", "-", 1.25, 0.5, False),
          ("bcrp", "-", 1.25, 0.5, True),
          "ComparisonRow(name='bcrp', parameters='-', final_wealth=1.25, max_drawdown=0.5, hindsight_only=True)"),

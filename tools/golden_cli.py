@@ -143,7 +143,7 @@ def corpus() -> list[tuple[str, list[str]]]:
         cases.append((f"compare-long2-universal20000-{cost}",
                       ["compare", "--data", "long2.csv", "--algo", "universal:samples=20000",
                        "--algo", "best-stock", *COSTS[cost]]))
-    # universal without samples= runs UNIVERSAL_SAMPLES of them, as in backtest.
+    # universal without samples= runs backtest.DEFAULT_SAMPLES of them, as in backtest.
     cases.append(("compare-universal-default-samples",
                   ["compare", "--data", "dated3.csv", "--algo", "universal", "--algo", "bcrp", "--seed", "3"]))
     cases.append(("compare-long3-universal20000-none",
@@ -246,6 +246,30 @@ def corpus() -> list[tuple[str, list[str]]]:
         "negative-price": ["backtest", "--data", "negative-price.csv", "--mode", "prices", "--algo", "bcrp"],
         "unknown-kind": ["compare", "--data", "plain2.csv", "--algo", "momentum"],
         "parameter-without-value": ["compare", "--data", "plain2.csv", "--algo", "eg:eta"],
+        # The rest of the spec grammar's refusals, in AlgoSpec.parse's order of checks.
+        "comma-separated-weights": ["backtest", "--data", "plain2.csv", "--algo", "crp:weights=0.5,0.5"],
+        "empty-value": ["compare", "--data", "plain2.csv", "--algo", "eg:eta="],
+        "malformed-spec-seed": ["compare", "--data", "plain2.csv", "--algo", "universal:seed=x"],
+        "repeated-unknown-key": ["compare", "--data", "plain2.csv", "--algo", "eg:rate=1,rate=2"],
+        "unknown-parameter-of-unknown-kind": ["compare", "--data", "plain2.csv", "--algo", "momentum:rate=1"],
+        "malformed-value-of-unknown-kind": ["compare", "--data", "plain2.csv", "--algo", "momentum:eta=x"],
+        "missing-parameter-before-foreign-seed": ["compare", "--data", "plain2.csv", "--algo", "eg:seed=3"],
+        "infinite-eta": ["backtest", "--data", "plain2.csv", "--algo", "eg:eta=inf"],
+        "nan-eta": ["backtest", "--data", "plain2.csv", "--algo", "eg:eta=nan"],
+        "weights-off-simplex": ["backtest", "--data", "plain2.csv", "--algo", "crp:weights=0.5|0.6"],
+        "zero-samples": ["compare", "--data", "plain2.csv", "--algo", "universal:samples=0"],
+        "negative-samples": ["backtest", "--data", "plain2.csv", "--algo", "universal:samples=-3"],
+        "negative-spec-seed": ["backtest", "--data", "plain2.csv", "--algo", "universal:samples=10,seed=-1"],
+        # A spec is checked before the data is read, so its refusal wins over the missing file's.
+        "missing-file-zero-samples": ["compare", "--data", "missing.csv", "--algo", "universal:samples=0"],
+        # The cost flags are checked before the spec string is read.
+        "malformed-spec-with-rate-without-model": ["compare", "--data", "plain2.csv", "--algo", "eg:eta=abc",
+                                                   "--cost-rate", "0.2"],
+        # A synthetic market too large to hold is refused before any output is written.
+        "synth-huge-n": ["synth", "--kind", "regime-pair", "--n", "1000000000000", "--out", "{out}.csv"],
+        "synth-huger-n": ["synth", "--kind", "regime-pair", "--n", "100000000000000000000", "--out", "{out}.csv"],
+        "synth-volatility-huge-n": ["synth", "--kind", "volatility-pair", "--n", "1000000000000"],
+        "synth-volatility-huger-n": ["synth", "--kind", "volatility-pair", "--n", "100000000000000000000"],
         "adaptive-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-adaptive"],
         "fixed-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-fixed:gamma=0.01"],
         # exp overflows on the first day: the weights are NaN, refused with no numpy warning.
