@@ -41,10 +41,8 @@ from .market_data import (
     write_csv,
 )
 from .regimes import (
-    AdaptivePrior,
     BoundReport,
     BoundTable,
-    FixedGammaPrior,
     InstanceTooLarge,
     InvalidRegime,
     adaptive_penalty,

@@ -27,6 +27,8 @@ import numpy as np
 
 from .baselines import bcrp_solve, best_stock, eg_step, universal_tracks
 from .core import (
+    KIND_SWITCHING_ADAPTIVE,
+    KIND_SWITCHING_FIXED,
     DimensionMismatch,
     PortfolioError,
     PriceRelativeMatrix,
@@ -44,8 +46,6 @@ from .switching import (
     fixed_weights,
 )
 
-KIND_SWITCHING_FIXED = "switching-fixed"
-KIND_SWITCHING_ADAPTIVE = "switching-adaptive"
 KIND_CRP = "crp"
 KIND_BCRP = "bcrp"
 KIND_EG = "eg"
@@ -116,6 +116,8 @@ class AlgoSpec(_Frozen):
                 raise PortfolioError(f"{kind} needs {name}")
             if given and name not in takes:
                 raise PortfolioError(f"{kind} takes no parameter {name}")
+        if gamma is not None and not 0.0 < gamma < 1.0:  # switching.fixed_init narrows it to (0, (N-1)/N]
+            raise PortfolioError(f"gamma must be in (0, 1), got {gamma!r}")
         if eta is not None and not (math.isfinite(eta) and eta >= 0):
             raise PortfolioError(f"eta must be a finite number >= 0, got {eta!r}")
         if weights is not None:

@@ -10,7 +10,9 @@ Subcommands:
 
 ``backtest`` and ``compare`` name each strategy by one spec string,
 ``--algo KIND[:key=value,...]`` (``crp:weights=0.5|0.5``, ``eg:eta=0.05``),
-read by one parser, ``backtest.AlgoSpec.parse``, before the data is loaded.
+read by one parser, ``backtest.AlgoSpec.parse``, before the data is loaded;
+``oracle`` and ``bounds`` build the one switching spec of ``--prior`` and
+``--gamma`` that they run and certify, before the data is loaded too.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error (with
 line/column diagnostics for CSV problems; a malformed, missing, repeated or
@@ -43,9 +45,7 @@ from .market_data import (
 )
 from .regimes import (
     LOG2,
-    AdaptivePrior,
     BoundTable,
-    FixedGammaPrior,
     block_regimes,
     bound_check,
     mixture_oracle,
@@ -171,19 +171,14 @@ def _cmd_compare(args) -> int:
 
 
 def _switching_setup(args):
-    """Market, prior and matching switching spec (with its cost model) for oracle and bounds.
+    """The switching spec of --prior and --gamma, with its cost model, and the market, for oracle and bounds.
 
-    The spec is built before the prior, so a fixed prior without --gamma is refused
-    as ``switching-fixed needs gamma``, as backtest refuses it."""
-    X = load_csv(args.data, args.mode)
-    fixed = args.prior == "fixed"
-    spec = bt.AlgoSpec(
-        kind=bt.KIND_SWITCHING_FIXED if fixed else bt.KIND_SWITCHING_ADAPTIVE,
-        gamma=args.gamma,
-        cost=_cost_from_args(args),
-    )
-    prior = FixedGammaPrior(args.gamma) if fixed else AdaptivePrior()
-    return X, prior, spec
+    As in backtest, the cost flags are checked first, then the spec, then the data is read: a
+    fixed prior without --gamma is refused as ``switching-fixed needs gamma``."""
+    cost = _cost_from_args(args)
+    kind = bt.KIND_SWITCHING_FIXED if args.prior == "fixed" else bt.KIND_SWITCHING_ADAPTIVE
+    spec = bt.AlgoSpec(kind, gamma=args.gamma, cost=cost)
+    return spec, load_csv(args.data, args.mode)
 
 
 def _linear_wealth(name: str, log_wealth: float) -> float:
@@ -194,8 +189,8 @@ def _linear_wealth(name: str, log_wealth: float) -> float:
 
 
 def _cmd_oracle(args) -> int:
-    X, prior, spec = _switching_setup(args)
-    oracle = _linear_wealth("oracle_wealth", mixture_oracle(X, prior, spec.cost))
+    spec, X = _switching_setup(args)
+    oracle = _linear_wealth("oracle_wealth", mixture_oracle(X, spec))
     algorithm = _linear_wealth("algorithm_wealth", float(bt.run(spec, X).log_wealth[-1]))
     gap = abs(algorithm - oracle) / oracle
     text = (
@@ -253,10 +248,10 @@ def _bounds_chunks(table: BoundTable) -> Iterator[str]:
 
 
 def _cmd_bounds(args) -> int:
-    X, prior, spec = _switching_setup(args)
+    spec, X = _switching_setup(args)
     require_enumerable(X.days, X.assets)  # refuse before the algorithm runs
     alg_log2 = float(bt.run(spec, X).log_wealth[-1]) / LOG2
-    _emit(_bounds_chunks(BoundTable(X, prior, alg_log2, spec.cost)), args.out)
+    _emit(_bounds_chunks(BoundTable(X, spec, alg_log2)), args.out)
     return 0
 
 

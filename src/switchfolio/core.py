@@ -29,6 +29,9 @@ import numpy as np
 SIMPLEX_TOL = 1e-12
 LOG2 = math.log(2.0)
 GROWTH_MIN, GROWTH_MAX = 2.0**-512, 2.0**512  # a day whose growth leaves these is divided by a power of two
+# The two switching mixtures' spec kinds: what backtest runs and what the oracle and the bounds certify.
+KIND_SWITCHING_FIXED = "switching-fixed"
+KIND_SWITCHING_ADAPTIVE = "switching-adaptive"
 
 
 class PortfolioError(Exception):

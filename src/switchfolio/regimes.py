@@ -1,12 +1,15 @@
 """Regime priors, regime wealths, the exact mixture oracle, and bound checks.
 
-A switching regime is scored two ways:
+The oracle and the bounds take the switching ``AlgoSpec`` that
+``backtest.run`` executes, so they certify the algorithm under its own prior
+and cost model. A switching regime is scored two ways:
 
-* its prior probability under either the fixed-gamma duration model
-  (geometric segment lengths) or the adaptive model (each extra holding day
-  makes staying likelier, the classic half-integer sequential estimator);
-* its wealth: the product of the held asset's relatives per segment, with an
-  optional commission factor per executed switch, none for the initial
+* its prior probability under the spec's duration model: fixed-gamma
+  (geometric segment lengths) when the spec sets gamma, else adaptive (each
+  extra holding day makes staying likelier, the classic half-integer
+  sequential estimator);
+* its wealth: the product of the held asset's relatives per segment, with the
+  spec's commission factor per executed switch, none for the initial
   purchase: the charges every algorithm state pays.
 
 :func:`mixture_oracle` sums prior * wealth over every regime. Both priors factor
@@ -19,7 +22,7 @@ prior's terms (:func:`adaptive_prior_terms`): it has none of their state
 scaling, bucket bookkeeping or cost placement.
 
 :func:`bound_check` scores one regime against a :class:`BoundTable`, which
-fixes a run's market, prior, algorithm wealth and cost model once. The table
+fixes a run's market, spec and algorithm wealth once. The table
 sums each segment's per-asset log wealth on its first read (at most T(T+1)/2
 segments, each as ``logs[start:end, a].sum()``) and holds each switch count's
 penalty. :meth:`BoundTable.scored_blocks` scores each switch-time block of the
@@ -35,12 +38,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .core import LOG2, PortfolioError, PriceRelativeMatrix, RegimeSpec, _Frozen
-from .costs import CostModel, switch_factor
+from .core import (KIND_SWITCHING_ADAPTIVE, KIND_SWITCHING_FIXED, LOG2, PortfolioError, PriceRelativeMatrix,
+                   RegimeSpec, _Frozen)
+from .costs import switch_factor
+
+if TYPE_CHECKING:
+    from .backtest import AlgoSpec
 
 ENUMERATION_GUARD = 10_000_000
 
@@ -53,24 +60,11 @@ class InstanceTooLarge(PortfolioError):
     """Exhaustive enumeration would exceed the regime-count guard."""
 
 
-class FixedGammaPrior(_Frozen):
-    """Geometric duration model with constant switching probability gamma."""
-
-    __slots__ = ("gamma",)
-
-    def __init__(self, gamma: float):
-        if not 0.0 < gamma < 1.0:
-            raise PortfolioError(f"prior gamma must be in (0,1), got {gamma!r}")
-        self._set(gamma)
-
-
-class AdaptivePrior(_Frozen):
-    """Duration model where the switching probability after dt days is (1/2)/(dt+1)."""
-
-    __slots__ = ()
-
-
-Prior = FixedGammaPrior | AdaptivePrior
+def _prior_gamma(spec: AlgoSpec) -> float | None:
+    """The switching spec's fixed gamma, or None for the adaptive prior; any other kind is refused."""
+    if spec.kind not in (KIND_SWITCHING_FIXED, KIND_SWITCHING_ADAPTIVE):
+        raise PortfolioError(f"the switching mixture needs a switching spec, got kind {spec.kind!r}")
+    return spec.gamma
 
 
 def _check_regime(regime: RegimeSpec, T: int, N: int) -> None:
@@ -82,18 +76,18 @@ def _check_regime(regime: RegimeSpec, T: int, N: int) -> None:
         raise InvalidRegime(f"strategy index out of range for N={N}: {regime.strategies}")
 
 
-def _segment_log_priors(T: int, prior: Prior) -> tuple[np.ndarray, np.ndarray]:
+def _segment_log_priors(T: int, gamma: float | None) -> tuple[np.ndarray, np.ndarray]:
     """Natural-log prior terms ``(ending, final)`` of a segment that stays k = 0..T-1
     days after its first: ``ending[k]`` if a switch ends it, ``final[k]`` if it is the last.
 
     A regime's prior is 1/N for the first asset, 1/(N-1) for each switch's
     target, and these terms of its segments. Under the fixed-gamma prior each
     day stays with 1-gamma and switches with gamma; under the adaptive prior
-    they are the logs of :func:`adaptive_prior_terms`.
+    (gamma None) they are the logs of :func:`adaptive_prior_terms`.
     """
-    if isinstance(prior, FixedGammaPrior):
-        final = np.arange(T, dtype=float) * math.log1p(-prior.gamma)
-        return final + math.log(prior.gamma), final
+    if gamma is not None:
+        final = np.arange(T, dtype=float) * math.log1p(-gamma)
+        return final + math.log(gamma), final
     stay, switch = adaptive_prior_terms(T)
     return np.log(switch), np.log(stay)
 
@@ -159,8 +153,9 @@ def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     return np.squeeze(total, axis=axis)
 
 
-def mixture_oracle(X: PriceRelativeMatrix, prior: Prior, cost: CostModel | None = None) -> float:
-    """Natural log of the sum over all regimes of prior(Q) * wealth(Q), exactly, in O(T^2 N).
+def mixture_oracle(X: PriceRelativeMatrix, spec: AlgoSpec) -> float:
+    """Natural log of the sum over all regimes of prior(Q) * wealth(Q), exactly, in O(T^2 N),
+    under the switching spec's prior and cost model.
 
     ``enter[j, s-1]`` is the log mass (prior, wealth and charges) of every
     regime prefix that enters asset j on day s. On day e, ``leave[j]`` is that
@@ -170,6 +165,7 @@ def mixture_oracle(X: PriceRelativeMatrix, prior: Prior, cost: CostModel | None 
     cancel when j holds nearly all the mass. Each sum is a max-shifted
     log-sum-exp, stable however small its terms.
     """
+    gamma = _prior_gamma(spec)
     T, N = X.days, X.assets
     if N < 2:
         raise InvalidRegime("the switching mixture needs at least two assets")
@@ -178,8 +174,8 @@ def mixture_oracle(X: PriceRelativeMatrix, prior: Prior, cost: CostModel | None 
     # cumlog[j, t]: asset j's log wealth over days 1..t, so a segment's by two lookups
     cumlog = np.zeros((N, T + 1))
     np.cumsum(np.log(X.values.T), axis=1, out=cumlog[:, 1:])
-    log_sf = math.log(switch_factor(cost))
-    ending, final = _segment_log_priors(T, prior)
+    log_sf = math.log(switch_factor(spec.cost))
+    ending, final = _segment_log_priors(T, gamma)
     others = np.array([[i for i in range(N) if i != j] for j in range(N)])
     enter = np.empty((N, T))
     enter[:, 0] = -math.log(N)
@@ -261,8 +257,8 @@ _set_regime_log_wealth, _set_penalty, _set_algorithm_log_wealth = (
 
 
 class BoundTable:
-    """One bound run for :func:`bound_check`: a market, a prior, the matching algorithm's
-    log2 wealth on it and a cost model, charged once per executed switch, fixed at construction.
+    """One bound run for :func:`bound_check`: a market, a switching spec (its prior, and its cost
+    model, charged once per executed switch) and the spec's log2 wealth on it, fixed at construction.
 
     The table keeps each segment's per-asset log wealths, ``float(logs[start:end, a].sum())``
     (numpy's order for one column, pairwise from 8 days on), keyed by ``(start, end)`` and
@@ -273,15 +269,15 @@ class BoundTable:
     __slots__ = ("days", "assets", "algorithm_log2_wealth", "_logs", "_segments", "_penalties", "_log_sf",
                  "_block", "_position")
 
-    def __init__(self, X: PriceRelativeMatrix, prior: Prior, algorithm_log2_wealth: float,
-                 cost: CostModel | None = None):
-        self._log_sf = math.log(switch_factor(cost))
+    def __init__(self, X: PriceRelativeMatrix, spec: AlgoSpec, algorithm_log2_wealth: float):
+        gamma = _prior_gamma(spec)
+        self._log_sf = math.log(switch_factor(spec.cost))
         T, N = self.days, self.assets = X.days, X.assets
         self.algorithm_log2_wealth = algorithm_log2_wealth
         self._logs = np.log(X.values)
         self._segments: dict[tuple[int, int], np.ndarray] = {}
-        if isinstance(prior, FixedGammaPrior):
-            self._penalties = [fixed_gamma_penalty(T, N, l, prior.gamma) for l in range(T)]
+        if gamma is not None:
+            self._penalties = [fixed_gamma_penalty(T, N, l, gamma) for l in range(T)]
         else:
             self._penalties = [adaptive_penalty(T, N, l) for l in range(T)]
         self._block = (None, [], np.empty(0))  # (switch times, strategy rows, their log2 wealths)

@@ -13,21 +13,22 @@ from typing import Iterator
 
 import numpy as np
 
+from switchfolio.backtest import AlgoSpec
 from switchfolio.baselines import _simplex_draws
 from switchfolio.core import DimensionMismatch, PriceRelativeMatrix, RegimeSpec
 from switchfolio.costs import CostModel, NegativeAllocation, switch_factor
 from switchfolio.regimes import (
     InvalidRegime,
-    Prior,
     _check_regime,
+    _prior_gamma,
     _segment_log_priors,
     block_regimes,
     switch_time_blocks,
 )
 
 
-def log_prior(regime: RegimeSpec, T: int, N: int, prior: Prior) -> float:
-    """Natural log of a regime's prior probability over T days and N assets.
+def log_prior(regime: RegimeSpec, T: int, N: int, spec: AlgoSpec) -> float:
+    """Natural log of a regime's prior probability over T days and N assets, under the switching spec's prior.
 
     Under the fixed-gamma prior it is log of 1/(N (N-1)^l) gamma^l (1-gamma)^(T-l-1)
     for a regime with l switches; see ``regimes._segment_log_priors`` for both priors.
@@ -35,7 +36,7 @@ def log_prior(regime: RegimeSpec, T: int, N: int, prior: Prior) -> float:
     if T >= 1 and N < 2:  # a horizon of no days is refused first, by the regime check
         raise InvalidRegime("switching priors need at least two assets")
     _check_regime(regime, T, N)
-    ending, final = _segment_log_priors(T, prior)
+    ending, final = _segment_log_priors(T, _prior_gamma(spec))
     stays = np.diff((0,) + regime.switch_times + (T,)) - 1
     l = len(regime.switch_times)
     return -math.log(N) - l * math.log(N - 1) + float(ending[stays[:-1]].sum() + final[stays[-1]])

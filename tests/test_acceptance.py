@@ -21,8 +21,6 @@ from switchfolio.core import RegimeSpec, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import load_csv, synth_regime_pair, synth_volatility_pair
 from switchfolio.regimes import (
-    AdaptivePrior,
-    FixedGammaPrior,
     adaptive_penalty,
     adaptive_prior_terms,
     fixed_gamma_penalty,
@@ -72,18 +70,17 @@ def test_criterion_1_oracle_equivalence(instances):
     checks = 0
     for X in instances:
         for cost in COSTS:
-            configs = [(AdaptivePrior(), _run_adaptive_log2(X, cost))]
+            configs = [(AlgoSpec("switching-adaptive", cost=cost), _run_adaptive_log2(X, cost))]
             configs += [
-                (FixedGammaPrior(g), _run_fixed_log2(X, g, cost)) for g in GAMMAS
+                (AlgoSpec("switching-fixed", gamma=g, cost=cost), _run_fixed_log2(X, g, cost)) for g in GAMMAS
             ]
-            for prior, alg_log2 in configs:
-                oracle_log2 = mixture_oracle(X, prior, cost) / LOG2
+            for spec, alg_log2 in configs:
+                oracle_log2 = mixture_oracle(X, spec) / LOG2
                 allowed = 1e-10 * abs(oracle_log2) + 1e-12
                 assert abs(alg_log2 - oracle_log2) <= allowed, (
                     X.days,
                     X.assets,
-                    prior,
-                    cost,
+                    spec,
                     alg_log2,
                     oracle_log2,
                 )
@@ -98,9 +95,9 @@ def test_criterion_2_prior_normalization():
         for T in range(1, 9):
             regimes = list(enumerate_regimes(T, N))
             for gamma in GAMMAS:
-                total = sum(math.exp(log_prior(q, T, N, FixedGammaPrior(gamma))) for q in regimes)
+                total = sum(math.exp(log_prior(q, T, N, AlgoSpec("switching-fixed", gamma=gamma))) for q in regimes)
                 assert abs(total - 1.0) <= 1e-12, (N, T, gamma, total)
-            total = sum(math.exp(log_prior(q, T, N, AdaptivePrior())) for q in regimes)
+            total = sum(math.exp(log_prior(q, T, N, AlgoSpec("switching-adaptive"))) for q in regimes)
             assert abs(total - 1.0) <= 1e-12, (N, T, total)
     _passed(2, "both priors sum to 1 +- 1e-12 for N in {2,3}, T in 1..8")
 

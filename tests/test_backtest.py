@@ -24,7 +24,7 @@ from switchfolio.backtest import (
 from switchfolio.core import NegativeEntry, PortfolioError, validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import synth_regime_pair, synth_volatility_pair
-from switchfolio.regimes import AdaptivePrior, BoundTable, FixedGammaPrior, bound_check
+from switchfolio.regimes import BoundTable, bound_check
 from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 from switchfolio.core import RegimeSpec
 
@@ -62,16 +62,16 @@ class TestRun:
         # One-switch hindsight regime earns (3/2)^8; the algorithm must land
         # within its advertised concession of that.
         X = synth_regime_pair(4)
-        report = run(AlgoSpec("switching-fixed", gamma=1 / 3), X)
-        alg_log2 = math.log2(report.final_wealth)
-        rep = bound_check(BoundTable(X, FixedGammaPrior(1 / 3), alg_log2), RegimeSpec((4,), (0, 1)))
+        spec = AlgoSpec("switching-fixed", gamma=1 / 3)
+        alg_log2 = math.log2(run(spec, X).final_wealth)
+        rep = bound_check(BoundTable(X, spec, alg_log2), RegimeSpec((4,), (0, 1)))
         assert math.isclose(rep.regime_log_wealth, 8 * math.log2(1.5), rel_tol=1e-12)
         assert rep.slack >= 0
 
     def test_switching_adaptive_bound_on_regime_pair(self):
         X = synth_regime_pair(4)
-        report = run(AlgoSpec("switching-adaptive"), X)
-        table = BoundTable(X, AdaptivePrior(), math.log2(report.final_wealth))
+        spec = AlgoSpec("switching-adaptive")
+        table = BoundTable(X, spec, math.log2(run(spec, X).final_wealth))
         rep = bound_check(table, RegimeSpec((4,), (0, 1)))
         assert rep.slack >= 0
 
@@ -214,6 +214,13 @@ class TestRun:
             AlgoSpec(**fields)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("gamma", [0.0, -0.1, -1e-300, 1.0, 1.5, math.nan, math.inf, -math.inf])
+    def test_gamma_outside_the_open_unit_interval_rejected(self, gamma):
+        # Any N's fixed_init range, (0, (N-1)/N], lies inside (0, 1): the spec refuses the rest before a run.
+        with pytest.raises(PortfolioError) as exc:
+            AlgoSpec("switching-fixed", gamma=gamma)
+        assert str(exc.value) == f"gamma must be in (0, 1), got {gamma!r}"
+
     @pytest.mark.parametrize("eta", [-1.0, -1e-300, math.nan, math.inf])
     def test_negative_or_non_finite_eta_rejected(self, eta):
         with pytest.raises(PortfolioError) as exc:
@@ -267,7 +274,7 @@ def spec_strings(draw):
     finite = st.floats(0.0, 1e6, allow_subnormal=True)
     fields, texts = {}, []
     if kind == "switching-fixed":
-        fields["gamma"] = draw(finite)
+        fields["gamma"] = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True, allow_subnormal=True))
         texts.append(f"gamma={fields['gamma']:g}")
     elif kind == "eg":
         fields["eta"] = draw(finite)
@@ -332,6 +339,8 @@ class TestParse:
             ("bcrp:seed=3", "bcrp takes no parameter seed"),
             ("eg:eta=0.05,seed=-1", "eg takes no parameter seed"),
             ("eg:eta=-1", "eta must be a finite number >= 0, got -1.0"),
+            ("switching-fixed:gamma=nan", "gamma must be in (0, 1), got nan"),
+            ("switching-fixed:gamma=0", "gamma must be in (0, 1), got 0.0"),
             ("crp:weights=-0.5|1.5", "negative or NaN portfolio weight: -0.5"),
             ("universal:samples=0", "need at least one sample, got 0"),
             ("universal:seed=-1", "seed must be a non-negative integer, got -1"),

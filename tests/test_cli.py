@@ -17,7 +17,7 @@ from switchfolio.cli import main
 from switchfolio.core import validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import write_csv
-from switchfolio.regimes import AdaptivePrior, BoundTable, FixedGammaPrior
+from switchfolio.regimes import BoundTable
 from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 
 
@@ -473,20 +473,20 @@ class TestStreamedBounds:
         from test_regimes import ref_bound_row, ref_enumerate
 
         X, path = nine_day_market
-        cost = CostModel.per_trade(0.01)
+        spec = AlgoSpec("switching-fixed", gamma=0.2, cost=CostModel.per_trade(0.01))
         flags = ["--prior", "fixed", "--gamma", "0.2", "--cost-model", "per-trade", "--cost-rate", "0.01"]
         code, out, err = invoke(capsys, "bounds", "--data", path, *flags)
         assert (code, err) == (0, "")
         table = tmp_path / "bounds.tsv"
         assert invoke(capsys, "bounds", "--data", path, *flags, "--out", str(table)) == (0, "", "")
         assert table.read_bytes() == out.encode()
-        alg = run(AlgoSpec("switching-fixed", gamma=0.2, cost=cost), X).log_wealth[-1] / math.log(2.0)
+        alg = run(spec, X).log_wealth[-1] / math.log(2.0)
         lines = [
             "switch_times\tstrategies\tswitches\tregime_log2_wealth\tpenalty_bits\t"
             "algorithm_log2_wealth\tslack_bits"
         ]
         for times, strategies in ref_enumerate(9, 3):
-            lw, penalty, slack = ref_bound_row(X, FixedGammaPrior(0.2), alg, times, strategies, cost)
+            lw, penalty, slack = ref_bound_row(X, spec, alg, times, strategies)
             lines.append(
                 f"{','.join(map(str, times)) or '-'}\t{','.join(map(str, strategies))}\t{len(times)}\t"
                 f"{lw:.12g}\t{penalty:.12g}\t{alg:.12g}\t{slack:.12g}"
@@ -514,14 +514,14 @@ class TestStreamedBounds:
 
     def test_rows_come_in_whole_blocks(self, nine_day_market):
         X, _ = nine_day_market
-        chunks = list(cli._bounds_chunks(BoundTable(X, AdaptivePrior(), 0.0)))
+        chunks = list(cli._bounds_chunks(BoundTable(X, AlgoSpec("switching-adaptive"), 0.0)))
         assert self.chunk_blocks(chunks) == self.BLOCKS  # 256 chunks; the largest is 768 of 19 683 rows
 
     def test_a_wide_block_comes_in_pieces(self, nine_day_market, monkeypatch):
         X, _ = nine_day_market
-        whole = "".join(cli._bounds_chunks(BoundTable(X, AdaptivePrior(), 0.0)))
+        whole = "".join(cli._bounds_chunks(BoundTable(X, AlgoSpec("switching-adaptive"), 0.0)))
         monkeypatch.setattr(cli, "BOUNDS_CHUNK_ROWS", 100)
-        chunks = list(cli._bounds_chunks(BoundTable(X, AdaptivePrior(), 0.0)))
+        chunks = list(cli._bounds_chunks(BoundTable(X, AlgoSpec("switching-adaptive"), 0.0)))
         pieces = [(label, min(100, rows - start)) for label, rows in self.BLOCKS for start in range(0, rows, 100)]
         assert self.chunk_blocks(chunks) == pieces
         assert "".join(chunks) == whole
@@ -543,7 +543,7 @@ class TestStreamedBounds:
 
         monkeypatch.setattr(BoundTable, "_score", spy_score)
         monkeypatch.setattr(cli, "bound_check", spy_check)
-        for _ in cli._bounds_chunks(BoundTable(X, AdaptivePrior(), 0.0)):
+        for _ in cli._bounds_chunks(BoundTable(X, AlgoSpec("switching-adaptive"), 0.0)):
             pass
         assert scored == self.BLOCKS and len(scored) == 2**8
         assert len(checks) == 3**9
@@ -553,7 +553,7 @@ class TestStreamedBounds:
         [
             (500, 3, ["--prior", "adaptive"], "3^500 regimes for T=500, N=3 exceeds guard 10000000"),
             (4, 1, ["--prior", "adaptive"], "need at least 2 assets to switch between, got 1"),
-            (4, 2, ["--prior", "fixed", "--gamma", "0"], "prior gamma must be in (0,1), got 0.0"),
+            (4, 2, ["--prior", "fixed", "--gamma", "0"], "gamma must be in (0, 1), got 0.0"),
             (4, 2, ["--prior", "fixed", "--gamma", "0.9"], "gamma must be in (0, 0.5] for N=2, got 0.9"),
             (None, 2, ["--prior", "adaptive"], "line 3, column 2: not a number: 'x'"),
         ],
@@ -704,14 +704,16 @@ class TestOneSpecParser:
             ("eg:eta=", "algorithm parameter eta must be a number, got ''"),
             ("crp:weights=0.5,0.5", "malformed algorithm parameter '0.5' in 'crp:weights=0.5,0.5'"),
             ("switching-fixed", "switching-fixed needs gamma"),
+            ("switching-fixed:gamma=nan", "gamma must be in (0, 1), got nan"),
+            ("switching-fixed:gamma=1", "gamma must be in (0, 1), got 1.0"),
             ("crp", "crp needs weights"),
             ("eg", "eg needs eta"),
             ("bcrp:eta=0.05", "bcrp takes no parameter eta"),
             ("eg:eta=0.05,rate=2", "unknown algorithm parameter 'rate' in 'eg:eta=0.05,rate=2'"),
             ("momentum", f"unknown algorithm kind 'momentum'; choose from {ALGO_KINDS}"),
         ],
-        ids=["malformed-float", "malformed-int", "malformed-weight", "empty-value", "comma-weights", "missing-gamma", "missing-weights",
-             "missing-eta", "foreign", "unknown-key", "unknown-kind"],
+        ids=["malformed-float", "malformed-int", "malformed-weight", "empty-value", "comma-weights", "missing-gamma",
+             "nan-gamma", "gamma-one", "missing-weights", "missing-eta", "foreign", "unknown-key", "unknown-kind"],
     )
     @pytest.mark.parametrize("market", ["m.csv", "missing.csv"])
     @pytest.mark.parametrize("command", ["backtest", "compare"])
@@ -720,6 +722,18 @@ class TestOneSpecParser:
         invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(tmp_path / "m.csv"))
         code, out, err = invoke(capsys, command, "--data", str(tmp_path / market), "--algo", spec)
         assert (code, out, err) == (2, "", f"switchfolio: {message}\n")
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-0.1", "1"])
+    @pytest.mark.parametrize("market", ["m.csv", "missing.csv"])
+    @pytest.mark.parametrize("command", ["oracle", "bounds"])
+    def test_oracle_and_bounds_refuse_a_gamma_before_the_data(self, capsys, tmp_path, command, market, gamma):
+        # They build their spec as backtest does: the gamma is refused by it, ahead of a missing file.
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2", "--out", str(tmp_path / "m.csv"))
+        argv = [command, "--data", str(tmp_path / market), "--prior", "fixed", "--gamma", gamma]
+        assert invoke(capsys, *argv) == (2, "", f"switchfolio: gamma must be in (0, 1), got {float(gamma)!r}\n")
+        # and the cost flags are checked before the spec
+        assert invoke(capsys, *argv, "--cost-rate", "0.2") == (
+            2, "", "switchfolio: --cost-rate needs --cost-model per-trade or parallel\n")
 
     @pytest.mark.parametrize("spec, key", [("eg:eta=0.1,eta=0.2", "eta"), ("universal:seed=1, seed=1", "seed")])
     @pytest.mark.parametrize("command", ["backtest", "compare"])

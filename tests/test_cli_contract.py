@@ -31,10 +31,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from switchfolio import cli
+from switchfolio.backtest import AlgoSpec
 from switchfolio.core import validate_relatives
 from switchfolio.costs import CostModel
 from switchfolio.market_data import synth_regime_pair
-from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, mixture_oracle
+from switchfolio.regimes import mixture_oracle
 from switchfolio.switching import adaptive_init, adaptive_step, fixed_init, fixed_step
 
 MAX_DAYS = 8
@@ -310,10 +311,12 @@ def test_switching_states_equal_the_oracle_at_the_ends_of_the_range(days, assets
     X = validate_relatives(np.reshape(cells[: days * assets], (days, assets)), [f"a{i}" for i in range(assets)])
     model = None if cost is None else CostModel(cost[0], float(cost[1]))
     if fixed:
-        state, step, prior = fixed_init(assets, 0.3, model), fixed_step, FixedGammaPrior(0.3)
+        state, step = fixed_init(assets, 0.3, model), fixed_step
+        spec = AlgoSpec("switching-fixed", gamma=0.3, cost=model)
     else:
-        state, step, prior = adaptive_init(assets, days, model), adaptive_step, AdaptivePrior()
+        state, step = adaptive_init(assets, days, model), adaptive_step
+        spec = AlgoSpec("switching-adaptive", cost=model)
     for row in X.values:
         step(state, row)
-    oracle = mixture_oracle(X, prior, model)
+    oracle = mixture_oracle(X, spec)
     assert abs(state.log_wealth - oracle) <= 1e-12 * max(1.0, abs(oracle))

@@ -14,10 +14,8 @@ from switchfolio.backtest import AlgoSpec, ComparisonRow
 from switchfolio.core import PortfolioError, RegimeSpec, validate_relatives
 from switchfolio.costs import CostModel, switch_factor
 from switchfolio.regimes import (
-    AdaptivePrior,
     BoundReport,
     BoundTable,
-    FixedGammaPrior,
     InstanceTooLarge,
     InvalidRegime,
     _logsumexp,
@@ -35,6 +33,11 @@ from reference import enumerate_regimes, log_prior, log_regime_wealth
 LOG2 = math.log(2.0)
 
 
+def switching(gamma=None, cost=None):
+    """The switching spec of the fixed-gamma prior at gamma, or of the adaptive prior when gamma is None."""
+    return AlgoSpec("switching-adaptive", cost=cost) if gamma is None else AlgoSpec("switching-fixed", gamma, cost=cost)
+
+
 def random_matrix(rng, T, N):
     vals = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(T, N)))
     return validate_relatives(vals, [f"a{i}" for i in range(N)])
@@ -45,39 +48,39 @@ def random_matrix(rng, T, N):
 class TestPriorFixed:
     def test_no_switch_value(self):
         q = RegimeSpec((), (0,))
-        assert math.isclose(log_prior(q, 3, 2, FixedGammaPrior(1 / 3)), math.log(2 / 9), abs_tol=1e-14)
+        assert math.isclose(log_prior(q, 3, 2, switching(1 / 3)), math.log(2 / 9), abs_tol=1e-14)
 
     def test_one_switch_value(self):
         q = RegimeSpec((1,), (0, 1))
-        assert math.isclose(log_prior(q, 3, 2, FixedGammaPrior(1 / 3)), math.log(1 / 9), abs_tol=1e-14)
+        assert math.isclose(log_prior(q, 3, 2, switching(1 / 3)), math.log(1 / 9), abs_tol=1e-14)
         q2 = RegimeSpec((2,), (1, 0))
-        assert math.isclose(log_prior(q2, 3, 2, FixedGammaPrior(1 / 3)), math.log(1 / 9), abs_tol=1e-14)
+        assert math.isclose(log_prior(q2, 3, 2, switching(1 / 3)), math.log(1 / 9), abs_tol=1e-14)
 
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("T", range(1, 9))
     def test_normalizes(self, N, T):
-        prior = FixedGammaPrior(1 / 3)
+        prior = switching(1 / 3)
         total = sum(math.exp(log_prior(q, T, N, prior)) for q in enumerate_regimes(T, N))
         assert abs(total - 1.0) <= 1e-12
 
     def test_switch_time_out_of_range(self):
         with pytest.raises(InvalidRegime):
-            log_prior(RegimeSpec((3,), (0, 1)), 3, 2, FixedGammaPrior(0.5))
+            log_prior(RegimeSpec((3,), (0, 1)), 3, 2, switching(0.5))
 
 
 class TestPriorAdaptive:
     def test_stay_regime(self):
-        lp = log_prior(RegimeSpec((), (0,)), 2, 2, AdaptivePrior())
+        lp = log_prior(RegimeSpec((), (0,)), 2, 2, switching())
         assert math.isclose(lp, math.log(0.25), abs_tol=1e-14)
 
     def test_switch_regime(self):
-        lp = log_prior(RegimeSpec((1,), (0, 1)), 2, 2, AdaptivePrior())
+        lp = log_prior(RegimeSpec((1,), (0, 1)), 2, 2, switching())
         assert math.isclose(lp, math.log(0.25), abs_tol=1e-14)
 
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("T", range(1, 9))
     def test_normalizes(self, N, T):
-        total = sum(math.exp(log_prior(q, T, N, AdaptivePrior())) for q in enumerate_regimes(T, N))
+        total = sum(math.exp(log_prior(q, T, N, switching())) for q in enumerate_regimes(T, N))
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -115,13 +118,13 @@ class TestEnumerateRegimes:
 class TestMixtureOracle:
     def test_empty_history(self):
         X = validate_relatives([], ["a", "b"])
-        assert mixture_oracle(X, AdaptivePrior()) == 0.0
-        assert mixture_oracle(X, FixedGammaPrior(0.3)) == 0.0
+        assert mixture_oracle(X, switching()) == 0.0
+        assert mixture_oracle(X, switching(0.3)) == 0.0
 
     def test_single_day_uniform_pick(self):
         X = validate_relatives([[2.0, 0.5]], ["a", "b"])
-        assert math.isclose(mixture_oracle(X, AdaptivePrior()), math.log(1.25), abs_tol=1e-14)
-        assert math.isclose(mixture_oracle(X, FixedGammaPrior(0.3)), math.log(1.25), abs_tol=1e-14)
+        assert math.isclose(mixture_oracle(X, switching()), math.log(1.25), abs_tol=1e-14)
+        assert math.isclose(mixture_oracle(X, switching(0.3)), math.log(1.25), abs_tol=1e-14)
 
     def test_matches_recursions(self):
         rng = np.random.default_rng(21)
@@ -129,11 +132,11 @@ class TestMixtureOracle:
         st = fixed_init(2, 0.3)
         for t in range(1, 8):
             fixed_step(st, X.values[t - 1])
-        assert abs(st.log_wealth - mixture_oracle(X, FixedGammaPrior(0.3))) < 1e-10
+        assert abs(st.log_wealth - mixture_oracle(X, switching(0.3))) < 1e-10
         st = adaptive_init(2, 7)
         for t in range(1, 8):
             adaptive_step(st, X.values[t - 1])
-        assert abs(st.log_wealth - mixture_oracle(X, AdaptivePrior())) < 1e-10
+        assert abs(st.log_wealth - mixture_oracle(X, switching())) < 1e-10
 
     def test_logsumexp_matches_pairwise_logaddexp(self):
         rng = np.random.default_rng(23)
@@ -153,10 +156,10 @@ class TestMixtureOracle:
         rng = np.random.default_rng(22)
         X = random_matrix(rng, 6, 3)
         terms = [
-            log_prior(q, 6, 3, AdaptivePrior()) + log_regime_wealth(q, X)
+            log_prior(q, 6, 3, switching()) + log_regime_wealth(q, X)
             for q in enumerate_regimes(6, 3)
         ]
-        reference = mixture_oracle(X, AdaptivePrior())
+        reference = mixture_oracle(X, switching())
         for _ in range(3):
             rng.shuffle(terms)
             acc = -math.inf
@@ -165,7 +168,7 @@ class TestMixtureOracle:
             assert abs(float(acc) - reference) <= 1e-12
 
 
-class TestAdaptivePriorTerms:
+class TestAdaptiveTerms:
     def test_small_values(self):
         stay, switch = adaptive_prior_terms(5)
         assert stay.tolist() == [1.0, 0.5, 0.375, 0.3125, 0.2734375]  # P(4) = 35/128, exact in binary
@@ -212,7 +215,7 @@ class TestPenalties:
         for N in (2, 3):
             for T in range(1, 9):
                 for q in enumerate_regimes(T, N):
-                    assert -log_prior(q, T, N, AdaptivePrior()) / LOG2 <= adaptive_penalty(
+                    assert -log_prior(q, T, N, switching()) / LOG2 <= adaptive_penalty(
                         T, N, len(q.switch_times)
                     ) + 1e-12
 
@@ -226,9 +229,37 @@ class TestPenalties:
             for T in range(1, 9):
                 for gamma in (0.1, 1 / 3, 0.45):
                     for q in enumerate_regimes(T, N):
-                        assert -log_prior(q, T, N, FixedGammaPrior(gamma)) / LOG2 < fixed_gamma_penalty(
+                        assert -log_prior(q, T, N, switching(gamma)) / LOG2 < fixed_gamma_penalty(
                             T, N, len(q.switch_times), gamma
                         )
+
+
+class TestSwitchingSpecOnly:
+    """The oracle and the bounds certify a switching spec; any other kind is refused before X is read."""
+
+    X = validate_relatives([[2.0, 0.5], [0.5, 2.0]], ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [AlgoSpec("crp", weights=(0.5, 0.5)), AlgoSpec("bcrp"),
+         AlgoSpec("eg", eta=0.05, cost=CostModel.parallel(0.01))],
+    )
+    @pytest.mark.parametrize("certify", [mixture_oracle, lambda X, spec: BoundTable(X, spec, 0.0)],
+                             ids=["mixture_oracle", "BoundTable"])
+    def test_a_spec_of_another_kind_is_refused(self, spec, certify):
+        with pytest.raises(PortfolioError) as exc:
+            certify(self.X, spec)
+        assert str(exc.value) == f"the switching mixture needs a switching spec, got kind {spec.kind!r}"
+        with pytest.raises(PortfolioError, match="needs a switching spec"):  # before the market's own checks
+            certify(validate_relatives([[2.0]], ["a"]), spec)
+
+    def test_prior_and_cost_come_from_the_spec(self):
+        cost = CostModel.per_trade(0.1)
+        charged = mixture_oracle(self.X, switching(0.3, cost))
+        assert charged < mixture_oracle(self.X, switching(0.3))
+        assert charged != mixture_oracle(self.X, switching(0.2, cost))
+        table = BoundTable(self.X, switching(0.3, cost), 0.0)
+        assert bound_check(table, RegimeSpec((1,), (0, 1))).regime_log_wealth == math.log2(4.0 * 0.9**2)
 
 
 class TestBoundCheck:
@@ -242,7 +273,7 @@ class TestBoundCheck:
         rng = np.random.default_rng(23)
         for _ in range(5):
             X = random_matrix(rng, 6, 2)
-            table = BoundTable(X, AdaptivePrior(), self.run_adaptive_log2(X))
+            table = BoundTable(X, switching(), self.run_adaptive_log2(X))
             for q in enumerate_regimes(6, 2):
                 rep = bound_check(table, q)
                 assert rep.slack >= 0
@@ -253,14 +284,14 @@ class TestBoundCheck:
         st = fixed_init(2, 1 / 3)
         for t in range(1, 7):
             fixed_step(st, X.values[t - 1])
-        table = BoundTable(X, FixedGammaPrior(1 / 3), st.log_wealth / LOG2)
+        table = BoundTable(X, switching(1 / 3), st.log_wealth / LOG2)
         for q in enumerate_regimes(6, 2):
             rep = bound_check(table, q)
             assert rep.slack >= 0
 
     def test_degenerate_two_day_instance(self):
         X = validate_relatives([[2.0, 0.5], [0.5, 2.0]], ["a", "b"])
-        table = BoundTable(X, AdaptivePrior(), self.run_adaptive_log2(X))
+        table = BoundTable(X, switching(), self.run_adaptive_log2(X))
         rep = bound_check(table, RegimeSpec((), (0,)))
         assert rep.slack >= 0 and math.isfinite(rep.slack)
 
@@ -270,7 +301,7 @@ class TestBoundCheck:
 
 
 class TestRecords:
-    """The priors, the bound report and the small records of backtest, baselines and costs
+    """The switching specs, the bound report and the small records of backtest and costs
     are immutable values, as frozen dataclasses were."""
 
     RECORDS = [
@@ -289,8 +320,12 @@ class TestRecords:
          "ComparisonRow(name='bcrp', parameters='-', final_wealth=1.25, max_drawdown=0.5, hindsight_only=True)"),
         (BoundReport(1.5, 2.0, -0.5), BoundReport(1.5, 2.0, -0.25), (1.5, 2.0, -0.5),
          "BoundReport(regime_log_wealth=1.5, penalty=2.0, algorithm_log_wealth=-0.5)"),
-        (FixedGammaPrior(0.25), FixedGammaPrior(0.5), (0.25,), "FixedGammaPrior(gamma=0.25)"),
-        (AdaptivePrior(), FixedGammaPrior(0.25), (), "AdaptivePrior()"),
+        (switching(0.25), switching(0.5), ("switching-fixed", 0.25, None, None, None, 0, None, "bucket"),
+         "AlgoSpec(kind='switching-fixed', gamma=0.25, weights=None, eta=None, samples=None, seed=0, "
+         "cost=None, cost_accounting='bucket')"),
+        (switching(), switching(0.25), ("switching-adaptive", None, None, None, None, 0, None, "bucket"),
+         "AlgoSpec(kind='switching-adaptive', gamma=None, weights=None, eta=None, samples=None, seed=0, "
+         "cost=None, cost_accounting='bucket')"),
     ]
 
     @pytest.mark.parametrize("record, other, fields, text", RECORDS)
@@ -333,48 +368,48 @@ def ref_segments(times, strategies, T):
     return [(a, s + 1, e) for a, s, e in zip(strategies, (0,) + times, times + (T,))]
 
 
-def ref_mixture_oracle(X, prior, cost):
+def ref_mixture_oracle(X, spec):
     T, N = X.days, X.assets
     cumlog = np.zeros((T + 1, N))
     np.cumsum(np.log(X.values), axis=0, out=cumlog[1:])
-    log_sf = math.log(switch_factor(cost))
+    log_sf = math.log(switch_factor(spec.cost))
     acc = -math.inf
     for times, strategies in ref_enumerate(T, N):
         segments = ref_segments(times, strategies, T)
         lw = len(times) * log_sf
         for asset, start, end in segments:
             lw += cumlog[end, asset] - cumlog[start - 1, asset]
-        acc = np.logaddexp(acc, log_prior(RegimeSpec(times, strategies), T, N, prior) + lw)
+        acc = np.logaddexp(acc, log_prior(RegimeSpec(times, strategies), T, N, spec) + lw)
     return float(acc)
 
 
-def ref_bound_row(X, prior, alg, times, strategies, cost):
+def ref_bound_row(X, spec, alg, times, strategies):
     logs = np.log(X.values)
     total = 0.0
     for asset, start, end in ref_segments(times, strategies, X.days):
         total += float(logs[start - 1 : end, asset].sum())
-    lw = (total + len(times) * math.log(switch_factor(cost))) / LOG2
-    if isinstance(prior, FixedGammaPrior):
-        penalty = fixed_gamma_penalty(X.days, X.assets, len(times), prior.gamma)
+    lw = (total + len(times) * math.log(switch_factor(spec.cost))) / LOG2
+    if spec.gamma is not None:
+        penalty = fixed_gamma_penalty(X.days, X.assets, len(times), spec.gamma)
     else:
         penalty = adaptive_penalty(X.days, X.assets, len(times))
     return lw, penalty, alg - lw + penalty
 
 
-def assert_matches_references(X, prior, cost, alg=1.5):
-    dp = mixture_oracle(X, prior, cost)
-    ref = ref_mixture_oracle(X, prior, cost)
+def assert_matches_references(X, spec, alg=1.5):
+    dp = mixture_oracle(X, spec)
+    ref = ref_mixture_oracle(X, spec)
     assert abs(dp - ref) <= 1e-13 * max(1.0, abs(ref))  # the DP sums in another order
-    table = BoundTable(X, prior, alg, cost)
+    table = BoundTable(X, spec, alg)
     rows = []
     for regime in enumerate_regimes(X.days, X.assets):
         rep = bound_check(table, regime)
-        assert log_regime_wealth(regime, X, cost) / LOG2 == rep.regime_log_wealth
+        assert log_regime_wealth(regime, X, spec.cost) / LOG2 == rep.regime_log_wealth
         rows.append(
             (regime.switch_times, regime.strategies, rep.regime_log_wealth, rep.penalty, rep.slack)
         )
     expected = [
-        (times, strategies, *ref_bound_row(X, prior, alg, times, strategies, cost))
+        (times, strategies, *ref_bound_row(X, spec, alg, times, strategies))
         for times, strategies in ref_enumerate(X.days, X.assets)
     ]
     assert rows == expected  # exact float equality, row by row
@@ -401,22 +436,21 @@ class TestRegimeBlocks:
     )
     def test_bitwise_equal_to_references(self, T, N, seed, fixed, gamma, kind, rate):
         X = random_matrix(np.random.default_rng(seed), T, N)
-        prior = FixedGammaPrior(gamma) if fixed else AdaptivePrior()
         cost = None if kind is None else CostModel(kind, rate)
-        assert_matches_references(X, prior, cost)
+        assert_matches_references(X, switching(gamma if fixed else None, cost))
 
     @pytest.mark.parametrize(
-        "T, N, prior, cost",
+        "T, N, spec",
         [
-            (9, 3, AdaptivePrior(), CostModel.per_trade(0.01)),
-            (10, 2, FixedGammaPrior(0.1), None),
-            (10, 2, AdaptivePrior(), CostModel.parallel(0.3)),
+            (9, 3, switching(cost=CostModel.per_trade(0.01))),
+            (10, 2, switching(0.1)),
+            (10, 2, switching(cost=CostModel.parallel(0.3))),
         ],
     )
-    def test_long_segments_bitwise_equal_to_references(self, T, N, prior, cost):
+    def test_long_segments_bitwise_equal_to_references(self, T, N, spec):
         # Segments of 8 or more days take numpy's pairwise summation path.
         X = random_matrix(np.random.default_rng(T * 10 + N), T, N)
-        assert_matches_references(X, prior, cost, alg=-3.25)
+        assert_matches_references(X, spec, alg=-3.25)
 
     def test_segment_sums_follow_the_matrix(self):
         # log_regime_wealth against the reference row, matrix after matrix.
@@ -424,8 +458,7 @@ class TestRegimeBlocks:
         for X in [random_matrix(rng, 4, 2) for _ in range(3)] * 2:
             for times, strategies in ref_enumerate(4, 2):
                 lw = log_regime_wealth(RegimeSpec(times, strategies), X) / LOG2
-                prior = FixedGammaPrior(0.1)
-                assert lw == ref_bound_row(X, prior, 0.0, times, strategies, None)[0]
+                assert lw == ref_bound_row(X, switching(0.1), 0.0, times, strategies)[0]
 
 
 class TestSwitchTimeBlocks:
@@ -451,7 +484,6 @@ class TestSwitchTimeBlocks:
         # (enumerated), equal but distinct ones (rebuilt), blocks left and re-entered (shuffled),
         # and 1-3 interleaved tables, each with its own cost model and algorithm wealth.
         X = random_matrix(np.random.default_rng(seed), T, N)
-        prior = FixedGammaPrior(gamma) if fixed else AdaptivePrior()
         regimes_ = list(enumerate_regimes(T, N))
         if order == "rebuilt":
             regimes_ = [RegimeSpec(q.switch_times, q.strategies) for q in regimes_]
@@ -459,15 +491,15 @@ class TestSwitchTimeBlocks:
             regimes_ = data.draw(st.permutations(regimes_))
         tables = []
         for kind, rate, alg in settings_:
-            cost = None if kind is None else CostModel(kind, rate)
-            tables.append((BoundTable(X, prior, alg, cost), cost, alg))
+            spec = switching(gamma if fixed else None, None if kind is None else CostModel(kind, rate))
+            tables.append((BoundTable(X, spec, alg), spec, alg))
         for regime in regimes_:
-            for table, cost, alg in tables:
+            for table, spec, alg in tables:
                 rep = bound_check(table, regime)
-                lw, penalty, slack = ref_bound_row(X, prior, alg, regime.switch_times, regime.strategies, cost)
+                lw, penalty, slack = ref_bound_row(X, spec, alg, regime.switch_times, regime.strategies)
                 fields = (rep.regime_log_wealth, rep.penalty, rep.algorithm_log_wealth, rep.slack)
                 assert fields == (lw, penalty, alg, slack)
-                assert log_regime_wealth(regime, X, cost) / LOG2 == lw
+                assert log_regime_wealth(regime, X, spec.cost) / LOG2 == lw
 
     # A refusal keeps its type, message and order (T, switch time, then strategy), and
     # leaves the table's block as it was: each test ends by scoring the valid regime's block
@@ -475,7 +507,7 @@ class TestSwitchTimeBlocks:
     X = validate_relatives([[1.5, 0.5], [0.8, 1.25], [1.1, 0.9], [0.7, 1.6], [1.2, 0.95]], ["a", "b"])
 
     def setup_method(self):
-        self.table = BoundTable(self.X, AdaptivePrior(), 0.5, CostModel.per_trade(0.01))
+        self.table = BoundTable(self.X, switching(cost=CostModel.per_trade(0.01)), 0.5)
 
     @staticmethod
     def sharing_times(valid, strategies):
@@ -511,24 +543,24 @@ class TestSwitchTimeBlocks:
         with pytest.raises(InvalidRegime, match=r"^regimes need at least one trading day, got T=0$"):
             # and the horizon before them both
             empty = validate_relatives(np.empty((0, 2)), ["a", "b"])
-            bound_check(BoundTable(empty, AdaptivePrior(), 0.0), RegimeSpec((3,), (0, 2)))
+            bound_check(BoundTable(empty, switching(), 0.0), RegimeSpec((3,), (0, 2)))
 
 
 class TestScoredBlocks:
     """bounds' path: each block scored at once, then read regime by regime by bound_check."""
 
     @pytest.mark.parametrize(
-        "T, N, prior, cost",
+        "T, N, spec",
         [
-            (9, 3, AdaptivePrior(), CostModel.per_trade(0.01)),
-            (6, 4, FixedGammaPrior(0.2), CostModel.parallel(0.3)),
-            (10, 2, FixedGammaPrior(0.05), None),
-            (1, 3, AdaptivePrior(), None),
+            (9, 3, switching(cost=CostModel.per_trade(0.01))),
+            (6, 4, switching(0.2, CostModel.parallel(0.3))),
+            (10, 2, switching(0.05)),
+            (1, 3, switching()),
         ],
     )
-    def test_reads_equal_the_references(self, T, N, prior, cost):
+    def test_reads_equal_the_references(self, T, N, spec):
         X = random_matrix(np.random.default_rng(T * 10 + N), T, N)
-        table = BoundTable(X, prior, -2.5, cost)
+        table = BoundTable(X, spec, -2.5)
         rows = []
         for times, strategies, log2_wealth, penalty in table.scored_blocks():
             assert log2_wealth.shape == (len(strategies),)
@@ -537,7 +569,7 @@ class TestScoredBlocks:
                 assert (rep.regime_log_wealth, rep.penalty) == (lw, penalty)
                 rows.append((times, regime.strategies, lw, penalty, rep.slack))
         expected = [
-            (times, strategies, *ref_bound_row(X, prior, -2.5, times, strategies, cost))
+            (times, strategies, *ref_bound_row(X, spec, -2.5, times, strategies))
             for times, strategies in ref_enumerate(T, N)
         ]
         assert rows == expected  # exact float equality, row by row
@@ -546,7 +578,7 @@ class TestScoredBlocks:
         # Inside a scored block, a lone check, a repeat, a regime out of place and a refusal are each
         # scored (or refused) as a one-row block; the block's next regime is still a read.
         X = random_matrix(np.random.default_rng(5), 5, 3)
-        table = BoundTable(X, AdaptivePrior(), 0.5, CostModel.per_trade(0.01))
+        table = BoundTable(X, switching(cost=CostModel.per_trade(0.01)), 0.5)
         one_row = []
         score = BoundTable._score
 

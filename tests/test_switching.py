@@ -10,7 +10,7 @@ from hypothesis import strategies as st_
 from switchfolio.backtest import AlgoSpec, run
 from switchfolio.core import DimensionMismatch, PortfolioError, validate_relatives
 from switchfolio.costs import CostModel, switch_factor
-from switchfolio.regimes import AdaptivePrior, FixedGammaPrior, adaptive_prior_terms, mixture_oracle
+from switchfolio.regimes import adaptive_prior_terms, mixture_oracle
 from switchfolio.switching import (
     GammaOutOfRange,
     TooFewAssets,
@@ -364,7 +364,7 @@ class TestMixtureEquivalence:
             st = fixed_init(N, gamma)
             for t in range(1, T + 1):
                 fixed_step(st, X.values[t - 1])
-            oracle = mixture_oracle(X, FixedGammaPrior(gamma))
+            oracle = mixture_oracle(X, AlgoSpec("switching-fixed", gamma=gamma))
             assert abs(st.log_wealth - oracle) <= 1e-10
 
     def test_adaptive(self):
@@ -376,7 +376,7 @@ class TestMixtureEquivalence:
             st = adaptive_init(N, T)
             for t in range(1, T + 1):
                 adaptive_step(st, X.values[t - 1])
-            oracle = mixture_oracle(X, AdaptivePrior())
+            oracle = mixture_oracle(X, AlgoSpec("switching-adaptive"))
             assert abs(st.log_wealth - oracle) <= 1e-10
 
 
@@ -562,7 +562,7 @@ class TestAdaptiveAgainstEagerRecursion:
             "switching-adaptive", cost=cost
         )
         report = run(spec, X)
-        oracle = mixture_oracle(X, FixedGammaPrior(gamma) if fixed else AdaptivePrior(), cost)
+        oracle = mixture_oracle(X, spec)
         assert math.isclose(report.log_wealth[-1], oracle, rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -741,8 +741,5 @@ def test_long_horizon_equals_mixture_oracle(T, N, fixed):
     rng = np.random.default_rng(T + N)
     X = validate_relatives(np.exp(rng.normal(0.0, 0.02, size=(T, N))), [f"a{i}" for i in range(N)])
     cost = CostModel.per_trade(0.01)
-    if fixed:
-        spec, prior = AlgoSpec("switching-fixed", gamma=0.01, cost=cost), FixedGammaPrior(0.01)
-    else:
-        spec, prior = AlgoSpec("switching-adaptive", cost=cost), AdaptivePrior()
-    assert abs(run(spec, X).log_wealth[-1] - mixture_oracle(X, prior, cost)) <= 1e-12
+    spec = AlgoSpec("switching-fixed", gamma=0.01, cost=cost) if fixed else AlgoSpec("switching-adaptive", cost=cost)
+    assert abs(run(spec, X).log_wealth[-1] - mixture_oracle(X, spec)) <= 1e-12

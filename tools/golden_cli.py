@@ -277,6 +277,15 @@ def corpus() -> list[tuple[str, list[str]]]:
         "compare-overflow": ["compare", "--data", "regime2000.csv", "--algo", "best-stock",
                              "--algo", "eg:eta=0.05", "--algo", "universal:samples=100"],
     }
+    # A gamma outside (0, 1) is refused by the spec, in the same words in all three commands, before the data.
+    for label, gamma in (("nan", "nan"), ("inf", "inf"), ("negative", "-0.1"), ("one", "1")):
+        errors[f"backtest-gamma-{label}"] = ["backtest", "--data", "plain2.csv",
+                                             "--algo", f"switching-fixed:gamma={gamma}"]
+        for command in ("oracle", "bounds"):
+            errors[f"{command}-gamma-{label}"] = [command, "--data", "small2.csv", "--prior", "fixed", "--gamma", gamma]
+    errors["backtest-missing-file-nan-gamma"] = ["backtest", "--data", "missing.csv",
+                                                 "--algo", "switching-fixed:gamma=nan"]
+    errors["oracle-missing-file-nan-gamma"] = ["oracle", "--data", "missing.csv", "--prior", "fixed", "--gamma", "nan"]
     cases += [(f"error-{name}", args) for name, args in errors.items()]
     # A flag the run has no use for is refused, not dropped: gamma under the adaptive prior,
     # and a cost rate with no cost model to charge it.
