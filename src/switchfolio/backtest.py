@@ -6,7 +6,8 @@ strategies (best stock, best CRP) break this deliberately and are flagged.
 
 Report row conventions (day k = 0..T):
 
-* ``wealth[k]``: total wealth after k trading days (wealth[0] = 1);
+* ``log_wealth[k]``: the natural log of the total wealth after k trading days
+  (log_wealth[0] = 0);
 * ``weights[k]``: the portfolio chosen for day k+1 (so weights[0] is the
   initial allocation and weights[T] is what the strategy would hold next);
 * ``largest[k]``: the asset holding the most wealth after day k settles,
@@ -17,11 +18,16 @@ algorithm's internal bookkeeping (lump-move factors on switched mass; what the
 competitiveness bounds cover), ``realized`` replays the implied weights
 through netted-trade execution. With a cost model a switching report carries
 both series; every other kind has only realized accounting and carries that.
+
+Every track is a natural-log track, from the strategy's state to the report.
+Linear wealth is formed in one place, :func:`linear_wealth`, and only for
+output: the report's final wealths, the plot's wealth column, the oracle's.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -181,54 +187,58 @@ class AlgoSpec(_Frozen):
 
 
 class BacktestReport(_Frozen):
-    """Day-indexed wealth, weights, and largest-asset track for one strategy.
+    """Day-indexed natural-log wealth, weights, and largest-asset track for one strategy.
 
-    ``log_wealth`` is the switching state's own natural-log wealth
-    accumulator after each day, the exact log of the bucket-accounting
-    wealth; it is None for the other kinds.
+    ``log_wealth`` is the track of the run's cost accounting. With a cost model,
+    ``log_wealth_realized`` is the realized track and, for a switching run,
+    ``log_wealth_bucket`` the switching state's own accumulator; each is None otherwise.
     """
 
-    __slots__ = ("spec", "wealth", "weights", "largest", "hindsight_only", "wealth_bucket", "wealth_realized",
-                 "log_wealth", "dates")
+    __slots__ = ("spec", "log_wealth", "weights", "largest", "hindsight_only", "log_wealth_bucket",
+                 "log_wealth_realized", "dates")
 
-    def __init__(self, spec: AlgoSpec, wealth: np.ndarray, weights: np.ndarray, largest: np.ndarray,
-                 hindsight_only: bool = False, wealth_bucket: np.ndarray | None = None,
-                 wealth_realized: np.ndarray | None = None, log_wealth: np.ndarray | None = None,
-                 dates: tuple[str, ...] | None = None):
-        self._set(spec, wealth, weights, largest, hindsight_only, wealth_bucket, wealth_realized, log_wealth, dates)
-
-    @property
-    def final_wealth(self) -> float:
-        return float(self.wealth[-1])
+    def __init__(self, spec: AlgoSpec, log_wealth: np.ndarray, weights: np.ndarray, largest: np.ndarray,
+                 hindsight_only: bool = False, log_wealth_bucket: np.ndarray | None = None,
+                 log_wealth_realized: np.ndarray | None = None, dates: tuple[str, ...] | None = None):
+        self._set(spec, log_wealth, weights, largest, hindsight_only, log_wealth_bucket, log_wealth_realized, dates)
 
     @property
     def days(self) -> int:
-        return self.wealth.size - 1
+        return self.log_wealth.size - 1
 
 
 class NonFiniteResult(PortfolioError):
-    """A wealth or drawdown to be reported is infinite or NaN, or a wealth underflowed to 0."""
+    """A wealth to be reported is not a positive normal double."""
 
 
-def _require_finite(spec: AlgoSpec, figures: dict[str, float]) -> None:
-    bad = [name for name, value in figures.items() if not np.isfinite(value)]
-    if bad:
-        raise NonFiniteResult(f"{spec.label}: non-finite {', '.join(bad)}")
-    # Relatives are positive and a cost never takes all, so a wealth of 0 can only be an underflow.
-    lost = [name for name, value in figures.items() if value == 0 and name != "max_drawdown"]
-    if lost:
-        raise NonFiniteResult(f"{spec.label}: {', '.join(lost)} underflowed to 0")
+LOG_NORMAL_MIN, LOG_NORMAL_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
-@np.errstate(invalid="ignore")  # inf / inf is nan, which the caller's finiteness check refuses
-def max_drawdown(wealth: np.ndarray) -> float:
-    """Largest peak-to-trough fraction lost along a wealth series.
+def linear_wealth(name: str, log_wealth) -> np.ndarray:
+    """e^log_wealth, elementwise, for a natural-log wealth or a day-indexed track of them.
+
+    The one place linear wealth is formed. The first entry whose e^ lies
+    outside the positive normal doubles, nan included, is refused, with its
+    day when a track is given. Each entry goes through ``math.exp``: numpy's
+    exp rounds about one result in twenty to the other neighbour.
+    """
+    logs = np.asarray(log_wealth, dtype=float)
+    outside = ~((logs >= LOG_NORMAL_MIN) & (logs <= LOG_NORMAL_MAX))
+    if outside.any():
+        day = int(outside.argmax())
+        where = f" after day {day}" if logs.ndim else ""
+        raise NonFiniteResult(f"{name}{where} e^{logs.flat[day]:.17g} lies outside the positive normal doubles")
+    return np.fromiter(map(math.exp, logs.ravel().tolist()), float, logs.size).reshape(logs.shape)
+
+
+def max_drawdown(log_wealth: np.ndarray) -> float:
+    """Largest peak-to-trough fraction lost along a natural-log wealth track,
+    1 - e^min(log_wealth - its running maximum): finite for a finite track.
 
     Supporting practical metric for reports; no competitiveness guarantee
     speaks about it.
     """
-    peaks = np.maximum.accumulate(wealth)
-    return float((1.0 - wealth / peaks).max())
+    return 1.0 - math.exp(float((log_wealth - np.maximum.accumulate(log_wealth)).min()))
 
 
 def _largest_track(weights: np.ndarray, X: PriceRelativeMatrix) -> np.ndarray:
@@ -254,16 +264,14 @@ def _switching_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
     else:
         state, step, weights_of = adaptive_init(n, X.days, spec.cost), adaptive_step, adaptive_weights
     weights = np.empty((X.days + 1, n))
-    wealth = np.ones(X.days + 1)
     log_wealth = np.zeros(X.days + 1)
     weights[0] = 1.0 / n  # the uncharged initial purchase is uniform
     for t, x in enumerate(X.values, 1):
         step(state, x)
         log_wealth[t] = state.log_wealth
-        wealth[t] = math.exp(state.log_wealth)  # OverflowError where it leaves double range
         weights[t] = weights_of(state)
     _check_track(spec, weights)
-    return wealth, weights, log_wealth
+    return log_wealth, weights
 
 
 def _weight_driven_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
@@ -288,37 +296,35 @@ def _weight_driven_tracks(spec: AlgoSpec, X: PriceRelativeMatrix):
         _check_track(spec, weights)
     else:
         raise PortfolioError(f"not a weight-driven kind: {spec.kind}")
-    wealth = realized_wealth_track(weights[:T], X, spec.cost)
-    return wealth, weights
+    return realized_wealth_track(weights[:T], X, spec.cost), weights
 
 
 def run(spec: AlgoSpec, X: PriceRelativeMatrix) -> BacktestReport:
     """Backtest one strategy over a relatives matrix."""
-    log_wealth = None
-    if spec.kind in (KIND_SWITCHING_FIXED, KIND_SWITCHING_ADAPTIVE):
-        wealth, weights, log_wealth = _switching_tracks(spec, X)
+    switching = spec.kind in (KIND_SWITCHING_FIXED, KIND_SWITCHING_ADAPTIVE)
+    if switching:
+        log_wealth, weights = _switching_tracks(spec, X)
     elif spec.kind == KIND_UNIVERSAL:
         # The sampled mixture's native accounting is per-CRP realized cost.
-        wealth, weights = universal_tracks(X, spec)
+        log_wealth, weights = universal_tracks(X, spec)
     else:
-        wealth, weights = _weight_driven_tracks(spec, X)
-    wealth_bucket = wealth_realized = None
+        log_wealth, weights = _weight_driven_tracks(spec, X)
+    log_bucket = log_realized = None
     if spec.cost is not None:
-        wealth_realized = wealth
-        if log_wealth is not None:  # a switching run: its own wealth is the bucket accounting
-            wealth_bucket = wealth
-            wealth_realized = realized_wealth_track(weights[: X.days], X, spec.cost)
+        log_realized = log_wealth
+        if switching:  # its own wealth is the bucket accounting
+            log_bucket = log_wealth
+            log_realized = realized_wealth_track(weights[: X.days], X, spec.cost)
             if spec.cost_accounting == ACCOUNTING_REALIZED:
-                wealth = wealth_realized
+                log_wealth = log_realized
     return BacktestReport(
         spec=spec,
-        wealth=wealth,
+        log_wealth=log_wealth,
         weights=weights,
         largest=_largest_track(weights, X),
         hindsight_only=spec.kind in (KIND_BCRP, KIND_BEST_STOCK),
-        wealth_bucket=wealth_bucket,
-        wealth_realized=wealth_realized,
-        log_wealth=log_wealth,
+        log_wealth_bucket=log_bucket,
+        log_wealth_realized=log_realized,
         dates=X.dates,
     )
 
@@ -333,22 +339,21 @@ class ComparisonRow(_Frozen):
 def compare(specs: list[AlgoSpec], X: PriceRelativeMatrix) -> list[ComparisonRow]:
     """Backtest several strategies over the same matrix, one row per spec, in spec order.
 
-    A spec with a non-finite wealth or drawdown, or a final wealth that underflowed to 0,
-    raises NonFiniteResult; the specs after it do not run.
+    A spec whose final wealth is not a positive normal double raises NonFiniteResult;
+    the specs after it do not run.
     """
     if not specs:
         raise PortfolioError("compare needs at least one algorithm spec")
     rows = []
     for spec in specs:
         report = run(spec, X)
-        figures = {"final_wealth": report.final_wealth, "max_drawdown": max_drawdown(report.wealth)}
-        _require_finite(spec, figures)
         rows.append(
             ComparisonRow(
                 name=spec.kind,
                 parameters=spec.parameters,
+                final_wealth=float(linear_wealth(f"{spec.label}: final_wealth", report.log_wealth[-1])),
+                max_drawdown=max_drawdown(report.log_wealth),
                 hindsight_only=report.hindsight_only,
-                **figures,
             )
         )
     return rows
@@ -365,32 +370,27 @@ def comparison_tsv(rows: list[ComparisonRow]) -> str:
 
 
 def report_tsv(report: BacktestReport) -> str:
-    """Key-value TSV summary of one backtest; a non-finite figure or a final wealth of 0
-    raises NonFiniteResult.
-
-    A finite drawdown also implies a finite wealth series, hence finite plot data.
-    """
-    figures = {"final_wealth": report.final_wealth, "max_drawdown": max_drawdown(report.wealth)}
-    if report.wealth_bucket is not None:
-        figures["final_wealth_bucket"] = float(report.wealth_bucket[-1])
-    if report.wealth_realized is not None:
-        figures["final_wealth_realized"] = float(report.wealth_realized[-1])
-    _require_finite(report.spec, figures)
+    """Key-value TSV summary of one backtest; a final wealth that is not a positive
+    normal double raises NonFiniteResult."""
+    tracks = {"final_wealth": report.log_wealth, "final_wealth_bucket": report.log_wealth_bucket,
+              "final_wealth_realized": report.log_wealth_realized}
+    finals = {name: float(linear_wealth(f"{report.spec.label}: {name}", track[-1]))
+              for name, track in tracks.items() if track is not None}
     lines = [
         f"algorithm\t{report.spec.kind}",
         f"parameters\t{report.spec.parameters}",
         f"days\t{report.days}",
-        f"final_wealth\t{figures['final_wealth']:.12g}",
-        f"max_drawdown\t{figures['max_drawdown']:.12g}",
+        f"final_wealth\t{finals.pop('final_wealth'):.12g}",
+        f"max_drawdown\t{max_drawdown(report.log_wealth):.12g}",
         f"hindsight_only\t{'yes' if report.hindsight_only else 'no'}",
     ]
     if report.spec.cost is not None:
         lines.append(f"cost_model\t{report.spec.cost.kind}")
         lines.append(f"cost_rate\t{report.spec.cost.rate:.12g}")
         # Only a switching run keeps bucket accounting; every other kind's costs are realized.
-        accounting = report.spec.cost_accounting if report.wealth_bucket is not None else ACCOUNTING_REALIZED
+        accounting = report.spec.cost_accounting if report.log_wealth_bucket is not None else ACCOUNTING_REALIZED
         lines.append(f"cost_accounting\t{accounting}")
-        lines += [f"{name}\t{value:.12g}" for name, value in figures.items() if name.startswith("final_wealth_")]
+        lines += [f"{name}\t{value:.12g}" for name, value in finals.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -400,13 +400,15 @@ PLOT_CHUNK_ROWS = 1024  # rows formatted at a time: the Python floats of one chu
 def emit_plot_data(report: BacktestReport) -> str:
     """Day series as CSV: day, wealth, largest asset, one weight column per asset.
 
-    17-significant-digit decimals, one row per day 0..T. A trailing date
+    17-significant-digit decimals, one row per day 0..T; a wealth that is not
+    a positive normal double raises NonFiniteResult. A trailing date
     column, quoted by ``market_data.csv_cell``, is appended only when the
     source data carried dates.
 
     Each chunk of PLOT_CHUNK_ROWS rows is made by one ``%`` over a chunk-wide
     row template, its cells filled a column at a time.
     """
+    wealth = linear_wealth(f"{report.spec.label}: wealth", report.log_wealth)
     n = report.weights.shape[1]
     header = "day,wealth,largest_asset," + ",".join(f"w_{i + 1}" for i in range(n))
     # "%.17g" % v is f"{v:.17g}"; the largest asset is a whole number, so %d prints it.
@@ -425,7 +427,7 @@ def emit_plot_data(report: BacktestReport) -> str:
         hi = min(lo + PLOT_CHUNK_ROWS, rows)
         cells = [None] * ((hi - lo) * width)
         cells[0::width] = range(lo, hi)
-        cells[1::width] = report.wealth[lo:hi].tolist()
+        cells[1::width] = wealth[lo:hi].tolist()
         cells[2::width] = report.largest[lo:hi].tolist()
         for j, column in enumerate(report.weights[lo:hi].T.tolist(), 3):
             cells[j::width] = column

@@ -16,7 +16,8 @@ change nothing there.
 Otherwise (three or more assets, or a cost model) it is approximated by
 Monte Carlo: M weight vectors drawn uniformly from the simplex, each run as
 its own CRP (paying its own rebalancing costs when a model is active), with
-the strategy's wealth the plain average of the M wealth tracks. Sampling
+the strategy's wealth the plain average of the M wealth tracks (its natural log
+is returned, as for every track). Sampling
 uses a counter-based generator (Philox) so a (seed, M) pair reproduces
 bit-identically across platforms. The M CRPs run in tiles of days x samples,
 512 KiB each, that reuse one buffer allocated per call: no tile allocates or
@@ -184,9 +185,9 @@ def _simplex_draws(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 
 
 def universal_tracks(X: PriceRelativeMatrix, spec: AlgoSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Wealth series and implied weight track of the uniform-prior universal portfolio.
+    """Natural-log wealth track and implied weight track of the uniform-prior universal portfolio.
 
-    Returns (wealth of length T+1, weights of shape (T+1, N)); weights[t] is
+    Returns (log wealth of length T+1, weights of shape (T+1, N)); weights[t] is
     the portfolio going into day t+1. Two assets without costs take the
     exact form; every other input, the Monte Carlo mixture of the universal
     spec's samples CRPs, drawn from its seed.
@@ -196,7 +197,6 @@ def universal_tracks(X: PriceRelativeMatrix, spec: AlgoSpec) -> tuple[np.ndarray
     return _sampled_tracks(X, spec)
 
 
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # inf and nan are refused by the caller
 def _exact_pair_tracks(X: PriceRelativeMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The two-asset universal portfolio under the uniform prior, exactly.
 
@@ -261,18 +261,18 @@ def _exact_pair_tracks(X: PriceRelativeMatrix) -> tuple[np.ndarray, np.ndarray]:
     for day, e in shifts.items():
         log_wealth[day] += e * LOG2
     np.cumsum(log_wealth, out=log_wealth)
-    return np.exp(log_wealth), weights
+    return log_wealth, weights
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's finiteness check
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # the caller refuses a track off the doubles
 def _sampled_tracks(X: PriceRelativeMatrix, spec: AlgoSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Wealth series and implied weight track of the sampled universal portfolio.
+    """Natural-log wealth track and implied weight track of the sampled universal portfolio.
 
     Initial wealth is split equally across M uniformly sampled CRPs; each runs
     independently (paying its own rebalancing costs when configured). The
     strategy's wealth is the plain average of the M tracks, and its implied
     portfolio going into day t+1 is the wealth-weighted mean of the sampled
-    vectors. Returns (wealth of length T+1, weights of shape (T+1, N)).
+    vectors. Returns (log of the average, of length T+1, weights of shape (T+1, N)).
 
     Each chunk of _TILE_SAMPLES samples is carried through the days in blocks
     of _TILE_DAYS, adding its CRPs' wealth and wealth-weighted weights into
@@ -322,9 +322,8 @@ def _sampled_tracks(X: PriceRelativeMatrix, spec: AlgoSpec) -> tuple[np.ndarray,
             carry[:] = rows[days - 1]  # the next tile's product overwrites the buffer
             np.matmul(R, one_w, out=part[:days])
             table[t0 + 1 : t0 + 1 + days] += part[:days]
-    wealth = table[:, 0] / spec.samples
     track = table[:, 1:] / table[:, :1]
-    return wealth, track
+    return np.log(table[:, 0] / spec.samples), track
 
 
 def best_stock(X: PriceRelativeMatrix) -> tuple[int, float]:

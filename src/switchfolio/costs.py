@@ -12,8 +12,9 @@ passing ``None`` wherever a cost model is accepted:
 
 ``switch_factor`` gives the lump-move retention used inside the algorithms'
 wealth bookkeeping. ``realized_wealth_track`` implements the netted accounting
-used for realized-wealth reporting: each asset trades only its net delta, which
-is the cheapest execution under proportional commissions.
+used for realized-wealth reporting, as a natural-log track: each asset trades
+only its net delta, which is the cheapest execution under proportional
+commissions.
 """
 
 from __future__ import annotations
@@ -64,13 +65,13 @@ def switch_factor(model: CostModel | None) -> float:
     return 1.0 - 2.0 * model.rate
 
 
-@np.errstate(over="ignore", invalid="ignore")  # inf and nan are refused by the caller's finiteness check
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # the caller refuses a track off the doubles
 def realized_wealth_track(
     weights: np.ndarray,
     X,
     model: CostModel | None,
 ) -> np.ndarray:
-    """Wealth series from literally holding a day-by-day weight schedule.
+    """Natural-log wealth track from literally holding a day-by-day weight schedule.
 
     ``weights`` is a T x N array whose row t is the allocation held during
     trading day t+1; X supplies the relatives.
@@ -82,7 +83,7 @@ def realized_wealth_track(
     and the final day are not charged, matching algorithm-state bookkeeping
     that prices switches only.
 
-    Returns T+1 wealth values starting at 1.
+    Returns T+1 natural-log wealths starting at 0: the running sum of the days' log factors.
     """
     W = np.asarray(weights, dtype=float)
     if W.shape != (X.days, X.assets):
@@ -98,6 +99,6 @@ def realized_wealth_track(
     if model is not None:
         moved = np.abs(held[:-1] - W[1:] * factor[:-1, None]).sum(axis=1)
         factor[:-1] -= model.rate * moved
-    wealth = np.ones(X.days + 1)
-    np.cumprod(factor, out=wealth[1:])
-    return wealth
+    log_wealth = np.zeros(X.days + 1)
+    np.cumsum(np.log(factor), out=log_wealth[1:])
+    return log_wealth

@@ -226,8 +226,8 @@ def fixed_gamma_penalty(T: int, N: int, l: int, gamma: float) -> float:
         raise PortfolioError(f"switch count l={l} outside 0..{T - 1}")
     return (
         (l + 1) * math.log2(N)
-        + l * math.log2(1.0 / gamma)
-        + (T - l) * math.log2(1.0 / (1.0 - gamma))
+        + l * -math.log2(gamma)  # not log2(1/gamma): 1/gamma is inf for a subnormal gamma
+        + (T - l) * -math.log2(1.0 - gamma)
     )
 
 

@@ -152,9 +152,9 @@ def test_criterion_4_penalty_bounds(instances):
 def test_criterion_5_closed_form_regressions():
     half = AlgoSpec("crp", weights=(0.5, 0.5))
     for n in range(1, 21):
-        vol = run(half, synth_volatility_pair(n)).final_wealth
+        vol = math.exp(run(half, synth_volatility_pair(n)).log_wealth[-1])
         assert math.isclose(vol, (9 / 8) ** n, rel_tol=1e-12), n
-        reg = run(half, synth_regime_pair(n)).final_wealth
+        reg = math.exp(run(half, synth_regime_pair(n)).log_wealth[-1])
         assert math.isclose(reg, (7 / 8) ** (2 * n), rel_tol=1e-12), n
         prescient = log_regime_wealth(RegimeSpec((n,), (0, 1)), synth_regime_pair(n))
         assert math.isclose(prescient, 2 * n * math.log(1.5), abs_tol=1e-12), n
@@ -188,7 +188,7 @@ def test_criterion_7_universal_vs_quadrature():
         vals = np.exp(rng.uniform(np.log(0.25), np.log(4.0), size=(T, 2)))
         X = validate_relatives(vals, ["a", "b"])
         exact = float(np.trapezoid(np.prod(W @ X.values.T, axis=1), grid))
-        mc = _sampled_tracks(X, AlgoSpec("universal", samples=100_000, seed=2026))[0][-1]
+        mc = math.exp(_sampled_tracks(X, AlgoSpec("universal", samples=100_000, seed=2026))[0][-1])
         rel = abs(mc - exact) / exact
         worst = max(worst, rel)
         assert rel <= 0.01, (T, rel)

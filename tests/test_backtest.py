@@ -54,16 +54,16 @@ class TestRun:
         assert not run(AlgoSpec("switching-adaptive"), X).hindsight_only
 
     def test_crp_on_volatility_pair(self):
-        report = run(AlgoSpec("crp", weights=(0.5, 0.5)), synth_volatility_pair(6))
-        assert math.isclose(report.final_wealth, (9 / 8) ** 6, rel_tol=1e-12)
-        assert math.isclose(report.final_wealth, 2.0273, rel_tol=1e-4)
+        final = math.exp(run(AlgoSpec("crp", weights=(0.5, 0.5)), synth_volatility_pair(6)).log_wealth[-1])
+        assert math.isclose(final, (9 / 8) ** 6, rel_tol=1e-12)
+        assert math.isclose(final, 2.0273, rel_tol=1e-4)
 
     def test_switching_fixed_tracks_prescient_regime(self):
         # One-switch hindsight regime earns (3/2)^8; the algorithm must land
         # within its advertised concession of that.
         X = synth_regime_pair(4)
         spec = AlgoSpec("switching-fixed", gamma=1 / 3)
-        alg_log2 = math.log2(run(spec, X).final_wealth)
+        alg_log2 = run(spec, X).log_wealth[-1] / LOG2
         rep = bound_check(BoundTable(X, spec, alg_log2), RegimeSpec((4,), (0, 1)))
         assert math.isclose(rep.regime_log_wealth, 8 * math.log2(1.5), rel_tol=1e-12)
         assert rep.slack >= 0
@@ -71,7 +71,7 @@ class TestRun:
     def test_switching_adaptive_bound_on_regime_pair(self):
         X = synth_regime_pair(4)
         spec = AlgoSpec("switching-adaptive")
-        table = BoundTable(X, spec, math.log2(run(spec, X).final_wealth))
+        table = BoundTable(X, spec, run(spec, X).log_wealth[-1] / LOG2)
         rep = bound_check(table, RegimeSpec((4,), (0, 1)))
         assert rep.slack >= 0
 
@@ -80,9 +80,10 @@ class TestRun:
         X = random_matrix(rng, 9, 2)
         for spec in ONLINE_SPECS:
             report = run(spec, X)
-            assert report.wealth[0] == 1.0
-            assert np.all(report.wealth > 0)
-            assert report.wealth.shape == (10,)
+            wealth = np.exp(report.log_wealth)
+            assert wealth[0] == 1.0
+            assert np.all(wealth > 0)
+            assert wealth.shape == (10,)
             assert report.weights.shape == (10, 2)
 
     def test_wealth_consistency_cost_free(self):
@@ -98,7 +99,7 @@ class TestRun:
             rebuilt = 1.0
             for t in range(1, 9):
                 rebuilt *= float(report.weights[t - 1] @ X.values[t - 1])
-            assert abs(math.log(rebuilt) - math.log(report.final_wealth)) <= 1e-10
+            assert abs(math.log(rebuilt) - report.log_wealth[-1]) <= 1e-10
 
     def test_wealth_consistency_bucket_costs(self):
         # With bucket accounting the only wedge between compounded daily
@@ -115,20 +116,20 @@ class TestRun:
             if t > 1:
                 rebuilt *= retention
         # the retention applies at each junction (T-1 of them), order-independent
-        assert abs(math.log(rebuilt) - math.log(report.final_wealth)) <= 1e-10
+        assert abs(math.log(rebuilt) - report.log_wealth[-1]) <= 1e-10
 
     def test_both_accountings_attached_when_costed(self):
         rng = np.random.default_rng(74)
         X = random_matrix(rng, 6, 2)
         spec = AlgoSpec("switching-adaptive", cost=CostModel.parallel(0.02))
         report = run(spec, X)
-        assert report.wealth_bucket is not None and report.wealth_realized is not None
-        assert np.array_equal(report.wealth, report.wealth_bucket)
+        assert report.log_wealth_bucket is not None and report.log_wealth_realized is not None
+        assert np.array_equal(report.log_wealth, report.log_wealth_bucket)
         realized = run(
             AlgoSpec("switching-adaptive", cost=CostModel.parallel(0.02), cost_accounting="realized"),
             X,
         )
-        assert np.array_equal(realized.wealth, realized.wealth_realized)
+        assert np.array_equal(realized.log_wealth, realized.log_wealth_realized)
 
     def test_online_causality_prefix_consistency(self):
         rng = np.random.default_rng(75)
@@ -174,8 +175,7 @@ class TestRun:
                 for row in X.values:
                     expected.append(step(state, row).log_wealth)
                 assert report.log_wealth.tolist() == expected
-                assert report.wealth.tolist() == [math.exp(v) for v in expected]
-        assert run(AlgoSpec("best-stock"), X).log_wealth is None
+                assert report.log_wealth_bucket is (None if cost is None else report.log_wealth)
 
     def test_largest_track_is_argmax_of_mass(self):
         rng = np.random.default_rng(76)
@@ -458,10 +458,11 @@ class TestCompare:
         assert ran == ["crp", "eg"]
 
     def test_wealth_underflow_refused(self):
-        X = synth_regime_pair(2000)  # the best single asset's wealth underflows to 0 here
-        with pytest.raises(NonFiniteResult, match="^best-stock: final_wealth underflowed to 0$"):
+        X = synth_regime_pair(2000)  # the best single asset's wealth lies below the normal doubles here
+        refusal = r"^best-stock: final_wealth e\^-1961\.658[0-9]+ lies outside the positive normal doubles$"
+        with pytest.raises(NonFiniteResult, match=refusal):
             compare([AlgoSpec("best-stock")], X)
-        with pytest.raises(NonFiniteResult, match="^best-stock: final_wealth underflowed to 0$"):
+        with pytest.raises(NonFiniteResult, match=refusal):
             report_tsv(run(AlgoSpec("best-stock"), X))
         assert compare([AlgoSpec("bcrp")], X)[0].final_wealth > 0  # tiny, but representable
 
@@ -498,7 +499,7 @@ class TestPlotData:
         assert len(parsed) == 8
         for k, row in enumerate(parsed):
             assert int(row["day"]) == k
-            assert float(row["wealth"]) == report.wealth[k]
+            assert float(row["wealth"]) == math.exp(report.log_wealth[k])
             for i in range(3):
                 assert float(row[f"w_{i + 1}"]) == report.weights[k, i]
 
@@ -541,7 +542,7 @@ def ref_emit_plot_data(report: BacktestReport) -> str:
         header += ",date"
     buf.write(header + "\n")
     for k in range(report.days + 1):
-        cells = [str(k), f"{report.wealth[k]:.17g}", str(int(report.largest[k]))]
+        cells = [str(k), f"{math.exp(report.log_wealth[k]):.17g}", str(int(report.largest[k]))]
         cells += [f"{v:.17g}" for v in report.weights[k]]
         if with_dates:
             cells.append("" if k == 0 else _csv_cell(report.dates[k - 1]))
@@ -554,13 +555,15 @@ class TestPlotDataAgainstReference:
     @given(data=st.data(), T=st.integers(0, 60), N=st.integers(1, 6), dated=st.booleans())
     def test_byte_identical(self, data, T, N, dated):
         number = st.floats(allow_nan=True, allow_infinity=True)
-        wealth = np.array(data.draw(st.lists(number, min_size=T + 1, max_size=T + 1), label="wealth"))
+        # Every natural-log wealth whose e^ the plot can print, ends included.
+        log_normal = st.floats(backtest.LOG_NORMAL_MIN, backtest.LOG_NORMAL_MAX)
+        log_wealth = np.array(data.draw(st.lists(log_normal, min_size=T + 1, max_size=T + 1), label="log wealth"))
         weights = np.array(data.draw(st.lists(number, min_size=(T + 1) * N, max_size=(T + 1) * N), label="weights"))
         largest = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=T + 1, max_size=T + 1)))
         dates = data.draw(st.lists(st.text(max_size=8), min_size=T, max_size=T), label="dates")
         report = BacktestReport(
             spec=AlgoSpec("switching-adaptive"),
-            wealth=wealth,
+            log_wealth=log_wealth,
             weights=weights.reshape(T + 1, N),
             largest=largest,
             dates=tuple(dates) if dated else None,
@@ -579,8 +582,20 @@ class TestPlotDataAgainstReference:
 
 class TestReportHelpers:
     def test_max_drawdown(self):
-        assert max_drawdown(np.array([1.0, 2.0, 1.0, 3.0])) == 0.5
-        assert max_drawdown(np.array([1.0, 1.1, 1.2])) == 0.0
+        assert max_drawdown(np.log([1.0, 2.0, 1.0, 3.0])) == 0.5
+        never_falls = max_drawdown(np.log([1.0, 1.1, 1.2]))
+        assert never_falls == 0.0 and math.copysign(1.0, never_falls) == 1.0  # 0, not -0
+        assert max_drawdown(np.array([0.0, 1500.0, -1500.0, 0.0])) == 1.0  # e^-3000: finite in logs
+
+    def test_linear_wealth_refuses_outside_the_positive_normal_doubles(self):
+        lo, hi = backtest.LOG_NORMAL_MIN, backtest.LOG_NORMAL_MAX
+        assert backtest.linear_wealth("w", np.array([lo, 0.0, hi])).tolist() == [math.exp(lo), 1.0, math.exp(hi)]
+        assert float(backtest.linear_wealth("w", 1.0)) == math.exp(1.0)
+        for log_wealth in (np.nextafter(hi, math.inf), np.nextafter(lo, -math.inf), math.inf, -math.inf, math.nan):
+            with pytest.raises(NonFiniteResult, match=rf"^w e\^{log_wealth:.17g} lies outside"):
+                backtest.linear_wealth("w", log_wealth)
+        with pytest.raises(NonFiniteResult, match=r"^w after day 2 e\^nan lies outside the positive normal doubles$"):
+            backtest.linear_wealth("w", np.array([0.0, 1.0, math.nan, math.inf]))
 
     def test_report_tsv_fields(self):
         X = synth_volatility_pair(2)
@@ -602,11 +617,11 @@ class TestReportHelpers:
         texts = set()
         for accounting in ("bucket", "realized"):
             report = run(AlgoSpec(kind, **params, cost=CostModel.parallel(0.01), cost_accounting=accounting), X)
-            assert report.wealth_bucket is None and report.wealth_realized is report.wealth
+            assert report.log_wealth_bucket is None and report.log_wealth_realized is report.log_wealth
             texts.add(report_tsv(report))
         (text,) = texts
         assert "cost_accounting\trealized\n" in text and "final_wealth_bucket" not in text
-        assert f"final_wealth_realized\t{report.final_wealth:.12g}\n" in text
+        assert f"final_wealth_realized\t{math.exp(report.log_wealth[-1]):.12g}\n" in text
 
 
 def _random_report(T: int, N: int, dated: bool, seed: int = 0) -> BacktestReport:
@@ -614,7 +629,7 @@ def _random_report(T: int, N: int, dated: bool, seed: int = 0) -> BacktestReport
     weights = rng.dirichlet(np.ones(N), size=T + 1)
     return BacktestReport(
         spec=AlgoSpec("switching-adaptive"),
-        wealth=np.exp(np.cumsum(rng.normal(0.0, 0.01, size=T + 1))),
+        log_wealth=np.cumsum(rng.normal(0.0, 0.01, size=T + 1)),
         weights=weights,
         largest=np.argmax(weights, axis=1),
         dates=tuple(f"2001-{k}" for k in range(T)) if dated else None,

@@ -31,7 +31,7 @@ HALF = np.array([0.5, 0.5])
 
 def crp_wealth(w, X, cost=None):
     """Wealth series of the constant rebalanced portfolio w over X."""
-    return run(AlgoSpec("crp", weights=tuple(w), cost=cost), X).wealth
+    return np.exp(run(AlgoSpec("crp", weights=tuple(w), cost=cost), X).log_wealth)
 
 
 def random_matrix(rng, T, N, spread=(0.25, 4.0)):
@@ -60,7 +60,8 @@ def ref_universal_tracks(X, config):
 
 
 def assert_matches_reference(X, config):
-    wealth, track = _sampled_tracks(X, config)
+    log_wealth, track = _sampled_tracks(X, config)
+    wealth = np.exp(log_wealth)
     ref_wealth, ref_track = ref_universal_tracks(X, config)
     assert wealth.shape == ref_wealth.shape and track.shape == ref_track.shape
     assert np.all(np.abs(wealth - ref_wealth) <= 1e-12 * ref_wealth)
@@ -242,12 +243,12 @@ class TestEgStep:
 class TestUniversal:
     def test_single_asset_is_buy_and_hold(self):
         X = validate_relatives([[1.2], [0.9], [1.4]], ["a"])
-        series = universal_tracks(X, AlgoSpec("universal", samples=7, seed=1))[0]
+        series = np.exp(universal_tracks(X, AlgoSpec("universal", samples=7, seed=1))[0])
         assert math.isclose(series[-1], 1.2 * 0.9 * 1.4, rel_tol=1e-12)
 
     def test_empty_history(self):
         X = validate_relatives([], ["a", "b"])
-        assert universal_tracks(X, AlgoSpec("universal", samples=10, seed=0))[0].tolist() == [1.0]
+        assert np.exp(universal_tracks(X, AlgoSpec("universal", samples=10, seed=0))[0]).tolist() == [1.0]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(57)
@@ -263,16 +264,16 @@ class TestUniversal:
         cfg = AlgoSpec("universal", samples=200, seed=5)
         W = sample_simplex(200, 2, 5)
         finals = np.prod(W @ X.values.T, axis=1)
-        u = _sampled_tracks(X, cfg)[0][-1]
+        u = math.exp(_sampled_tracks(X, cfg)[0][-1])
         assert finals.min() - 1e-12 <= u <= finals.max() + 1e-12
 
     def test_never_beats_bcrp(self):
         rng = np.random.default_rng(59)
         for _ in range(5):
             X = random_matrix(rng, 12, 2)
-            u = universal_tracks(X, AlgoSpec("universal", samples=2000, seed=3))[0][-1]
+            log_u = universal_tracks(X, AlgoSpec("universal", samples=2000, seed=3))[0][-1]
             _, lw = bcrp_solve(X)
-            assert math.log(u) <= lw + 1e-9
+            assert log_u <= lw + 1e-9
 
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(60)
@@ -281,19 +282,19 @@ class TestUniversal:
         for _ in range(3):
             X = random_matrix(rng, int(rng.integers(1, 11)), 2)
             exact = float(np.trapezoid(np.prod(W @ X.values.T, axis=1), grid))
-            mc = _sampled_tracks(X, AlgoSpec("universal", samples=100_000, seed=7))[0][-1]
+            mc = math.exp(_sampled_tracks(X, AlgoSpec("universal", samples=100_000, seed=7))[0][-1])
             assert abs(mc - exact) / exact <= 0.01
 
     def test_weights_track_is_wealth_weighted_mean(self):
         rng = np.random.default_rng(61)
         X = random_matrix(rng, 6, 2)
         cfg = AlgoSpec("universal", samples=50, seed=11)
-        wealth, track = _sampled_tracks(X, cfg)
+        log_wealth, track = _sampled_tracks(X, cfg)
         W = sample_simplex(50, 2, 11)
         finals = np.prod(W @ X.values.T, axis=1)
         expected_last = finals @ W / finals.sum()
         assert np.allclose(track[-1], expected_last, atol=1e-12)
-        assert math.isclose(wealth[-1], float(finals.mean()), rel_tol=1e-12)
+        assert math.isclose(math.exp(log_wealth[-1]), float(finals.mean()), rel_tol=1e-12)
 
     @pytest.mark.parametrize("T", TILE_HORIZONS)
     @pytest.mark.parametrize("N", [1, 2, 3, 5])
@@ -391,7 +392,8 @@ class TestExactPair:
     @settings(max_examples=60, deadline=None)
     @given(X=pair_markets(8))
     def test_matches_rational_arithmetic(self, X):
-        wealth, track = _exact_pair_tracks(X)
+        log_wealth, track = _exact_pair_tracks(X)
+        wealth = np.exp(log_wealth)
         ref_wealth, ref_first = fraction_universal(X)
         assert wealth.shape == (X.days + 1,) and track.shape == (X.days + 1, 2)
         for got, want in [*zip(wealth, ref_wealth), *zip(track[:, 0], ref_first),
@@ -399,11 +401,12 @@ class TestExactPair:
             assert abs(Fraction(float(got)) - want) <= Fraction(1, 10**13) * want
 
     def test_no_trading_day(self):
-        wealth, track = _exact_pair_tracks(validate_relatives([], ["a", "b"]))
-        assert wealth.tolist() == [1.0] and track.tolist() == [[0.5, 0.5]]
+        log_wealth, track = _exact_pair_tracks(validate_relatives([], ["a", "b"]))
+        assert np.exp(log_wealth).tolist() == [1.0] and track.tolist() == [[0.5, 0.5]]
 
     def test_one_trading_day(self):
-        wealth, track = _exact_pair_tracks(pair_market(1, [3.0, 0.5]))
+        log_wealth, track = _exact_pair_tracks(pair_market(1, [3.0, 0.5]))
+        wealth = np.exp(log_wealth)
         assert wealth[0] == 1.0 and math.isclose(wealth[1], 1.75, rel_tol=1e-15)
         assert track[0].tolist() == [0.5, 0.5]
         # Posterior mean of b, with density proportional to 3b + 0.5(1 - b): (0.5 + 2 * 3) / (3 * 3.5)
@@ -442,11 +445,11 @@ class TestExactPair:
         # Each sampled estimate lies within four standard errors of the exact form, so
         # its error falls like 1/sqrt(M); across fixed seeds, 100x the samples cut it well over 3x.
         X = random_matrix(np.random.default_rng(63), 8, 2)
-        exact = _exact_pair_tracks(X)[0][-1]
+        exact = math.exp(_exact_pair_tracks(X)[0][-1])
         errors = {1000: [], 100_000: []}
         for seed in range(5):
             for M, errs in errors.items():
-                mc = _sampled_tracks(X, AlgoSpec("universal", samples=M, seed=seed))[0][-1]
+                mc = math.exp(_sampled_tracks(X, AlgoSpec("universal", samples=M, seed=seed))[0][-1])
                 finals = np.prod(sample_simplex(M, 2, seed) @ X.values.T, axis=1)
                 assert abs(mc - exact) <= 4 * finals.std() / math.sqrt(M)
                 errs.append(abs(mc - exact))
@@ -479,7 +482,7 @@ def ref_exact_pair_tracks(X):
         new[1 : n + 1] = u * (x1 * scale)
         new[n - 1 :: -1] += d * (x2 * scale)
         shares = new
-    return np.exp(log_wealth), weights
+    return log_wealth, weights
 
 
 def ref_eg_weights(X, eta):

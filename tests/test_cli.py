@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,7 +96,8 @@ class TestSynthBacktestFlow:
         data = tmp_path / "m.csv"
         data.write_text("a,b,c,d\n1e+200,1.0,1e+200,1e-310\n1.0,1e-310,1.0,1.7e+308\n")
         code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "bcrp")
-        assert (code, out, err) == (2, "", "switchfolio: bcrp: non-finite final_wealth, max_drawdown\n")
+        assert (code, out) == (2, "")
+        assert re.fullmatch(refusal("bcrp", "1168.857"), err)
 
 
 class TestUsageErrors:
@@ -140,14 +142,13 @@ class TestUsageErrors:
             assert "--out" in capsys.readouterr().out
 
 
-def refused_figures(argv, label):
-    """The figures refused on the 4000-day 1.5x/0.25x regime-pair market.
+def refusal(label, log_wealth):
+    """The one refusal of a final wealth outside the positive normal doubles, as a regex.
 
-    The exact two-asset universal portfolio (no cost) ends at a finite wealth but overflows on an
-    earlier day; EG and the sampled universal portfolio end non-finite too.
+    ``log_wealth`` is the leading part of the refused wealth's natural log.
     """
-    exact = label.startswith("universal") and "--cost-model" not in argv
-    return "max_drawdown" if exact else "final_wealth, max_drawdown"
+    return (rf"switchfolio: {re.escape(label)}: final_wealth e\^{re.escape(log_wealth)}[0-9]* "
+            r"lies outside the positive normal doubles\n")
 
 
 class TestDataErrors:
@@ -206,72 +207,96 @@ class TestDataErrors:
         assert out == ""
         assert err == "switchfolio: seed must be a non-negative integer, got -1\n"
 
-    def test_wealth_overflow_exits_two(self, capsys, tmp_path):
-        data = tmp_path / "m.csv"
-        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data))
-        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "switching-adaptive")
-        assert code == 2
-        assert out == ""
-        assert err == "switchfolio: arithmetic failure (OverflowError: math range error)\n"
-
     @pytest.mark.parametrize(
-        "argv, label",
+        "algo, label, log_wealth",
         [
-            (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=0.05"], "eg eta=0.05"),
-            (["compare", "--algo", "universal:samples=50"], "universal samples=50 seed=0"),
-            (["backtest", "--algo", "eg:eta=0.05"], "eg eta=0.05"),
+            ("switching-adaptive", "switching-adaptive", "1604.814"),
+            ("switching-fixed:gamma=0.01", "switching-fixed gamma=0.01", "1576.802"),
         ],
     )
-    def test_non_finite_wealth_exits_two(self, capsys, tmp_path, argv, label):
-        # 4000 days alternating 1.5x and 0.25x: the baselines' linear wealth overflows.
+    def test_wealth_overflow_exits_two(self, capsys, tmp_path, algo, label, log_wealth):
+        # The switching state keeps its wealth in logs; only the printed e^ would overflow.
         data = tmp_path / "m.csv"
         invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data))
-        with np.errstate(all="ignore"):
-            code, out, err = invoke(capsys, argv[0], "--data", str(data), *argv[1:])
-        assert code == 2
-        assert out == ""
-        assert err == f"switchfolio: {label}: non-finite {refused_figures(argv, label)}\n"
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", algo)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(refusal(label, log_wealth), err)
 
     @pytest.mark.parametrize(
-        "argv, refused",
+        "argv, label, log_wealth",
         [
-            (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "best-stock"], "final_wealth"),
-            (["backtest", "--algo", "best-stock"], "final_wealth"),
-            (["backtest", "--algo", "best-stock", "--cost-model", "parallel", "--cost-rate", "0.01"],
-             "final_wealth, final_wealth_realized"),
+            (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=0.05"], "eg eta=0.05", "991.570"),
+            (["compare", "--algo", "universal:samples=50", "--cost-model", "per-trade", "--cost-rate", "0.01"],
+             "universal samples=50 seed=0", "inf"),
+            (["backtest", "--algo", "eg:eta=0.05"], "eg eta=0.05", "991.570"),
         ],
     )
-    def test_wealth_underflow_exits_two(self, capsys, tmp_path, argv, refused):
-        # 4000 days of the regime pair: the best asset falls 4x a day for 2000 days, so its
-        # linear wealth underflows to 0, a value no run can reach.
+    def test_non_finite_wealth_exits_two(self, capsys, tmp_path, argv, label, log_wealth):
+        # 4000 days alternating 1.5x and 0.25x: EG's wealth leaves the doubles, and the sampled
+        # universal portfolio's linear mean overflows to inf, whose log is inf.
         data = tmp_path / "m.csv"
         invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data))
         code, out, err = invoke(capsys, argv[0], "--data", str(data), *argv[1:])
         assert (code, out) == (2, "")
-        assert err == f"switchfolio: best-stock: {refused} underflowed to 0\n"
+        assert re.fullmatch(refusal(label, log_wealth), err)
+
+    def test_wealth_that_leaves_the_doubles_mid_run_is_reported(self, capsys, tmp_path):
+        # The exact two-asset universal portfolio passes e^709 on the same market and ends
+        # near e^-538: its final wealth prints, and the drawdown, read in logs, prints as 1.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data))
+        code, out, err = invoke(capsys, "compare", "--data", str(data), "--algo", "universal:samples=50")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "universal\tsamples=50 seed=0\t2.98736749396e-234\t1\tno"
+        code, out, err = invoke(capsys, "backtest", "--data", str(data), "--algo", "universal:samples=50",
+                                "--plot-data", str(tmp_path / "plot.csv"))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"switchfolio: universal samples=50 seed=0: wealth after day 1769 e\^709\.9[0-9]* "
+                            r"lies outside the positive normal doubles\n", err)
+        assert not (tmp_path / "plot.csv").exists()
 
     @pytest.mark.parametrize(
-        "argv, label",
+        "argv",
         [
-            (["compare", "--algo", "universal:samples=100"], "universal samples=100 seed=0"),
-            (["backtest", "--algo", "universal"], "universal samples=10000 seed=0"),
-            (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=0.05",
-              "--algo", "universal:samples=100"], "eg eta=0.05"),
-            (["compare", "--algo", "universal:samples=100", "--cost-model", "per-trade", "--cost-rate", "0.01"],
-             "universal samples=100 seed=0"),
+            ["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "best-stock"],
+            ["backtest", "--algo", "best-stock"],
+            ["backtest", "--algo", "best-stock", "--cost-model", "parallel", "--cost-rate", "0.01"],
         ],
     )
-    def test_non_finite_refusal_prints_no_numpy_warning(self, tmp_path, argv, label):
-        # A fresh process with warnings shown: the refusal must be the whole of stderr.
+    def test_wealth_underflow_exits_two(self, capsys, tmp_path, argv):
+        # 4000 days of the regime pair: the best asset falls 4x a day for 2000 days, so its
+        # wealth, about e^-1962, lies below the doubles.
+        data = tmp_path / "m.csv"
+        invoke(capsys, "synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data))
+        code, out, err = invoke(capsys, argv[0], "--data", str(data), *argv[1:])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(refusal("best-stock", "-1961.658"), err)
+
+    @pytest.mark.parametrize(
+        "argv, label, log_wealth",
+        [
+            (["compare", "--algo", "universal:samples=100"], None, None),
+            (["backtest", "--algo", "universal"], None, None),
+            (["compare", "--algo", "crp:weights=0.5|0.5", "--algo", "eg:eta=0.05",
+              "--algo", "universal:samples=100"], "eg eta=0.05", "991.570"),
+            (["compare", "--algo", "universal:samples=100", "--cost-model", "per-trade", "--cost-rate", "0.01"],
+             "universal samples=100 seed=0", "inf"),
+        ],
+    )
+    def test_non_finite_refusal_prints_no_numpy_warning(self, tmp_path, argv, label, log_wealth):
+        # A fresh process with warnings shown: the refusal must be the whole of stderr, and a run
+        # whose wealth leaves the doubles mid-run and comes back (label None) prints no warning.
         data = tmp_path / "m.csv"
         cli_argv = [sys.executable, "-W", "default", "-m", "switchfolio.cli"]
         subprocess.run(cli_argv + ["synth", "--kind", "regime-pair", "--n", "2000", "--out", str(data)],
                        check=True)
         done = subprocess.run(cli_argv + [argv[0], "--data", str(data), *argv[1:]],
                               capture_output=True, text=True)
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert done.stderr == f"switchfolio: {label}: non-finite {refused_figures(argv, label)}\n"
+        if label is None:
+            assert (done.returncode, done.stderr) == (0, "")
+        else:
+            assert (done.returncode, done.stdout) == (2, "")
+            assert re.fullmatch(refusal(label, log_wealth), done.stderr)
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,17 +3,19 @@
 Every invocation exits 0, 1 or 2 and raises no other exception (a warning
 counts as one). Exit 1 comes only from argparse, for a usage error. Exit 2
 comes with exactly one stderr line, starting ``switchfolio: ``. On exit 0
-stderr is empty, every number printed is finite, no linear wealth prints as
-0, the ``oracle`` wealths are positive normal doubles and its gap is at most
-1e-9, and every plot row parses to finite numbers.
+stderr is empty, every number printed is finite, every linear wealth printed
+(``backtest``'s final wealths and plot column, ``compare``'s and ``oracle``'s)
+is a positive normal double, the ``oracle`` gap is at most 1e-9, and every
+plot row parses to finite numbers.
 
 The markets have at most 8 days and 1 to 3 assets. Their relatives lie
 within e^±5, near e^695 or e^-695 every day, near e^±695 with the sign drawn
 per cell (the edge of the double range: linear wealth leaves it within two
 days), are drawn from {e^-30, 1, e^30}, or are drawn from the ends of the
 double range themselves, subnormals included (``EDGES``). Every command,
-algorithm kind, cost model and cost accounting runs on them, under
-hypothesis and on a fixed seeded grid.
+algorithm kind, cost model and cost accounting runs on them, and every
+gamma of ``GAMMAS`` (a subnormal one included), under hypothesis and on a
+fixed seeded grid.
 """
 
 import contextlib
@@ -46,7 +48,7 @@ COMMANDS = ("synth", "backtest", "compare", "oracle", "bounds")
 KINDS = ("switching-fixed", "switching-adaptive", "crp", "bcrp", "eg", "universal", "best-stock")
 COSTS = (None, ("per-trade", "0"), ("per-trade", "0.01"), ("parallel", "0.02"), ("parallel", "0.49"))
 ACCOUNTINGS = ("bucket", "realized")
-GAMMAS = ("0.01", "0.3333333333", "0.9")
+GAMMAS = ("0.01", "0.3333333333", "0.9", "1e-310")
 USAGE_ERRORS = (["--frobnicate"], ["--cost-model", "free"], ["--seed", "x"])
 
 
@@ -75,7 +77,7 @@ def write_market(path: Path, values: np.ndarray, dated: bool) -> None:
 def spec_of(kind: str, assets: int, variant: int) -> str:
     """The --algo spec of one kind; variant picks among its parameter values."""
     if kind == "switching-fixed":
-        return f"switching-fixed:gamma={GAMMAS[variant % 3]}"
+        return f"switching-fixed:gamma={GAMMAS[variant % len(GAMMAS)]}"
     if kind == "crp":
         return "crp:weights=" + "|".join([repr(1.0 / assets)] * assets)
     if kind == "eg":
@@ -101,7 +103,7 @@ def argv_of(command: str, data: Path, assets: int, plot: Path, choice: dict) -> 
             argv += ["--algo", spec_of(kind, assets, choice["variant"])]
         argv += ["--cost-accounting", choice["accounting"]]
     elif command in ("oracle", "bounds"):
-        prior = ["fixed", "--gamma", GAMMAS[choice["variant"] % 3]] if choice["fixed"] else ["adaptive"]
+        prior = ["fixed", "--gamma", GAMMAS[choice["variant"] % len(GAMMAS)]] if choice["fixed"] else ["adaptive"]
         argv += ["--prior", *prior]
     return argv + choice.get("usage_error", [])
 
@@ -116,6 +118,11 @@ def invoke(argv: list[str]) -> tuple[int, str, str, bool]:
         except SystemExit as exc:
             code, from_argparse = exc.code, True
     return code, out.getvalue(), err.getvalue(), from_argparse
+
+
+def normal_wealth(cell: str) -> bool:
+    """Whether a printed linear wealth is a positive normal double."""
+    return sys.float_info.min <= float(cell) <= sys.float_info.max
 
 
 def check(argv: list[str], plot: Path) -> None:
@@ -146,7 +153,7 @@ def check(argv: list[str], plot: Path) -> None:
     report = dict(line.split("\t", 1) for line in stdout.splitlines()) if argv[0] in ("backtest", "oracle") else {}
     if argv[0] == "backtest":
         for key in ("final_wealth", "final_wealth_bucket", "final_wealth_realized"):
-            if key in report and not float(report[key]) > 0:
+            if key in report and not normal_wealth(report[key]):
                 raise ContractViolation(f"{where}: {key} prints {report[key]!r}")
         header, *rows = plot.read_text().splitlines()
         columns = len(header.split(",")) - header.endswith(",date")  # a date cell is text
@@ -154,18 +161,19 @@ def check(argv: list[str], plot: Path) -> None:
             raise ContractViolation(f"{where}: {len(rows)} plot rows for {report['days']} days")
         for row in rows:
             try:
-                finite = all(math.isfinite(float(cell)) for cell in row.split(",")[:columns])
+                cells = row.split(",")
+                finite = all(math.isfinite(float(cell)) for cell in cells[:columns]) and normal_wealth(cells[1])
             except ValueError:
                 finite = False
             if not finite:
                 raise ContractViolation(f"{where}: plot row {row!r}")
     elif argv[0] == "compare":
         for row in stdout.splitlines()[1:]:
-            if not float(row.split("\t")[2]) > 0:
+            if not normal_wealth(row.split("\t")[2]):
                 raise ContractViolation(f"{where}: row {row!r}")
     elif argv[0] == "oracle":
-        oracle, algorithm = float(report["oracle_wealth"]), float(report["algorithm_wealth"])
-        if not (min(oracle, algorithm) >= sys.float_info.min and float(report["relative_gap"]) <= 1e-9):
+        if not (normal_wealth(report["oracle_wealth"]) and normal_wealth(report["algorithm_wealth"])
+                and float(report["relative_gap"]) <= 1e-9):
             raise ContractViolation(f"{where}: {stdout!r}")
 
 
@@ -198,7 +206,7 @@ def markets(draw):
     return np.array(rows, dtype=float).reshape(days, assets), draw(st.booleans())
 
 
-COSTED = {"cost": st.sampled_from(COSTS), "variant": st.integers(0, 2)}
+COSTED = {"cost": st.sampled_from(COSTS), "variant": st.integers(0, len(GAMMAS) - 1)}
 CHOICES = {
     "synth": st.fixed_dictionaries({"synth": st.sampled_from(["volatility-pair", "regime-pair"]),
                                     "n": st.integers(0, MAX_DAYS // 2)}),
@@ -285,6 +293,18 @@ def test_synth_refuses_a_market_too_large_to_hold(work, kind, unit, n):
     check(argv, work / "plot.csv")
     assert invoke(argv)[:3] == (2, "", f"switchfolio: need n <= 1000000 {unit}, got {n}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["backtest", "compare"])
+def test_a_subnormal_wealth_is_refused(work, command):
+    # After one day of relatives 5e-324 and 1e-315 every wealth lies among the subnormal
+    # doubles, which print with a few significant bits at most.
+    data, plot = work / "subnormal.csv", work / "plot.csv"
+    write_market(data, np.array([[5e-324, 1e-315]]), False)
+    argv = [command, "--data", str(data), "--algo", "switching-adaptive", "--cost-model", "per-trade",
+            "--cost-rate", "0.01"] + (["--plot-data", str(plot)] if command == "backtest" else [])
+    check(argv, plot)
+    assert invoke(argv)[0] == 2
 
 
 @pytest.mark.parametrize("prior", [["adaptive"], ["fixed", "--gamma", GAMMAS[0]]])

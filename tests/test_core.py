@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -71,7 +72,7 @@ class TestValidateRelatives:
 def one_day_growth(w, x):
     """One day's growth factor w . x of a portfolio: the final wealth of a one-day CRP run."""
     X = validate_relatives([x], [f"a{i}" for i in range(len(x))])
-    return run(AlgoSpec("crp", weights=tuple(w)), X).final_wealth
+    return math.exp(run(AlgoSpec("crp", weights=tuple(w)), X).log_wealth[-1])
 
 
 class TestDailyReturn:

@@ -97,7 +97,7 @@ class TestRealizedWealthTrack:
         schedule = rng.random((T, 4)) ** 3
         schedule /= schedule.sum(axis=1, keepdims=True)
         expected = looped_wealth_track(schedule, X, model)
-        np.testing.assert_allclose(realized_wealth_track(schedule, X, model), expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.exp(realized_wealth_track(schedule, X, model)), expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("model", [None, CostModel.parallel(0.1)])
     def test_negative_schedule_rejected(self, model):
@@ -112,15 +112,15 @@ class TestRealizedWealthTrack:
         schedule[:, 1] = 1.0
         for model in (None, CostModel.per_trade(0.05), CostModel.parallel(0.05)):
             track = realized_wealth_track(schedule, X, model)
-            assert math.isclose(track[-1], float(np.prod(X.values[:, 1])), rel_tol=1e-12)
+            assert math.isclose(math.exp(track[-1]), float(np.prod(X.values[:, 1])), rel_tol=1e-12)
 
     def test_zero_rate_matches_cost_free(self):
         rng = np.random.default_rng(33)
         X = random_matrix(rng, 8, 2)
         schedule = rng.random((8, 2)) + 1e-9
         schedule /= schedule.sum(axis=1, keepdims=True)
-        free = realized_wealth_track(schedule, X, None)
-        zero = realized_wealth_track(schedule, X, CostModel.parallel(0.0))
+        free = np.exp(realized_wealth_track(schedule, X, None))
+        zero = np.exp(realized_wealth_track(schedule, X, CostModel.parallel(0.0)))
         assert np.allclose(free, zero, rtol=1e-15)
 
     def test_nonincreasing_in_rate_pointwise(self):
@@ -129,9 +129,9 @@ class TestRealizedWealthTrack:
         schedule = rng.random((12, 2)) + 1e-9
         schedule /= schedule.sum(axis=1, keepdims=True)
         for build in (CostModel.per_trade, CostModel.parallel):
-            prev = realized_wealth_track(schedule, X, None)
+            prev = np.exp(realized_wealth_track(schedule, X, None))
             for c in (0.01, 0.05, 0.2):
-                cur = realized_wealth_track(schedule, X, build(c))
+                cur = np.exp(realized_wealth_track(schedule, X, build(c)))
                 assert np.all(cur <= prev + 1e-15)
                 prev = cur
 
@@ -148,7 +148,7 @@ class TestRealizedWealthTrack:
         model = CostModel.parallel(0.04)
         track = realized_wealth_track(schedule, X, model)
         expected = log_regime_wealth(regime, X, model)
-        assert math.isclose(math.log(track[-1]), expected, abs_tol=1e-12)
+        assert math.isclose(track[-1], expected, abs_tol=1e-12)
 
     def test_netted_at_most_gross_bucket_flow(self):
         # The fixed-gamma bookkeeping sells gamma of every asset and buys the
@@ -175,4 +175,4 @@ class TestRealizedWealthTrack:
     def test_empty_history(self):
         X = validate_relatives([], ["a", "b"])
         track = realized_wealth_track(np.zeros((0, 2)), X, CostModel.parallel(0.1))
-        assert track.tolist() == [1.0]
+        assert np.exp(track).tolist() == [1.0]

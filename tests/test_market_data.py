@@ -195,7 +195,7 @@ class TestSynthVolatilityPair:
     def test_even_split_compounds_nine_eighths(self):
         half = AlgoSpec("crp", weights=(0.5, 0.5))
         for n in (1, 3, 12):
-            final = run(half, synth_volatility_pair(n)).final_wealth
+            final = math.exp(run(half, synth_volatility_pair(n)).log_wealth[-1])
             assert math.isclose(final, (9 / 8) ** n, rel_tol=1e-12)
 
     def test_each_asset_alone_goes_nowhere(self):

@@ -211,6 +211,12 @@ class TestPenalties:
         p = fixed_gamma_penalty(10, 2, 0, 1e-12)
         assert math.isclose(p, math.log2(2), abs_tol=1e-9)
 
+    @pytest.mark.parametrize("gamma, log2_gamma", [(5e-324, -1074.0), (1e-310, math.log2(1e-310))])
+    def test_fixed_penalty_subnormal_gamma(self, gamma, log2_gamma):
+        # 1/gamma is inf for these gammas; the penalty is still finite, and exact at l = 0.
+        assert fixed_gamma_penalty(10, 2, 0, gamma) == 1.0
+        assert fixed_gamma_penalty(10, 2, 1, gamma) == 2.0 - log2_gamma
+
     def test_adaptive_penalty_dominates_exact_prior(self):
         for N in (2, 3):
             for T in range(1, 9):

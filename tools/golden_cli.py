@@ -12,7 +12,10 @@ scratch directory holding the corpus's own input markets (written by this
 script from fixed seeds, independent of the code under test). A capture
 records every invocation's exit code, stdout, stderr and output files.
 ``diff`` prints one line per invocation that differs in any of them and exits
-1 if there is one. ``check`` reads one capture and exits 1 if any invocation
+1 if there is one; where an invocation differs only in its numbers (same exit
+code, same text around them, same output files), the line gives the largest
+relative move among them, and a last line the largest over all such
+invocations. ``check`` reads one capture and exits 1 if any invocation
 exited outside {0, 1, 2} or wrote a Python traceback to stderr:
 
     python3 tools/golden_cli.py check after.json
@@ -103,6 +106,10 @@ def write_markets(work: Path) -> None:
     (work / "padded2.csv").write_text(" date , a , b \n 2001-01-01 , 1.5 ,\t0.75\n2001-01-02,  0.5,1.25  \n")
     (work / "underscore2.csv").write_text("a,b\n1_0,0.1\n0.1,1_0\n1_000e-3,2\n")
     (work / "space-line.csv").write_text("a,b\n1.5,0.75\n  \n0.5,1.25\n")
+    # Linear wealth passes e^1381 on day 2 and is back near 1 by day 4.
+    (work / "midrun2.csv").write_text("a,b\n1e300,1e300\n1e300,1e300\n1e-300,1e-300\n1e-300,1e-300\n")
+    # One day after which every wealth lies among the subnormal doubles.
+    (work / "subnormal2.csv").write_text("a,b\n5e-324,1e-315\n")
 
 
 def corpus() -> list[tuple[str, list[str]]]:
@@ -192,6 +199,24 @@ def corpus() -> list[tuple[str, list[str]]]:
     cases.append(("backtest-quoted-dates2-crp", ["backtest", "--data", "quoted-dates2.csv",
                                                  "--algo", "crp:weights=0.5|0.5", "--plot-data", "{out}.plot.csv"]))
     cases.append(("bounds-empty2", ["bounds", "--data", "empty2.csv", "--prior", "adaptive"]))
+    # A wealth outside the positive normal doubles is refused where it would print: at the end of
+    # a run, on a day of the plot, and not at all when only a day in between leaves them.
+    cases += [
+        ("oracle-midrun2-adaptive", ["oracle", "--data", "midrun2.csv", "--prior", "adaptive"]),
+        ("backtest-midrun2-crp", ["backtest", "--data", "midrun2.csv", "--algo", "crp:weights=0.5|0.5"]),
+        ("backtest-midrun2-crp-plot", ["backtest", "--data", "midrun2.csv", "--algo", "crp:weights=0.5|0.5",
+                                       "--out", "{out}.tsv", "--plot-data", "{out}.plot.csv"]),
+        ("compare-midrun2", ["compare", "--data", "midrun2.csv", "--algo", "crp:weights=0.5|0.5",
+                             "--algo", "switching-adaptive"]),
+        ("backtest-subnormal2-adaptive-per-trade", ["backtest", "--data", "subnormal2.csv",
+                                                    "--algo", "switching-adaptive", *COSTS["per-trade"]]),
+        ("compare-subnormal2", ["compare", "--data", "subnormal2.csv", "--algo", "crp:weights=0.5|0.5",
+                                "--algo", "switching-adaptive"]),
+    ]
+    # The smallest gamma: 1/gamma is inf, its penalty is not.
+    for command in ("oracle", "bounds"):
+        cases.append((f"{command}-small2-fixed-subnormal-gamma",
+                       [command, "--data", "small2.csv", "--prior", "fixed", "--gamma", "5e-324"]))
     for sub in ("synth", "backtest", "compare", "oracle", "bounds"):
         cases.append((f"help-{sub}", [sub, "--help"]))
     errors = {
@@ -333,10 +358,37 @@ def capture(src: Path, out: Path) -> None:
     print(f"{len(results)} invocations captured to {out}")
 
 
+NUMBER = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+def _text_move(a: str, b: str) -> float | None:
+    """Largest relative move between the numbers of two texts that differ in numbers only, else None."""
+    if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return None
+    move = 0.0
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        fx, fy = float(x), float(y)
+        if fx != fy:  # -0 against 0 is no move
+            move = max(move, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return move
+
+
+def numeric_move(a: dict, b: dict) -> float | None:
+    """Largest relative move between two results of one invocation that differ in numbers only
+    (same exit code, same output file names), else None."""
+    if a["exit"] != b["exit"] or a["files"].keys() != b["files"].keys():
+        return None
+    moves = [_text_move(a[f], b[f]) for f in ("stdout", "stderr")]
+    moves += [_text_move(a["files"][name], b["files"][name]) for name in a["files"]]
+    return None if None in moves else max(moves)
+
+
 def diff(a_path: Path, b_path: Path) -> int:
+    """Print each invocation that differs, with its largest relative move when only numbers moved."""
     a = json.loads(a_path.read_text())
     b = json.loads(b_path.read_text())
     differing = 0
+    largest = None
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             print(f"{name}: only in {a_path if name in a else b_path}")
@@ -344,9 +396,15 @@ def diff(a_path: Path, b_path: Path) -> int:
             continue
         fields = [f for f in ("exit", "stdout", "stderr", "files") if a[name][f] != b[name][f]]
         if fields:
-            print(f"{name}: {', '.join(fields)} differ (exit {a[name]['exit']} -> {b[name]['exit']})")
+            move = numeric_move(a[name], b[name])
+            note = "" if move is None else f"; numbers only, largest relative move {move:.3g}"
+            print(f"{name}: {', '.join(fields)} differ (exit {a[name]['exit']} -> {b[name]['exit']}){note}")
             differing += 1
+            if move is not None:
+                largest = move if largest is None else max(largest, move)
     print(f"{differing} of {len(set(a) | set(b))} invocations differ")
+    if largest is not None:
+        print(f"largest relative move among those that differ in numbers only: {largest:.3g}")
     return 1 if differing else 0
 
 
