@@ -9,6 +9,16 @@ updates, universal portfolio, best stock), CSV ingestion, synthetic
 markets, and a backtesting CLI (``switchfolio``).
 """
 
+import os
+
+# OpenBLAS's idle worker thread spins 2^28 cycles (about 0.1 s of a second core) before it sleeps;
+# 2^22 (about 1.5 ms) still spans a kernel's gaps between matmuls. OpenBLAS reads it at load only.
+_SPIN_DEFAULT = "OPENBLAS_THREAD_TIMEOUT" not in os.environ
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "22")
+import numpy  # noqa: E402
+if _SPIN_DEFAULT:
+    del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
 from .backtest import AlgoSpec, BacktestReport, compare, emit_plot_data, max_drawdown, run
 from .baselines import NoData, bcrp_solve, best_stock, eg_step, universal_tracks
 from .core import (

@@ -54,7 +54,7 @@ FFT_SAMPLES = 1 << 16
 
 
 class GammaOutOfRange(PortfolioError):
-    """gamma must lie in (0, (N-1)/N] for the weight update to stay on the simplex."""
+    """gamma must lie in (0, (N-1)/N], with a normal switched-in share gamma/(N-1) after the cost."""
 
 
 class TooFewAssets(PortfolioError):
@@ -185,6 +185,8 @@ def fixed_init(n: int, gamma: float, cost: CostModel | None = None) -> FixedGamm
         raise TooFewAssets(f"need at least 2 assets to switch between, got {n}")
     if not 0.0 < gamma <= (n - 1) / n:
         raise GammaOutOfRange(f"gamma must be in (0, {(n - 1) / n!r}] for N={n}, got {gamma!r}")
+    if gamma / (n - 1) * switch_factor(cost) < np.finfo(float).tiny:  # a subnormal share loses its digits
+        raise GammaOutOfRange(f"gamma {gamma!r} switches in a share below the smallest normal double at N={n}")
     return FixedGammaState(gamma, n, cost)
 
 

@@ -4,8 +4,11 @@ import itertools
 import math
 import os
 import re
+import resource
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -817,6 +820,48 @@ class TestFftLoadsLazily:
 def entry_env(**extra) -> dict:
     """The environment of a ``python -m switchfolio.cli`` child that imports the package under test."""
     return dict(os.environ, PYTHONPATH=str(Path(switchfolio.__file__).resolve().parents[1]), **extra)
+
+
+def _openblas() -> bool:
+    """Whether numpy was built against OpenBLAS (numpy wheels bundle it as ``scipy-openblas``)."""
+    return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+
+
+class TestOpenBlasSpin:
+    """The package root sets ``OPENBLAS_THREAD_TIMEOUT=22`` while numpy loads, where the caller
+    left it unset: OpenBLAS's idle worker then spins about 1.5 ms, not 2^28 cycles, before it
+    sleeps. OpenBLAS reads the variable once, at load, so it is unset again after."""
+
+    IMPORT = "import os, switchfolio.cli; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+
+    @staticmethod
+    def unset_env() -> dict:
+        env = entry_env()
+        env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+        return env
+
+    @pytest.mark.skipif(not _openblas() or (os.cpu_count() or 1) < 2,
+                        reason="the spin is OpenBLAS's, and costs CPU only on a core of its own")
+    def test_an_import_spins_no_second_core(self):
+        # With the 2^28-cycle spin a fresh import used about 0.1 s more CPU than wall time.
+        excess = []
+        for _ in range(5):
+            before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
+            subprocess.run([sys.executable, "-c", "import switchfolio.cli"], env=self.unset_env(), check=True)
+            wall, after = time.perf_counter() - start, resource.getrusage(resource.RUSAGE_CHILDREN)
+            cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+            excess.append(cpu - wall)
+        assert statistics.median(excess) <= 0.04
+
+    def test_the_default_is_unset_after_the_import(self):
+        done = subprocess.run([sys.executable, "-c", self.IMPORT], env=self.unset_env(),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "None\n"
+
+    def test_a_callers_value_is_kept(self):
+        done = subprocess.run([sys.executable, "-c", self.IMPORT], env=entry_env(OPENBLAS_THREAD_TIMEOUT="28"),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "28\n"
 
 
 class TestProcessEntry:

@@ -14,7 +14,7 @@ per cell (the edge of the double range: linear wealth leaves it within two
 days), are drawn from {e^-30, 1, e^30}, or are drawn from the ends of the
 double range themselves, subnormals included (``EDGES``). Every command,
 algorithm kind, cost model and cost accounting runs on them, and every
-gamma of ``GAMMAS`` (a subnormal one included), under hypothesis and on a
+gamma of ``GAMMAS`` (two subnormal ones included), under hypothesis and on a
 fixed seeded grid.
 """
 
@@ -48,7 +48,7 @@ COMMANDS = ("synth", "backtest", "compare", "oracle", "bounds")
 KINDS = ("switching-fixed", "switching-adaptive", "crp", "bcrp", "eg", "universal", "best-stock")
 COSTS = (None, ("per-trade", "0"), ("per-trade", "0.01"), ("parallel", "0.02"), ("parallel", "0.49"))
 ACCOUNTINGS = ("bucket", "realized")
-GAMMAS = ("0.01", "0.3333333333", "0.9", "1e-310")
+GAMMAS = ("0.01", "0.3333333333", "0.9", "1e-310", "5e-324")
 USAGE_ERRORS = (["--frobnicate"], ["--cost-model", "free"], ["--seed", "x"])
 
 

@@ -50,6 +50,19 @@ class TestFixedInit:
         with pytest.raises(TooFewAssets):
             fixed_init(1, 0.1)
 
+    @pytest.mark.parametrize("n, gamma, cost", [
+        (3, 5e-324, None),  # gamma/2 rounds to 0
+        (2, 1e-310, None),
+        (2, 3e-308, CostModel.parallel(0.49)),  # a normal share until the cost charges it
+    ])
+    def test_subnormal_switched_in_share_rejected(self, n, gamma, cost):
+        with pytest.raises(GammaOutOfRange, match="below the smallest normal double"):
+            fixed_init(n, gamma, cost)
+
+    def test_smallest_normal_share_allowed(self):
+        fixed_init(2, sys.float_info.min)
+        fixed_init(3, 2 * sys.float_info.min, CostModel.per_trade(0.0))
+
 
 class TestFixedStep:
     def test_hand_evaluated_day(self):
@@ -400,7 +413,8 @@ class TestCostMonotonicity:
 
 
 def switching_spec(N, fixed, gamma_share, cost=None):
-    """Either switching kind; gamma ranges over (0, (N-1)/N], all that fixed_init accepts."""
+    """Either switching kind; gamma ranges over [1e-300 (N-1)/N, (N-1)/N]. fixed_init refuses a
+    gamma whose switched-in share gamma/(N-1), after the cost, is not a normal double."""
     if fixed:
         return AlgoSpec("switching-fixed", gamma=gamma_share * (N - 1) / N, cost=cost)
     return AlgoSpec("switching-adaptive", cost=cost)
@@ -411,7 +425,7 @@ SWITCHING_MARKETS = dict(
     N=st_.integers(2, 5),
     seed=st_.integers(0, 2**32 - 1),
     fixed=st_.booleans(),
-    gamma_share=st_.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+    gamma_share=st_.floats(1e-300, 1.0),  # far enough above 0 that no cost makes the share subnormal
 )
 
 
@@ -548,13 +562,14 @@ class TestAdaptiveAgainstEagerRecursion:
         N=st_.integers(2, 4),
         seed=st_.integers(0, 2**32 - 1),
         fixed=st_.booleans(),
-        gamma_share=st_.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False),
+        gamma_share=st_.floats(1e-300, 1.0),  # far enough above 0 that no cost makes the share subnormal
         kind=st_.sampled_from([None, "per-trade", "parallel"]),
         rate=st_.floats(0.0, 0.49),
     )
     def test_run_equals_mixture_oracle(self, T, N, seed, fixed, gamma_share, kind, rate):
         # Both switching kinds against the exact mixture over all N^T regimes;
-        # gamma ranges over (0, (N-1)/N], all that fixed_init accepts.
+        # gamma ranges over [1e-300 (N-1)/N, (N-1)/N], all that fixed_init accepts but the
+        # gammas whose switched-in share is nearly subnormal.
         X = random_matrix(np.random.default_rng(seed), T, N)
         cost = None if kind is None else CostModel(kind, rate)
         gamma = gamma_share * (N - 1) / N

@@ -110,6 +110,15 @@ def write_markets(work: Path) -> None:
     (work / "midrun2.csv").write_text("a,b\n1e300,1e300\n1e300,1e300\n1e-300,1e-300\n1e-300,1e-300\n")
     # One day after which every wealth lies among the subnormal doubles.
     (work / "subnormal2.csv").write_text("a,b\n5e-324,1e-315\n")
+    # Days at both ends of the double range, on which a gamma of 5e-324 switches in a share that
+    # is no normal double: the held asset's product underflows at N=3 (collapse3), and at N=2 a
+    # parallel cost of 0.02 is lost to rounding (mixed2, the contract test's seeded mixed market).
+    (work / "collapse3.csv").write_text("a,b,c\n1e300,1e-300,1e-300\n1e-300,1e300,1e300\n")
+    (work / "mixed2.csv").write_text(
+        "a0,a1\n3.9469181174774516e+301,6.642704021042347e+301\n1.677724652455314e-302,2.4699614604521857e-302\n"
+        "1.3715321508680103e+302,6.491758081717206e-303\n6.067880604890118e-303,5.213325947368008e+301\n"
+        "1.2222739006917098e+302,1.0567828101736995e+302\n2.3037897464531553e-302,1.3245439853095778e-302\n"
+        "1.3043914752646783e-302,6.837390924742071e-303\n9.503165527728831e-303,7.194731039649062e+301\n")
 
 
 def corpus() -> list[tuple[str, list[str]]]:
@@ -213,7 +222,7 @@ def corpus() -> list[tuple[str, list[str]]]:
         ("compare-subnormal2", ["compare", "--data", "subnormal2.csv", "--algo", "crp:weights=0.5|0.5",
                                 "--algo", "switching-adaptive"]),
     ]
-    # The smallest gamma: 1/gamma is inf, its penalty is not.
+    # The smallest gamma switches in a share of 5e-324, no normal double: the run refuses it.
     for command in ("oracle", "bounds"):
         cases.append((f"{command}-small2-fixed-subnormal-gamma",
                        [command, "--data", "small2.csv", "--prior", "fixed", "--gamma", "5e-324"]))
@@ -298,6 +307,9 @@ def corpus() -> list[tuple[str, list[str]]]:
         "adaptive-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-adaptive"],
         "fixed-overflow": ["backtest", "--data", "regime2000.csv", "--algo", "switching-fixed:gamma=0.01"],
         # exp overflows on the first day: the weights are NaN, refused with no numpy warning.
+        "fixed-subnormal-share": ["backtest", "--data", "collapse3.csv", "--algo", "switching-fixed:gamma=5e-324"],
+        "oracle-fixed-subnormal-share": ["oracle", "--data", "mixed2.csv", "--prior", "fixed", "--gamma", "5e-324",
+                                         *COSTS["parallel"]],
         "eg-overflow": ["backtest", "--data", "plain2.csv", "--algo", "eg:eta=1e300"],
         "compare-overflow": ["compare", "--data", "regime2000.csv", "--algo", "best-stock",
                              "--algo", "eg:eta=0.05", "--algo", "universal:samples=100"],
